@@ -10,9 +10,9 @@
 //     position ticks — constant grid churn and pair-cache invalidation.
 //
 // The builder is deterministic: one seed drives placement, stagger and
-// mobility, and every Config delivery mode must produce identical
-// transmission/delivery counts (asserted by fig_city_scale and the golden
-// campaign test).
+// mobility, and the grid pipeline and the legacy-scan oracle must produce
+// identical transmission/delivery counts (asserted by fig_city_scale and the
+// golden campaign test).
 #pragma once
 
 #include <chrono>
@@ -43,14 +43,9 @@ struct CityScaleResult {
   std::uint64_t deliveries = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Index-efficiency counters (Medium::FanoutStats): bucket entries the
-  /// filter kernels streamed, how many passed the fused listening-key
-  /// compare, and the difference — entries that cost a cache line only to
-  /// be discarded. Channel-partitioned buckets drive wasted to 0; the mixed
-  /// layout wastes ~2/3 of loads at the district's 1/6/11 channel plan.
+  /// Bucket entries the grid probes streamed through the range filter
+  /// (Medium::FanoutStats).
   std::uint64_t candidates_loaded = 0;
-  std::uint64_t key_matched = 0;
-  std::uint64_t wasted_candidates = 0;
   /// End-of-run occupancy of the live spatial index.
   double mean_bucket_occupancy = 0.0;
   std::uint32_t max_bucket_occupancy = 0;
@@ -186,10 +181,7 @@ inline CityScaleResult run_city_scale(const CityScaleParams& params,
   r.deliveries = city.medium().deliveries();
   r.cache_hits = city.medium().pathloss_cache_hits();
   r.cache_misses = city.medium().pathloss_cache_misses();
-  const medium::Medium::FanoutStats& fs = city.medium().fanout_stats();
-  r.candidates_loaded = fs.candidates_loaded();
-  r.key_matched = fs.key_matched;
-  r.wasted_candidates = fs.wasted_candidates();
+  r.candidates_loaded = city.medium().fanout_stats().candidates_loaded;
   const medium::Medium::BucketOccupancy occ = city.medium().bucket_occupancy();
   r.mean_bucket_occupancy = occ.mean();
   r.max_bucket_occupancy = occ.max_occupancy;

@@ -1,29 +1,17 @@
-// City-scale delivery throughput: the headline scenario for the batched SoA
+// City-scale delivery throughput: the headline scenario for the grid
 // pipeline. A 2 km urban district with 5k–20k radios (30% static APs
 // beaconing at 9.77 Hz, 70% phones scanning every ~2 s while walking)
-// drives the Medium fanout through each Config delivery mode:
-//
-//   batched  — SoA gather, slot-ordered merge, d² filter, LUT + pair cache
-//   grid     — pre-PR reference: grid gather + std::sort + exact math
-//   scan     — legacy full scan (smallest size only; O(n) per frame)
-//
-// Every mode must produce identical transmission/delivery counts — the
-// pipelines are behaviorally interchangeable — and the batched/grid ratio
-// is the PR's ≥3x acceptance number at 10k radios.
-//
-// A second table sweeps the intra-run fanout: SIMD off vs on, then 2/4/8
-// sharding workers, each run checked delivery-identical to the serial
-// baseline and reported as deliveries/s + speedup per worker count.
+// drives the Medium fanout at each size. At the smallest size the
+// legacy-scan oracle (no grid, exact math, O(n) per frame) runs the same
+// district too: both must produce identical transmission/delivery counts,
+// and scan/grid is what the spatial culling buys.
 //
 // Usage: fig_city_scale [--smoke]
-//   --smoke: one small size (2k radios, 2 s, 2-worker sweep), used by
-//   ctest -L perf.
+//   --smoke: one small size (2k radios, 2 s), used by ctest -L perf.
 #include "bench_common.h"
 #include "city_scale.h"
 
-#include <algorithm>
 #include <cstring>
-#include <thread>
 
 namespace {
 
@@ -31,34 +19,6 @@ using cityhunter::bench::CityScaleParams;
 using cityhunter::bench::CityScaleResult;
 using cityhunter::bench::run_city_scale;
 using cityhunter::medium::Medium;
-
-Medium::Config batched_config() { return Medium::Config{}; }
-
-Medium::Config grid_config() {
-  Medium::Config cfg;
-  cfg.batched_fanout = false;
-  cfg.pathloss_lut = false;
-  cfg.pathloss_cache = false;
-  return cfg;
-}
-
-Medium::Config scan_config() {
-  Medium::Config cfg = grid_config();
-  cfg.spatial_grid = false;
-  return cfg;
-}
-
-Medium::Config no_simd_config() {
-  Medium::Config cfg;
-  cfg.simd_fanout = false;
-  return cfg;
-}
-
-Medium::Config workers_config(int workers) {
-  Medium::Config cfg;
-  cfg.intra_run_workers = workers;
-  return cfg;
-}
 
 int g_failures = 0;
 
@@ -76,130 +36,28 @@ void run_size(int radios, double sim_s, bool with_scan) {
   params.radios = radios;
   params.duration = cityhunter::support::SimTime::seconds(sim_s);
 
-  const CityScaleResult batched = run_city_scale(params, batched_config());
-  const CityScaleResult grid = run_city_scale(params, grid_config());
-  check_equal("transmissions", batched.transmissions, grid.transmissions);
-  check_equal("deliveries", batched.deliveries, grid.deliveries);
-  if (with_scan) {
-    const CityScaleResult scan = run_city_scale(params, scan_config());
-    check_equal("scan deliveries", batched.deliveries, scan.deliveries);
-  }
-
-  const double speedup =
-      batched.wall_s > 0.0 ? grid.wall_s / batched.wall_s : 0.0;
+  const CityScaleResult grid = run_city_scale(params, Medium::Config{});
   const double hit_rate =
-      batched.cache_hits + batched.cache_misses > 0
-          ? static_cast<double>(batched.cache_hits) /
-                static_cast<double>(batched.cache_hits + batched.cache_misses)
+      grid.cache_hits + grid.cache_misses > 0
+          ? static_cast<double>(grid.cache_hits) /
+                static_cast<double>(grid.cache_hits + grid.cache_misses)
           : 0.0;
-  std::printf(
-      "  %6d | %9.2fM | %8.3fs | %8.3fs | %6.2fx | %9.3gM/s | %5.1f%%\n",
-      radios, static_cast<double>(batched.deliveries) / 1e6, grid.wall_s,
-      batched.wall_s, speedup, batched.deliveries_per_s / 1e6,
-      hit_rate * 100.0);
-}
-
-Medium::Config mixed_index_config() {
-  Medium::Config cfg;
-  cfg.channel_buckets = false;
-  return cfg;
-}
-
-// Index efficiency: the channel-partitioned buckets vs the pre-PR8
-// mixed-channel layout on the same district. Deliveries must agree exactly;
-// the table shows what partitioning removes — every off-channel candidate
-// the filter kernels used to load, test and discard (~2/3 of all loads on
-// the district's 1/6/11 plan).
-void run_index_efficiency(int radios, double sim_s) {
-  CityScaleParams params;
-  params.radios = radios;
-  params.duration = cityhunter::support::SimTime::seconds(sim_s);
-
-  // Warm pass, then best-of-2 per layout: same hygiene as run_scaling.
-  (void)run_city_scale(params, batched_config());
-  const auto best_of = [&params](const Medium::Config& cfg) {
-    CityScaleResult best = run_city_scale(params, cfg);
-    const CityScaleResult again = run_city_scale(params, cfg);
-    if (again.wall_s < best.wall_s) best = again;
-    return best;
-  };
-  const CityScaleResult part = best_of(batched_config());
-  const CityScaleResult mixed = best_of(mixed_index_config());
-  check_equal("mixed-index transmissions", part.transmissions,
-              mixed.transmissions);
-  check_equal("mixed-index deliveries", part.deliveries, mixed.deliveries);
-
-  const auto ratio = [](const CityScaleResult& r) {
-    return r.candidates_loaded > 0
-               ? static_cast<double>(r.wasted_candidates) /
-                     static_cast<double>(r.candidates_loaded)
-               : 0.0;
-  };
-  std::printf(
-      "\n  index efficiency at %d radios (channel plan 1/6/11)\n"
-      "  layout      | wall     | loaded      | wasted      | waste%% | "
-      "occupancy mean/max\n"
-      "  partitioned | %8.3fs | %11llu | %11llu | %5.1f%% | %.1f / %u\n"
-      "  mixed       | %8.3fs | %11llu | %11llu | %5.1f%% | %.1f / %u\n"
-      "  speedup vs mixed: %.2fx, wasted loads cut %.0fx\n",
-      radios, part.wall_s,
-      static_cast<unsigned long long>(part.candidates_loaded),
-      static_cast<unsigned long long>(part.wasted_candidates),
-      100.0 * ratio(part), part.mean_bucket_occupancy,
-      part.max_bucket_occupancy, mixed.wall_s,
-      static_cast<unsigned long long>(mixed.candidates_loaded),
-      static_cast<unsigned long long>(mixed.wasted_candidates),
-      100.0 * ratio(mixed), mixed.mean_bucket_occupancy,
-      mixed.max_bucket_occupancy,
-      part.wall_s > 0.0 ? mixed.wall_s / part.wall_s : 0.0,
-      static_cast<double>(mixed.wasted_candidates) /
-          static_cast<double>(std::max<std::uint64_t>(part.wasted_candidates,
-                                                      1)));
-}
-
-// Intra-run scaling: the same district once per worker count, every run
-// checked delivery-identical to the serial baseline (the sharded merge must
-// reorder nothing). Counts above the hardware are measured anyway — the
-// oversubscription penalty belongs in the figure — but flagged, since their
-// wall-clock says nothing about the speedup acceptance number.
-void run_scaling(int radios, double sim_s, bool smoke) {
-  CityScaleParams params;
-  params.radios = radios;
-  params.duration = cityhunter::support::SimTime::seconds(sim_s);
-  const unsigned hw = std::thread::hardware_concurrency();
-
-  // One untimed pass first: the scalar/SIMD delta is a few tens of percent,
-  // small enough for cold caches and CPU frequency ramp to swamp it.
-  (void)run_city_scale(params, batched_config());
-
-  const CityScaleResult simd = run_city_scale(params, batched_config());
-  const CityScaleResult scalar = run_city_scale(params, no_simd_config());
-  check_equal("no-simd transmissions", simd.transmissions,
-              scalar.transmissions);
-  check_equal("no-simd deliveries", simd.deliveries, scalar.deliveries);
-  std::printf(
-      "\n  intra-run scaling at %d radios (%u hardware threads)\n"
-      "  config     | wall     | speedup | throughput | identical\n"
-      "  scalar     | %8.3fs | %6.2fx | %9.3gM/s | yes\n"
-      "  simd       | %8.3fs | %6.2fx | %9.3gM/s | yes\n",
-      radios, hw, scalar.wall_s, 1.0, scalar.deliveries_per_s / 1e6,
-      simd.wall_s, simd.wall_s > 0.0 ? scalar.wall_s / simd.wall_s : 0.0,
-      simd.deliveries_per_s / 1e6);
-
-  for (const int workers : smoke ? std::vector<int>{2}
-                                 : std::vector<int>{2, 4, 8}) {
-    const CityScaleResult sharded =
-        run_city_scale(params, workers_config(workers));
-    check_equal("sharded transmissions", simd.transmissions,
-                sharded.transmissions);
-    check_equal("sharded deliveries", simd.deliveries, sharded.deliveries);
-    std::printf("  %d workers%s | %8.3fs | %6.2fx | %9.3gM/s | yes\n",
-                workers,
-                static_cast<unsigned>(workers) > hw ? " (oversub)" : "",
-                sharded.wall_s,
-                sharded.wall_s > 0.0 ? simd.wall_s / sharded.wall_s : 0.0,
-                sharded.deliveries_per_s / 1e6);
+  char scan_col[16] = "        -";
+  char speedup_col[16] = "      -";
+  if (with_scan) {
+    Medium::Config scan_cfg;
+    scan_cfg.spatial_grid = false;
+    const CityScaleResult scan = run_city_scale(params, scan_cfg);
+    check_equal("transmissions", grid.transmissions, scan.transmissions);
+    check_equal("deliveries", grid.deliveries, scan.deliveries);
+    std::snprintf(scan_col, sizeof scan_col, "%8.3fs", scan.wall_s);
+    std::snprintf(speedup_col, sizeof speedup_col, "%6.2fx",
+                  grid.wall_s > 0.0 ? scan.wall_s / grid.wall_s : 0.0);
   }
+  std::printf("  %6d | %9.2fM | %s | %8.3fs | %s | %9.3gM/s | %5.1f%%\n",
+              radios, static_cast<double>(grid.deliveries) / 1e6, scan_col,
+              grid.wall_s, speedup_col, grid.deliveries_per_s / 1e6,
+              hit_rate * 100.0);
 }
 
 }  // namespace
@@ -207,27 +65,23 @@ void run_scaling(int radios, double sim_s, bool smoke) {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   cityhunter::bench::print_header(
-      "city-scale deliver throughput (batched SoA pipeline vs reference)",
+      "city-scale deliver throughput (grid pipeline vs legacy scan)",
       "ROADMAP north star: city-sized populations, as fast as the hardware "
       "allows");
   std::printf(
-      "  radios | delivered | grid     | batched  | speedup | throughput | "
-      "cache hit\n");
+      "  radios | delivered | scan      | grid      | speedup | throughput "
+      "| cache hit\n");
   if (smoke) {
     run_size(2000, 2.0, /*with_scan=*/true);
-    run_index_efficiency(2000, 2.0);
-    run_scaling(2000, 2.0, /*smoke=*/true);
   } else {
     run_size(5000, 5.0, /*with_scan=*/true);
     run_size(10000, 5.0, /*with_scan=*/false);
     run_size(20000, 3.0, /*with_scan=*/false);
-    run_index_efficiency(20000, 3.0);
-    run_scaling(10000, 3.0, /*smoke=*/false);
   }
   if (g_failures != 0) {
     std::printf("FAILED: %d pipeline mismatches\n", g_failures);
     return 1;
   }
-  std::printf("OK: all delivery pipelines agree\n");
+  std::printf("OK: grid pipeline and legacy scan agree\n");
   return 0;
 }

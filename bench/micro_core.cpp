@@ -1,11 +1,10 @@
 // Micro-benchmarks: attacker data-structure hot paths (google-benchmark).
-// The selection/cache loops report allocs_per_op so allocation regressions
+// The selection loops report allocs_per_op so allocation regressions
 // on the attacker side are visible next to the time/op numbers.
 #include "alloc_counter.h"
 
 #include <benchmark/benchmark.h>
 
-#include "cache/arc_cache.h"
 #include "core/buffers.h"
 #include "core/ssid_db.h"
 #include "support/rng.h"
@@ -70,21 +69,6 @@ void BM_BufferSelect(benchmark::State& state) {
       static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_BufferSelect)->Arg(300)->Arg(1000);
-
-void BM_ArcCacheMixed(benchmark::State& state) {
-  cache::ArcCache<int, int> arc(static_cast<std::size_t>(state.range(0)));
-  support::Rng rng(11);
-  const auto a0 = bench::alloc_count();
-  for (auto _ : state) {
-    const int key = static_cast<int>(rng.zipf(1000, 0.8));
-    if (!arc.get(key)) arc.put(key, key * 2);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.counters["allocs_per_op"] =
-      static_cast<double>(bench::alloc_count() - a0) /
-      static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_ArcCacheMixed)->Arg(64)->Arg(256);
 
 }  // namespace
 

@@ -1,27 +1,22 @@
 // Micro-benchmarks for the Medium delivery hot path.
 //
-// Compares the delivery pipelines Medium::Config can select, at venue scale:
-// radios are spread over ±600 m while a 20 dBm transmitter reaches only
-// ~60 m, so receiver culling dominates the fanout cost.
+// Prices the grid delivery pipeline against the legacy-scan oracle at venue
+// scale: radios are spread over ±600 m while a 20 dBm transmitter reaches
+// only ~60 m, so receiver culling dominates the fanout cost.
 //
-//   Batched      — SoA gather, slot-ordered merge (no per-frame sort),
-//                  squared-distance filter (AVX2 when the CPU has it),
-//                  path-loss LUT + pair cache.
-//   BatchedNoSimd — same with Config::simd_fanout off: prices the vector
-//                  gather/filter + LUT lanes against the scalar loops.
-//   BatchedShardedN — same as Batched plus N intra-run workers with
-//                  shard_min_candidates = 0, pricing the fork-join.
+//   Batched      — channel-partitioned grid probe, squared-distance filter,
+//                  slot-ordered merge (no per-frame sort), pair cache +
+//                  path-loss LUT.
 //   BatchedNoCache — same, pair cache off: prices the cache separately.
-//   Grid         — the pre-PR reference: grid gather + std::sort by id +
+//   LegacyScan   — no grid at all, full scan over every attached radio with
 //                  exact hypot/log10 per candidate.
-//   LegacyScan   — no grid at all, full scan over every attached radio.
 //
-// Moving variants displace one radio before each transmit to price the
+// The moving variant displaces one radio before each transmit to price the
 // incremental grid maintenance (and pair-cache invalidation) into the win.
 //
 // Each case reports allocs_per_tx next to delivered_per_tx: the pooled
 // transmission objects, inline event storage, flat radio table and reused
-// gather scratch should hold the static cases at ~0 heap allocations per
+// fanout scratch should hold the static cases at ~0 heap allocations per
 // transmit. delivered_per_tx must be identical across all modes at the same
 // radio count — the pipelines are behaviorally interchangeable.
 #include "alloc_counter.h"
@@ -42,55 +37,18 @@ class CountingSink : public FrameSink {
   std::uint64_t frames = 0;
 };
 
-enum class Mode {
-  kBatched,
-  kBatchedNoSimd,
-  kBatchedSharded,
-  kBatchedNoCache,
-  kBatchedMixedIndex,  // channel_buckets off: the pre-PR mixed-channel cells
-  kBatchedEagerLutSimd,  // simd_lut_min_elems = 1: the pre-fix LUT dispatch
-  kGrid,
-  kLegacyScan
-};
+enum class Mode { kBatched, kBatchedNoCache, kLegacyScan };
 
-Medium::Config mode_config(Mode mode, int workers) {
+Medium::Config mode_config(Mode mode) {
   Medium::Config cfg;
-  cfg.intra_run_workers = workers;
   switch (mode) {
     case Mode::kBatched:
-      break;  // defaults: grid + batched fanout + SIMD + LUT + pair cache
-    case Mode::kBatchedNoSimd:
-      cfg.simd_fanout = false;  // scalar gather/filter, same results
-      break;
-    case Mode::kBatchedSharded:
-      // Shard every fanout, even small ones: the point is to price the
-      // fork-join overhead against the SIMD fanout at this crowd size.
-      cfg.shard_min_candidates = 0;
-      break;
+      break;  // defaults: grid + LUT + pair cache
     case Mode::kBatchedNoCache:
-      cfg.pathloss_cache = false;
-      break;
-    case Mode::kBatchedMixedIndex:
-      cfg.channel_buckets = false;  // same results, off-channel loads return
-      break;
-    case Mode::kBatchedEagerLutSimd:
-      // Vectorize the LUT stage for any survivor chunk at all — the
-      // pre-fix dispatch that made city-scale SIMD runs slower than scalar
-      // (the gather-bound kernel needs ~kSimdLutMinElems survivors to
-      // amortize its AVX entry cost). Kept as a benchmark-only regression
-      // row; results are bit-identical either way.
-      cfg.simd_lut_min_elems = 1;
-      break;
-    case Mode::kGrid:
-      cfg.batched_fanout = false;
-      cfg.pathloss_lut = false;
       cfg.pathloss_cache = false;
       break;
     case Mode::kLegacyScan:
       cfg.spatial_grid = false;
-      cfg.batched_fanout = false;
-      cfg.pathloss_lut = false;
-      cfg.pathloss_cache = false;
       break;
   }
   return cfg;
@@ -106,8 +64,8 @@ struct Crowd {
   /// mixed_channels spreads receivers over 1/6/11 (the urban channel plan)
   /// instead of co-channel with the transmitter — the workload where the
   /// channel-partitioned index stops paying for off-channel neighbours.
-  Crowd(int radios, Mode mode, int workers, bool mixed_channels = false)
-      : medium(events, mode_config(mode, workers)) {
+  Crowd(int radios, Mode mode, bool mixed_channels = false)
+      : medium(events, mode_config(mode)) {
     support::Rng rng(7);
     const std::uint8_t channels[] = {1, 6, 11};
     for (int i = 0; i < radios; ++i) {
@@ -121,9 +79,8 @@ struct Crowd {
 };
 
 void deliver_loop(benchmark::State& state, Mode mode, bool move,
-                  int workers = 1, bool mixed_channels = false) {
-  Crowd crowd(static_cast<int>(state.range(0)), mode, workers,
-              mixed_channels);
+                  bool mixed_channels = false) {
+  Crowd crowd(static_cast<int>(state.range(0)), mode, mixed_channels);
   support::Rng rng(11);
   const auto frame = dot11::make_probe_response(
       dot11::MacAddress::random_local(rng), dot11::MacAddress::random_local(rng),
@@ -134,8 +91,7 @@ void deliver_loop(benchmark::State& state, Mode mode, bool move,
   crowd.tx.transmit(frame);
   crowd.events.run_all();
   const auto a0 = cityhunter::bench::alloc_count();
-  const auto loaded0 = crowd.medium.fanout_stats().candidates_loaded();
-  const auto matched0 = crowd.medium.fanout_stats().key_matched;
+  const auto loaded0 = crowd.medium.fanout_stats().candidates_loaded;
   for (auto _ : state) {
     if (move) {
       auto& r = crowd.receivers[mover++ % crowd.receivers.size()];
@@ -150,27 +106,19 @@ void deliver_loop(benchmark::State& state, Mode mode, bool move,
       static_cast<double>(crowd.sink.frames) / iters;
   state.counters["allocs_per_tx"] =
       static_cast<double>(cityhunter::bench::alloc_count() - a0) / iters;
-  // Index efficiency over the timed loop: bucket entries streamed into the
-  // filter kernels vs those that passed the fused key compare. The delta is
-  // pure waste — 0 with channel-partitioned buckets, every co-located
-  // off-channel radio with the mixed layout.
-  const auto loaded =
-      crowd.medium.fanout_stats().candidates_loaded() - loaded0;
-  const auto matched = crowd.medium.fanout_stats().key_matched - matched0;
+  // Bucket entries the grid probes streamed through the range filter (0 on
+  // the legacy scan, which has no index).
+  const auto loaded = crowd.medium.fanout_stats().candidates_loaded - loaded0;
   state.counters["candidates_per_tx"] = static_cast<double>(loaded) / iters;
-  state.counters["wasted_per_tx"] =
-      static_cast<double>(loaded - matched) / iters;
 }
 
 /// Retune-dominated churn: every iteration hops one receiver to the next
 /// channel in the 1/6/11 plan (a bucket-to-bucket migration under the
 /// partitioned index) and every kTransmitEvery-th iteration broadcasts.
-/// Prices the append-and-deferred-merge insert against the churn rate; the
-/// mixed-index variant shows what the migration work buys back at probe
-/// time.
-void churn_loop(benchmark::State& state, Mode mode) {
+/// Prices the append-and-deferred-merge insert against the churn rate.
+void churn_loop(benchmark::State& state) {
   constexpr int kTransmitEvery = 8;
-  Crowd crowd(static_cast<int>(state.range(0)), mode, /*workers=*/1,
+  Crowd crowd(static_cast<int>(state.range(0)), Mode::kBatched,
               /*mixed_channels=*/true);
   support::Rng rng(11);
   const auto frame = dot11::make_probe_response(
@@ -200,9 +148,9 @@ void churn_loop(benchmark::State& state, Mode mode) {
 /// Attach/detach storm: each iteration detaches the oldest live receiver
 /// and attaches a fresh one (slot growth, bucket create/recycle, arena
 /// compaction); periodic transmits keep the probe path honest.
-void attach_churn_loop(benchmark::State& state, Mode mode) {
+void attach_churn_loop(benchmark::State& state) {
   constexpr int kTransmitEvery = 8;
-  Crowd crowd(static_cast<int>(state.range(0)), mode, /*workers=*/1,
+  Crowd crowd(static_cast<int>(state.range(0)), Mode::kBatched,
               /*mixed_channels=*/true);
   support::Rng rng(11);
   const auto frame = dot11::make_probe_response(
@@ -231,28 +179,8 @@ void attach_churn_loop(benchmark::State& state, Mode mode) {
 void BM_DeliverBatched(benchmark::State& state) {
   deliver_loop(state, Mode::kBatched, /*move=*/false);
 }
-void BM_DeliverBatchedNoSimd(benchmark::State& state) {
-  deliver_loop(state, Mode::kBatchedNoSimd, /*move=*/false);
-}
-// Sharded fanout at 2/4/8 intra-run workers. delivered_per_tx stays
-// identical to every other mode — the merge reorders nothing — while the
-// time column shows where fork-join overhead crosses into profit on this
-// machine. Worker counts beyond the hardware are still measured (the
-// helpers time-slice) so the oversubscription penalty is visible too.
-void BM_DeliverBatchedSharded2(benchmark::State& state) {
-  deliver_loop(state, Mode::kBatchedSharded, /*move=*/false, /*workers=*/2);
-}
-void BM_DeliverBatchedSharded4(benchmark::State& state) {
-  deliver_loop(state, Mode::kBatchedSharded, /*move=*/false, /*workers=*/4);
-}
-void BM_DeliverBatchedSharded8(benchmark::State& state) {
-  deliver_loop(state, Mode::kBatchedSharded, /*move=*/false, /*workers=*/8);
-}
 void BM_DeliverBatchedNoCache(benchmark::State& state) {
   deliver_loop(state, Mode::kBatchedNoCache, /*move=*/false);
-}
-void BM_DeliverGrid(benchmark::State& state) {
-  deliver_loop(state, Mode::kGrid, /*move=*/false);
 }
 void BM_DeliverLegacyScan(benchmark::State& state) {
   deliver_loop(state, Mode::kLegacyScan, /*move=*/false);
@@ -260,66 +188,26 @@ void BM_DeliverLegacyScan(benchmark::State& state) {
 void BM_DeliverBatchedMoving(benchmark::State& state) {
   deliver_loop(state, Mode::kBatched, /*move=*/true);
 }
-void BM_DeliverGridMoving(benchmark::State& state) {
-  deliver_loop(state, Mode::kGrid, /*move=*/true);
-}
-// Channel-mixed crowds: the partitioned index streams only co-channel
-// candidates (wasted_per_tx = 0); the mixed layout pays ~2/3 of its loads
-// to the key filter on the 1/6/11 plan.
+// Channel-mixed crowd: the partitioned index streams only the third of the
+// crowd on the transmitter's channel (1/6/11 plan).
 void BM_DeliverBatchedChannelMixed(benchmark::State& state) {
-  deliver_loop(state, Mode::kBatched, /*move=*/false, /*workers=*/1,
+  deliver_loop(state, Mode::kBatched, /*move=*/false,
                /*mixed_channels=*/true);
-}
-void BM_DeliverMixedIndexChannelMixed(benchmark::State& state) {
-  deliver_loop(state, Mode::kBatchedMixedIndex, /*move=*/false, /*workers=*/1,
-               /*mixed_channels=*/true);
-}
-// The city-shape LUT dispatch split (satellite of the sharded-city PR): at
-// urban density the filter admits only a few dozen survivors per fanout,
-// below the gather-bound LUT kernel's profit point. The default dispatch
-// (LUT vectorized only from kSimdLutMinElems survivors) must be >= the
-// scalar row on this crowd; the eager row re-creates the pre-fix dispatch
-// whose AVX entry cost made `simd: true` ~7% SLOWER than scalar in
-// BENCH_wallclock.json's city_scale.intra_run.
-void BM_DeliverNoSimdChannelMixed(benchmark::State& state) {
-  deliver_loop(state, Mode::kBatchedNoSimd, /*move=*/false, /*workers=*/1,
-               /*mixed_channels=*/true);
-}
-void BM_DeliverEagerLutSimdChannelMixed(benchmark::State& state) {
-  deliver_loop(state, Mode::kBatchedEagerLutSimd, /*move=*/false,
-               /*workers=*/1, /*mixed_channels=*/true);
 }
 void BM_ChurnSetChannelStorm(benchmark::State& state) {
-  churn_loop(state, Mode::kBatched);
-}
-void BM_ChurnSetChannelStormMixedIndex(benchmark::State& state) {
-  churn_loop(state, Mode::kBatchedMixedIndex);
+  churn_loop(state);
 }
 void BM_ChurnAttachDetach(benchmark::State& state) {
-  attach_churn_loop(state, Mode::kBatched);
-}
-void BM_ChurnAttachDetachMixedIndex(benchmark::State& state) {
-  attach_churn_loop(state, Mode::kBatchedMixedIndex);
+  attach_churn_loop(state);
 }
 
 BENCHMARK(BM_DeliverBatched)->Arg(100)->Arg(1000)->Arg(4000)->Arg(10000);
-BENCHMARK(BM_DeliverBatchedNoSimd)->Arg(1000)->Arg(4000)->Arg(10000);
-BENCHMARK(BM_DeliverBatchedSharded2)->Arg(4000)->Arg(10000);
-BENCHMARK(BM_DeliverBatchedSharded4)->Arg(4000)->Arg(10000);
-BENCHMARK(BM_DeliverBatchedSharded8)->Arg(10000);
 BENCHMARK(BM_DeliverBatchedNoCache)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_DeliverGrid)->Arg(100)->Arg(1000)->Arg(4000)->Arg(10000);
 BENCHMARK(BM_DeliverLegacyScan)->Arg(100)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_DeliverBatchedMoving)->Arg(1000)->Arg(4000);
-BENCHMARK(BM_DeliverGridMoving)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_DeliverBatchedChannelMixed)->Arg(1000)->Arg(4000)->Arg(20000);
-BENCHMARK(BM_DeliverMixedIndexChannelMixed)->Arg(1000)->Arg(4000)->Arg(20000);
-BENCHMARK(BM_DeliverNoSimdChannelMixed)->Arg(4000)->Arg(20000);
-BENCHMARK(BM_DeliverEagerLutSimdChannelMixed)->Arg(4000)->Arg(20000);
 BENCHMARK(BM_ChurnSetChannelStorm)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_ChurnSetChannelStormMixedIndex)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_ChurnAttachDetach)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_ChurnAttachDetachMixedIndex)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace cityhunter::medium

@@ -27,13 +27,11 @@
 // speedup-vs-previous summary line, so the committed JSON always carries a
 // before/after pair. Heap allocations over the serial loop are counted
 // (bench/alloc_counter.h) and reported per delivered frame. A city-scale
-// district (bench/city_scale.h) is timed next: batched SoA pipeline vs the
-// pre-PR grid reference, plus the intra-run fanout trajectory (scalar vs
-// SIMD, then 2/4/8 sharding workers up to the hardware) recorded under
-// city_scale.intra_run with per-entry delivery-identity flags. The sharded
-// multi-district city (sim/shard) is timed last: 100k radios at 1/2/4/8
-// shards plus a pinned-worker row and a handoff-heavy identity check, all
-// digest-verified against the single-Medium baseline, under "sharded_city".
+// district (bench/city_scale.h) is timed next on the grid delivery pipeline,
+// under "city_scale". The sharded multi-district city (sim/shard) is timed
+// last: 100k radios at 1/2/4/8 shards plus a pinned-worker row and a
+// handoff-heavy identity check, all digest-verified against the
+// single-Medium baseline, under "sharded_city".
 //
 // Overheads that divide two best-of-2 walls (tracing, checkpointing) are
 // reported alongside a noise floor — the larger relative spread between a
@@ -511,121 +509,35 @@ int main(int argc, char** argv) {
          << ", \"identical\": " << (warm_same ? "true" : "false") << "},\n";
   }
 
-  // City-scale district (bench/city_scale.h): the batched SoA delivery
-  // pipeline vs the pre-PR grid reference, at a size the harness can afford
-  // to rerun every revision. fig_city_scale covers the full 5k–20k sweep.
+  // City-scale district (bench/city_scale.h): grid-pipeline throughput at a
+  // size the harness can afford to rerun every revision. fig_city_scale
+  // covers the full 5k–20k sweep and the legacy-scan comparison.
   {
     bench::CityScaleParams params;
     params.radios = 5000;
     params.duration = support::SimTime::seconds(3.0);
-    medium::Medium::Config grid_cfg;
-    grid_cfg.batched_fanout = false;
-    grid_cfg.pathloss_lut = false;
-    grid_cfg.pathloss_cache = false;
-    const bench::CityScaleResult batched =
+    const bench::CityScaleResult cs =
         bench::run_city_scale(params, medium::Medium::Config{});
-    const bench::CityScaleResult grid =
-        bench::run_city_scale(params, grid_cfg);
-    // The pre-PR8 index: same batched pipeline, but per-cell buckets mix
-    // all channels, so the filter kernels stream (and discard) every
-    // co-located off-channel radio. Same deliveries, different loads.
-    medium::Medium::Config mixed_cfg;
-    mixed_cfg.channel_buckets = false;
-    const bench::CityScaleResult mixed =
-        bench::run_city_scale(params, mixed_cfg);
-    const bool agree = batched.transmissions == grid.transmissions &&
-                       batched.deliveries == grid.deliveries &&
-                       mixed.transmissions == batched.transmissions &&
-                       mixed.deliveries == batched.deliveries;
-    all_identical = all_identical && agree;
-    const double cs_speedup =
-        batched.wall_s > 0.0 ? grid.wall_s / batched.wall_s : 0.0;
     const double cs_hit_rate =
-        batched.cache_hits + batched.cache_misses > 0
-            ? static_cast<double>(batched.cache_hits) /
-                  static_cast<double>(batched.cache_hits +
-                                      batched.cache_misses)
+        cs.cache_hits + cs.cache_misses > 0
+            ? static_cast<double>(cs.cache_hits) /
+                  static_cast<double>(cs.cache_hits + cs.cache_misses)
             : 0.0;
-    const double index_speedup =
-        batched.wall_s > 0.0 ? mixed.wall_s / batched.wall_s : 0.0;
-    const double waste_reduction =
-        static_cast<double>(mixed.wasted_candidates) /
-        static_cast<double>(std::max<std::uint64_t>(
-            batched.wasted_candidates, 1));
-    std::printf("city scale: %d radios, %.0f s sim — grid %.3f s, batched "
-                "%.3f s (%.2fx), %.3gM deliveries/s   %s\n",
-                params.radios, params.duration.sec(), grid.wall_s,
-                batched.wall_s, cs_speedup, batched.deliveries_per_s / 1e6,
-                agree ? "pipelines agree" : "PIPELINE MISMATCH");
-    std::printf("  index: mixed-channel buckets %.3f s, wasted %llu of %llu "
-                "loads; partitioned wasted %llu (%.0fx fewer), "
-                "occupancy mean %.1f max %u\n",
-                mixed.wall_s,
-                static_cast<unsigned long long>(mixed.wasted_candidates),
-                static_cast<unsigned long long>(mixed.candidates_loaded),
-                static_cast<unsigned long long>(batched.wasted_candidates),
-                waste_reduction, batched.mean_bucket_occupancy,
-                batched.max_bucket_occupancy);
+    std::printf("city scale: %d radios, %.0f s sim — %.3f s, %.3gM "
+                "deliveries/s, occupancy mean %.1f max %u\n",
+                params.radios, params.duration.sec(), cs.wall_s,
+                cs.deliveries_per_s / 1e6, cs.mean_bucket_occupancy,
+                cs.max_bucket_occupancy);
     json << "  \"city_scale\": {\"radios\": " << params.radios
          << ", \"sim_s\": " << params.duration.sec()
-         << ", \"deliveries\": " << batched.deliveries
-         << ", \"grid_wall_s\": " << grid.wall_s
-         << ", \"batched_wall_s\": " << batched.wall_s
-         << ", \"batched_speedup\": " << cs_speedup
-         << ", \"deliveries_per_s\": " << batched.deliveries_per_s
+         << ", \"deliveries\": " << cs.deliveries
+         << ", \"wall_s\": " << cs.wall_s
+         << ", \"deliveries_per_s\": " << cs.deliveries_per_s
          << ", \"pathloss_cache_hit_rate\": " << cs_hit_rate
-         << ", \"candidates_loaded\": " << batched.candidates_loaded
-         << ", \"key_matched\": " << batched.key_matched
-         << ", \"wasted_candidates\": " << batched.wasted_candidates
-         << ", \"mean_bucket_occupancy\": " << batched.mean_bucket_occupancy
-         << ", \"max_bucket_occupancy\": " << batched.max_bucket_occupancy
-         << ", \"identical\": " << (agree ? "true" : "false") << ",\n"
-         << "    \"mixed_index\": {\"wall_s\": " << mixed.wall_s
-         << ", \"candidates_loaded\": " << mixed.candidates_loaded
-         << ", \"wasted_candidates\": " << mixed.wasted_candidates
-         << ", \"speedup_vs_mixed\": " << index_speedup
-         << ", \"waste_reduction_x\": " << waste_reduction << "},\n";
-
-    // Intra-run fanout trajectory on the same district: scalar vs SIMD at
-    // one worker, then sharded worker counts the hardware can actually host
-    // (oversubscribed counts follow the sweep policy above and are
-    // dropped). Speedups are against the scalar serial run, so one column
-    // tells the whole intra-run story: vector lanes first, then threads.
-    struct IntraEntry {
-      int workers;
-      bool simd;
-      bench::CityScaleResult r;
-    };
-    medium::Medium::Config scalar_cfg;
-    scalar_cfg.simd_fanout = false;
-    std::vector<IntraEntry> intra;
-    intra.push_back({1, false, bench::run_city_scale(params, scalar_cfg)});
-    intra.push_back({1, true, batched});
-    for (const int workers : {2, 4, 8}) {
-      if (static_cast<std::size_t>(workers) > hardware_threads) continue;
-      medium::Medium::Config cfg;
-      cfg.intra_run_workers = workers;
-      intra.push_back({workers, true, bench::run_city_scale(params, cfg)});
-    }
-    const double scalar_wall_s = intra.front().r.wall_s;
-    json << "    \"intra_run\": [";
-    for (std::size_t i = 0; i < intra.size(); ++i) {
-      const IntraEntry& e = intra[i];
-      const bool same = e.r.transmissions == batched.transmissions &&
-                        e.r.deliveries == batched.deliveries;
-      all_identical = all_identical && same;
-      const double sp = e.r.wall_s > 0.0 ? scalar_wall_s / e.r.wall_s : 0.0;
-      std::printf("  intra-run: %d worker%s %-6s — %.3f s (%.2fx vs scalar)"
-                  "   %s\n",
-                  e.workers, e.workers == 1 ? " " : "s",
-                  e.simd ? "simd" : "scalar", e.r.wall_s, sp,
-                  same ? "deliveries identical" : "DELIVERY MISMATCH");
-      json << (i == 0 ? "" : ",") << "\n      {\"workers\": " << e.workers
-           << ", \"simd\": " << (e.simd ? "true" : "false")
-           << ", \"wall_s\": " << e.r.wall_s << ", \"speedup\": " << sp
-           << ", \"identical\": " << (same ? "true" : "false") << "}";
-    }
-    json << "\n    ]},\n";
+         << ", \"candidates_loaded\": " << cs.candidates_loaded
+         << ", \"mean_bucket_occupancy\": " << cs.mean_bucket_occupancy
+         << ", \"max_bucket_occupancy\": " << cs.max_bucket_occupancy
+         << "},\n";
   }
 
   // Sharded city (sim/shard): deliver throughput vs shard count on the

@@ -7,8 +7,9 @@
 // selection, `ghost_picks` random ghosts from each list replace the lowest
 // entries of their buffer, giving the attacker a signal: a hit through a
 // PB-ghost SSID means PB is too small (grow it, shrink FB), a hit through an
-// FB-ghost means the opposite. This is the ARC adaptation rule (cache/)
-// transplanted from cache lines to SSIDs.
+// FB-ghost means the opposite. This is the adaptation rule of Megiddo and
+// Modha's ARC (adaptive replacement cache) transplanted from cache lines to
+// SSIDs.
 #pragma once
 
 #include <unordered_set>

@@ -7,7 +7,6 @@
 #include "dot11/serialize.h"
 #include "dot11/timing.h"
 #include "obs/trace.h"
-#include "support/thread_pool.h"
 
 namespace cityhunter::medium {
 
@@ -25,22 +24,6 @@ Medium::Medium(EventQueue& events, Config cfg)
   }
   if (!(cfg_.mgmt_rate_mbps > 0.0)) {
     throw std::invalid_argument("Medium: mgmt_rate_mbps must be positive");
-  }
-  if (cfg_.intra_run_workers < 1 || cfg_.intra_run_workers > 16) {
-    throw std::invalid_argument(
-        "Medium: intra_run_workers must be in [1, 16]");
-  }
-  if (cfg_.shard_min_candidates < 0) {
-    throw std::invalid_argument(
-        "Medium: shard_min_candidates must be non-negative");
-  }
-  use_simd_ = cfg_.simd_fanout && fanout_simd_available();
-  lut_min_elems_ = cfg_.simd_lut_min_elems != 0 ? cfg_.simd_lut_min_elems
-                                                : kSimdLutMinElems;
-  shard_scratch_.resize(static_cast<std::size_t>(cfg_.intra_run_workers));
-  if (cfg_.intra_run_workers > 1) {
-    team_ = std::make_unique<support::TaskTeam>(
-        static_cast<std::size_t>(cfg_.intra_run_workers - 1));
   }
 }
 
@@ -63,8 +46,6 @@ Radio Medium::attach(Position pos, std::uint8_t channel, double tx_power_dbm,
   st.tx_power_dbm = tx_power_dbm;
   st.sink = sink;
   st.tx_busy_until = events_.now();
-  soa_x_.push_back(pos.x);
-  soa_y_.push_back(pos.y);
   soa_key_.push_back(0);
   link_epoch_.push_back(0);
   update_soa_key(slot);
@@ -152,7 +133,6 @@ std::uint32_t Medium::arena_alloc(std::uint32_t cap) {
   arena_slots_.resize(off + cap);
   arena_xs_.resize(off + cap);
   arena_ys_.resize(off + cap);
-  arena_keys_.resize(off + cap);
   return static_cast<std::uint32_t>(off);
 }
 
@@ -163,8 +143,6 @@ void Medium::bucket_grow(BucketRef& b) {
               arena_slots_.begin() + off);
   std::copy_n(arena_xs_.begin() + b.offset, b.size, arena_xs_.begin() + off);
   std::copy_n(arena_ys_.begin() + b.offset, b.size, arena_ys_.begin() + off);
-  std::copy_n(arena_keys_.begin() + b.offset, b.size,
-              arena_keys_.begin() + off);
   arena_garbage_ += b.capacity;
   b.offset = off;
   b.capacity = new_cap;
@@ -180,12 +158,10 @@ void Medium::maybe_compact_arena() {
   std::vector<std::uint32_t> slots;
   std::vector<double> xs;
   std::vector<double> ys;
-  std::vector<std::uint16_t> keys;
   const std::size_t want = arena_live_ + arena_live_ / 4 + 64;
   slots.reserve(want);
   xs.reserve(want);
   ys.reserve(want);
-  keys.reserve(want);
   for (auto& [cell, ce] : cells_) {
     for (auto& [part, bid] : ce.parts) {
       BucketRef& b = buckets_[bid];
@@ -199,12 +175,9 @@ void Medium::maybe_compact_arena() {
                 arena_xs_.begin() + b.offset + b.size);
       ys.insert(ys.end(), arena_ys_.begin() + b.offset,
                 arena_ys_.begin() + b.offset + b.size);
-      keys.insert(keys.end(), arena_keys_.begin() + b.offset,
-                  arena_keys_.begin() + b.offset + b.size);
       slots.resize(off + cap);
       xs.resize(off + cap);
       ys.resize(off + cap);
-      keys.resize(off + cap);
       b.offset = off;
       b.capacity = cap;
     }
@@ -212,7 +185,6 @@ void Medium::maybe_compact_arena() {
   arena_slots_.swap(slots);
   arena_xs_.swap(xs);
   arena_ys_.swap(ys);
-  arena_keys_.swap(keys);
   arena_garbage_ = 0;
   ++arena_compactions_;
 }
@@ -275,8 +247,8 @@ void Medium::bucket_normalize(BucketRef& b) {
   tail_scratch_.clear();
   tail_scratch_.reserve(nt);
   for (std::size_t k = b.sorted; k < b.size; ++k) {
-    tail_scratch_.push_back({arena_slots_[off + k], arena_xs_[off + k],
-                             arena_ys_[off + k], arena_keys_[off + k]});
+    tail_scratch_.push_back(
+        {arena_slots_[off + k], arena_xs_[off + k], arena_ys_[off + k]});
   }
   std::sort(tail_scratch_.begin(), tail_scratch_.end(),
             [](const TailEntry& a, const TailEntry& b) {
@@ -295,14 +267,12 @@ void Medium::bucket_normalize(BucketRef& b) {
       arena_slots_[off + dst] = arena_slots_[off + i];
       arena_xs_[off + dst] = arena_xs_[off + i];
       arena_ys_[off + dst] = arena_ys_[off + i];
-      arena_keys_[off + dst] = arena_keys_[off + i];
     } else {
       --j;
       const TailEntry& e = tail_scratch_[j];
       arena_slots_[off + dst] = e.slot;
       arena_xs_[off + dst] = e.x;
       arena_ys_[off + dst] = e.y;
-      arena_keys_[off + dst] = e.key;
     }
   }
   b.sorted = b.size;
@@ -310,15 +280,14 @@ void Medium::bucket_normalize(BucketRef& b) {
 
 void Medium::grid_insert(std::uint32_t slot, RadioState& st) {
   st.cell = cell_of(st.pos);
-  st.part = partition_of(slot);
+  st.part = soa_key_[slot];
   st.in_grid = true;
   BucketRef& b = find_or_create_bucket(st.cell, st.part);
   if (b.size == b.capacity) bucket_grow(b);
   const std::size_t at = static_cast<std::size_t>(b.offset) + b.size;
   arena_slots_[at] = slot;
-  arena_xs_[at] = soa_x_[slot];
-  arena_ys_[at] = soa_y_[slot];
-  arena_keys_[at] = soa_key_[slot];
+  arena_xs_[at] = st.pos.x;
+  arena_ys_[at] = st.pos.y;
   // A fresh attach is the global slot maximum: the append extends the
   // sorted prefix in O(1). Churn migration (move / channel change) appends
   // to the unsorted tail instead — also O(1) — and the tail is merged at
@@ -358,9 +327,6 @@ void Medium::grid_erase(RadioState& st, std::uint32_t slot) {
               arena_xs_.begin() + off + b.size, arena_xs_.begin() + off + idx);
     std::copy(arena_ys_.begin() + off + idx + 1,
               arena_ys_.begin() + off + b.size, arena_ys_.begin() + off + idx);
-    std::copy(arena_keys_.begin() + off + idx + 1,
-              arena_keys_.begin() + off + b.size,
-              arena_keys_.begin() + off + idx);
     --b.sorted;
   } else {
     // Tail member: swap the last tail element into the hole.
@@ -368,7 +334,6 @@ void Medium::grid_erase(RadioState& st, std::uint32_t slot) {
     arena_slots_[off + idx] = arena_slots_[off + last];
     arena_xs_[off + idx] = arena_xs_[off + last];
     arena_ys_[off + idx] = arena_ys_[off + last];
-    arena_keys_[off + idx] = arena_keys_[off + last];
   }
   --b.size;
   --arena_live_;
@@ -388,24 +353,12 @@ void Medium::update_soa_key(std::uint32_t slot) {
   const std::uint16_t old = soa_key_[slot];
   soa_key_[slot] = key;
   if (!st.in_grid || key == old) return;
-  if (cfg_.channel_buckets) {
-    // The partition IS the fused key: a key change moves the radio to its
-    // new (cell, key) bucket. The erase pays at most one prefix shift; the
-    // re-insert is an O(1) churn-tail append.
-    RadioState& mut = slots_[slot];
-    grid_erase(mut, slot);
-    grid_insert(slot, mut);
-  } else {
-    bucket_sync_key(slot);
-  }
-}
-
-void Medium::bucket_sync_key(std::uint32_t slot) {
-  const RadioState& st = slots_[slot];
-  BucketRef* b = find_bucket(st.cell, st.part);
-  if (b == nullptr) return;
-  const std::size_t idx = bucket_locate(*b, slot);
-  if (idx != kNpos) arena_keys_[b->offset + idx] = soa_key_[slot];
+  // The partition IS the fused key: a key change moves the radio to its new
+  // (cell, key) bucket. The erase pays at most one prefix shift; the
+  // re-insert is an O(1) churn-tail append.
+  RadioState& mut = slots_[slot];
+  grid_erase(mut, slot);
+  grid_insert(slot, mut);
 }
 
 Medium::BucketOccupancy Medium::bucket_occupancy() const {
@@ -425,7 +378,6 @@ void Medium::grid_rebuild() {
   arena_slots_.clear();
   arena_xs_.clear();
   arena_ys_.clear();
-  arena_keys_.clear();
   arena_live_ = 0;
   arena_garbage_ = 0;
   cell_size_ = std::max(1.0, propagation_.max_range(max_tx_power_dbm_));
@@ -485,8 +437,7 @@ double Medium::survivor_rx_dbm(double tx_dbm, double dist_sq, Position tx_pos,
 double Medium::pair_cached_rx_dbm(std::uint32_t tx_slot,
                                   std::uint32_t rx_slot, double tx_dbm,
                                   double dist_sq, Position tx_pos,
-                                  Position rx_pos,
-                                  const double* precomputed) {
+                                  Position rx_pos) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(tx_slot) << 32) | rx_slot;
   // SplitMix-style finalizer spreads adjacent slot pairs across the table.
@@ -503,11 +454,7 @@ double Medium::pair_cached_rx_dbm(std::uint32_t tx_slot,
     return e.rx_dbm;
   }
   ++pathloss_cache_misses_;
-  // The shard stage may have LUT-evaluated this survivor already; the value
-  // is bit-identical to what survivor_rx_dbm would return here.
-  const double rx = precomputed != nullptr
-                        ? *precomputed
-                        : survivor_rx_dbm(tx_dbm, dist_sq, tx_pos, rx_pos);
+  const double rx = survivor_rx_dbm(tx_dbm, dist_sq, tx_pos, rx_pos);
   // Store only while the frozen receiver position is still live: a sink
   // callback moving the radio mid-fanout bumped its epoch already, and
   // caching this frame's frozen value under the *new* epoch would serve a
@@ -531,8 +478,6 @@ void Medium::set_position(RadioId id, Position pos) {
   }
   RadioState& st = slots_[slot];
   st.pos = pos;
-  soa_x_[slot] = pos.x;
-  soa_y_[slot] = pos.y;
   ++link_epoch_[slot];  // invalidates every pair-cache entry touching us
   if (!cfg_.spatial_grid) return;
   const std::uint64_t key = cell_of(pos);
@@ -715,72 +660,17 @@ void Medium::finish_transmission(Transmission& t) {
           t.fault_rng ? &*t.fault_rng : nullptr);
 }
 
-void Medium::run_shard_chunk(const ShardJob& job, std::size_t chunk,
-                             ShardScratch& scratch) const {
-  scratch.cand.clear();
-  scratch.nruns = 0;
-  scratch.key_matched = 0;
-  const std::size_t lo = job.split[chunk];
-  const std::size_t hi = job.split[chunk + 1];
-  // The ≤9 bucket slices live in different arena windows, so the filter's
-  // first touch of each can be a cold line: profiled at city scale, memory
-  // latency — not arithmetic — dominates the per-slice cost. Kick off the
-  // next slice's key/coordinate loads while the current one filters.
-  const auto prefetch_bucket = [](const BucketView& b) {
-    __builtin_prefetch(b.keys);
-    __builtin_prefetch(b.xs);
-    __builtin_prefetch(b.ys);
-  };
-  if (job.nbuckets > 0) prefetch_bucket(job.views[0]);
-  std::size_t base = 0;  // first concatenated index of the current bucket
-  for (int i = 0; i < job.nbuckets && base < hi; ++i) {
-    const BucketView& b = job.views[i];
-    if (i + 1 < job.nbuckets) prefetch_bucket(job.views[i + 1]);
-    const std::size_t count = b.size;
-    const std::size_t from = std::max(lo, base);
-    const std::size_t to = std::min(hi, base + count);
-    base += count;
-    if (from >= to) continue;
-    const std::size_t off = from - (base - count);
-    const std::size_t len = to - from;
-    const std::size_t start = scratch.cand.size();
-    scratch.cand.resize(start + len);
-    const std::size_t got = fanout_filter(
-        b.slots + off, b.xs + off, b.ys + off, b.keys + off, len, job.tx_x,
-        job.tx_y, job.range_sq, job.want, job.self_slot, job.use_simd,
-        scratch.cand.data() + start, &scratch.key_matched);
-    scratch.cand.resize(start + got);
-    if (got > 0) {
-      // A chunk is contiguous over the ≤9-bucket probe, so it overlaps at
-      // most 9 bucket slices: runs[9] can never overflow.
-      scratch.runs[scratch.nruns++] = {
-          static_cast<std::uint32_t>(start),
-          static_cast<std::uint32_t>(start + got)};
-    }
-  }
-  if (job.precompute) {
-    fanout_lut_eval(lut_, job.tx_dbm, scratch.cand.data(),
-                    scratch.cand.size(), job.use_simd, job.lut_min_elems);
-  }
-}
-
-void Medium::shard_entry(void* ctx, std::size_t helper_index) {
-  ShardJob* job = static_cast<ShardJob*>(ctx);
-  // Helper i owns chunk i + 1; the calling thread runs chunk 0 itself.
-  const std::size_t chunk = helper_index + 1;
-  job->medium->run_shard_chunk(*job, chunk,
-                               job->medium->shard_scratch_[chunk]);
-}
-
 void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
                              std::uint8_t channel, Position tx_pos,
                              double tx_power_dbm, support::Rng* fault_rng) {
   // Survivors are snapshotted into scratch before any sink runs: a sink
   // callback may attach/detach radios or move them, mutating the buckets
-  // under us. The member scratches are reused across calls; reentrant
-  // delivery (a sink pumping the event queue) falls back to a local scratch
-  // and never shards.
-  const bool nested = deliver_depth_ != 0;
+  // under us. The member scratch is reused across calls; reentrant delivery
+  // (a sink pumping the event queue) falls back to a local.
+  std::vector<Survivor> local;
+  std::vector<Survivor>& cand =
+      deliver_depth_ == 0 ? survivor_scratch_ : local;
+  cand.clear();
   ++deliver_depth_;
   struct DepthGuard {
     int& depth;
@@ -792,24 +682,20 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
   const std::uint16_t want = static_cast<std::uint16_t>(
       static_cast<std::uint16_t>(channel) + 1);
 
-  // Collect the candidate buckets of the 3x3 probe. With channel_buckets
-  // the probe streams only the (cell, want-key) partition — radios on other
-  // channels (and non-listeners, parked in partition 0) never cost a cache
-  // line; without it, the single partition-0 bucket holds the whole cell and
-  // the kernel's fused uint16 key compare does the filtering, exactly as
-  // before. Either way the range check happens in the squared-distance
-  // domain — no sqrt/log10 for radios that turn out to be out of range —
-  // and buckets are normalized to ascending slot order here (merging any
-  // churn tail) so every filtered slice comes out pre-sorted for the merge
-  // below. Views are captured AFTER all normalization: normalize mutates
-  // arena contents in place but never reallocates, and inserts (which can
-  // grow/compact the arena) only happen from sink callbacks, which run
-  // strictly after the filter stage reads these views.
-  ShardJob job;
-  job.medium = this;
-  const std::uint16_t probe_part = cfg_.channel_buckets ? want : 0;
-  int nbuckets = 0;
-  std::size_t total = 0;
+  // Probe the (cell, want-key) bucket of every cell the range box overlaps:
+  // radios on other channels (and non-listeners, parked in partition 0)
+  // never cost a cache line. Each bucket is normalized to ascending slot
+  // order (merging any churn tail) and filtered right away in the
+  // squared-distance domain — no sqrt/log10 for radios that turn out to be
+  // out of range — so its survivors form one sorted run. The range box
+  // spans at most 3x3 cells, hence at most 9 runs.
+  struct Run {
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+  Run runs[9];
+  int nruns = 0;
+  std::size_t loaded = 0;
   const std::int64_t cx0 = cell_coord(tx_pos.x - re.box_r);
   const std::int64_t cx1 = cell_coord(tx_pos.x + re.box_r);
   const std::int64_t cy0 = cell_coord(tx_pos.y - re.box_r);
@@ -818,94 +704,42 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
     for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
       const auto cell = cells_.find(cell_key(cx, cy));
       if (cell == cells_.end()) continue;
-      BucketRef* b = find_bucket_in(cell->second, probe_part);
+      BucketRef* b = find_bucket_in(cell->second, want);
       if (b == nullptr || b->size == 0) continue;
       bucket_normalize(*b);
-      BucketView& v = job.views[nbuckets++];
-      v.slots = arena_slots_.data() + b->offset;
-      v.xs = arena_xs_.data() + b->offset;
-      v.ys = arena_ys_.data() + b->offset;
-      v.keys = arena_keys_.data() + b->offset;
-      v.size = b->size;
-      total += b->size;
+      loaded += b->size;
+      const std::uint32_t* slots = arena_slots_.data() + b->offset;
+      const double* xs = arena_xs_.data() + b->offset;
+      const double* ys = arena_ys_.data() + b->offset;
+      const std::size_t begin = cand.size();
+      for (std::uint32_t k = 0; k < b->size; ++k) {
+        if (slots[k] == self) continue;
+        const double dx = xs[k] - tx_pos.x;
+        const double dy = ys[k] - tx_pos.y;
+        const double dist_sq = dx * dx + dy * dy;
+        if (!(dist_sq <= re.range_sq)) continue;  // NaN-rejecting
+        cand.push_back({slots[k], dist_sq, xs[k], ys[k]});
+      }
+      if (cand.size() > begin) {
+        runs[nruns++] = {static_cast<std::uint32_t>(begin),
+                         static_cast<std::uint32_t>(cand.size())};
+      }
     }
   }
+  ++fanout_stats_.fanouts;
+  fanout_stats_.candidates_loaded += loaded;
 
-  ++fanout_stats_.batched_fanouts;
-  (use_simd_ ? fanout_stats_.simd_candidates
-             : fanout_stats_.scalar_candidates) += total;
-
-  job.nbuckets = nbuckets;
-  job.tx_x = tx_pos.x;
-  job.tx_y = tx_pos.y;
-  job.range_sq = re.range_sq;
-  job.tx_dbm = tx_power_dbm;
-  job.want = want;
-  job.self_slot = self;
-  job.use_simd = use_simd_;
-  job.lut_min_elems = lut_min_elems_;
-  // Lossy runs always recompute exact RX power at delivery time (the
-  // erasure draw must see bit-identical values to the reference path), so
-  // the LUT precompute only runs fault-free. covers(range_sq) implies
-  // covers(dist_sq) for every survivor — checked once per fanout.
-  job.precompute =
-      fault_rng == nullptr && cfg_.pathloss_lut && lut_.covers(re.range_sq);
-
-  // Shard or stay serial. Chunks split the concatenated bucket elements
-  // evenly; each worker filters (and LUT-evaluates) its chunk into a
-  // private scratch. Chunk boundaries only ever split a sorted bucket slice
-  // into sorted sub-slices, so the merge below — which never assumes how
-  // many runs a bucket contributed — reproduces the exact serial order.
-  std::size_t chunks = 1;
-  if (!nested && team_ != nullptr &&
-      total >= static_cast<std::size_t>(cfg_.shard_min_candidates)) {
-    chunks = team_->helpers() + 1;
-  }
-  for (std::size_t k = 0; k <= chunks; ++k) {
-    job.split[k] = total * k / chunks;
-  }
-
-  ShardScratch local;  // only touched by nested (reentrant) delivery
-  ShardScratch* scratches = nested ? &local : shard_scratch_.data();
-  if (chunks > 1) {
-    ++fanout_stats_.sharded_fanouts;
-    fanout_stats_.shard_chunks += chunks;
-    team_->dispatch(&Medium::shard_entry, &job);
-    run_shard_chunk(job, 0, scratches[0]);
-    team_->wait();
-    if (trace_ != nullptr) {
-      trace_->record(events_.now(), obs::Category::kMedium,
-                     obs::Event::kShardFanout, from, chunks);
-    }
-  } else {
-    run_shard_chunk(job, 0, scratches[0]);
-  }
-  // Summed on the calling thread after the join — workers only touch their
-  // private scratch.
-  for (std::size_t k = 0; k < chunks; ++k) {
-    fanout_stats_.key_matched += scratches[k].key_matched;
-  }
-
-  // Fixed-order merge by repeated min-pick over every worker's sorted runs:
-  // survivors come out in global slot order == radio-id order, so the
-  // fanout (and with it the fault-stream draw order) is bit-identical to
-  // the legacy id-sorted path at any worker count. Run heads live in flat
-  // arrays the min-scan reads without indirection; an exhausted run parks
-  // at kNoSlot, which no live slot can beat, so the scan needs no
-  // emptiness branches. Capacity: 9 bucket slices + (chunks − 1) extra
-  // boundaries ≤ 9 + 15 = 24 runs.
-  const FanoutCandidate* run_cur[24];
-  const FanoutCandidate* run_end[24];
-  std::uint32_t head_slot[24];
-  int nruns = 0;
-  for (std::size_t k = 0; k < chunks; ++k) {
-    const ShardScratch& s = scratches[k];
-    for (int i = 0; i < s.nruns; ++i) {
-      run_cur[nruns] = s.cand.data() + s.runs[i].begin;
-      run_end[nruns] = s.cand.data() + s.runs[i].end;
-      head_slot[nruns] = run_cur[nruns]->slot;
-      ++nruns;
-    }
+  // Merge by repeated min-pick over the sorted runs: survivors come out in
+  // global slot order == radio-id order, so the fanout (and with it the
+  // fault-stream draw order) is bit-identical to the legacy id-ordered
+  // scan. Run heads live in flat arrays the min-scan reads without
+  // indirection; an exhausted run parks at kNoSlot, which no live slot can
+  // beat, so the scan needs no emptiness branches.
+  std::uint32_t run_cur[9];
+  std::uint32_t head_slot[9];
+  for (int i = 0; i < nruns; ++i) {
+    run_cur[i] = runs[i].begin;
+    head_slot[i] = cand[run_cur[i]].slot;
   }
 
   const bool multicast = frame.header.addr1.is_multicast();
@@ -915,19 +749,20 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
       if (head_slot[i] < head_slot[best]) best = i;
     }
     if (head_slot[best] == kNoSlot) break;  // every run exhausted
-    const FanoutCandidate c = *run_cur[best]++;
-    head_slot[best] =
-        run_cur[best] != run_end[best] ? run_cur[best]->slot : kNoSlot;
+    const Survivor c = cand[run_cur[best]++];
+    head_slot[best] = run_cur[best] != runs[best].end
+                          ? cand[run_cur[best]].slot
+                          : kNoSlot;
     RadioState& st = slots_[c.slot];
     // A sink callback from an earlier candidate may have detached this
     // radio (or cleared its sink) mid-fanout; skip before any fault draw is
-    // consumed, exactly as the reference path does.
+    // consumed, exactly as the legacy scan does.
     if (!st.attached || st.sink == nullptr) continue;
     const Position rx_pos{c.x, c.y};  // frozen at gather time
     double rx_dbm;
     if (fault_rng != nullptr) {
       // The erasure draw below must see bit-identical RX power to the
-      // reference path, so lossy runs always take the exact hypot + log10
+      // legacy scan, so lossy runs always take the exact hypot + log10
       // road; survivors then reuse the same value as their RSSI.
       rx_dbm =
           propagation_.rx_power_dbm(tx_power_dbm, distance(tx_pos, rx_pos));
@@ -944,11 +779,8 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
         continue;
       }
     } else if (cfg_.pathloss_cache && !pair_cache_.empty()) {
-      rx_dbm =
-          pair_cached_rx_dbm(self, c.slot, tx_power_dbm, c.dist_sq, tx_pos,
-                             rx_pos, job.precompute ? &c.rx_dbm : nullptr);
-    } else if (job.precompute) {
-      rx_dbm = c.rx_dbm;
+      rx_dbm = pair_cached_rx_dbm(self, c.slot, tx_power_dbm, c.dist_sq,
+                                  tx_pos, rx_pos);
     } else {
       rx_dbm = survivor_rx_dbm(tx_power_dbm, c.dist_sq, tx_pos, rx_pos);
     }
@@ -970,16 +802,16 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
 void Medium::deliver(RadioId from, const dot11::Frame& frame,
                      std::uint8_t channel, Position tx_pos,
                      double tx_power_dbm, support::Rng* fault_rng) {
-  if (cfg_.spatial_grid && cfg_.batched_fanout && !cells_.empty()) {
+  if (cfg_.spatial_grid && !cells_.empty()) {
     deliver_batched(from, frame, channel, tx_pos, tx_power_dbm, fault_rng);
     return;
   }
 
-  // Reference paths (Config toggles): gather + std::sort over the grid, or
-  // the legacy full scan — exact per-candidate math either way. Snapshot
-  // receiver candidates first: a sink callback may attach/detach radios.
-  // The member scratch vector is reused across calls; reentrant delivery (a
-  // sink pumping the event queue) falls back to a local.
+  // Legacy full scan — the test oracle: every attached radio in id order,
+  // exact per-candidate math. Snapshot receiver candidates first: a sink
+  // callback may attach/detach radios. The member scratch vector is reused
+  // across calls; reentrant delivery (a sink pumping the event queue) falls
+  // back to a local.
   std::vector<Candidate> local;
   std::vector<Candidate>& targets =
       deliver_depth_ == 0 ? deliver_scratch_ : local;
@@ -990,46 +822,12 @@ void Medium::deliver(RadioId from, const dot11::Frame& frame,
     ~DepthGuard() { --depth; }
   } guard{deliver_depth_};
 
-  if (cfg_.spatial_grid && !cells_.empty()) {
-    // Probe only the cells overlapping the transmission's own range box.
-    const double r = propagation_.max_range(tx_power_dbm);
-    const std::int64_t cx0 = cell_coord(tx_pos.x - r);
-    const std::int64_t cx1 = cell_coord(tx_pos.x + r);
-    const std::int64_t cy0 = cell_coord(tx_pos.y - r);
-    const std::int64_t cy1 = cell_coord(tx_pos.y + r);
-    for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-      for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-        const auto cell = cells_.find(cell_key(cx, cy));
-        if (cell == cells_.end()) continue;
-        // Every partition of the cell is scanned and filtered on live state
-        // (the sort below erases partition order), so this reference path is
-        // insensitive to how channel_buckets splits the cell.
-        for (const auto& [part, bid] : cell->second.parts) {
-          const BucketRef& b = buckets_[bid];
-          for (std::uint32_t k = 0; k < b.size; ++k) {
-            const std::uint32_t slot = arena_slots_[b.offset + k];
-            const RadioState& st = slots_[slot];
-            const RadioId id = static_cast<RadioId>(slot) + 1;
-            if (id == from || st.channel != channel || st.sink == nullptr) {
-              continue;
-            }
-            targets.push_back({id, slot, distance(tx_pos, st.pos)});
-          }
-        }
-      }
-    }
-    // Buckets come back in hash/partition order; sort so the fanout matches
-    // the legacy id-ordered scan bit for bit.
-    std::sort(targets.begin(), targets.end(),
-              [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
-  } else {
-    targets.reserve(active_slots_.size());
-    for (const std::uint32_t slot : active_slots_) {
-      const RadioState& st = slots_[slot];
-      const RadioId id = static_cast<RadioId>(slot) + 1;
-      if (id == from || st.channel != channel || st.sink == nullptr) continue;
-      targets.push_back({id, slot, distance(tx_pos, st.pos)});
-    }
+  targets.reserve(active_slots_.size());
+  for (const std::uint32_t slot : active_slots_) {
+    const RadioState& st = slots_[slot];
+    const RadioId id = static_cast<RadioId>(slot) + 1;
+    if (id == from || st.channel != channel || st.sink == nullptr) continue;
+    targets.push_back({id, slot, distance(tx_pos, st.pos)});
   }
 
   // Candidate slots stay valid until the topology changes; only after a

@@ -5,53 +5,38 @@
 // dot11 codec is on the hot path of every simulation — an attacker can only
 // act on information that survives the actual 802.11 wire format.
 //
-// Delivery fanout is culled by a uniform spatial grid over radio positions:
-// the cell size tracks the maximum deliverable range of the strongest
-// attached transmitter, so a transmission only probes the few cells its own
-// range box overlaps instead of scanning every radio in the venue.
+// Delivery fanout has one pipeline and one test oracle (DESIGN.md §5d–§5g).
 //
-// Batched SoA delivery pipeline (default): radio position and a fused
-// listening key (attached ∧ has-sink ∧ channel) are mirrored into flat
-// parallel arrays indexed by slot. Slots are issued monotonically and never
-// recycled (slot ≡ id − 1), so slot order IS radio-id order: grid buckets
-// keep their slots sorted, the 3x3 cell probe gathers per-cell runs that are
-// already ordered, and a ≤9-way merge walks them in global id order — the
-// per-frame std::sort of candidates is gone, yet the fanout order (and with
-// it the fault-stream draw order) is bit-identical to the legacy id-sorted
-// scan. Candidates are filtered in the squared-distance domain against a
-// precomputed per-tx-power range², so sqrt/log10 never run for radios that
-// turn out to be out of range; survivors get their RX power from a monotone
-// piecewise-linear path-loss LUT over d² (error ≪ RSSI quantization) fronted
-// by an epoch-invalidated per-(tx,rx) slot-pair cache that makes static
-// AP↔AP beacon fanout transcendental-free. Exact log-distance math is
-// retained behind Config toggles and always used on the fault path, where
-// the erasure draw must see bit-identical RX power.
+// The pipeline (default) culls receivers with a uniform spatial grid: the
+// cell size tracks the maximum deliverable range of the strongest attached
+// transmitter, so a transmission probes at most the 3x3 cells its own range
+// box overlaps. Each cell keeps one bucket per fused listening key
+// (channel + 1 for radios with a sink, 0 for radios that cannot receive), so
+// the probe streams only radios that can hear the transmission's channel.
+// Slots are issued monotonically and never recycled (slot ≡ id − 1), so slot
+// order IS radio-id order: buckets keep their slots sorted, each probed
+// bucket is filtered in the squared-distance domain against a per-tx-power
+// range² into one ascending run of survivors, and a ≤9-way merge walks the
+// runs in global id order. There is no per-frame sort, sqrt/log10 never run
+// for radios that turn out to be out of range, and the fanout order (and
+// with it the fault-stream draw order) is bit-identical to the oracle's.
+// Survivor RX power comes from an epoch-invalidated per-(tx, rx) slot-pair
+// cache — static AP↔AP beacon fanout is transcendental-free — and, on a
+// miss, from a monotone piecewise-linear path-loss LUT over d² (error ≪
+// RSSI quantization). Lossy runs always use exact log-distance math: the
+// erasure draw must see bit-identical RX power.
 //
-// Spatial index (default layout): buckets are keyed by (cell, fused
-// listening key), so the 3x3 probe streams only radios that can actually
-// hear the transmission's channel — at city channel mixes, two thirds of a
-// mixed bucket used to cost a cache line each just to fail the key compare.
-// Bucket storage (slots/xs/ys/keys) lives in one compacted slab arena of
-// four parallel arrays instead of per-cell heap vectors scattered by the
-// cell map, so a probe's candidate stream is contiguous lines. Churn
-// (attach/detach/set_position/set_channel/set_sink) migrates radios between
-// buckets incrementally: out-of-order arrivals append to a per-bucket
-// unsorted tail that is merged into the sorted prefix lazily, at the
-// bucket's next probe — an attach storm into one cell is amortized O(1) per
-// radio instead of the old O(occupancy) sorted insert. Buckets still expose
-// ascending slot order to every probe, so the merge fanout (and the fault
-// draw order with it) is unchanged; Config::channel_buckets = false keeps
-// the PR-6 one-mixed-bucket-per-cell layout for A/B benchmarks, with
-// byte-identical results either way.
+// Bucket storage (slot, x, y) lives in one compacted slab arena of parallel
+// arrays instead of per-cell heap vectors, so a probe's candidate stream is
+// contiguous lines. Churn (attach/detach/set_position/set_channel/set_sink)
+// migrates radios between buckets incrementally: out-of-order arrivals
+// append to a per-bucket unsorted tail that is merged into the sorted prefix
+// lazily, at the bucket's next probe — an attach storm into one cell is
+// amortized O(1) per radio.
 //
-// The gather/filter and LUT stages additionally run through 4-wide AVX2
-// lanes (medium/fanout_simd, runtime-detected, bit-identical scalar
-// fallback) and can be sharded across intra-run worker threads: contiguous
-// chunks of the candidate buckets fill private survivor scratches in
-// parallel, then a fixed-order merge hands survivors to the single-threaded
-// delivery loop in ascending slot order — sink callbacks and fault draws
-// never leave the calling thread, so output is bit-identical at any worker
-// count and with SIMD on or off.
+// The oracle (Config::spatial_grid = false) scans every attached radio in id
+// order with exact math per candidate. Tests hold the pipeline to it byte
+// for byte, under churn, faults and mid-fanout topology changes.
 //
 // Hot-path storage: radio state lives in a dense slab indexed by slot, and
 // each in-flight transmission borrows a pooled object that owns the wire
@@ -67,7 +52,6 @@
 
 #include "dot11/frame.h"
 #include "medium/event_queue.h"
-#include "medium/fanout_simd.h"
 #include "medium/fault.h"
 #include "medium/geometry.h"
 #include "medium/propagation.h"
@@ -75,10 +59,6 @@
 
 namespace cityhunter::obs {
 class TraceBuffer;
-}
-
-namespace cityhunter::support {
-class TaskTeam;
 }
 
 namespace cityhunter::medium {
@@ -94,17 +74,13 @@ class Medium {
     double contention_factor = 2.0;
     /// Management frame rate used for airtime computation.
     double mgmt_rate_mbps = 11.0;
-    /// Spatial-grid receiver culling in deliver(). Disable to force the
-    /// legacy scan over every attached radio (kept for the micro-bench
-    /// comparison in bench/micro_medium; results are identical either way).
+    /// Spatial-grid delivery pipeline in deliver(). Disable to force the
+    /// legacy scan over every attached radio with exact math — the test
+    /// oracle the pipeline must match byte for byte (bench/micro_medium
+    /// prices the two against each other).
     bool spatial_grid = true;
-    /// Batched SoA fanout: slot-ordered merge over sorted grid buckets with
-    /// squared-distance filtering. Disable to fall back to the gather +
-    /// std::sort + exact-math reference path (requires spatial_grid).
-    /// Results are identical either way.
-    bool batched_fanout = true;
-    /// Piecewise-linear path-loss LUT for survivor RX power on the batched
-    /// path. Disable for exact log10 math on every survivor. The LUT error
+    /// Piecewise-linear path-loss LUT for survivor RX power on a pair-cache
+    /// miss. Disable for exact log10 math on every survivor. The LUT error
     /// (< PathLossLut::max_error_db(), ~4.5e-4 dB at default exponent) is
     /// orders of magnitude below RSSI quantization.
     bool pathloss_lut = true;
@@ -113,40 +89,6 @@ class Medium {
     /// hit it on every beacon. Stores exactly what the LUT/exact path would
     /// compute, so toggling it cannot change results.
     bool pathloss_cache = true;
-    /// Partition grid buckets by the fused listening key (channel + 1, or 0
-    /// for radios that cannot receive): the 3x3 probe then streams only
-    /// matching-channel listeners instead of loading every co-located radio
-    /// and discarding off-channel ones in the filter kernel. Disable to keep
-    /// one mixed bucket per cell (the pre-partition layout, for A/B
-    /// benchmarks). Results are byte-identical either way — the kernel
-    /// still applies the key compare, buckets stay slot-sorted, and the
-    /// merge order is unchanged.
-    bool channel_buckets = true;
-    /// 4-wide SIMD lanes (AVX2, runtime-detected) for the batched fanout's
-    /// gather/filter and LUT stages. The vector kernels replicate the scalar
-    /// operation order exactly (no FMA), so results are bit-identical either
-    /// way; disable only to benchmark the scalar path.
-    bool simd_fanout = true;
-    /// Minimum survivor count before the LUT evaluation stage dispatches to
-    /// its AVX2 kernel. The LUT kernel is gather-bound (one i64gather per 4
-    /// survivors), so on memory-bound district shapes — many fanouts with a
-    /// few dozen survivors each — the AVX entry cost plus the gathers lose
-    /// to the scalar loop well past the filter kernel's crossover; see
-    /// kSimdLutMinElems in fanout_simd.h. 0 (default) uses that library
-    /// default; results are bit-identical at any value.
-    std::size_t simd_lut_min_elems = 0;
-    /// Intra-run fanout parallelism: total workers (including the calling
-    /// thread) that fill private survivor scratches from contiguous chunks
-    /// of the candidate buckets. Delivery itself — sink callbacks and fault
-    /// draws — always runs on the calling thread in ascending slot order via
-    /// a fixed-order merge, so output is bit-identical at any worker count.
-    /// 1 (default) keeps the run strictly serial; valid range [1, 16].
-    int intra_run_workers = 1;
-    /// Minimum candidate count (bucket entries in the 3x3 probe) before a
-    /// fanout is sharded across workers; smaller fanouts stay on the calling
-    /// thread to dodge the fork-join latency. Purely a performance knob —
-    /// results are identical at any value.
-    int shard_min_candidates = 192;
     /// Deterministic fault injection (loss, corruption, retries). Disabled
     /// by default: the perfect channel stays byte-identical to the seed.
     FaultModel::Config fault{};
@@ -154,8 +96,7 @@ class Medium {
 
   explicit Medium(EventQueue& events);
   /// Throws std::invalid_argument when `cfg` is nonsense
-  /// (contention_factor <= 0, mgmt_rate_mbps <= 0, intra_run_workers outside
-  /// [1, 16], negative shard_min_candidates, bad fault config).
+  /// (contention_factor <= 0, mgmt_rate_mbps <= 0, bad fault config).
   Medium(EventQueue& events, Config cfg);
   ~Medium();
 
@@ -222,29 +163,11 @@ class Medium {
     return pathloss_cache_misses_;
   }
 
-  /// Batched-fanout stage counters: how much work the SIMD lanes and the
-  /// intra-run shards actually saw. Candidate counts are bucket entries fed
-  /// to the filter kernels (vector counts include their scalar tails).
+  /// Grid-pipeline work counters: fanouts run, and bucket entries their
+  /// 3x3 probes streamed through the range filter.
   struct FanoutStats {
-    std::uint64_t batched_fanouts = 0;   // deliver_batched invocations
-    std::uint64_t simd_candidates = 0;   // entries through the AVX2 filter
-    std::uint64_t scalar_candidates = 0; // entries through the scalar filter
-    std::uint64_t sharded_fanouts = 0;   // fanouts split across workers
-    std::uint64_t shard_chunks = 0;      // total chunks dispatched
-    /// Candidates that passed the fused listening-key compare (before the
-    /// self/range tests). loaded − key_matched is pure index waste: bucket
-    /// entries that cost a cache line only to be discarded by the key
-    /// filter. Zero waste with channel-partitioned buckets — the partition
-    /// key IS the fused key, so every streamed entry matches.
-    std::uint64_t key_matched = 0;
-
-    /// Total bucket entries streamed into the filter kernels.
-    std::uint64_t candidates_loaded() const {
-      return simd_candidates + scalar_candidates;
-    }
-    std::uint64_t wasted_candidates() const {
-      return candidates_loaded() - key_matched;
-    }
+    std::uint64_t fanouts = 0;
+    std::uint64_t candidates_loaded = 0;
   };
   const FanoutStats& fanout_stats() const { return fanout_stats_; }
 
@@ -332,9 +255,8 @@ class Medium {
     std::uint64_t rx_lost = 0;      // frames erased on the way to this radio
     std::uint64_t cell = 0;         // current grid cell key (valid iff in_grid)
     /// Partition key the radio is filed under within its cell (valid iff
-    /// in_grid): the fused listening key with channel_buckets, 0 in the
-    /// mixed-bucket layout. Lets erase/migrate find the bucket without
-    /// recomputing the key from possibly-already-mutated state.
+    /// in_grid): its fused listening key when it was filed. Lets
+    /// erase/migrate find the bucket after the key has already changed.
     std::uint16_t part = 0;
     // Explicit membership flag: every 64-bit key is a legal cell (the cell
     // at (-1,-1) packs to all ones), so no in-band sentinel exists.
@@ -366,15 +288,26 @@ class Medium {
     /// semantics: the frame is in flight, so the receiver set and link
     /// budget are fixed when the transmission fans out; a sink callback
     /// moving radios mid-fanout cannot change who hears this frame or at
-    /// what power (only detach revokes delivery). The batched pipeline
-    /// snapshots positions the same way, keeping both paths bit-identical
-    /// under mid-fanout churn.
+    /// what power (only detach revokes delivery). The grid pipeline
+    /// snapshots positions the same way (Survivor), keeping both paths
+    /// bit-identical under mid-fanout churn.
     double d = 0.0;
   };
 
+  /// One in-range grid-fanout survivor, snapshotted before any sink runs:
+  /// the receiver position is frozen at gather time, so the exact-math RX
+  /// power comes from this snapshot even if a sink callback moves the radio
+  /// mid-fanout.
+  struct Survivor {
+    std::uint32_t slot;
+    double dist_sq;
+    double x;
+    double y;
+  };
+
   /// Directory entry of one slab-resident bucket: a [offset, offset + size)
-  /// window into the arena's four parallel arrays (slots/xs/ys/keys at the
-  /// same index). The prefix [0, sorted) is ascending by slot (== radio-id
+  /// window into the arena's three parallel arrays (slots/xs/ys at the same
+  /// index). The prefix [0, sorted) is ascending by slot (== radio-id
   /// order); [sorted, size) is the unsorted churn tail — out-of-order
   /// arrivals land there in O(1) and are merged into the prefix lazily, the
   /// next time the bucket is probed (bucket_normalize). Growth abandons the
@@ -388,61 +321,9 @@ class Medium {
 
   /// Partition directory of one cell: (partition key → bucket id), sorted
   /// by key. One entry per listening key present in the cell (typically the
-  /// venue's 1–3 channels plus the non-listener partition), or a single
-  /// part-0 entry in the mixed-bucket layout.
+  /// venue's 1–3 channels plus the non-listener partition).
   struct CellEntry {
     std::vector<std::pair<std::uint16_t, std::uint32_t>> parts;
-  };
-
-  /// Read-only window over one normalized (fully sorted) bucket, captured
-  /// at probe time. The filter kernels in medium/fanout_simd stream these
-  /// contiguous arrays directly — no per-slot indirection into
-  /// soa_x_/soa_y_/soa_key_ on the gather path, and 4 adjacent members load
-  /// as one vector lane. Valid only until the arena mutates: views are read
-  /// exclusively during the filter stage, which completes before any sink
-  /// callback (the only source of mutation) can run.
-  struct BucketView {
-    const std::uint32_t* slots = nullptr;
-    const double* xs = nullptr;
-    const double* ys = nullptr;
-    const std::uint16_t* keys = nullptr;
-    std::uint32_t size = 0;
-  };
-
-  /// Per-worker fanout scratch: the chunk's in-range survivors plus the
-  /// sorted runs they form (one run per bucket the chunk overlaps — a chunk
-  /// is contiguous over the ≤9-bucket probe, so ≤9 runs).
-  struct ShardScratch {
-    struct Run {
-      std::uint32_t begin = 0;
-      std::uint32_t end = 0;
-    };
-    std::vector<FanoutCandidate> cand;
-    Run runs[9];
-    int nruns = 0;
-    /// Chunk entries that passed the fused-key compare (FanoutStats
-    /// bookkeeping; summed on the calling thread after the join).
-    std::size_t key_matched = 0;
-  };
-
-  /// Everything a shard worker needs, published once per sharded fanout
-  /// (TaskTeam's dispatch orders the stores before helpers read it). Chunk k
-  /// covers concatenated-bucket element range [split[k], split[k+1]).
-  struct ShardJob {
-    Medium* medium = nullptr;
-    BucketView views[9];  // the range box spans at most 3x3 cells
-    int nbuckets = 0;
-    std::size_t split[17] = {};
-    double tx_x = 0.0;
-    double tx_y = 0.0;
-    double range_sq = -1.0;
-    double tx_dbm = 0.0;
-    std::uint16_t want = 0;
-    std::uint32_t self_slot = kNoSlot;
-    bool use_simd = false;
-    bool precompute = false;  // LUT rx_dbm filled per survivor in-shard
-    /// Config::simd_lut_min_elems resolved against the library default.
-    std::size_t lut_min_elems = 0;
   };
 
   /// One entry of the pair pathloss cache. Valid for a lookup iff key,
@@ -478,25 +359,17 @@ class Medium {
   void finish_transmission(Transmission& t);
   /// `fault_rng` is the transmission's dedicated fault stream (nullptr when
   /// fault injection is off); per-receiver erasure draws consume from it in
-  /// id-sorted fanout order (which the batched path reproduces as slot
+  /// id-sorted fanout order (which the grid pipeline reproduces as slot
   /// order), so delivery stays deterministic.
   void deliver(RadioId from, const dot11::Frame& frame, std::uint8_t channel,
                Position tx_pos, double tx_power_dbm,
                support::Rng* fault_rng = nullptr);
-  /// Batched SoA fanout: sorted-bucket gather through the SIMD filter
-  /// kernels (optionally sharded across intra-run workers), fixed-order
-  /// merge in slot order, LUT/cached RX power for survivors.
+  /// Grid pipeline: probe the channel's buckets in the ≤3x3 cells around
+  /// the transmitter, filter each into a sorted survivor run, merge the runs
+  /// in slot order, cached/LUT RX power for survivors.
   void deliver_batched(RadioId from, const dot11::Frame& frame,
                        std::uint8_t channel, Position tx_pos,
                        double tx_power_dbm, support::Rng* fault_rng);
-  /// Fill `scratch` with chunk `chunk`'s survivors: filter every bucket
-  /// slice the chunk overlaps (recording one sorted run per slice), then
-  /// LUT-evaluate them when the job asks for precompute. Runs on helper
-  /// threads for chunks >= 1; touches only the job's read-only inputs and
-  /// the private scratch.
-  void run_shard_chunk(const ShardJob& job, std::size_t chunk,
-                       ShardScratch& scratch) const;
-  static void shard_entry(void* ctx, std::size_t helper_index);
 
   Transmission& acquire_txn();
 
@@ -509,17 +382,12 @@ class Medium {
   void set_channel(RadioId id, std::uint8_t ch);
   void set_sink(RadioId id, FrameSink* sink);
 
-  /// Refresh the radio's fused SoA listening key: 0 when it cannot receive
-  /// (detached or no sink), channel + 1 otherwise. One uint16 compare in the
-  /// gather loop then covers the attached/sink/channel filters at once.
-  /// While the radio is in the grid, a key change migrates it to its new
-  /// (cell, key) bucket under channel_buckets — the partition IS the key —
-  /// or refreshes the in-place key mirror in the mixed layout.
+  /// Refresh the radio's fused listening key: 0 when it cannot receive
+  /// (detached or no sink), channel + 1 otherwise. The key is the radio's
+  /// bucket partition, so one probe of the transmission's key covers the
+  /// attached/sink/channel filters at once. While the radio is in the grid,
+  /// a key change migrates it to its new (cell, key) bucket.
   void update_soa_key(std::uint32_t slot);
-
-  /// Propagate soa_key_[slot] into the radio's bucket mirror (mixed-bucket
-  /// layout: the key is data, not the partition).
-  void bucket_sync_key(std::uint32_t slot);
 
   /// Memoized per-TX-power range data (venues use a handful of power
   /// classes): the cull-box radius (exactly the legacy max_range) and the
@@ -533,17 +401,13 @@ class Medium {
   };
   const RangeEntry& range_for(double tx_power_dbm);
 
-  /// Survivor RX power through the pair cache (batched fault-free path).
-  /// When `precomputed` is non-null it holds the LUT value the shard stage
-  /// already evaluated for this survivor — bit-identical to what a miss
-  /// would recompute, so the cache's contents and hit/miss counters are
-  /// unchanged by the precompute.
+  /// Survivor RX power through the pair cache (grid fault-free path):
+  /// survivor_rx_dbm runs only on a miss.
   double pair_cached_rx_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot,
                             double tx_dbm, double dist_sq, Position tx_pos,
-                            Position rx_pos,
-                            const double* precomputed = nullptr);
+                            Position rx_pos);
   /// Survivor RX power: LUT when enabled and covering, exact (fresh hypot,
-  /// bit-identical to the reference path) otherwise. `rx_pos` is the
+  /// bit-identical to the legacy scan) otherwise. `rx_pos` is the
   /// receiver position frozen at gather time — the link budget must not see
   /// moves a sink callback makes mid-fanout.
   double survivor_rx_dbm(double tx_dbm, double dist_sq, Position tx_pos,
@@ -561,11 +425,6 @@ class Medium {
   }
   std::int64_t cell_coord(double v) const;
   std::uint64_t cell_of(Position pos) const;
-  /// Partition key a radio files under: its fused listening key with
-  /// channel_buckets, 0 (one mixed bucket per cell) otherwise.
-  std::uint16_t partition_of(std::uint32_t slot) const {
-    return cfg_.channel_buckets ? soa_key_[slot] : 0;
-  }
   void grid_insert(std::uint32_t slot, RadioState& st);
   void grid_erase(RadioState& st, std::uint32_t slot);
   /// Recompute the cell size from the strongest transmitter and re-bucket
@@ -592,8 +451,8 @@ class Medium {
   /// directory (bucket ids are recycled via free_buckets_).
   BucketRef& find_or_create_bucket(std::uint64_t cell, std::uint16_t part);
   /// Merge the bucket's unsorted churn tail into the sorted prefix (in
-  /// place, backward merge — no arena growth, so captured views of other
-  /// buckets stay valid). Called before a bucket is probed.
+  /// place, backward merge — no arena growth). Called before a bucket is
+  /// probed.
   void bucket_normalize(BucketRef& b);
   /// Index of `slot` within the bucket (binary search over the sorted
   /// prefix, linear scan over the tail), kNpos when absent.
@@ -612,17 +471,13 @@ class Medium {
   // appends.
   std::vector<RadioState> slots_;
   std::vector<std::uint32_t> active_slots_;
-  /// Bumped on attach/detach; lets the reference path trust cached
+  /// Bumped on attach/detach; lets the legacy scan trust cached
   /// candidate slots until the topology actually changes under a sink
   /// callback.
   std::uint64_t topology_epoch_ = 0;
 
-  // SoA mirror of the per-slot fields the gather loop touches, kept in sync
-  // by attach/detach/set_position/set_channel/set_sink. Separate arrays keep
-  // the gather's memory traffic at 18 bytes/radio instead of the ~200-byte
-  // RadioState stride.
-  std::vector<double> soa_x_;
-  std::vector<double> soa_y_;
+  /// Per-slot fused listening key (see update_soa_key), kept in sync by
+  /// attach/detach/set_channel/set_sink.
   std::vector<std::uint16_t> soa_key_;
   /// Per-slot link epoch for the pair cache: bumped on set_position (power
   /// changes are caught by the entry's stored tx_dbm).
@@ -646,21 +501,11 @@ class Medium {
   std::vector<std::unique_ptr<Transmission>> all_txns_;
   std::vector<Transmission*> free_txns_;
 
-  // deliver() fanout scratch, reused across calls (depth-guarded: reentrant
-  // delivery falls back to a local vector).
+  // deliver() fanout scratches, reused across calls (depth-guarded:
+  // reentrant delivery falls back to a local vector).
   std::vector<Candidate> deliver_scratch_;
+  std::vector<Survivor> survivor_scratch_;
   int deliver_depth_ = 0;
-
-  // Intra-run fanout team: intra_run_workers − 1 parked helper threads (the
-  // calling thread is worker 0), null when the run is serial. One scratch
-  // per worker, reused across fanouts; nested (reentrant) delivery uses a
-  // local scratch and never shards.
-  std::unique_ptr<support::TaskTeam> team_;
-  std::vector<ShardScratch> shard_scratch_;
-  /// simd_fanout ∧ the CPU actually has AVX2, resolved once.
-  bool use_simd_ = false;
-  /// Config::simd_lut_min_elems, resolved against kSimdLutMinElems once.
-  std::size_t lut_min_elems_ = 0;
   FanoutStats fanout_stats_;
 
   double cell_size_ = 0.0;
@@ -672,13 +517,12 @@ class Medium {
   std::unordered_map<std::uint64_t, CellEntry> cells_;
   std::vector<BucketRef> buckets_;
   std::vector<std::uint32_t> free_buckets_;
-  /// The arena: four parallel arrays every bucket windows into. Grown at
+  /// The arena: three parallel arrays every bucket windows into. Grown at
   /// the tail; abandoned windows are tracked as garbage and reclaimed by
   /// maybe_compact_arena().
   std::vector<std::uint32_t> arena_slots_;
   std::vector<double> arena_xs_;
   std::vector<double> arena_ys_;
-  std::vector<std::uint16_t> arena_keys_;
   std::size_t arena_live_ = 0;     // elements currently filed in buckets
   std::size_t arena_garbage_ = 0;  // abandoned (unreachable) elements
   std::uint64_t arena_compactions_ = 0;  // maybe_compact_arena rebuilds
@@ -689,7 +533,6 @@ class Medium {
     std::uint32_t slot;
     double x;
     double y;
-    std::uint16_t key;
   };
   std::vector<TailEntry> tail_scratch_;
   std::uint64_t deliveries_ = 0;

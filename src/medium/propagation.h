@@ -48,7 +48,7 @@ class LogDistancePathLoss {
 
 /// Monotone piecewise-linear approximation of log-distance path loss as a
 /// function of *squared* distance: PL(s) = ref + 5 n log10(s) with s = d².
-/// The batched delivery pipeline already has s from its range² filter, so the
+/// The grid delivery pipeline already has s from its range² filter, so the
 /// LUT replaces the hot path's hypot + log10 with one table lookup and one
 /// fused multiply-add.
 ///
@@ -91,20 +91,12 @@ class PathLossLut {
   double max_error_db() const { return max_error_db_; }
   double max_dist_sq() const { return max_dist_sq_; }
 
+ private:
   struct Seg {
     double a = 0.0;  // chord intercept, dB
     double b = 0.0;  // chord slope, dB per m²
   };
 
-  /// Raw segment table + reference clamp for the vector lanes in
-  /// medium/fanout_simd: the 4-wide evaluation reproduces rx_power_dbm_sq()
-  /// bit for bit (same bit decomposition, same mul-then-add chord — no FMA),
-  /// so SIMD and scalar fanouts are interchangeable.
-  const Seg* segments() const { return seg_.data(); }
-  std::size_t segment_count() const { return seg_.size(); }
-  double reference_loss_db() const { return ref_loss_db_; }
-
- private:
   std::vector<Seg> seg_;
   double ref_loss_db_ = 0.0;
   double max_dist_sq_ = 0.0;

@@ -27,7 +27,6 @@ const char* to_string(Event e) {
     case Event::kScanWindowFill: return "scan-window-fill";
     case Event::kPbResize: return "pb-resize";
     case Event::kGhostPromotion: return "ghost-promotion";
-    case Event::kShardFanout: return "shard-fanout";
   }
   return "?";
 }

@@ -51,7 +51,6 @@ const char* to_string(Category c);
 ///   kScanWindowFill  a = SSIDs chosen,  b = response budget
 ///   kPbResize        a = new PB size,   b = new FB size
 ///   kGhostPromotion  a = 1 popularity-ghost hit / 2 freshness-ghost hit
-///   kShardFanout     a = tx radio id,   b = chunks the fanout split into
 enum class Event : std::uint8_t {
   kTransmit = 0,
   kDeliver = 1,
@@ -62,7 +61,6 @@ enum class Event : std::uint8_t {
   kScanWindowFill = 6,
   kPbResize = 7,
   kGhostPromotion = 8,
-  kShardFanout = 9,
 };
 
 const char* to_string(Event e);

@@ -361,9 +361,48 @@ std::uint64_t campaign_config_hash(const World& world,
     }
     put_u8(canon, run.sample_every ? 1 : 0);
     if (run.sample_every) put_sim_time(canon, *run.sample_every);
-    put_u8(canon, run.medium ? 1 : 0);
-    put_u8(canon, run.intra_run_workers ? 1 : 0);
-    if (run.intra_run_workers) put_i32(canon, *run.intra_run_workers);
+    // The medium config the run resolves to, by run_campaign's own rule.
+    // Left out: spatial_grid and pathloss_cache, which cannot change
+    // results, and the fault seed, which run_campaign re-keys per run.
+    const medium::Medium::Config& m =
+        run.medium ? *run.medium : world.config().medium;
+    put_f64(canon, m.propagation.reference_loss_db);
+    put_f64(canon, m.propagation.exponent);
+    put_f64(canon, m.propagation.rx_sensitivity_dbm);
+    put_f64(canon, m.contention_factor);
+    put_f64(canon, m.mgmt_rate_mbps);
+    put_u8(canon, m.pathloss_lut ? 1 : 0);  // LUT RSSI differs in low bits
+    const medium::FaultModel::Config& f = m.fault;
+    put_u8(canon, f.enabled ? 1 : 0);
+    put_f64(canon, f.noise_floor_dbm);
+    put_f64(canon, f.per_snr_mid_db);
+    put_f64(canon, f.per_width_db);
+    put_f64(canon, f.ambient_loss);
+    put_f64(canon, f.corruption_rate);
+    put_i32(canon, f.max_bit_flips);
+    put_i32(canon, f.retry_limit);
+    put_i32(canon, f.cw_min);
+    put_i32(canon, f.cw_max);
+    put_f64(canon, f.slot_time_us);
+    // Attacker configs. Their `base` is left out: run_campaign overwrites it.
+    const core::BufferSelectorConfig& buf = run.cityhunter.buffers;
+    put_i32(canon, buf.budget);
+    put_i32(canon, buf.initial_pb_size);
+    put_i32(canon, buf.ghost_size);
+    put_i32(canon, buf.ghost_picks);
+    put_i32(canon, buf.min_buffer_size);
+    put_u8(canon, buf.use_freshness ? 1 : 0);
+    put_u8(canon, buf.use_ghosts ? 1 : 0);
+    put_u8(canon, buf.adaptive ? 1 : 0);
+    put_f64(canon, run.cityhunter.direct_initial_weight);
+    put_f64(canon, run.cityhunter.direct_seen_bonus);
+    put_f64(canon, run.cityhunter.hit_weight_bonus);
+    put_u8(canon, run.cityhunter.untried_tracking ? 1 : 0);
+    put_f64(canon, run.mana.learned_weight);
+    put_i32(canon, run.mana.max_dump);
+    put_i32(canon, run.wigle_seed.nearby_count);
+    put_i32(canon, run.wigle_seed.popular_count);
+    put_u8(canon, static_cast<std::uint8_t>(run.wigle_seed.ranking));
     put_u8(canon, run.initial_database ? 1 : 0);
     put_u8(canon, run.obs.enabled ? 1 : 0);
     put_f64(canon, run.deadline_s);

@@ -59,7 +59,9 @@ struct CompletedRun {
 };
 
 struct CampaignCheckpoint {
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// 2: the config hash covers the resolved medium and attacker configs.
+  /// A version-1 file fails as kBadVersion, not as a foreign campaign.
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// campaign_config_hash() of the (world, runs) the checkpoint belongs to.
   std::uint64_t config_hash = 0;

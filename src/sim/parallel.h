@@ -79,7 +79,7 @@ struct ParallelConfig {
   std::string checkpoint_path;
   /// Write the checkpoint after every this-many run completions (and always
   /// after the final one). Must be >= 1 — validated in the same style as
-  /// Medium's intra_run_workers.
+  /// Medium::Config.
   int checkpoint_every = 8;
 
   /// Share memoized run setup (WiGLE seed, venue locale) across the

@@ -238,9 +238,6 @@ RunOutput run_campaign(const World& world, const RunConfig& cfg,
     // same (world seed, run config) is bit-identical at any thread count.
     medium_cfg.fault.seed = rng.fork("fault").engine()();
   }
-  if (cfg.intra_run_workers) {
-    medium_cfg.intra_run_workers = *cfg.intra_run_workers;
-  }
   medium::Medium medium(events, medium_cfg);
   medium.set_trace(probe.trace());
 
@@ -447,17 +444,11 @@ RunOutput run_campaign(const World& world, const RunConfig& cfg,
     m.add(m.counter("medium.pathloss_cache_misses"),
           medium.pathloss_cache_misses());
     const auto& fanout = medium.fanout_stats();
-    m.add(m.counter("medium.fanout_batched"), fanout.batched_fanouts);
-    m.add(m.counter("medium.fanout_simd_candidates"), fanout.simd_candidates);
+    m.add(m.counter("medium.fanout_batched"), fanout.fanouts);
+    // Loaded-candidate count under its established name: perfbench's
+    // candidates_per_delivery sums this counter.
     m.add(m.counter("medium.fanout_scalar_candidates"),
-          fanout.scalar_candidates);
-    m.add(m.counter("medium.fanout_sharded"), fanout.sharded_fanouts);
-    m.add(m.counter("medium.fanout_shard_chunks"), fanout.shard_chunks);
-    // Index-waste bookkeeping: loaded − key_matched candidates cost a cache
-    // line only to fail the fused-key compare (≈0 with channel_buckets).
-    m.add(m.counter("medium.fanout_key_matched"), fanout.key_matched);
-    m.add(m.counter("medium.fanout_wasted_candidates"),
-          fanout.wasted_candidates());
+          fanout.candidates_loaded);
     // End-of-run occupancy histogram of the live spatial index (the
     // histogram is order-insensitive, so the cell-map traversal order
     // doesn't matter).

@@ -126,13 +126,6 @@ struct RunConfig {
   /// shared — expensive to build — World.
   std::optional<medium::Medium::Config> medium;
 
-  /// Intra-run delivery-fanout workers (medium::Medium::Config::
-  /// intra_run_workers), applied on top of whatever medium config the run
-  /// resolves to. Results are bit-identical at any worker count; this knob
-  /// only trades threads for wall-clock within one run — orthogonal to the
-  /// across-run parallelism in sim/parallel.
-  std::optional<int> intra_run_workers;
-
   /// Warm start: carry over a database from a previous slot instead of
   /// re-initialising (the paper re-initialised before every test; this knob
   /// quantifies what that choice cost). Applied after WiGLE seeding, so

@@ -64,12 +64,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Low-latency fork-join team for intra-run data parallelism.
+/// Low-latency fork-join team for the sharded city's epochs (sim/shard).
 ///
 /// ThreadPool's futures-based submit costs a mutex, a packaged_task heap
 /// allocation and a condition-variable wakeup per task — fine for campaign
-/// runs that last seconds, fatal for a delivery fanout that lasts
-/// microseconds. TaskTeam keeps N helper threads parked on one atomic epoch:
+/// runs that last seconds, fatal for fork-joins that last microseconds.
+/// TaskTeam keeps N helper threads parked on one atomic epoch:
 /// dispatch() is two plain stores plus a release increment, helpers spin
 /// briefly before falling back to atomic::wait (futex), and join is a
 /// counter the caller spins on. No allocation, no mutex, no std::function

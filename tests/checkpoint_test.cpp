@@ -226,6 +226,22 @@ TEST_F(CheckpointCampaignTest, ConfigHashSeparatesCampaigns) {
   auto longer = runs;
   longer[1].duration = support::SimTime::minutes(3);
   EXPECT_NE(sim::campaign_config_hash(*world_, longer), base);
+
+  // Attacker knobs change what the run computes, so they are part of the
+  // campaign's identity.
+  auto untracked = runs;
+  untracked[1].cityhunter.untried_tracking = false;  // a City-Hunter run
+  EXPECT_NE(sim::campaign_config_hash(*world_, untracked), base);
+
+  // The hash covers the medium config a run resolves to: an override equal
+  // to the world's medium is the same campaign, a lossier one is not.
+  auto same_medium = runs;
+  same_medium[4].medium = world_->config().medium;
+  EXPECT_EQ(sim::campaign_config_hash(*world_, same_medium), base);
+  auto lossier = same_medium;
+  lossier[4].medium->fault.ambient_loss = 0.3;
+  EXPECT_NE(sim::campaign_config_hash(*world_, lossier),
+            sim::campaign_config_hash(*world_, same_medium));
 }
 
 TEST_F(CheckpointCampaignTest, WritesEveryKCompletionsAndAtTheEnd) {

@@ -108,29 +108,29 @@ TEST_F(GoldenCampaignTest, LegacyScanMatchesGolden) {
   }
 }
 
-// City-scale district (bench/city_scale.h) at test-budget size: the batched
-// SoA pipeline and the pre-PR grid reference must produce exactly these
-// traffic totals. Any drift means the batched fanout, the d² range filter,
-// the pathloss LUT or the pair cache changed delivery *behaviour* instead
-// of just delivery *speed*.
+// City-scale district (bench/city_scale.h) at test-budget size: the grid
+// pipeline and the legacy-scan oracle must produce exactly these traffic
+// totals. Any drift means the channel-partitioned index, the d² range
+// filter, the pathloss LUT or the pair cache changed delivery *behaviour*
+// instead of just delivery *speed*.
 TEST(CityScaleGolden, PinnedCountsAcrossPipelines) {
   bench::CityScaleParams params;
   params.radios = 400;
   params.area_m = 400.0;
   params.duration = support::SimTime::seconds(2.0);
 
-  medium::Medium::Config grid_cfg;
-  grid_cfg.batched_fanout = false;
-  grid_cfg.pathloss_lut = false;
-  grid_cfg.pathloss_cache = false;
+  medium::Medium::Config scan_cfg;
+  scan_cfg.spatial_grid = false;
+  scan_cfg.pathloss_lut = false;
+  scan_cfg.pathloss_cache = false;
 
   const bench::CityScaleResult batched =
       bench::run_city_scale(params, medium::Medium::Config{});
-  const bench::CityScaleResult grid =
-      bench::run_city_scale(params, grid_cfg);
+  const bench::CityScaleResult scan =
+      bench::run_city_scale(params, scan_cfg);
 
-  EXPECT_EQ(batched.transmissions, grid.transmissions);
-  EXPECT_EQ(batched.deliveries, grid.deliveries);
+  EXPECT_EQ(batched.transmissions, scan.transmissions);
+  EXPECT_EQ(batched.deliveries, scan.deliveries);
 
   // Golden totals recorded when the batched pipeline landed (seed 2026,
   // 400 radios on 400 m, 2 simulated seconds).
@@ -138,40 +138,6 @@ TEST(CityScaleGolden, PinnedCountsAcrossPipelines) {
   EXPECT_EQ(batched.deliveries, 21061u);
   // The static AP↔AP beacon fanout must actually exercise the pair cache.
   EXPECT_GT(batched.cache_hits, 0u);
-}
-
-TEST(CityScaleGolden, ChannelMixedDistrictPinnedForBothIndexLayouts) {
-  // The district spreads radios over channels 1/6/11, so it is the exact
-  // workload the channel-partitioned index targets. Both layouts must land
-  // on the same golden totals, and the efficiency counters must show what
-  // the partitioning buys: the mixed layout streams every co-located
-  // off-channel radio through the key filter, the partitioned one streams
-  // none.
-  bench::CityScaleParams params;
-  params.radios = 400;
-  params.area_m = 400.0;
-  params.duration = support::SimTime::seconds(2.0);
-
-  medium::Medium::Config mixed_cfg;
-  mixed_cfg.channel_buckets = false;
-
-  const bench::CityScaleResult part =
-      bench::run_city_scale(params, medium::Medium::Config{});
-  const bench::CityScaleResult mixed =
-      bench::run_city_scale(params, mixed_cfg);
-
-  EXPECT_EQ(part.transmissions, 2638u);
-  EXPECT_EQ(part.deliveries, 21061u);
-  EXPECT_EQ(mixed.transmissions, part.transmissions);
-  EXPECT_EQ(mixed.deliveries, part.deliveries);
-
-  // Same radios pass the key filter either way; only the loads differ.
-  EXPECT_EQ(part.key_matched, mixed.key_matched);
-  EXPECT_EQ(part.wasted_candidates, 0u);
-  // ~2/3 of mixed-layout loads are off-channel at a 3-channel plan.
-  EXPECT_GT(mixed.wasted_candidates, mixed.key_matched);
-  EXPECT_GT(part.mean_bucket_occupancy, 0.0);
-  EXPECT_GE(mixed.max_bucket_occupancy, part.max_bucket_occupancy);
 }
 
 TEST_F(GoldenCampaignTest, RepeatedRunsAreBitIdentical) {

@@ -10,7 +10,6 @@
 #include "dot11/serialize.h"
 #include "dot11/timing.h"
 #include "medium/event_queue.h"
-#include "medium/fanout_simd.h"
 #include "medium/medium.h"
 #include "medium/propagation.h"
 #include "support/rng.h"
@@ -189,6 +188,26 @@ TEST_F(MediumTest, DropsBeyondRange) {
       MacAddress::random_local(rng)));
   events.run_until(SimTime::seconds(1.0));
   EXPECT_TRUE(rx.frames.empty());
+
+  // A negative link budget (TX power below reference loss + sensitivity)
+  // reaches nobody, not even a receiver inside the 1 m reference clamp: the
+  // grid pipeline's range² of -1 rejects every d², like the scan oracle's
+  // exact deliverable() test.
+  for (const bool grid : {true, false}) {
+    Medium::Config cfg;
+    cfg.spatial_grid = grid;
+    EventQueue q;
+    Medium m(q, cfg);
+    Collector near;
+    auto weak = m.attach({0, 0}, 6, -50.0);
+    m.attach({0.5, 0}, 6, 15.0, &near);
+    m.attach({0, 0.5}, 6, 20.0, &near);
+    weak.transmit(dot11::make_broadcast_probe_request(
+        MacAddress::random_local(rng)));
+    q.run_all();
+    EXPECT_TRUE(near.frames.empty()) << "grid " << grid;
+    EXPECT_EQ(m.deliveries(), 0u) << "grid " << grid;
+  }
 }
 
 TEST_F(MediumTest, ChannelIsolation) {
@@ -349,102 +368,6 @@ TEST_F(MediumTest, SlotTableBoundaryIdsResolveSafely) {
   EXPECT_THROW(stale.position(), std::logic_error);
   (void)a;
   (void)b;
-}
-
-// --- Fanout SIMD kernels ---
-
-// The vector filter must agree with the scalar filter bit for bit: same
-// survivor set, same order, same gathered d² — across block sizes that
-// exercise full lanes, tails, and key/self/range rejections in every lane
-// position.
-TEST(FanoutSimd, FilterMatchesScalarBitwise) {
-  Rng rng(71);
-  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 37u, 256u}) {
-    std::vector<std::uint32_t> slots(n);
-    std::vector<double> xs(n), ys(n);
-    std::vector<std::uint16_t> keys(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      slots[i] = static_cast<std::uint32_t>(i * 3);  // sorted, gappy
-      xs[i] = rng.uniform(-120.0, 120.0);
-      ys[i] = rng.uniform(-120.0, 120.0);
-      keys[i] = static_cast<std::uint16_t>(rng.index(3) == 0 ? 7 : 5);
-    }
-    const double range_sq = 60.0 * 60.0;
-    const std::uint32_t self = n > 2 ? slots[n / 2] : 0;
-    std::vector<FanoutCandidate> simd_out(n), scalar_out(n);
-    const std::size_t ns =
-        fanout_filter(slots.data(), xs.data(), ys.data(), keys.data(), n,
-                      3.0, -4.0, range_sq, 7, self, /*use_simd=*/true,
-                      simd_out.data());
-    const std::size_t nc =
-        fanout_filter(slots.data(), xs.data(), ys.data(), keys.data(), n,
-                      3.0, -4.0, range_sq, 7, self, /*use_simd=*/false,
-                      scalar_out.data());
-    ASSERT_EQ(ns, nc) << "n=" << n;
-    for (std::size_t i = 0; i < ns; ++i) {
-      EXPECT_EQ(simd_out[i].slot, scalar_out[i].slot) << "n=" << n;
-      // Bitwise, not approximate: the lanes use the exact scalar op order.
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(simd_out[i].dist_sq),
-                std::bit_cast<std::uint64_t>(scalar_out[i].dist_sq))
-          << "n=" << n << " i=" << i;
-      // The frozen position is the exact gather-time input, both paths.
-      const auto src = static_cast<std::size_t>(simd_out[i].slot) / 3;
-      EXPECT_EQ(simd_out[i].x, xs[src]) << "n=" << n << " i=" << i;
-      EXPECT_EQ(simd_out[i].y, ys[src]) << "n=" << n << " i=" << i;
-      EXPECT_EQ(scalar_out[i].x, xs[src]) << "n=" << n << " i=" << i;
-      EXPECT_EQ(scalar_out[i].y, ys[src]) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-// Negative range_sq (negative link budget) must reject everything, exactly
-// like the scalar `!(d² <= range²)` test — in every lane.
-TEST(FanoutSimd, FilterNegativeRangeRejectsAll) {
-  std::vector<std::uint32_t> slots{0, 1, 2, 3, 4, 5};
-  std::vector<double> xs{0, 1, 2, 3, 4, 5}, ys(6, 0.0);
-  std::vector<std::uint16_t> keys(6, 7);
-  std::vector<FanoutCandidate> out(6);
-  for (const bool simd : {true, false}) {
-    EXPECT_EQ(fanout_filter(slots.data(), xs.data(), ys.data(), keys.data(),
-                            6, 0.0, 0.0, -1.0, 7, 99, simd, out.data()),
-              0u);
-  }
-}
-
-// The vector LUT evaluation must reproduce PathLossLut::rx_power_dbm_sq bit
-// for bit — including the d² <= 1 m² reference clamp and the top-segment
-// index clamp — for full lanes and scalar tails alike.
-TEST(FanoutSimd, LutEvalMatchesScalarBitwise) {
-  LogDistancePathLoss::Config cfg;
-  PathLossLut lut(cfg, 600.0);
-  Rng rng(72);
-  for (const std::size_t n : {0u, 1u, 4u, 7u, 33u, 500u}) {
-    std::vector<FanoutCandidate> simd_c(n), scalar_c(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      double d2;
-      const std::size_t kind = rng.index(8);
-      if (kind == 0) {
-        d2 = rng.uniform(0.0, 1.0);  // reference-clamp lanes
-      } else if (kind == 1) {
-        d2 = lut.max_dist_sq();  // top-segment clamp boundary
-      } else {
-        d2 = rng.uniform(1.0, lut.max_dist_sq());
-      }
-      simd_c[i].dist_sq = scalar_c[i].dist_sq = d2;
-      simd_c[i].slot = scalar_c[i].slot = static_cast<std::uint32_t>(i);
-    }
-    fanout_lut_eval(lut, 20.0, simd_c.data(), n, /*use_simd=*/true);
-    fanout_lut_eval(lut, 20.0, scalar_c.data(), n, /*use_simd=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(simd_c[i].rx_dbm),
-                std::bit_cast<std::uint64_t>(scalar_c[i].rx_dbm))
-          << "n=" << n << " i=" << i << " d2=" << simd_c[i].dist_sq;
-      // And both must equal the member-function lookup exactly.
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar_c[i].rx_dbm),
-                std::bit_cast<std::uint64_t>(
-                    lut.rx_power_dbm_sq(20.0, scalar_c[i].dist_sq)));
-    }
-  }
 }
 
 // --- PathLossLut ---
@@ -625,11 +548,9 @@ void replay(FuzzRig& rig, const std::vector<FuzzOp>& script) {
   (void)alive_guess;
 }
 
-Medium::Config fuzz_config(bool batched, bool lut, bool cache, bool grid,
-                           bool fault) {
+Medium::Config fuzz_config(bool lut, bool cache, bool grid, bool fault) {
   Medium::Config cfg;
   cfg.spatial_grid = grid;
-  cfg.batched_fanout = batched;
   cfg.pathloss_lut = lut;
   cfg.pathloss_cache = cache;
   if (fault) {
@@ -645,22 +566,20 @@ TEST(MediumEquivalence, BatchedMatchesReferenceUnderChurn) {
   for (const std::uint64_t seed : {11u, 22u, 33u}) {
     const auto script = make_fuzz_script(seed, 300);
 
-    // Exact-math rigs: every delivery must match bit for bit.
-    FuzzRig reference(fuzz_config(false, false, false, true, false));
-    FuzzRig scan(fuzz_config(false, false, false, false, false));
-    FuzzRig batched_exact(fuzz_config(true, false, false, true, false));
-    FuzzRig batched_cached(fuzz_config(true, false, true, true, false));
+    // Exact-math rigs: every delivery must match the scan oracle bit for
+    // bit.
+    FuzzRig reference(fuzz_config(false, false, false, false));
+    FuzzRig batched_exact(fuzz_config(false, false, true, false));
+    FuzzRig batched_cached(fuzz_config(false, true, true, false));
     replay(reference, script);
-    replay(scan, script);
     replay(batched_exact, script);
     replay(batched_cached, script);
-    EXPECT_EQ(reference.log, scan.log) << "seed " << seed;
     EXPECT_EQ(reference.log, batched_exact.log) << "seed " << seed;
     EXPECT_EQ(reference.log, batched_cached.log) << "seed " << seed;
 
     // LUT rig: identical delivery set/order/timing; RSSI within the LUT's
     // analytic error bound (far below RSSI quantization).
-    FuzzRig batched_lut(fuzz_config(true, true, true, true, false));
+    FuzzRig batched_lut(fuzz_config(true, true, true, false));
     replay(batched_lut, script);
     ASSERT_EQ(batched_lut.log.size(), reference.log.size()) << "seed " << seed;
     const PathLossLut bound_lut(Medium::Config{}.propagation, 1000.0);
@@ -676,89 +595,20 @@ TEST(MediumEquivalence, BatchedMatchesReferenceUnderChurn) {
 }
 
 TEST(MediumEquivalence, LossyRunsAreBitIdenticalAcrossPipelines) {
-  // With fault injection on, every pipeline takes the exact-math road for
-  // the erasure draw, so lossy runs must agree bit for bit — RSSI, loss
-  // pattern, and counters alike.
+  // With fault injection on, the grid pipeline takes the exact-math road
+  // for the erasure draw even with the LUT and pair cache enabled, so lossy
+  // runs must agree with the scan oracle bit for bit — RSSI, loss pattern,
+  // and counters alike.
   for (const std::uint64_t seed : {5u, 6u}) {
     const auto script = make_fuzz_script(seed, 300);
-    FuzzRig reference(fuzz_config(false, false, false, true, true));
-    FuzzRig batched(fuzz_config(true, true, true, true, true));
-    FuzzRig scan(fuzz_config(false, false, false, false, true));
-    replay(reference, script);
+    FuzzRig scan(fuzz_config(false, false, false, true));
+    FuzzRig batched(fuzz_config(true, true, true, true));
+    replay(scan, script);
     replay(batched, script);
-    replay(scan, script);
-    EXPECT_EQ(reference.log, batched.log) << "seed " << seed;
-    EXPECT_EQ(reference.log, scan.log) << "seed " << seed;
-    EXPECT_EQ(reference.medium.frames_lost(), batched.medium.frames_lost());
-    EXPECT_EQ(reference.medium.drops(), batched.medium.drops());
-    EXPECT_EQ(reference.medium.retries(), batched.medium.retries());
-  }
-}
-
-// --- SIMD / sharded fanout equivalence ---
-
-TEST(MediumEquivalence, SimdAndScalarFanoutsAreBitIdentical) {
-  // simd_fanout toggles nothing observable: the vector kernels replicate the
-  // scalar operation order exactly, so the full default pipeline (LUT +
-  // cache) must agree bit for bit, lossless and lossy alike. (On hardware
-  // without AVX2 both rigs run scalar and this degenerates to a self-check.)
-  for (const bool fault : {false, true}) {
-    const auto script = make_fuzz_script(fault ? 44u : 43u, 300);
-    Medium::Config simd_cfg = fuzz_config(true, true, true, true, fault);
-    Medium::Config scalar_cfg = simd_cfg;
-    scalar_cfg.simd_fanout = false;
-    FuzzRig simd_rig(simd_cfg);
-    FuzzRig scalar_rig(scalar_cfg);
-    replay(simd_rig, script);
-    replay(scalar_rig, script);
-    EXPECT_EQ(simd_rig.log, scalar_rig.log) << "fault=" << fault;
-    EXPECT_EQ(simd_rig.medium.pathloss_cache_hits(),
-              scalar_rig.medium.pathloss_cache_hits());
-    EXPECT_EQ(simd_rig.medium.frames_lost(),
-              scalar_rig.medium.frames_lost());
-  }
-}
-
-TEST(MediumEquivalence, ShardedFanoutMatchesLegacyScanAtAnyWorkerCount) {
-  // Exact-math sharded rigs vs the legacy full scan: byte-identical
-  // deliveries at 1, 2 and 8 workers. shard_min_candidates = 0 forces every
-  // fanout through the fork-join path, so the merge really is exercised.
-  for (const std::uint64_t seed : {11u, 22u}) {
-    const auto script = make_fuzz_script(seed, 300);
-    FuzzRig scan(fuzz_config(false, false, false, false, false));
-    replay(scan, script);
-    for (const int workers : {1, 2, 8}) {
-      Medium::Config cfg = fuzz_config(true, false, false, true, false);
-      cfg.intra_run_workers = workers;
-      cfg.shard_min_candidates = 0;
-      FuzzRig rig(cfg);
-      replay(rig, script);
-      EXPECT_EQ(scan.log, rig.log) << "seed " << seed << " workers "
-                                   << workers;
-    }
-  }
-}
-
-TEST(MediumEquivalence, ShardedLossyRunsAreBitIdenticalToLegacyScan) {
-  // The faulty path under sharding: erasure draws consume on the calling
-  // thread in merged slot order, so the loss pattern must match the legacy
-  // scan bit for bit at any worker count.
-  for (const std::uint64_t seed : {5u, 6u}) {
-    const auto script = make_fuzz_script(seed, 300);
-    FuzzRig scan(fuzz_config(false, false, false, false, true));
-    replay(scan, script);
-    for (const int workers : {1, 2, 8}) {
-      Medium::Config cfg = fuzz_config(true, true, true, true, true);
-      cfg.intra_run_workers = workers;
-      cfg.shard_min_candidates = 0;
-      FuzzRig rig(cfg);
-      replay(rig, script);
-      EXPECT_EQ(scan.log, rig.log) << "seed " << seed << " workers "
-                                   << workers;
-      EXPECT_EQ(scan.medium.frames_lost(), rig.medium.frames_lost());
-      EXPECT_EQ(scan.medium.drops(), rig.medium.drops());
-      EXPECT_EQ(scan.medium.retries(), rig.medium.retries());
-    }
+    EXPECT_EQ(scan.log, batched.log) << "seed " << seed;
+    EXPECT_EQ(scan.medium.frames_lost(), batched.medium.frames_lost());
+    EXPECT_EQ(scan.medium.drops(), batched.medium.drops());
+    EXPECT_EQ(scan.medium.retries(), batched.medium.retries());
   }
 }
 
@@ -807,11 +657,11 @@ void ChurnState::attach(Position pos, std::uint8_t channel, double dbm) {
   sinks.push_back(std::move(sink));
 }
 
-TEST(MediumEquivalence, ShardedFanoutSurvivesSinkChurnMidDelivery) {
+TEST(MediumEquivalence, GridFanoutSurvivesSinkChurnMidDelivery) {
   // Sinks that mutate the topology *during* the fanout — moving peers,
-  // detaching them, attaching new radios — from inside on_frame. The shard
-  // stage snapshots survivors before any sink runs, so every pipeline and
-  // worker count must deliver the same sequence as the legacy scan.
+  // detaching them, attaching new radios — from inside on_frame. The grid
+  // pipeline snapshots survivors before any sink runs, so it must deliver
+  // the same sequence as the legacy scan.
   const auto run = [](Medium::Config cfg) {
     EventQueue events;
     Medium medium(events, cfg);
@@ -840,29 +690,21 @@ TEST(MediumEquivalence, ShardedFanoutSurvivesSinkChurnMidDelivery) {
     return state.log;
   };
 
-  const auto scan_log = run(fuzz_config(false, false, false, false, false));
+  const auto scan_log = run(fuzz_config(false, false, false, false));
   ASSERT_FALSE(scan_log.empty());
-  for (const int workers : {1, 2, 8}) {
-    Medium::Config cfg = fuzz_config(true, false, false, true, false);
-    cfg.intra_run_workers = workers;
-    cfg.shard_min_candidates = 0;
-    const auto log = run(cfg);
-    ASSERT_EQ(log.size(), scan_log.size()) << "workers " << workers;
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      ASSERT_EQ(log[i].rx_id, scan_log[i].rx_id)
-          << "workers " << workers << " record " << i;
-      ASSERT_EQ(log[i].t_us, scan_log[i].t_us)
-          << "workers " << workers << " record " << i;
-      const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-      ASSERT_EQ(bits(log[i].rssi_dbm), bits(scan_log[i].rssi_dbm))
-          << "workers " << workers << " record " << i;
-      ASSERT_EQ(log[i].channel, scan_log[i].channel)
-          << "workers " << workers << " record " << i;
-    }
+  const auto log = run(fuzz_config(false, false, true, false));
+  ASSERT_EQ(log.size(), scan_log.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    ASSERT_EQ(log[i].rx_id, scan_log[i].rx_id) << "record " << i;
+    ASSERT_EQ(log[i].t_us, scan_log[i].t_us) << "record " << i;
+    ASSERT_EQ(bits(log[i].rssi_dbm), bits(scan_log[i].rssi_dbm))
+        << "record " << i;
+    ASSERT_EQ(log[i].channel, scan_log[i].channel) << "record " << i;
   }
 }
 
-// --- Channel-partitioned index: set_channel storms and layout toggles ---
+// --- Channel-partitioned index: set_channel and compaction storms ---
 
 // A script that hammers the channel-bucket migration path: a bigger
 // population than the regular fuzz mix, and more than half of all ops are
@@ -908,81 +750,37 @@ std::vector<FuzzOp> make_channel_storm_script(std::uint64_t seed, int ops) {
 
 TEST(MediumEquivalence, SetChannelStormMatchesLegacyScanAcrossPipelines) {
   // Byte-identity under retune-dominated churn: the channel-partitioned
-  // rigs must agree with the legacy full scan (which has no index at all)
-  // at every worker count, exact-math and faulty alike.
+  // grid must agree with the legacy full scan (which has no index at all),
+  // exact-math and faulty alike.
   for (const std::uint64_t seed : {101u, 202u}) {
     const auto script = make_channel_storm_script(seed, 500);
     for (const bool fault : {false, true}) {
-      FuzzRig scan(fuzz_config(false, false, false, false, fault));
+      FuzzRig scan(fuzz_config(false, false, false, fault));
       replay(scan, script);
       ASSERT_FALSE(scan.log.empty()) << "seed " << seed;
-      for (const int workers : {1, 2, 8}) {
-        // Exact rigs run plain batched math; lossy rigs get the full LUT +
-        // cache pipeline, which the fault path degrades to exact math.
-        Medium::Config cfg = fault ? fuzz_config(true, true, true, true, true)
-                                   : fuzz_config(true, false, false, true,
-                                                 false);
-        cfg.intra_run_workers = workers;
-        cfg.shard_min_candidates = 0;
-        FuzzRig rig(cfg);
-        replay(rig, script);
-        EXPECT_EQ(scan.log, rig.log)
-            << "seed " << seed << " fault " << fault << " workers " << workers;
-        if (fault) {
-          EXPECT_EQ(scan.medium.frames_lost(), rig.medium.frames_lost());
-          EXPECT_EQ(scan.medium.drops(), rig.medium.drops());
-          EXPECT_EQ(scan.medium.retries(), rig.medium.retries());
-        }
+      // The exact rig runs plain grid math; the lossy rig gets the full LUT
+      // + cache pipeline, which the fault path degrades to exact math.
+      FuzzRig rig(fault ? fuzz_config(true, true, true, true)
+                        : fuzz_config(false, false, true, false));
+      replay(rig, script);
+      EXPECT_EQ(scan.log, rig.log) << "seed " << seed << " fault " << fault;
+      if (fault) {
+        EXPECT_EQ(scan.medium.frames_lost(), rig.medium.frames_lost());
+        EXPECT_EQ(scan.medium.drops(), rig.medium.drops());
+        EXPECT_EQ(scan.medium.retries(), rig.medium.retries());
       }
     }
   }
 }
 
-TEST(MediumEquivalence, ChannelBucketLayoutTogglesAreBitIdentical) {
-  // channel_buckets = false keeps the old mixed-channel per-cell buckets.
-  // The partitioned layout must be observably invisible: identical delivery
-  // bytes and loss counters over both the regular fuzz mix and the retune
-  // storm. Only the waste counter may differ — the partitioned index
-  // streams no mismatched-key candidates at all, while the mixed layout
-  // pays for every co-located off-channel radio.
-  for (const bool fault : {false, true}) {
-    for (const bool storm : {false, true}) {
-      const std::uint64_t seed = storm ? 909u : 808u;
-      const auto script = storm ? make_channel_storm_script(seed, 500)
-                                : make_fuzz_script(seed, 300);
-      Medium::Config part_cfg = fuzz_config(true, true, true, true, fault);
-      Medium::Config mixed_cfg = part_cfg;
-      mixed_cfg.channel_buckets = false;
-      FuzzRig part(part_cfg);
-      FuzzRig mixed(mixed_cfg);
-      replay(part, script);
-      replay(mixed, script);
-      EXPECT_EQ(part.log, mixed.log) << "fault " << fault << " storm "
-                                     << storm;
-      EXPECT_EQ(part.medium.frames_lost(), mixed.medium.frames_lost());
-      EXPECT_EQ(part.medium.drops(), mixed.medium.drops());
-      // Same candidates pass the key filter either way; the partitioned
-      // index just never loads the ones that would fail it.
-      EXPECT_EQ(part.medium.fanout_stats().key_matched,
-                mixed.medium.fanout_stats().key_matched);
-      EXPECT_EQ(part.medium.fanout_stats().wasted_candidates(), 0u);
-      EXPECT_GE(mixed.medium.fanout_stats().wasted_candidates(),
-                part.medium.fanout_stats().wasted_candidates());
-    }
-  }
-}
-
-TEST(MediumEquivalence, ChannelStormSurvivesShardedFaultyMigration) {
+TEST(MediumEquivalence, ChannelStormFaultyMigrationIsDeterministic) {
   // The nastiest combination in one rig: retune-dominated churn, fault
-  // injection, forced sharding, LUT + cache — replayed twice to check the
-  // rig itself is deterministic (arena compaction and bucket recycling must
-  // not leak allocation order into deliveries).
+  // injection, LUT + cache — replayed twice to check the rig itself is
+  // deterministic (arena compaction and bucket recycling must not leak
+  // allocation order into deliveries).
   const auto script = make_channel_storm_script(321u, 600);
   const auto run_once = [&script]() {
-    Medium::Config cfg = fuzz_config(true, true, true, true, true);
-    cfg.intra_run_workers = 8;
-    cfg.shard_min_candidates = 0;
-    FuzzRig rig(cfg);
+    FuzzRig rig(fuzz_config(true, true, true, true));
     replay(rig, script);
     return rig.log;
   };
@@ -1039,51 +837,32 @@ TEST(MediumEquivalence, CompactionStormMatchesLegacyScanAcrossPipelines) {
   // Slab-arena compaction under fire: the storm must actually trip the
   // compactor (asserted via the arena counters, not inferred), and every
   // delivery before and after each rewrite must match the legacy full scan
-  // — which has no arena to compact — byte for byte, at any worker count,
-  // exact-math and faulty alike.
+  // — which has no arena to compact — byte for byte, exact-math and faulty
+  // alike.
   const auto script = make_compaction_storm_script(555u, 7000);
   for (const bool fault : {false, true}) {
-    FuzzRig scan(fuzz_config(false, false, false, false, fault));
+    FuzzRig scan(fuzz_config(false, false, false, fault));
     replay(scan, script);
     ASSERT_FALSE(scan.log.empty()) << "fault " << fault;
     EXPECT_EQ(scan.medium.arena_stats().compactions, 0u);  // no index at all
-    for (const int workers : {1, 8}) {
-      Medium::Config cfg = fault ? fuzz_config(true, true, true, true, true)
-                                 : fuzz_config(true, false, false, true,
-                                               false);
-      cfg.intra_run_workers = workers;
-      cfg.shard_min_candidates = 0;
-      FuzzRig rig(cfg);
-      replay(rig, script);
-      const auto arena = rig.medium.arena_stats();
-      EXPECT_GT(arena.compactions, 0u)
-          << "storm never tripped the compactor (garbage " << arena.garbage
-          << ", live " << arena.live << ") — the test lost its teeth";
-      // Between compactions the garbage stays under the trigger: compaction
-      // fires as soon as both arms (>= 4096 and > live) hold.
-      EXPECT_TRUE(arena.garbage < 4096 || arena.garbage <= arena.live)
-          << "garbage " << arena.garbage << " live " << arena.live;
-      EXPECT_EQ(scan.log, rig.log)
-          << "fault " << fault << " workers " << workers;
-      if (fault) {
-        EXPECT_EQ(scan.medium.frames_lost(), rig.medium.frames_lost());
-        EXPECT_EQ(scan.medium.drops(), rig.medium.drops());
-        EXPECT_EQ(scan.medium.retries(), rig.medium.retries());
-      }
+    FuzzRig rig(fault ? fuzz_config(true, true, true, true)
+                      : fuzz_config(false, false, true, false));
+    replay(rig, script);
+    const auto arena = rig.medium.arena_stats();
+    EXPECT_GT(arena.compactions, 0u)
+        << "storm never tripped the compactor (garbage " << arena.garbage
+        << ", live " << arena.live << ") — the test lost its teeth";
+    // Between compactions the garbage stays under the trigger: compaction
+    // fires as soon as both arms (>= 4096 and > live) hold.
+    EXPECT_TRUE(arena.garbage < 4096 || arena.garbage <= arena.live)
+        << "garbage " << arena.garbage << " live " << arena.live;
+    EXPECT_EQ(scan.log, rig.log) << "fault " << fault;
+    if (fault) {
+      EXPECT_EQ(scan.medium.frames_lost(), rig.medium.frames_lost());
+      EXPECT_EQ(scan.medium.drops(), rig.medium.drops());
+      EXPECT_EQ(scan.medium.retries(), rig.medium.retries());
     }
   }
-}
-
-TEST(MediumConfig, RejectsBadIntraRunWorkers) {
-  EventQueue events;
-  Medium::Config cfg;
-  cfg.intra_run_workers = 0;
-  EXPECT_THROW(Medium(events, cfg), std::invalid_argument);
-  cfg.intra_run_workers = 17;
-  EXPECT_THROW(Medium(events, cfg), std::invalid_argument);
-  cfg.intra_run_workers = 2;
-  cfg.shard_min_candidates = -1;
-  EXPECT_THROW(Medium(events, cfg), std::invalid_argument);
 }
 
 // --- Pair pathloss cache ---

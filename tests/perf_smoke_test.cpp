@@ -12,14 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "city_scale.h"
 #include "dot11/frame.h"
 #include "medium/event_queue.h"
 #include "medium/medium.h"
@@ -129,7 +127,7 @@ TEST(PerfSmokeTest, TracingEnabledStaysWithinAllocationCeiling) {
       << allocs << " allocations for " << kFrames << " frames";
 }
 
-// Deliver-throughput floor on the batched SoA pipeline (the Medium default):
+// Deliver-throughput floor on the grid pipeline (the Medium default):
 // a 1024-radio crowd fanning broadcast probes out to ~30 neighbours each
 // must sustain a floor set ~25x below what this path measures on a single
 // modest core (≥1M deliveries/s in bench/fig_city_scale), so only a
@@ -138,7 +136,7 @@ TEST(PerfSmokeTest, TracingEnabledStaysWithinAllocationCeiling) {
 // enforces the ≤1 allocation/frame ceiling on the batched path.
 TEST(PerfSmokeTest, BatchedDeliverThroughputStaysAboveFloor) {
   medium::EventQueue events;
-  medium::Medium med(events);  // default config == batched SoA pipeline
+  medium::Medium med(events);  // default config == grid pipeline
 
   CountingSink rx;
   std::vector<medium::Radio> radios;
@@ -178,49 +176,8 @@ TEST(PerfSmokeTest, BatchedDeliverThroughputStaysAboveFloor) {
   EXPECT_GE(static_cast<double>(delivered) / wall_s, kFloorDeliveriesPerSec)
       << delivered << " deliveries in " << wall_s << " s";
   EXPECT_LE(allocs, kTransmits * kBudgetPerFrame)
-      << "batched fanout exceeded the per-frame allocation budget: " << allocs
+      << "grid fanout exceeded the per-frame allocation budget: " << allocs
       << " allocations for " << kTransmits << " transmitted frames";
-}
-
-// Intra-run sharding must actually buy wall-clock on real multicore
-// hardware: the 10k-radio district (the ISSUE's acceptance scenario scaled
-// to smoke duration) at 4 intra-run workers versus the serial batched run.
-// Skipped below 4 hardware threads — there is nothing to scale onto — and
-// under sanitizers, whose instrumentation distorts timing far beyond the
-// asserted margin. Best-of-2 per configuration damps scheduler jitter.
-TEST(PerfSmokeTest, IntraRunShardingScalesOnMulticore) {
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-  GTEST_SKIP() << "sanitizer build: timing assertions are meaningless";
-#else
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw < 4) {
-    GTEST_SKIP() << "needs >= 4 hardware threads, have " << hw;
-  }
-  bench::CityScaleParams params;
-  params.radios = 10000;
-  params.duration = support::SimTime::seconds(2.0);
-
-  medium::Medium::Config serial_cfg;  // defaults: batched + SIMD, 1 worker
-  medium::Medium::Config sharded_cfg;
-  sharded_cfg.intra_run_workers = 4;
-
-  const auto best_of = [&](const medium::Medium::Config& cfg) {
-    bench::CityScaleResult best = bench::run_city_scale(params, cfg);
-    const bench::CityScaleResult again = bench::run_city_scale(params, cfg);
-    if (again.wall_s < best.wall_s) best = again;
-    return best;
-  };
-  const auto serial = best_of(serial_cfg);
-  const auto sharded = best_of(sharded_cfg);
-
-  // Bit-identical output is non-negotiable regardless of timing.
-  ASSERT_EQ(serial.transmissions, sharded.transmissions);
-  ASSERT_EQ(serial.deliveries, sharded.deliveries);
-
-  EXPECT_GE(serial.wall_s / sharded.wall_s, 2.0)
-      << "4-worker sharded run must be >= 2x the serial batched run: serial "
-      << serial.wall_s << " s, sharded " << sharded.wall_s << " s";
-#endif
 }
 
 // Checkpointing must be close to free at the default cadence: the fig6 mix
@@ -290,43 +247,6 @@ TEST(PerfSmokeTest, CheckpointCadenceOverheadStaysUnderTwoPercent) {
       << "% on the fig6 mix: plain " << best_plain_s << " s, checkpointed "
       << best_ckpt_s << " s";
 #endif
-}
-
-// Index-efficiency floor on the channel-mixed district: counter-based, so
-// it runs everywhere (sanitizers included) — no timing involved. The
-// channel-partitioned index may stream essentially nothing past the fused
-// key filter (pinned ceiling: 0.1% of loads), while the pre-PR8 mixed
-// layout must be paying at least 5x more wasted loads on the same
-// workload — the margin the ISSUE's acceptance criterion names for
-// machines where a wallclock comparison would only measure noise.
-TEST(PerfSmokeTest, ChannelPartitionedIndexWasteStaysBelowCeiling) {
-  bench::CityScaleParams params;
-  params.radios = 2000;
-  params.area_m = 900.0;
-  params.duration = support::SimTime::seconds(2.0);
-
-  medium::Medium::Config mixed_cfg;
-  mixed_cfg.channel_buckets = false;
-  const bench::CityScaleResult part =
-      bench::run_city_scale(params, medium::Medium::Config{});
-  const bench::CityScaleResult mixed =
-      bench::run_city_scale(params, mixed_cfg);
-
-  // Identical behaviour is a precondition for comparing the counters.
-  ASSERT_EQ(part.transmissions, mixed.transmissions);
-  ASSERT_EQ(part.deliveries, mixed.deliveries);
-  ASSERT_GT(part.candidates_loaded, 0u);
-
-  const double waste_ratio =
-      static_cast<double>(part.wasted_candidates) /
-      static_cast<double>(part.candidates_loaded);
-  EXPECT_LE(waste_ratio, 0.001)
-      << part.wasted_candidates << " wasted of " << part.candidates_loaded
-      << " loaded candidates";
-  EXPECT_GE(mixed.wasted_candidates,
-            5 * std::max<std::uint64_t>(part.wasted_candidates, 1))
-      << "mixed-channel index wasted " << mixed.wasted_candidates
-      << " loads vs " << part.wasted_candidates << " partitioned";
 }
 
 // The sharded city's scaling claim (ISSUE 10 acceptance): on a >= 4-thread
