@@ -25,8 +25,9 @@
 // When a BENCH_wallclock.json from a previous revision already exists in the
 // working directory, its serial time is read back first and the run prints a
 // speedup-vs-previous summary line, so the committed JSON always carries a
-// before/after pair. Heap allocations over the serial loop are counted
-// (bench/alloc_counter.h) and reported per delivered frame. A city-scale
+// before/after pair. Throughput is simulated seconds per host second. Heap
+// allocations over the serial loop are counted (bench/alloc_counter.h) and
+// reported per transmission. A city-scale
 // district (bench/city_scale.h) is timed next on the grid delivery pipeline,
 // under "city_scale". The sharded multi-district city (sim/shard) is timed
 // last: 100k radios at 1/2/4/8 shards plus a pinned-worker row and a
@@ -248,12 +249,22 @@ int main(int argc, char** argv) {
   const Overhead trace_overhead = measure_overhead(serial_walls, traced_walls);
   const sim::PhaseProfile serial_phases = sum_phases(serial);
 
+  // Throughput in simulated seconds per host second, allocations per
+  // transmission: both keep their meaning when the medium hands fewer
+  // frames to sinks (unicast frames reach only their addressee and
+  // monitors). frames_delivered stays in the JSON as a count.
   std::uint64_t frames = 0;
-  for (const auto& out : serial) frames += out.frames_delivered;
-  const double allocs_per_frame =
-      static_cast<double>(serial_allocs) / static_cast<double>(frames);
-  std::printf("%-10s %8.2f s   %10.0f frames/s   speedup 1.00   (baseline)\n",
-              "serial", serial_s, static_cast<double>(frames) / serial_s);
+  std::uint64_t transmissions = 0;
+  for (const auto& out : serial) {
+    frames += out.frames_delivered;
+    transmissions += out.frames_transmitted;
+  }
+  const double sim_seconds =
+      static_cast<double>(runs.size()) * slot_minutes * 60.0;
+  const double allocs_per_tx = static_cast<double>(serial_allocs) /
+                               static_cast<double>(transmissions);
+  std::printf("%-10s %8.2f s   %10.0f sim s/s   speedup 1.00   (baseline)\n",
+              "serial", serial_s, sim_seconds / serial_s);
   print_phases(serial_phases);
 
   // EventQueue lifetime counters aggregated over the mix. Peak pending is
@@ -306,13 +317,15 @@ int main(int argc, char** argv) {
        << "  \"mix\": \"fig6 4x12\",\n"
        << "  \"runs\": " << runs.size() << ",\n"
        << "  \"slot_minutes\": " << slot_minutes << ",\n"
+       << "  \"frames_transmitted\": " << transmissions << ",\n"
        << "  \"frames_delivered\": " << frames << ",\n"
        << "  \"hardware_threads\": " << hardware_threads << ",\n"
        << "  \"serial_s\": " << serial_s << ",\n"
        << "  \"serial_phases\": {\"setup_s\": " << serial_phases.setup_s
        << ", \"sim_s\": " << serial_phases.sim_s
        << ", \"analysis_s\": " << serial_phases.analysis_s << "},\n"
-       << "  \"serial_allocs_per_frame\": " << allocs_per_frame << ",\n"
+       << "  \"serial_sim_rate\": " << sim_seconds / serial_s << ",\n"
+       << "  \"serial_allocs_per_tx\": " << allocs_per_tx << ",\n"
        << "  \"traced_serial_s\": " << traced_s << ",\n"
        << "  \"trace_overhead_pct\": " << trace_overhead.clamped_pct << ",\n"
        << "  \"trace_overhead_raw_pct\": " << trace_overhead.raw_pct << ",\n"
@@ -360,9 +373,9 @@ int main(int argc, char** argv) {
     char label[32];
     std::snprintf(label, sizeof(label), "%zu thread%s", threads,
                   threads == 1 ? "" : "s");
-    std::printf("%-10s %8.2f s   %10.0f frames/s   speedup %.2f   "
+    std::printf("%-10s %8.2f s   %10.0f sim s/s   speedup %.2f   "
                 "util %3.0f%%   %s\n",
-                label, wall_s, static_cast<double>(frames) / wall_s, speedup,
+                label, wall_s, sim_seconds / wall_s, speedup,
                 100.0 * pstats.utilization(),
                 same ? "bit-identical to serial" : "MISMATCH vs serial");
     print_phases(pphases);
@@ -373,7 +386,7 @@ int main(int argc, char** argv) {
 
     json << (first ? "" : ",") << "\n    {\"threads\": " << threads
          << ", \"wall_s\": " << wall_s << ", \"speedup\": " << speedup
-         << ", \"frames_per_s\": " << static_cast<double>(frames) / wall_s
+         << ", \"sim_rate\": " << sim_seconds / wall_s
          << ", \"utilization\": " << pstats.utilization()
          << ", \"setup_s\": " << pphases.setup_s
          << ", \"sim_s\": " << pphases.sim_s
@@ -643,9 +656,8 @@ int main(int argc, char** argv) {
                 write_error.c_str());
   }
 
-  std::printf("\nserial heap allocations: %llu (%.4f per delivered frame)\n",
-              static_cast<unsigned long long>(serial_allocs),
-              allocs_per_frame);
+  std::printf("\nserial heap allocations: %llu (%.4f per transmission)\n",
+              static_cast<unsigned long long>(serial_allocs), allocs_per_tx);
   if (prev_serial_s) {
     std::printf("speedup vs previous BENCH_wallclock.json: %.2fx "
                 "(serial %.2f s -> %.2f s)\n",

@@ -12,7 +12,8 @@ LegitimateAp::~LegitimateAp() { stop(); }
 void LegitimateAp::start() {
   if (started_) return;
   started_ = true;
-  radio_ = medium_.attach(cfg_.pos, cfg_.channel, cfg_.tx_power_dbm, this);
+  radio_ = medium_.attach(cfg_.pos, cfg_.channel, cfg_.tx_power_dbm, this,
+                          cfg_.bssid);
 }
 
 void LegitimateAp::stop() {

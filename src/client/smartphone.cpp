@@ -37,7 +37,7 @@ Smartphone::~Smartphone() { stop(); }
 void Smartphone::start() {
   if (started_) return;
   started_ = true;
-  radio_ = medium_.attach(pos_, cfg_.channel, cfg_.tx_power_dbm, this);
+  radio_ = medium_.attach(pos_, cfg_.channel, cfg_.tx_power_dbm, this, mac_);
   if (!associated_ap_) {
     schedule_next_scan(
         SimTime::microseconds(static_cast<std::int64_t>(rng_.uniform(
@@ -77,8 +77,10 @@ void Smartphone::begin_scan() {
   candidates_.clear();
   if (cfg_.randomize_mac_per_scan) {
     // New scan, new identity: the join handshake continues under the scan's
-    // MAC (as real randomising devices do pre-association).
+    // MAC (as real randomising devices do pre-association), and the radio
+    // now answers to it alone.
     mac_ = dot11::MacAddress::random_local(rng_);
+    radio_.set_rx_address(mac_);
   }
 
   // Legacy devices disclose their PNL via one direct probe per entry; all

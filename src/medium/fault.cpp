@@ -9,7 +9,8 @@ namespace cityhunter::medium {
 namespace {
 
 /// SplitMix64 finalizer — the same mixer Rng uses for seeding, reproduced
-/// here to hash the (seed, radio, sequence) key into a stream seed.
+/// here to hash the (seed, radio, sequence[, receiver]) key into a stream
+/// seed or a link draw.
 std::uint64_t mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -56,14 +57,21 @@ double FaultModel::link_loss(double rx_power_dbm) const {
 
 support::Rng FaultModel::stream(std::uint64_t tx_radio,
                                 std::uint64_t frame_seq) const {
-  // One stream per (seed, tx radio, frame sequence). Per-receiver erasure
-  // draws consume from it sequentially in the medium's fanout order, which
-  // is pinned to ascending radio id on every delivery path (the batched
-  // pipeline merges slot-sorted grid buckets, and slots never recycle, so
-  // slot order ≡ id order): each draw is therefore also keyed by the
-  // receiver's rank, and lossy runs are bit-identical at any thread count
-  // and under any Config delivery-mode toggle.
+  // One stream per (seed, tx radio, frame sequence), consumed only by the
+  // sender's own draws in Medium::transmit. Per-receiver erasures do not
+  // touch it (see link_draw), so the stream layout is the same whoever is
+  // in range.
   return support::Rng(mix(cfg_.seed ^ mix(tx_radio ^ mix(frame_seq))));
+}
+
+double FaultModel::link_draw(std::uint64_t tx_radio, std::uint64_t frame_seq,
+                             std::uint64_t rx_radio) const {
+  // Keyed by the receiver itself, not by its rank in the fanout: adding or
+  // removing a bystander leaves every other link's draw unchanged, and the
+  // grid pipeline and the scan oracle agree without sharing a draw order.
+  const std::uint64_t h =
+      mix(mix(cfg_.seed ^ mix(tx_radio ^ mix(frame_seq))) ^ mix(rx_radio));
+  return static_cast<double>(h >> 11) * 0x1.0p-53;  // top 53 bits
 }
 
 void FaultModel::corrupt(std::vector<std::uint8_t>& wire,

@@ -21,8 +21,11 @@
 //     get exactly one attempt with the full per-receiver loss, as per the
 //     standard.
 //
-// Every draw comes from a dedicated stream that is a pure function of
-// (seed, tx radio, frame sequence), so a lossy run is bit-identical no
+// TX-side draws (collision, corruption, backoff, bit flips) come from a
+// dedicated stream that is a pure function of (seed, tx radio, frame
+// sequence). Each per-link erasure draw is a hash of (seed, tx radio, frame
+// sequence, rx radio), so a receiver's loss pattern does not depend on
+// which other radios were in range, and a lossy run is bit-identical no
 // matter how campaigns are interleaved across threads.
 //
 // Disabled by default: with `Config{}.enabled == false` the medium makes no
@@ -104,10 +107,16 @@ class FaultModel {
   /// TX retry loop instead and use bare per() at the receiver.
   double link_loss(double rx_power_dbm) const;
 
-  /// Dedicated stream for one transmission, a pure function of
+  /// Dedicated TX-side stream for one transmission, a pure function of
   /// (config seed, tx radio id, per-radio frame sequence). Delivery order
   /// and thread scheduling cannot perturb it.
   support::Rng stream(std::uint64_t tx_radio, std::uint64_t frame_seq) const;
+
+  /// Uniform draw in [0, 1) for one link of one transmission, a pure
+  /// function of (config seed, tx radio id, frame sequence, rx radio id).
+  /// The link is erased iff the draw is below its loss probability.
+  double link_draw(std::uint64_t tx_radio, std::uint64_t frame_seq,
+                   std::uint64_t rx_radio) const;
 
   /// Flip 1..max_bit_flips distinct bits of `wire` in place.
   void corrupt(std::vector<std::uint8_t>& wire, support::Rng& rng) const;

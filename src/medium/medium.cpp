@@ -30,7 +30,8 @@ Medium::Medium(EventQueue& events, Config cfg)
 Medium::~Medium() = default;
 
 Radio Medium::attach(Position pos, std::uint8_t channel, double tx_power_dbm,
-                     FrameSink* sink) {
+                     FrameSink* sink,
+                     std::optional<dot11::MacAddress> rx_address) {
   if (slots_.size() >= static_cast<std::size_t>(kNoSlot) - 1) {
     throw std::length_error("Medium: radio id space exhausted");
   }
@@ -45,10 +46,10 @@ Radio Medium::attach(Position pos, std::uint8_t channel, double tx_power_dbm,
   st.channel = channel;
   st.tx_power_dbm = tx_power_dbm;
   st.sink = sink;
+  st.rx_address = rx_address;
+  if (rx_address) addr_insert(addr_key(*rx_address), slot);
   st.tx_busy_until = events_.now();
-  soa_key_.push_back(0);
   link_epoch_.push_back(0);
-  update_soa_key(slot);
   active_slots_.push_back(slot);  // slots increase monotonically: stays sorted
   ++topology_epoch_;
   maybe_grow_pair_cache();
@@ -71,9 +72,10 @@ void Medium::detach(Radio& radio) {
   if (slot != kNoSlot) {
     RadioState& st = slots_[slot];
     grid_erase(st, slot);
+    if (st.rx_address) addr_erase(addr_key(*st.rx_address), slot);
+    st.rx_address.reset();
     st.attached = false;
     st.sink = nullptr;
-    soa_key_[slot] = 0;
     const auto it =
         std::lower_bound(active_slots_.begin(), active_slots_.end(), slot);
     if (it != active_slots_.end() && *it == slot) active_slots_.erase(it);
@@ -84,17 +86,18 @@ void Medium::detach(Radio& radio) {
 
 Medium::RadioSnapshot Medium::export_radio(Radio& radio) {
   const RadioState& st = state(radio.id_);
-  const RadioSnapshot snapshot{st.pos,         st.channel,
-                               st.tx_power_dbm, st.frames_sent,
-                               st.frames_received, st.tx_seq,
-                               st.tx_retries,  st.rx_lost};
+  const RadioSnapshot snapshot{st.pos,           st.channel,
+                               st.tx_power_dbm,  st.rx_address,
+                               st.frames_sent,   st.frames_received,
+                               st.tx_seq,        st.tx_retries,
+                               st.rx_lost};
   detach(radio);
   return snapshot;
 }
 
 Radio Medium::import_radio(const RadioSnapshot& snapshot, FrameSink* sink) {
-  Radio radio =
-      attach(snapshot.pos, snapshot.channel, snapshot.tx_power_dbm, sink);
+  Radio radio = attach(snapshot.pos, snapshot.channel, snapshot.tx_power_dbm,
+                       sink, snapshot.rx_address);
   RadioState& st = state(radio.id_);
   st.frames_sent = snapshot.frames_sent;
   st.frames_received = snapshot.frames_received;
@@ -189,19 +192,15 @@ void Medium::maybe_compact_arena() {
   ++arena_compactions_;
 }
 
-Medium::BucketRef* Medium::find_bucket_in(CellEntry& ce, std::uint16_t part) {
-  for (auto& [p, bid] : ce.parts) {
-    if (p == part) return &buckets_[bid];
-    if (p > part) break;  // directory is sorted by partition key
-  }
-  return nullptr;
-}
-
 Medium::BucketRef* Medium::find_bucket(std::uint64_t cell,
                                        std::uint16_t part) {
   const auto it = cells_.find(cell);
   if (it == cells_.end()) return nullptr;
-  return find_bucket_in(it->second, part);
+  for (auto& [p, bid] : it->second.parts) {
+    if (p == part) return &buckets_[bid];
+    if (p > part) break;  // directory is sorted by partition key
+  }
+  return nullptr;
 }
 
 Medium::BucketRef& Medium::find_or_create_bucket(std::uint64_t cell,
@@ -280,7 +279,7 @@ void Medium::bucket_normalize(BucketRef& b) {
 
 void Medium::grid_insert(std::uint32_t slot, RadioState& st) {
   st.cell = cell_of(st.pos);
-  st.part = soa_key_[slot];
+  st.part = listen_key(st);
   st.in_grid = true;
   BucketRef& b = find_or_create_bucket(st.cell, st.part);
   if (b.size == b.capacity) bucket_grow(b);
@@ -345,20 +344,21 @@ void Medium::grid_erase(RadioState& st, std::uint32_t slot) {
   }
 }
 
-void Medium::update_soa_key(std::uint32_t slot) {
-  const RadioState& st = slots_[slot];
-  const std::uint16_t key = st.attached && st.sink != nullptr
-                                ? static_cast<std::uint16_t>(st.channel) + 1
-                                : 0;
-  const std::uint16_t old = soa_key_[slot];
-  soa_key_[slot] = key;
-  if (!st.in_grid || key == old) return;
+std::uint16_t Medium::listen_key(const RadioState& st) {
+  if (!st.attached || st.sink == nullptr) return 0;
+  return static_cast<std::uint16_t>(
+      (static_cast<std::uint16_t>(st.channel) + 1) << 1 |
+      (st.rx_address ? 0 : 1));
+}
+
+void Medium::refile(std::uint32_t slot) {
+  RadioState& st = slots_[slot];
+  if (!st.in_grid || st.part == listen_key(st)) return;
   // The partition IS the fused key: a key change moves the radio to its new
   // (cell, key) bucket. The erase pays at most one prefix shift; the
   // re-insert is an O(1) churn-tail append.
-  RadioState& mut = slots_[slot];
-  grid_erase(mut, slot);
-  grid_insert(slot, mut);
+  grid_erase(st, slot);
+  grid_insert(slot, st);
 }
 
 Medium::BucketOccupancy Medium::bucket_occupancy() const {
@@ -514,7 +514,7 @@ void Medium::set_channel(RadioId id, std::uint8_t ch) {
     throw std::logic_error("Medium: use of detached radio");
   }
   slots_[slot].channel = ch;
-  update_soa_key(slot);
+  refile(slot);
 }
 
 void Medium::set_sink(RadioId id, FrameSink* sink) {
@@ -523,7 +523,77 @@ void Medium::set_sink(RadioId id, FrameSink* sink) {
     throw std::logic_error("Medium: use of detached radio");
   }
   slots_[slot].sink = sink;
-  update_soa_key(slot);
+  refile(slot);
+}
+
+void Medium::set_rx_address(RadioId id,
+                            std::optional<dot11::MacAddress> addr) {
+  const std::uint32_t slot = slot_of(id);
+  if (slot == kNoSlot) {
+    throw std::logic_error("Medium: use of detached radio");
+  }
+  RadioState& st = slots_[slot];
+  if (st.rx_address == addr) return;
+  if (st.rx_address) addr_erase(addr_key(*st.rx_address), slot);
+  st.rx_address = addr;
+  if (addr) addr_insert(addr_key(*addr), slot);
+  refile(slot);
+}
+
+std::uint64_t Medium::addr_key(const dot11::MacAddress& addr) {
+  std::uint64_t v = 0;
+  for (const std::uint8_t o : addr.octets()) v = v << 8 | o;
+  return v;  // 48 bits: never kNoAddr
+}
+
+std::size_t Medium::addr_home(std::uint64_t key) const {
+  // Same finalizer as the pair cache: MACs that differ only in the low
+  // octets (a vendor's sequential addresses) spread over the table.
+  std::uint64_t h = key;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return static_cast<std::size_t>(h) & (addr_table_.size() - 1);
+}
+
+void Medium::addr_insert(std::uint64_t key, std::uint32_t slot) {
+  if ((addr_count_ + 1) * 2 > addr_table_.size()) {
+    std::vector<AddrEntry> old(
+        std::max<std::size_t>(16, 2 * addr_table_.size()),
+        AddrEntry{kNoAddr, 0});
+    old.swap(addr_table_);
+    addr_count_ = 0;
+    for (const AddrEntry& e : old) {
+      if (e.key != kNoAddr) addr_insert(e.key, e.slot);
+    }
+  }
+  const std::size_t mask = addr_table_.size() - 1;
+  std::size_t i = addr_home(key);
+  while (addr_table_[i].key != kNoAddr) i = (i + 1) & mask;
+  addr_table_[i] = {key, slot};
+  ++addr_count_;
+}
+
+void Medium::addr_erase(std::uint64_t key, std::uint32_t slot) {
+  const std::size_t mask = addr_table_.size() - 1;
+  std::size_t hole = addr_home(key);
+  while (addr_table_[hole].key != key || addr_table_[hole].slot != slot) {
+    if (addr_table_[hole].key == kNoAddr) return;  // not registered
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: an entry later in the probe run moves into the
+  // hole unless its home lies cyclically in (hole, j] — then the hole would
+  // cut it off from its home.
+  for (std::size_t j = (hole + 1) & mask; addr_table_[j].key != kNoAddr;
+       j = (j + 1) & mask) {
+    const std::size_t home = addr_home(addr_table_[j].key);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      addr_table_[hole] = addr_table_[j];
+      hole = j;
+    }
+  }
+  addr_table_[hole].key = kNoAddr;
+  --addr_count_;
 }
 
 Medium::Transmission& Medium::acquire_txn() {
@@ -548,7 +618,7 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
   t.channel = st.channel;
   t.erased = false;
   t.frame_ok = false;
-  t.fault_rng.reset();
+  t.lossy = false;
 
   // Round-trip through the wire format once, at transmit time: every
   // receiver shares the parsed result instead of deliver() re-parsing the
@@ -565,19 +635,21 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
                    obs::Event::kTransmit, from, bytes);
   }
 
-  // Fault injection. The stream is a pure function of (seed, radio, frame
-  // sequence), so the draws below cannot be perturbed by anything else in
-  // the simulation. A failed attempt of a *unicast* management frame — an
-  // ambient collision at the addressed receiver (no ACK comes back) or an
-  // interference burst corrupting the attempt — is retransmitted up to
-  // retry_limit times, each retry paying a contention backoff (scaled like
-  // airtime by the contention factor) plus the frame's airtime again: the
-  // link layer repairs loss by spending the 40-response scan budget.
-  // Broadcasts are unacknowledged and get exactly one attempt, eating the
-  // full per-receiver loss in deliver().
+  // Fault injection. The TX-side stream is a pure function of (seed, radio,
+  // frame sequence), so the draws below cannot be perturbed by anything
+  // else in the simulation; deliver() keys each link's erasure draw by the
+  // same (radio, sequence) plus the receiver. A failed attempt of a
+  // *unicast* management frame — an ambient collision at the addressed
+  // receiver (no ACK comes back) or an interference burst corrupting the
+  // attempt — is retransmitted up to retry_limit times, each retry paying a
+  // contention backoff (scaled like airtime by the contention factor) plus
+  // the frame's airtime again: the link layer repairs loss by spending the
+  // 40-response scan budget. Broadcasts are unacknowledged and get exactly
+  // one attempt, eating the full per-receiver loss in deliver().
   if (fault_.enabled()) {
-    t.fault_rng = fault_.stream(from, st.tx_seq++);
-    support::Rng& rng = *t.fault_rng;
+    t.lossy = true;
+    t.fault_seq = st.tx_seq++;
+    support::Rng rng = fault_.stream(from, t.fault_seq);
     const bool unicast = !frame.header.addr1.is_multicast();
     // Per attempt: collision at the receiver, then a corruption burst.
     // Both are drawn every attempt so the stream layout is fixed.
@@ -656,17 +728,15 @@ void Medium::finish_transmission(Transmission& t) {
     }
     return;
   }
-  deliver(t.from, t.frame, t.channel, t.tx_pos, t.tx_dbm,
-          t.fault_rng ? &*t.fault_rng : nullptr);
+  deliver(t);
 }
 
-void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
-                             std::uint8_t channel, Position tx_pos,
-                             double tx_power_dbm, support::Rng* fault_rng) {
+void Medium::deliver_batched(const Transmission& t) {
   // Survivors are snapshotted into scratch before any sink runs: a sink
-  // callback may attach/detach radios or move them, mutating the buckets
-  // under us. The member scratch is reused across calls; reentrant delivery
-  // (a sink pumping the event queue) falls back to a local.
+  // callback may attach/detach radios, move them or change their receive
+  // address, mutating the indexes under us. The member scratch is reused
+  // across calls; reentrant delivery (a sink pumping the event queue) falls
+  // back to a local.
   std::vector<Survivor> local;
   std::vector<Survivor>& cand =
       deliver_depth_ == 0 ? survivor_scratch_ : local;
@@ -677,25 +747,41 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
     ~DepthGuard() { --depth; }
   } guard{deliver_depth_};
 
+  const RadioId from = t.from;
+  const Position tx_pos = t.tx_pos;
+  const double tx_power_dbm = t.tx_dbm;
   const RangeEntry re = range_for(tx_power_dbm);
   const std::uint32_t self = static_cast<std::uint32_t>(from - 1);
-  const std::uint16_t want = static_cast<std::uint16_t>(
-      static_cast<std::uint16_t>(channel) + 1);
+  const dot11::MacAddress& to = t.frame.header.addr1;
+  const bool group = to.is_multicast();
+  // Listener partitions of the channel: addressed radios, then monitors.
+  const std::uint16_t addressed = static_cast<std::uint16_t>(
+      (static_cast<std::uint16_t>(t.channel) + 1) << 1);
+  const std::uint16_t monitor = addressed | 1;
 
-  // Probe the (cell, want-key) bucket of every cell the range box overlaps:
-  // radios on other channels (and non-listeners, parked in partition 0)
-  // never cost a cache line. Each bucket is normalized to ascending slot
-  // order (merging any churn tail) and filtered right away in the
-  // squared-distance domain — no sqrt/log10 for radios that turn out to be
-  // out of range — so its survivors form one sorted run. The range box
-  // spans at most 3x3 cells, hence at most 9 runs.
+  // Probe the channel's listener buckets of every cell the range box
+  // overlaps — both partitions for a group-addressed frame, monitors only
+  // for a unicast one: radios on other channels, non-listeners (partition
+  // 0) and unicast bystanders never cost a cache line. Each bucket is
+  // normalized to ascending slot order (merging any churn tail) and
+  // filtered right away in the squared-distance domain — no sqrt/log10 for
+  // radios that turn out to be out of range — so its survivors form one
+  // sorted run. The range box spans at most 3x3 cells, two partitions
+  // each, and a unicast frame adds the addressee run: at most 19 runs.
   struct Run {
     std::uint32_t begin;
     std::uint32_t end;
   };
-  Run runs[9];
+  constexpr int kMaxRuns = 19;
+  Run runs[kMaxRuns];
   int nruns = 0;
   std::size_t loaded = 0;
+  const auto close_run = [&](std::size_t begin) {
+    if (cand.size() > begin) {
+      runs[nruns++] = {static_cast<std::uint32_t>(begin),
+                       static_cast<std::uint32_t>(cand.size())};
+    }
+  };
   const std::int64_t cx0 = cell_coord(tx_pos.x - re.box_r);
   const std::int64_t cx1 = cell_coord(tx_pos.x + re.box_r);
   const std::int64_t cy0 = cell_coord(tx_pos.y - re.box_r);
@@ -704,45 +790,77 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
     for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
       const auto cell = cells_.find(cell_key(cx, cy));
       if (cell == cells_.end()) continue;
-      BucketRef* b = find_bucket_in(cell->second, want);
-      if (b == nullptr || b->size == 0) continue;
-      bucket_normalize(*b);
-      loaded += b->size;
-      const std::uint32_t* slots = arena_slots_.data() + b->offset;
-      const double* xs = arena_xs_.data() + b->offset;
-      const double* ys = arena_ys_.data() + b->offset;
-      const std::size_t begin = cand.size();
-      for (std::uint32_t k = 0; k < b->size; ++k) {
-        if (slots[k] == self) continue;
-        const double dx = xs[k] - tx_pos.x;
-        const double dy = ys[k] - tx_pos.y;
-        const double dist_sq = dx * dx + dy * dy;
-        if (!(dist_sq <= re.range_sq)) continue;  // NaN-rejecting
-        cand.push_back({slots[k], dist_sq, xs[k], ys[k]});
-      }
-      if (cand.size() > begin) {
-        runs[nruns++] = {static_cast<std::uint32_t>(begin),
-                         static_cast<std::uint32_t>(cand.size())};
+      for (const auto& [part, bid] : cell->second.parts) {
+        if (part > monitor) break;  // directory is sorted by partition key
+        if (part != monitor && !(group && part == addressed)) continue;
+        BucketRef& b = buckets_[bid];
+        if (b.size == 0) continue;
+        bucket_normalize(b);
+        loaded += b.size;
+        const std::uint32_t* slots = arena_slots_.data() + b.offset;
+        const double* xs = arena_xs_.data() + b.offset;
+        const double* ys = arena_ys_.data() + b.offset;
+        const std::size_t begin = cand.size();
+        for (std::uint32_t k = 0; k < b.size; ++k) {
+          if (slots[k] == self) continue;
+          const double dx = xs[k] - tx_pos.x;
+          const double dy = ys[k] - tx_pos.y;
+          const double dist_sq = dx * dx + dy * dy;
+          if (!(dist_sq <= re.range_sq)) continue;  // NaN-rejecting
+          cand.push_back({slots[k], dist_sq, xs[k], ys[k]});
+        }
+        close_run(begin);
       }
     }
+  }
+
+  // Unicast: the radios registered under addr1, through the same self,
+  // channel, sink and d² checks their bucket would have applied.
+  if (!group) {
+    ++fanout_stats_.unicast;
+    const std::size_t begin = cand.size();
+    if (!addr_table_.empty()) {
+      const std::uint64_t key = addr_key(to);
+      const std::size_t mask = addr_table_.size() - 1;
+      for (std::size_t i = addr_home(key); addr_table_[i].key != kNoAddr;
+           i = (i + 1) & mask) {
+        if (addr_table_[i].key != key) continue;
+        ++loaded;
+        const std::uint32_t slot = addr_table_[i].slot;
+        const RadioState& st = slots_[slot];
+        if (slot == self || st.channel != t.channel || st.sink == nullptr) {
+          continue;
+        }
+        const double dx = st.pos.x - tx_pos.x;
+        const double dy = st.pos.y - tx_pos.y;
+        const double dist_sq = dx * dx + dy * dy;
+        if (!(dist_sq <= re.range_sq)) continue;
+        cand.push_back({slot, dist_sq, st.pos.x, st.pos.y});
+      }
+    }
+    // Probe order is table order; a shared address may list several slots.
+    std::sort(cand.begin() + static_cast<std::ptrdiff_t>(begin), cand.end(),
+              [](const Survivor& a, const Survivor& b) {
+                return a.slot < b.slot;
+              });
+    if (cand.size() == begin) ++fanout_stats_.unicast_unheard;
+    close_run(begin);
   }
   ++fanout_stats_.fanouts;
   fanout_stats_.candidates_loaded += loaded;
 
   // Merge by repeated min-pick over the sorted runs: survivors come out in
-  // global slot order == radio-id order, so the fanout (and with it the
-  // fault-stream draw order) is bit-identical to the legacy id-ordered
-  // scan. Run heads live in flat arrays the min-scan reads without
-  // indirection; an exhausted run parks at kNoSlot, which no live slot can
-  // beat, so the scan needs no emptiness branches.
-  std::uint32_t run_cur[9];
-  std::uint32_t head_slot[9];
+  // global slot order == radio-id order, so sinks run in the same order as
+  // the legacy id-ordered scan. Run heads live in flat arrays the min-scan
+  // reads without indirection; an exhausted run parks at kNoSlot, which no
+  // live slot can beat, so the scan needs no emptiness branches.
+  std::uint32_t run_cur[kMaxRuns];
+  std::uint32_t head_slot[kMaxRuns];
   for (int i = 0; i < nruns; ++i) {
     run_cur[i] = runs[i].begin;
     head_slot[i] = cand[run_cur[i]].slot;
   }
 
-  const bool multicast = frame.header.addr1.is_multicast();
   while (nruns > 0) {
     int best = 0;
     for (int i = 1; i < nruns; ++i) {
@@ -755,26 +873,27 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
                           : kNoSlot;
     RadioState& st = slots_[c.slot];
     // A sink callback from an earlier candidate may have detached this
-    // radio (or cleared its sink) mid-fanout; skip before any fault draw is
-    // consumed, exactly as the legacy scan does.
+    // radio (or cleared its sink) mid-fanout; skip it, exactly as the
+    // legacy scan does.
     if (!st.attached || st.sink == nullptr) continue;
+    const RadioId rx_id = static_cast<RadioId>(c.slot) + 1;
     const Position rx_pos{c.x, c.y};  // frozen at gather time
     double rx_dbm;
-    if (fault_rng != nullptr) {
+    if (t.lossy) {
       // The erasure draw below must see bit-identical RX power to the
       // legacy scan, so lossy runs always take the exact hypot + log10
       // road; survivors then reuse the same value as their RSSI.
       rx_dbm =
           propagation_.rx_power_dbm(tx_power_dbm, distance(tx_pos, rx_pos));
-      if (fault_rng->chance(multicast ? fault_.link_loss(rx_dbm)
-                                      : fault_.per(rx_dbm))) {
+      const double loss =
+          group ? fault_.link_loss(rx_dbm) : fault_.per(rx_dbm);
+      if (fault_.link_draw(from, t.fault_seq, rx_id) < loss) {
         ++st.rx_lost;
         ++frames_lost_;
         ++drops_.erasure;
         if (trace_ != nullptr) {
           trace_->record(events_.now(), obs::Category::kFault,
-                         obs::Event::kDropErasure,
-                         static_cast<RadioId>(c.slot) + 1, from);
+                         obs::Event::kDropErasure, rx_id, from);
         }
         continue;
       }
@@ -787,23 +906,20 @@ void Medium::deliver_batched(RadioId from, const dot11::Frame& frame,
     RxInfo info;
     info.rssi_dbm = rx_dbm;
     info.time = events_.now();
-    info.channel = channel;
+    info.channel = t.channel;
     ++st.frames_received;
     ++deliveries_;
     if (trace_ != nullptr) {
       trace_->record(events_.now(), obs::Category::kMedium,
-                     obs::Event::kDeliver, static_cast<RadioId>(c.slot) + 1,
-                     from);
+                     obs::Event::kDeliver, rx_id, from);
     }
-    st.sink->on_frame(frame, info);
+    st.sink->on_frame(t.frame, info);
   }
 }
 
-void Medium::deliver(RadioId from, const dot11::Frame& frame,
-                     std::uint8_t channel, Position tx_pos,
-                     double tx_power_dbm, support::Rng* fault_rng) {
+void Medium::deliver(const Transmission& t) {
   if (cfg_.spatial_grid && !cells_.empty()) {
-    deliver_batched(from, frame, channel, tx_pos, tx_power_dbm, fault_rng);
+    deliver_batched(t);
     return;
   }
 
@@ -822,12 +938,19 @@ void Medium::deliver(RadioId from, const dot11::Frame& frame,
     ~DepthGuard() { --depth; }
   } guard{deliver_depth_};
 
+  // The address filter applies here, at gather time, like the grid's: a
+  // unicast frame skips every addressed radio whose address is not addr1.
+  const dot11::MacAddress& to = t.frame.header.addr1;
+  const bool group = to.is_multicast();
   targets.reserve(active_slots_.size());
   for (const std::uint32_t slot : active_slots_) {
     const RadioState& st = slots_[slot];
     const RadioId id = static_cast<RadioId>(slot) + 1;
-    if (id == from || st.channel != channel || st.sink == nullptr) continue;
-    targets.push_back({id, slot, distance(tx_pos, st.pos)});
+    if (id == t.from || st.channel != t.channel || st.sink == nullptr) {
+      continue;
+    }
+    if (!group && st.rx_address && *st.rx_address != to) continue;
+    targets.push_back({id, slot, distance(t.tx_pos, st.pos)});
   }
 
   // Candidate slots stay valid until the topology changes; only after a
@@ -845,39 +968,38 @@ void Medium::deliver(RadioId from, const dot11::Frame& frame,
     auto& st = slots_[slot];
     if (st.sink == nullptr) continue;  // sink revoked by an earlier callback
     const double d = c.d;
-    if (!propagation_.deliverable(tx_power_dbm, d)) continue;
-    const double rx_dbm = propagation_.rx_power_dbm(tx_power_dbm, d);
-    if (fault_rng != nullptr &&
-        fault_rng->chance(frame.header.addr1.is_multicast()
-                              ? fault_.link_loss(rx_dbm)
-                              : fault_.per(rx_dbm))) {
+    if (!propagation_.deliverable(t.tx_dbm, d)) continue;
+    const double rx_dbm = propagation_.rx_power_dbm(t.tx_dbm, d);
+    if (t.lossy &&
+        fault_.link_draw(t.from, t.fault_seq, c.id) <
+            (group ? fault_.link_loss(rx_dbm) : fault_.per(rx_dbm))) {
       // Erased on this link. Broadcasts eat the full loss (SNR-derived PER
       // plus the ambient collision floor); unicast frames already paid the
       // ambient floor in the ACK-driven retry loop at TX, so only the
       // edge-of-range SNR loss — which no retransmission repairs — applies
-      // here. Draws consume from the transmission's own stream in sorted
-      // receiver order, keeping lossy runs bit-identical.
+      // here. The draw is keyed by (transmission, receiver), so it is the
+      // same whichever other radios are in range.
       ++st.rx_lost;
       ++frames_lost_;
       ++drops_.erasure;
       if (trace_ != nullptr) {
         trace_->record(events_.now(), obs::Category::kFault,
-                       obs::Event::kDropErasure, c.id, from);
+                       obs::Event::kDropErasure, c.id, t.from);
       }
       continue;
     }
     RxInfo info;
     info.rssi_dbm = rx_dbm;
     info.time = events_.now();
-    info.channel = channel;
+    info.channel = t.channel;
     ++st.frames_received;
     ++deliveries_;
     if (trace_ != nullptr) {
       trace_->record(events_.now(), obs::Category::kMedium,
-                     obs::Event::kDeliver, c.id, from);
+                     obs::Event::kDeliver, c.id, t.from);
     }
     FrameSink* sink = st.sink;
-    sink->on_frame(frame, info);
+    sink->on_frame(t.frame, info);
   }
 }
 
@@ -890,6 +1012,9 @@ void Radio::set_channel(std::uint8_t ch) { medium_->set_channel(id_, ch); }
 double Radio::tx_power_dbm() const { return medium_->state(id_).tx_power_dbm; }
 void Radio::set_tx_power_dbm(double dbm) { medium_->set_tx_power(id_, dbm); }
 void Radio::set_sink(FrameSink* sink) { medium_->set_sink(id_, sink); }
+void Radio::set_rx_address(std::optional<dot11::MacAddress> addr) {
+  medium_->set_rx_address(id_, addr);
+}
 
 void Radio::transmit(const dot11::Frame& frame) {
   medium_->transmit(id_, frame);

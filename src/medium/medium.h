@@ -7,41 +7,53 @@
 //
 // Delivery fanout has one pipeline and one test oracle (DESIGN.md §5d–§5g).
 //
+// Who hears a frame. A radio either registers a receive address
+// (Radio::set_rx_address) or is a monitor (the default). Group-addressed
+// frames reach every listener in range on the channel. A unicast frame
+// reaches only the radios registered under its addr1, plus monitors in
+// range: bystanders are never enumerated, as a NIC's address filter drops
+// them before the host sees them.
+//
 // The pipeline (default) culls receivers with a uniform spatial grid: the
 // cell size tracks the maximum deliverable range of the strongest attached
 // transmitter, so a transmission probes at most the 3x3 cells its own range
-// box overlaps. Each cell keeps one bucket per fused listening key
-// (channel + 1 for radios with a sink, 0 for radios that cannot receive), so
-// the probe streams only radios that can hear the transmission's channel.
+// box overlaps. Each cell keeps one bucket per fused listening key:
+// ((channel + 1) << 1 | monitor) for radios with a sink, 0 for radios that
+// cannot receive. A group-addressed frame probes both listener partitions
+// of its channel per cell; a unicast frame probes only the monitor
+// partition and finds its addressees through a MAC → slot index, whose
+// hits pass the same self/channel/sink/d² checks as one more run.
 // Slots are issued monotonically and never recycled (slot ≡ id − 1), so slot
 // order IS radio-id order: buckets keep their slots sorted, each probed
 // bucket is filtered in the squared-distance domain against a per-tx-power
-// range² into one ascending run of survivors, and a ≤9-way merge walks the
+// range² into one ascending run of survivors, and a ≤19-way merge walks the
 // runs in global id order. There is no per-frame sort, sqrt/log10 never run
-// for radios that turn out to be out of range, and the fanout order (and
-// with it the fault-stream draw order) is bit-identical to the oracle's.
-// Survivor RX power comes from an epoch-invalidated per-(tx, rx) slot-pair
-// cache — static AP↔AP beacon fanout is transcendental-free — and, on a
-// miss, from a monotone piecewise-linear path-loss LUT over d² (error ≪
-// RSSI quantization). Lossy runs always use exact log-distance math: the
-// erasure draw must see bit-identical RX power.
+// for radios that turn out to be out of range, and the fanout order is
+// bit-identical to the oracle's. Survivor RX power comes from an
+// epoch-invalidated per-(tx, rx) slot-pair cache — static AP↔AP beacon
+// fanout is transcendental-free — and, on a miss, from a monotone
+// piecewise-linear path-loss LUT over d² (error ≪ RSSI quantization). Lossy
+// runs always use exact log-distance math: the erasure draw, keyed by
+// (transmission, receiver), must see bit-identical RX power.
 //
 // Bucket storage (slot, x, y) lives in one compacted slab arena of parallel
 // arrays instead of per-cell heap vectors, so a probe's candidate stream is
-// contiguous lines. Churn (attach/detach/set_position/set_channel/set_sink)
-// migrates radios between buckets incrementally: out-of-order arrivals
-// append to a per-bucket unsorted tail that is merged into the sorted prefix
-// lazily, at the bucket's next probe — an attach storm into one cell is
-// amortized O(1) per radio.
+// contiguous lines. Churn (attach/detach/set_position/set_channel/set_sink/
+// set_rx_address) migrates radios between buckets incrementally:
+// out-of-order arrivals append to a per-bucket unsorted tail that is merged
+// into the sorted prefix lazily, at the bucket's next probe — an attach
+// storm into one cell is amortized O(1) per radio.
 //
 // The oracle (Config::spatial_grid = false) scans every attached radio in id
-// order with exact math per candidate. Tests hold the pipeline to it byte
-// for byte, under churn, faults and mid-fanout topology changes.
+// order with exact math per candidate, applying the same address filter.
+// Tests hold the pipeline to it byte for byte, under churn, faults, address
+// changes and mid-fanout topology changes.
 //
 // Hot-path storage: radio state lives in a dense slab indexed by slot, and
 // each in-flight transmission borrows a pooled object that owns the wire
-// buffer, the decoded frame every receiver shares, and the fault RNG. At
-// steady state a transmit→deliver round trip performs no heap allocation.
+// buffer and the decoded frame every receiver shares. The address index is
+// an open-addressed table that only grows. At steady state a
+// transmit→deliver round trip performs no heap allocation.
 #pragma once
 
 #include <cstdint>
@@ -100,9 +112,13 @@ class Medium {
   Medium(EventQueue& events, Config cfg);
   ~Medium();
 
-  /// Create a radio at `pos` on `channel` with `tx_power_dbm`.
+  /// Create a radio at `pos` on `channel` with `tx_power_dbm`, receiving
+  /// through `sink` under `rx_address` (see Radio::set_rx_address; nullopt
+  /// = monitor). Registering the address here files the radio straight
+  /// into its listener partition.
   Radio attach(Position pos, std::uint8_t channel, double tx_power_dbm,
-               FrameSink* sink = nullptr);
+               FrameSink* sink = nullptr,
+               std::optional<dot11::MacAddress> rx_address = std::nullopt);
 
   /// Remove a radio; its handle becomes invalid and queued frames are
   /// dropped.
@@ -117,6 +133,7 @@ class Medium {
     Position pos;
     std::uint8_t channel = 1;
     double tx_power_dbm = 0.0;
+    std::optional<dot11::MacAddress> rx_address;  // nullopt = monitor
     std::uint64_t frames_sent = 0;
     std::uint64_t frames_received = 0;
     std::uint64_t tx_seq = 0;
@@ -131,9 +148,9 @@ class Medium {
   /// stale pair-cache entries and bucket slots die with the local id.
   RadioSnapshot export_radio(Radio& radio);
 
-  /// Attach a radio from another Medium's snapshot, restoring its counters
-  /// and fault-stream sequence so the radio's observable behaviour
-  /// continues exactly where the exporting shard left off.
+  /// Attach a radio from another Medium's snapshot, restoring its receive
+  /// address, counters and fault-stream sequence so the radio's observable
+  /// behaviour continues exactly where the exporting shard left off.
   Radio import_radio(const RadioSnapshot& snapshot,
                      FrameSink* sink = nullptr);
 
@@ -147,7 +164,8 @@ class Medium {
   /// anything larger) resolve to false rather than indexing out of bounds.
   bool has_radio(RadioId id) const { return slot_of(id) != kNoSlot; }
 
-  /// Total frames ever delivered (for tests/benches).
+  /// Total frames ever handed to a sink (for tests/benches). Bystanders a
+  /// unicast frame never reached are not enumerated, so not counted.
   std::uint64_t deliveries() const { return deliveries_; }
   std::uint64_t transmissions() const { return transmissions_; }
   /// Fault-injection totals: per-receiver erasures, transmissions whose
@@ -163,11 +181,17 @@ class Medium {
     return pathloss_cache_misses_;
   }
 
-  /// Grid-pipeline work counters: fanouts run, and bucket entries their
-  /// 3x3 probes streamed through the range filter.
+  /// Grid-pipeline work counters: fanouts run, candidates streamed through
+  /// the range filter (bucket entries of the 3x3 probes plus address-index
+  /// hits), unicast fanouts, and unicast fanouts no registered addressee
+  /// heard — addr1 registered by no radio, or each registered radio off
+  /// channel, sinkless or out of range. Monitors may still have heard
+  /// those.
   struct FanoutStats {
     std::uint64_t fanouts = 0;
     std::uint64_t candidates_loaded = 0;
+    std::uint64_t unicast = 0;
+    std::uint64_t unicast_unheard = 0;
   };
   const FanoutStats& fanout_stats() const { return fanout_stats_; }
 
@@ -245,6 +269,7 @@ class Medium {
     bool attached = true;           // false once detached; slots never recycle
     double tx_power_dbm = 0.0;
     FrameSink* sink = nullptr;
+    std::optional<dot11::MacAddress> rx_address;  // nullopt = monitor
     SimTime tx_busy_until;
     std::uint64_t queue_epoch = 0;  // bumped by clear_tx_queue()
     std::size_t tx_backlog = 0;
@@ -255,17 +280,17 @@ class Medium {
     std::uint64_t rx_lost = 0;      // frames erased on the way to this radio
     std::uint64_t cell = 0;         // current grid cell key (valid iff in_grid)
     /// Partition key the radio is filed under within its cell (valid iff
-    /// in_grid): its fused listening key when it was filed. Lets
-    /// erase/migrate find the bucket after the key has already changed.
+    /// in_grid): its listen_key() when it was filed. Lets erase/migrate find
+    /// the bucket after the key has already changed.
     std::uint16_t part = 0;
     // Explicit membership flag: every 64-bit key is a legal cell (the cell
     // at (-1,-1) packs to all ones), so no in-band sentinel exists.
     bool in_grid = false;
   };
 
-  /// An in-flight transmission. Pooled: the wire buffer, the decoded frame
-  /// every receiver shares, and the fault RNG keep their storage across
-  /// transmissions, and the delivery closure captures only {this, txn}.
+  /// An in-flight transmission. Pooled: the wire buffer and the decoded
+  /// frame every receiver shares keep their storage across transmissions,
+  /// and the delivery closure captures only {this, txn}.
   struct Transmission {
     RadioId from = 0;
     std::uint64_t epoch = 0;       // sender's queue_epoch at transmit time
@@ -274,9 +299,10 @@ class Medium {
     std::uint8_t channel = 1;
     bool erased = false;           // collided away after the retry budget
     bool frame_ok = false;         // wire bytes decoded (FCS intact)
+    bool lossy = false;            // fault model on: draw per-link erasures
+    std::uint64_t fault_seq = 0;   // sender's tx_seq: keys the link draws
     std::vector<std::uint8_t> wire;
     dot11::Frame frame;            // valid iff frame_ok
-    std::optional<support::Rng> fault_rng;
   };
 
   /// A reference-path fanout candidate: id for identity (stable forever),
@@ -357,19 +383,16 @@ class Medium {
   /// Completion of a scheduled transmission: backlog/epoch bookkeeping, then
   /// delivery fanout (unless the frame was erased or failed its FCS).
   void finish_transmission(Transmission& t);
-  /// `fault_rng` is the transmission's dedicated fault stream (nullptr when
-  /// fault injection is off); per-receiver erasure draws consume from it in
-  /// id-sorted fanout order (which the grid pipeline reproduces as slot
-  /// order), so delivery stays deterministic.
-  void deliver(RadioId from, const dot11::Frame& frame, std::uint8_t channel,
-               Position tx_pos, double tx_power_dbm,
-               support::Rng* fault_rng = nullptr);
-  /// Grid pipeline: probe the channel's buckets in the ≤3x3 cells around
-  /// the transmitter, filter each into a sorted survivor run, merge the runs
-  /// in slot order, cached/LUT RX power for survivors.
-  void deliver_batched(RadioId from, const dot11::Frame& frame,
-                       std::uint8_t channel, Position tx_pos,
-                       double tx_power_dbm, support::Rng* fault_rng);
+  /// Fan `t` out to its receivers in id order. On a lossy transmission each
+  /// receiver's erasure draw is keyed by (sender, fault_seq, receiver id),
+  /// so it does not depend on which other radios were in range.
+  void deliver(const Transmission& t);
+  /// Grid pipeline: probe the channel's listener buckets in the ≤3x3 cells
+  /// around the transmitter (both partitions for group-addressed frames,
+  /// monitors only for unicast, plus the addressee run from the address
+  /// index), filter each into a sorted survivor run, merge the runs in slot
+  /// order, cached/LUT RX power for survivors.
+  void deliver_batched(const Transmission& t);
 
   Transmission& acquire_txn();
 
@@ -381,13 +404,32 @@ class Medium {
   void set_tx_power(RadioId id, double dbm);
   void set_channel(RadioId id, std::uint8_t ch);
   void set_sink(RadioId id, FrameSink* sink);
+  void set_rx_address(RadioId id, std::optional<dot11::MacAddress> addr);
 
-  /// Refresh the radio's fused listening key: 0 when it cannot receive
-  /// (detached or no sink), channel + 1 otherwise. The key is the radio's
-  /// bucket partition, so one probe of the transmission's key covers the
-  /// attached/sink/channel filters at once. While the radio is in the grid,
-  /// a key change migrates it to its new (cell, key) bucket.
-  void update_soa_key(std::uint32_t slot);
+  /// The radio's fused listening key: 0 when it cannot receive (detached
+  /// or no sink), ((channel + 1) << 1 | monitor) otherwise. The key is the
+  /// radio's bucket partition, so one probe covers the attached/sink/channel
+  /// filters and the monitor/addressed split at once.
+  static std::uint16_t listen_key(const RadioState& st);
+  /// After a change to the radio's listening key (attach/detach, channel,
+  /// sink, receive address): while the radio is in the grid, migrate it to
+  /// its new (cell, key) bucket.
+  void refile(std::uint32_t slot);
+
+  /// --- Address index: receive address → slots registered under it. ---
+  /// Open addressing with linear probing over 48-bit keys packed into a
+  /// u64; one entry per registered radio, so an address shared by several
+  /// radios has several entries. Erase shifts the probe run back (no
+  /// tombstones), and the table only ever grows.
+  struct AddrEntry {
+    std::uint64_t key;
+    std::uint32_t slot;
+  };
+  static constexpr std::uint64_t kNoAddr = ~std::uint64_t{0};
+  static std::uint64_t addr_key(const dot11::MacAddress& addr);
+  std::size_t addr_home(std::uint64_t key) const;
+  void addr_insert(std::uint64_t key, std::uint32_t slot);
+  void addr_erase(std::uint64_t key, std::uint32_t slot);
 
   /// Memoized per-TX-power range data (venues use a handful of power
   /// classes): the cull-box radius (exactly the legacy max_range) and the
@@ -446,7 +488,6 @@ class Medium {
   void maybe_compact_arena();
   /// The cell's bucket for `part`, nullptr when absent.
   BucketRef* find_bucket(std::uint64_t cell, std::uint16_t part);
-  BucketRef* find_bucket_in(CellEntry& ce, std::uint16_t part);
   /// Find-or-create, registering a fresh bucket in the cell's partition
   /// directory (bucket ids are recycled via free_buckets_).
   BucketRef& find_or_create_bucket(std::uint64_t cell, std::uint16_t part);
@@ -476,9 +517,9 @@ class Medium {
   /// callback.
   std::uint64_t topology_epoch_ = 0;
 
-  /// Per-slot fused listening key (see update_soa_key), kept in sync by
-  /// attach/detach/set_channel/set_sink.
-  std::vector<std::uint16_t> soa_key_;
+  /// Address index table (see AddrEntry): power-of-two size, load ≤ 1/2.
+  std::vector<AddrEntry> addr_table_;
+  std::size_t addr_count_ = 0;
   /// Per-slot link epoch for the pair cache: bumped on set_position (power
   /// changes are caught by the entry's stored tx_dbm).
   std::vector<std::uint32_t> link_epoch_;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "dot11/frame.h"
 #include "medium/geometry.h"
@@ -18,9 +19,12 @@ struct RxInfo {
   std::uint8_t channel = 1;
 };
 
-/// Receiver callback. The medium delivers *every* decodable frame on the
-/// radio's channel (monitor-mode semantics); non-promiscuous consumers filter
-/// on addr1 themselves, exactly as a NIC would.
+/// Receiver callback. What reaches it depends on the radio's receive address
+/// (Radio::set_rx_address). A monitor (no address, the default) gets every
+/// decodable frame on its channel. An addressed radio gets group-addressed
+/// frames and the unicast frames whose addr1 is its address, as a NIC's
+/// address filter would pass them. Sinks still check addr1 themselves:
+/// group-addressed frames reach every listener.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
@@ -36,9 +40,9 @@ class Medium;
 ///
 /// Radio ids are issued monotonically and never reused; the Medium's slot
 /// table keys off id − 1 forever. Setters that affect delivery eligibility
-/// (set_channel / set_sink / set_position) are routed through the Medium so
-/// its flat SoA mirror — which the batched fanout reads instead of the
-/// per-radio state — stays in sync.
+/// (set_channel / set_sink / set_position / set_rx_address) are routed
+/// through the Medium so its spatial index and address index — which the
+/// batched fanout reads instead of the per-radio state — stay in sync.
 class Radio {
  public:
   Radio() = default;
@@ -53,6 +57,12 @@ class Radio {
   double tx_power_dbm() const;
   void set_tx_power_dbm(double dbm);
   void set_sink(FrameSink* sink);
+  /// Receive address for unicast frames: with one set, a unicast frame
+  /// reaches this radio only when its addr1 matches. nullopt (the default)
+  /// makes the radio a monitor that hears all traffic on its channel.
+  /// Several radios may share an address; each of them receives. set_sink
+  /// leaves the address alone.
+  void set_rx_address(std::optional<dot11::MacAddress> addr);
 
   /// Enqueue a frame for transmission. Transmissions from one radio are
   /// serialized: each occupies the air for its airtime (scaled by the

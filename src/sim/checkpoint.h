@@ -61,7 +61,10 @@ struct CompletedRun {
 struct CampaignCheckpoint {
   /// 2: the config hash covers the resolved medium and attacker configs.
   /// A version-1 file fails as kBadVersion, not as a foreign campaign.
-  static constexpr std::uint32_t kFormatVersion = 2;
+  /// 3: unicast frames reach only their addressee and monitors, and lossy
+  /// draws are keyed per link, so version-2 runs hold other delivery counts
+  /// and loss patterns for the same config hash; they fail as kBadVersion.
+  static constexpr std::uint32_t kFormatVersion = 3;
 
   /// campaign_config_hash() of the (world, runs) the checkpoint belongs to.
   std::uint64_t config_hash = 0;

@@ -449,6 +449,8 @@ RunOutput run_campaign(const World& world, const RunConfig& cfg,
     // candidates_per_delivery sums this counter.
     m.add(m.counter("medium.fanout_scalar_candidates"),
           fanout.candidates_loaded);
+    m.add(m.counter("medium.unicast_fanouts"), fanout.unicast);
+    m.add(m.counter("medium.unicast_unheard"), fanout.unicast_unheard);
     // End-of-run occupancy histogram of the live spatial index (the
     // histogram is order-insensitive, so the cell-map traversal order
     // doesn't matter).

@@ -196,7 +196,9 @@ struct RunOutput {
   std::size_t db_from_direct = 0;
   std::uint64_t deauths_sent = 0;
   /// Medium traffic totals for the run (throughput bookkeeping in
-  /// bench/wallclock).
+  /// bench/wallclock). frames_delivered counts frames handed to a sink:
+  /// group-addressed frames to every listener in range, unicast frames to
+  /// their addressee and to monitors only.
   std::uint64_t frames_transmitted = 0;
   std::uint64_t frames_delivered = 0;
   /// Channel-side counters incl. fault-injection losses/retries (zeros on a

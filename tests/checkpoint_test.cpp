@@ -163,9 +163,18 @@ TEST(Checkpoint, BitFlipIsCrcMismatch) {
 }
 
 TEST(Checkpoint, WrongVersionIsItsOwnError) {
-  std::string bytes = sim::encode_checkpoint(tiny_checkpoint());
-  bytes[4] = static_cast<char>(sim::CampaignCheckpoint::kFormatVersion + 1);
-  EXPECT_EQ(decode_kind(bytes), sim::CheckpointErrorKind::kBadVersion);
+  // A future version, and version 2: its runs were simulated with unicast
+  // frames fanned out to every bystander and rank-ordered loss draws, so
+  // their delivery counts and lossy outcomes differ from a fresh run of the
+  // same config and must not resume next to fresh runs.
+  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 3u);
+  for (const std::uint32_t version :
+       {sim::CampaignCheckpoint::kFormatVersion + 1, std::uint32_t{2}}) {
+    SCOPED_TRACE(version);
+    std::string bytes = sim::encode_checkpoint(tiny_checkpoint());
+    bytes[4] = static_cast<char>(version);
+    EXPECT_EQ(decode_kind(bytes), sim::CheckpointErrorKind::kBadVersion);
+  }
 }
 
 TEST(Checkpoint, ForeignFileIsBadMagic) {

@@ -351,6 +351,46 @@ TEST(LossyMedium, IdenticalRunsAreBitIdentical) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(LossyMedium, LinkDrawsDoNotDependOnBystanders) {
+  // Receivers A < B < C hear the same lossy broadcasts. Detaching B, or
+  // moving it out of range, must leave A's and C's erasure outcomes frame
+  // for frame unchanged: each link's draw is keyed by the receiver, not by
+  // its rank in the fanout. Both delivery paths are held to it.
+  enum class Bystander { kInRange, kDetached, kOutOfRange };
+  const auto outcomes = [](Bystander b_mode, bool grid) {
+    Medium::Config cfg = lossy_config(0.4, 0.0);
+    cfg.spatial_grid = grid;
+    EventQueue events;
+    Medium medium(events, cfg);
+    Rng rng(3);
+    Collector ra, rb, rc;
+    auto tx = medium.attach({0, 0}, 6, 20.0);
+    auto a = medium.attach({10, 0}, 6, 15.0, &ra);
+    auto b = medium.attach({12, 0}, 6, 15.0, &rb);
+    auto c = medium.attach({14, 0}, 6, 15.0, &rc);
+    if (b_mode == Bystander::kDetached) medium.detach(b);
+    if (b_mode == Bystander::kOutOfRange) b.set_position({5000, 0});
+    std::vector<std::pair<bool, bool>> heard;  // (A, C) per frame
+    for (int i = 0; i < 200; ++i) {
+      const std::size_t a0 = ra.frames.size();
+      const std::size_t c0 = rc.frames.size();
+      tx.transmit(dot11::make_broadcast_probe_request(
+          MacAddress::random_local(rng)));
+      events.run_all();
+      heard.emplace_back(ra.frames.size() > a0, rc.frames.size() > c0);
+    }
+    EXPECT_GT(a.frames_lost(), 0u);
+    EXPECT_GT(c.frames_lost(), 0u);
+    return heard;
+  };
+  for (const bool grid : {true, false}) {
+    SCOPED_TRACE(grid ? "grid" : "scan");
+    const auto with_b = outcomes(Bystander::kInRange, grid);
+    EXPECT_EQ(outcomes(Bystander::kDetached, grid), with_b);
+    EXPECT_EQ(outcomes(Bystander::kOutOfRange, grid), with_b);
+  }
+}
+
 // --- Lossy campaigns across thread counts ---
 
 sim::ScenarioConfig small_scenario() {

@@ -35,10 +35,12 @@ struct GoldenRow {
 
 // Recorded from the pre-overhaul tree (canteen, 60 expected clients,
 // 3 minutes, world seed 42, run seed 7). The grid and legacy medium paths
-// must both reproduce these exactly.
+// must both reproduce these exactly. frames_delivered counts sink calls:
+// unicast frames reach only their addressee and monitors. The fault-on row
+// was re-recorded when per-link erasure draws became keyed by receiver.
 constexpr GoldenRow kGolden[] = {
-    {false, 80, 11, 69, 2, 7, 4450, 214318, 0, 0, 0, 240, 24, 32, 8},
-    {true, 77, 11, 66, 1, 5, 4002, 199278, 1268, 2, 449, 239, 23, 32, 8},
+    {false, 80, 11, 69, 2, 7, 4450, 10374, 0, 0, 0, 240, 24, 32, 8},
+    {true, 75, 11, 64, 2, 5, 3959, 8987, 899, 2, 443, 237, 21, 32, 8},
 };
 
 sim::RunOutput run_golden(const sim::World& world, bool grid, bool fault) {

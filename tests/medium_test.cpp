@@ -178,6 +178,62 @@ TEST_F(MediumTest, DeliversWithinRange) {
   EXPECT_EQ(rx.frames[0].subtype(), dot11::MgmtSubtype::kProbeRequest);
   EXPECT_LT(rx.infos[0].rssi_dbm, -30.0);
   (void)b;
+
+  // A unicast frame reaches only the radio registered under its addr1,
+  // plus monitors (radios without an address) in range; a broadcast still
+  // reaches everyone. Both pipelines agree.
+  const MacAddress to({0x02, 0, 0, 0, 0, 0x01});
+  const MacAddress other({0x02, 0, 0, 0, 0, 0x02});
+  for (const bool grid : {true, false}) {
+    Medium::Config cfg;
+    cfg.spatial_grid = grid;
+    EventQueue q;
+    Medium m(q, cfg);
+    Collector addressee, bystander, monitor;
+    auto ap = m.attach({0, 0}, 6, 20.0);
+    m.attach({10, 0}, 6, 15.0, &addressee).set_rx_address(to);
+    m.attach({12, 0}, 6, 15.0, &bystander).set_rx_address(other);
+    m.attach({14, 0}, 6, 15.0, &monitor);
+    ap.transmit(dot11::make_probe_response(other, to, "U", 6, true));
+    q.run_all();
+    EXPECT_EQ(addressee.frames.size(), 1u) << "grid " << grid;
+    EXPECT_TRUE(bystander.frames.empty()) << "grid " << grid;
+    EXPECT_EQ(monitor.frames.size(), 1u) << "grid " << grid;
+    EXPECT_EQ(m.deliveries(), 2u) << "grid " << grid;
+    ap.transmit(dot11::make_broadcast_probe_request(other));
+    q.run_all();
+    EXPECT_EQ(addressee.frames.size(), 2u) << "grid " << grid;
+    EXPECT_EQ(bystander.frames.size(), 1u) << "grid " << grid;
+    EXPECT_EQ(monitor.frames.size(), 2u) << "grid " << grid;
+  }
+
+  // Radios sharing an address each receive, in radio-id order with the
+  // monitors, whatever order they registered in.
+  struct Tagged : FrameSink {
+    Tagged(std::vector<int>* o, int t) : order(o), tag(t) {}
+    std::vector<int>* order;
+    int tag;
+    void on_frame(const dot11::Frame&, const RxInfo&) override {
+      order->push_back(tag);
+    }
+  };
+  for (const bool grid : {true, false}) {
+    Medium::Config cfg;
+    cfg.spatial_grid = grid;
+    EventQueue q;
+    Medium m(q, cfg);
+    std::vector<int> order;
+    Tagged first(&order, 1), middle(&order, 2), last(&order, 3);
+    auto ap = m.attach({0, 0}, 6, 20.0);
+    auto low = m.attach({10, 0}, 6, 15.0, &first);
+    m.attach({12, 0}, 6, 15.0, &middle);  // monitor
+    auto high = m.attach({14, 0}, 6, 15.0, &last);
+    high.set_rx_address(to);
+    low.set_rx_address(to);
+    ap.transmit(dot11::make_probe_response(other, to, "U", 6, true));
+    q.run_all();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3})) << "grid " << grid;
+  }
 }
 
 TEST_F(MediumTest, DropsBeyondRange) {
@@ -207,6 +263,40 @@ TEST_F(MediumTest, DropsBeyondRange) {
     q.run_all();
     EXPECT_TRUE(near.frames.empty()) << "grid " << grid;
     EXPECT_EQ(m.deliveries(), 0u) << "grid " << grid;
+  }
+
+  // An addressee that is off channel, sinkless or out of range hears
+  // nothing, and neither does anyone else: bystanders holding another
+  // address never see the frame.
+  const MacAddress to({0x02, 0, 0, 0, 0, 0x0a});
+  const MacAddress other({0x02, 0, 0, 0, 0, 0x0b});
+  enum class Miss { kOffChannel, kSinkless, kOutOfRange };
+  for (const bool grid : {true, false}) {
+    for (const Miss miss : {Miss::kOffChannel, Miss::kSinkless,
+                            Miss::kOutOfRange}) {
+      Medium::Config cfg;
+      cfg.spatial_grid = grid;
+      EventQueue q;
+      Medium m(q, cfg);
+      Collector addressee, bystander;
+      auto ap = m.attach({0, 0}, 6, 20.0);
+      auto dst = m.attach({10, 0}, 6, 15.0, &addressee);
+      dst.set_rx_address(to);
+      m.attach({12, 0}, 6, 15.0, &bystander).set_rx_address(other);
+      if (miss == Miss::kOffChannel) dst.set_channel(11);
+      if (miss == Miss::kSinkless) dst.set_sink(nullptr);
+      if (miss == Miss::kOutOfRange) dst.set_position({5000, 0});
+      ap.transmit(dot11::make_probe_response(other, to, "U", 6, true));
+      q.run_all();
+      const int why = static_cast<int>(miss);
+      EXPECT_TRUE(addressee.frames.empty()) << "grid " << grid << " " << why;
+      EXPECT_TRUE(bystander.frames.empty()) << "grid " << grid << " " << why;
+      EXPECT_EQ(m.deliveries(), 0u) << "grid " << grid << " " << why;
+      if (grid) {
+        EXPECT_EQ(m.fanout_stats().unicast, 1u) << why;
+        EXPECT_EQ(m.fanout_stats().unicast_unheard, 1u) << why;
+      }
+    }
   }
 }
 
@@ -305,6 +395,34 @@ TEST_F(MediumTest, DetachedRadioIsGone) {
       MacAddress::random_local(rng)));
   events.run_until(SimTime::seconds(1.0));
   EXPECT_TRUE(rx.frames.empty());
+
+  // A detached radio's receive address is forgotten: a unicast frame to it
+  // reaches nobody, and a radio registering the address afterwards gets
+  // each frame exactly once.
+  const MacAddress to({0x02, 0, 0, 0, 0, 0x21});
+  for (const bool grid : {true, false}) {
+    Medium::Config cfg;
+    cfg.spatial_grid = grid;
+    EventQueue q;
+    Medium m(q, cfg);
+    Collector gone, heir;
+    auto ap = m.attach({0, 0}, 6, 20.0);
+    auto old = m.attach({10, 0}, 6, 15.0, &gone);
+    old.set_rx_address(to);
+    m.detach(old);
+    const auto frame = dot11::make_probe_response(
+        MacAddress::random_local(rng), to, "U", 6, true);
+    ap.transmit(frame);
+    q.run_all();
+    EXPECT_TRUE(gone.frames.empty()) << "grid " << grid;
+    EXPECT_EQ(m.deliveries(), 0u) << "grid " << grid;
+    auto next = m.attach({10, 0}, 6, 15.0, &heir);
+    next.set_rx_address(to);
+    ap.transmit(frame);
+    q.run_all();
+    EXPECT_EQ(heir.frames.size(), 1u) << "grid " << grid;
+    EXPECT_TRUE(gone.frames.empty()) << "grid " << grid;
+  }
 }
 
 TEST_F(MediumTest, CountersTrack) {
@@ -453,13 +571,32 @@ struct FuzzRig {
 
 // Scripted operations, generated once and replayed against every rig.
 struct FuzzOp {
-  enum Kind { kAttach, kDetach, kMove, kSetChannel, kTransmit } kind;
+  enum Kind {
+    kAttach,
+    kDetach,
+    kMove,
+    kSetChannel,
+    kSetRxAddress,
+    kTransmit
+  } kind;
   std::size_t target = 0;    // radio index (mod population)
   Position pos;
   std::uint8_t channel = 6;
   double dbm = 15.0;
   bool broadcast = true;
+  /// Index into kAddressPool: the address kSetRxAddress registers (-1 =
+  /// back to monitor) and a unicast kTransmit's addr1 (-1 = an address no
+  /// radio holds).
+  int addr = -1;
 };
+
+// Receive addresses the fuzz scripts register and aim unicast frames at.
+// Four addresses over dozens of radios, so several radios share one.
+const MacAddress kAddressPool[] = {
+    MacAddress({0x02, 0xf0, 0, 0, 0, 1}), MacAddress({0x02, 0xf0, 0, 0, 0, 2}),
+    MacAddress({0x02, 0xf0, 0, 0, 0, 3}), MacAddress({0x02, 0xf0, 0, 0, 0, 4})};
+
+int random_pool_index(Rng& rng) { return static_cast<int>(rng.index(5)) - 1; }
 
 std::vector<FuzzOp> make_fuzz_script(std::uint64_t seed, int ops) {
   Rng rng(seed);
@@ -483,6 +620,7 @@ std::vector<FuzzOp> make_fuzz_script(std::uint64_t seed, int ops) {
     op.channel = channels[rng.index(3)];
     op.dbm = rng.chance(0.3) ? 20.0 : 15.0;
     op.broadcast = rng.chance(0.5);
+    op.addr = random_pool_index(rng);
     if (roll < 0.12) {
       op.kind = FuzzOp::kAttach;
     } else if (roll < 0.2) {
@@ -491,6 +629,8 @@ std::vector<FuzzOp> make_fuzz_script(std::uint64_t seed, int ops) {
       op.kind = FuzzOp::kMove;
     } else if (roll < 0.46) {
       op.kind = FuzzOp::kSetChannel;
+    } else if (roll < 0.54) {
+      op.kind = FuzzOp::kSetRxAddress;
     } else {
       op.kind = FuzzOp::kTransmit;
     }
@@ -527,11 +667,23 @@ void replay(FuzzRig& rig, const std::vector<FuzzOp>& script) {
         if (r.valid()) r.set_channel(op.channel);
         break;
       }
+      case FuzzOp::kSetRxAddress: {
+        if (n == 0) break;
+        Radio& r = rig.radios[op.target % n];
+        if (!r.valid()) break;
+        if (op.addr < 0) {
+          r.set_rx_address(std::nullopt);
+        } else {
+          r.set_rx_address(kAddressPool[op.addr]);
+        }
+        break;
+      }
       case FuzzOp::kTransmit: {
         if (n == 0) break;
         Radio& r = rig.radios[op.target % n];
         const auto src = MacAddress::random_local(frame_rng);
-        const auto dst = MacAddress::random_local(frame_rng);
+        const auto unheld = MacAddress::random_local(frame_rng);
+        const auto dst = op.addr < 0 ? unheld : kAddressPool[op.addr];
         if (!r.valid()) break;
         if (op.broadcast) {
           r.transmit(dot11::make_broadcast_probe_request(src));
@@ -707,7 +859,7 @@ TEST(MediumEquivalence, GridFanoutSurvivesSinkChurnMidDelivery) {
 // --- Channel-partitioned index: set_channel and compaction storms ---
 
 // A script that hammers the channel-bucket migration path: a bigger
-// population than the regular fuzz mix, and more than half of all ops are
+// population than the regular fuzz mix, and half of all ops are
 // set_channel calls (bursts of retunes between transmits). Every retune
 // migrates the radio between per-channel buckets — erase from one
 // partition, insert into another — so this stresses bucket create/recycle,
@@ -732,14 +884,17 @@ std::vector<FuzzOp> make_channel_storm_script(std::uint64_t seed, int ops) {
     op.channel = channels[rng.index(3)];
     op.dbm = rng.chance(0.3) ? 20.0 : 15.0;
     op.broadcast = rng.chance(0.5);
+    op.addr = random_pool_index(rng);
     if (roll < 0.04) {
       op.kind = FuzzOp::kAttach;
     } else if (roll < 0.10) {
       op.kind = FuzzOp::kDetach;
     } else if (roll < 0.22) {
       op.kind = FuzzOp::kMove;
-    } else if (roll < 0.78) {
+    } else if (roll < 0.72) {
       op.kind = FuzzOp::kSetChannel;
+    } else if (roll < 0.78) {
+      op.kind = FuzzOp::kSetRxAddress;
     } else {
       op.kind = FuzzOp::kTransmit;
     }
@@ -817,12 +972,15 @@ std::vector<FuzzOp> make_compaction_storm_script(std::uint64_t seed,
     op.channel = channels[rng.index(3)];
     op.dbm = rng.chance(0.3) ? 20.0 : 15.0;
     op.broadcast = rng.chance(0.5);
+    op.addr = random_pool_index(rng);
     if (roll < 0.04) {
       op.kind = FuzzOp::kAttach;
     } else if (roll < 0.08) {
       op.kind = FuzzOp::kDetach;
     } else if (roll < 0.14) {
       op.kind = FuzzOp::kSetChannel;
+    } else if (roll < 0.18) {
+      op.kind = FuzzOp::kSetRxAddress;
     } else if (roll < 0.92) {
       op.kind = FuzzOp::kMove;
     } else {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -294,6 +295,50 @@ TEST(PerfSmokeTest, ShardedCityScalesOnMulticore) {
       << "single " << single.wall_s << " s, sharded " << sharded.wall_s
       << " s (" << sharded.handoffs << " handoffs)";
 #endif
+}
+
+TEST(PerfSmokeTest, UnicastTrainLoadsOnlyAddresseeAndMonitors) {
+  // The paper's 40-response train to one phone among 200 addressed phones
+  // and one monitor, all in range of the AP: the medium hands each frame
+  // to the addressee and the monitor and never enumerates the other
+  // phones. A deterministic work count, no timing.
+  medium::EventQueue events;
+  medium::Medium med(events);
+  auto ap = med.attach({0, 0}, 6, 20.0);  // sinkless: not a listener
+  std::vector<CountingSink> phones(200);
+  for (std::size_t i = 0; i < phones.size(); ++i) {
+    const double angle = 0.0314 * static_cast<double>(i);
+    auto radio = med.attach({20.0 * std::cos(angle), 20.0 * std::sin(angle)},
+                            6, 15.0, &phones[i]);
+    radio.set_rx_address(dot11::MacAddress(
+        {0x02, 0xc1, 0, 0, static_cast<std::uint8_t>(i >> 8),
+         static_cast<std::uint8_t>(i)}));
+  }
+  CountingSink monitor;
+  med.attach({5, 5}, 6, 15.0, &monitor);
+
+  constexpr std::size_t kTarget = 117;
+  const dot11::MacAddress bssid({0x0a, 0x7e, 0x64, 0xc1, 0x7e, 0x01});
+  const dot11::MacAddress victim({0x02, 0xc1, 0, 0, 0, kTarget});
+  constexpr int kTrain = 40;
+  const auto loaded0 = med.fanout_stats().candidates_loaded;
+  for (int i = 0; i < kTrain; ++i) {
+    ap.transmit(dot11::make_probe_response(bssid, victim,
+                                           "SSID-" + std::to_string(i), 6,
+                                           true));
+  }
+  events.run_all();
+
+  for (std::size_t i = 0; i < phones.size(); ++i) {
+    EXPECT_EQ(phones[i].frames, i == kTarget ? std::uint64_t{kTrain} : 0u)
+        << "phone " << i;
+  }
+  EXPECT_EQ(monitor.frames, static_cast<std::uint64_t>(kTrain));
+  EXPECT_EQ(med.deliveries(), 2u * kTrain);
+  const auto& stats = med.fanout_stats();
+  EXPECT_EQ(stats.unicast, static_cast<std::uint64_t>(kTrain));
+  EXPECT_EQ(stats.unicast_unheard, 0u);
+  EXPECT_LE(stats.candidates_loaded - loaded0, 3u * kTrain);
 }
 
 TEST(PerfSmokeTest, CounterIsLive) {

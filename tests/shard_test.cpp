@@ -240,25 +240,35 @@ TEST(MediumExportImportTest, SnapshotCarriesCountersAcrossMediums) {
   ASSERT_EQ(tx.frames_sent(), 2u);
   ASSERT_EQ(rx_sink.frames, 2);
 
-  // Hand the transmitter off to a second Medium.
+  // Hand the transmitter off to a second Medium, receive address included.
+  const dot11::MacAddress own({0x02, 0xc1, 0, 0, 0, 0x42});
+  tx.set_rx_address(own);
   const auto snapshot = city_a.export_radio(tx);
   EXPECT_EQ(snapshot.frames_sent, 2u);
   EXPECT_EQ(snapshot.channel, 6);
   EXPECT_DOUBLE_EQ(snapshot.tx_power_dbm, 15.0);
+  EXPECT_EQ(snapshot.rx_address, own);
 
   medium::EventQueue events_b;
   medium::Medium city_b(events_b);
   CountingSink rx_sink_b;
+  CountingSink tx_sink_b;
   auto rx_b = city_b.attach({10.0, 0.0}, 6, 15.0, &rx_sink_b);
-  auto tx_b = city_b.import_radio(snapshot);
+  auto tx_b = city_b.import_radio(snapshot, &tx_sink_b);
   EXPECT_EQ(tx_b.frames_sent(), 2u);  // counters continue, not reset
   EXPECT_EQ(tx_b.channel(), 6);
   tx_b.transmit(probe);
   events_b.run_until(SimTime::seconds(1.0));
   EXPECT_EQ(tx_b.frames_sent(), 3u);
   EXPECT_EQ(rx_sink_b.frames, 1);
+
+  // The imported radio still answers to its address, and only to it.
+  const dot11::MacAddress peer({0x02, 0xc1, 0, 0, 0, 0x43});
+  rx_b.transmit(dot11::make_probe_response(peer, own, "S", 6, true));
+  rx_b.transmit(dot11::make_probe_response(peer, peer, "S", 6, true));
+  events_b.run_until(SimTime::seconds(2.0));
+  EXPECT_EQ(tx_sink_b.frames, 1);
   (void)rx;
-  (void)rx_b;
 }
 
 // ---------------------------------------------------------------------------
