@@ -5,14 +5,12 @@
 // only ~60 m, so receiver culling dominates the fanout cost.
 //
 //   Batched      — channel-partitioned grid probe, squared-distance filter,
-//                  slot-ordered merge (no per-frame sort), pair cache +
-//                  path-loss LUT.
-//   BatchedNoCache — same, pair cache off: prices the cache separately.
+//                  slot-ordered merge (no per-frame sort), path-loss LUT.
 //   LegacyScan   — no grid at all, full scan over every attached radio with
 //                  exact hypot/log10 per candidate.
 //
 // The moving variant displaces one radio before each transmit to price the
-// incremental grid maintenance (and pair-cache invalidation) into the win.
+// incremental grid maintenance into the win.
 //
 // Each case reports allocs_per_tx next to delivered_per_tx: the pooled
 // transmission objects, inline event storage, flat radio table and reused
@@ -37,16 +35,13 @@ class CountingSink : public FrameSink {
   std::uint64_t frames = 0;
 };
 
-enum class Mode { kBatched, kBatchedNoCache, kLegacyScan };
+enum class Mode { kBatched, kLegacyScan };
 
 Medium::Config mode_config(Mode mode) {
   Medium::Config cfg;
   switch (mode) {
     case Mode::kBatched:
-      break;  // defaults: grid + LUT + pair cache
-    case Mode::kBatchedNoCache:
-      cfg.pathloss_cache = false;
-      break;
+      break;  // defaults: grid + LUT
     case Mode::kLegacyScan:
       cfg.spatial_grid = false;
       break;
@@ -179,9 +174,6 @@ void attach_churn_loop(benchmark::State& state) {
 void BM_DeliverBatched(benchmark::State& state) {
   deliver_loop(state, Mode::kBatched, /*move=*/false);
 }
-void BM_DeliverBatchedNoCache(benchmark::State& state) {
-  deliver_loop(state, Mode::kBatchedNoCache, /*move=*/false);
-}
 void BM_DeliverLegacyScan(benchmark::State& state) {
   deliver_loop(state, Mode::kLegacyScan, /*move=*/false);
 }
@@ -202,7 +194,6 @@ void BM_ChurnAttachDetach(benchmark::State& state) {
 }
 
 BENCHMARK(BM_DeliverBatched)->Arg(100)->Arg(1000)->Arg(4000)->Arg(10000);
-BENCHMARK(BM_DeliverBatchedNoCache)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_DeliverLegacyScan)->Arg(100)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_DeliverBatchedMoving)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_DeliverBatchedChannelMixed)->Arg(1000)->Arg(4000)->Arg(20000);

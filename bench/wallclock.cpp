@@ -13,9 +13,11 @@
 // analysis) so a real regression in the runner's setup path would show up
 // as a setup_s delta instead of hiding inside a single wallclock number.
 // PR8 finished the job: every pass that gets *compared* (serial baseline,
-// tracing, parallel sweep, supervised, warm-start) is best-of-2 on both
-// sides of the division, which removes the negative overhead artifacts the
-// one-shot comparisons used to publish on a 1-CPU container.
+// tracing, parallel sweep) is best-of-2 on both sides of the division,
+// which removes the negative overhead artifacts the one-shot comparisons
+// used to publish on a 1-CPU container. Cold setup is the serial pass
+// (run_campaign without a SetupCache); warm setup is the 1-thread parallel
+// row, since run_campaigns always shares one. Both report setup_s.
 //
 // Thread counts above the machine's actual hardware concurrency are skipped
 // (oversubscribed numbers on a smaller machine say nothing about the
@@ -27,15 +29,13 @@
 // speedup-vs-previous summary line, so the committed JSON always carries a
 // before/after pair. Throughput is simulated seconds per host second. Heap
 // allocations over the serial loop are counted (bench/alloc_counter.h) and
-// reported per transmission. A city-scale
-// district (bench/city_scale.h) is timed next on the grid delivery pipeline,
-// under "city_scale". The sharded multi-district city (sim/shard) is timed
-// last: 100k radios at 1/2/4/8 shards plus a pinned-worker row and a
+// reported per transmission. The sharded multi-district city (sim/shard) is
+// timed last: 100k radios at 1/2/4/8 shards plus a pinned-worker row and a
 // handoff-heavy identity check, all digest-verified against the
 // single-Medium baseline, under "sharded_city".
 //
-// Overheads that divide two best-of-2 walls (tracing, checkpointing) are
-// reported alongside a noise floor — the larger relative spread between a
+// The tracing overhead divides two best-of-2 walls, so it is reported
+// alongside a noise floor — the larger relative spread between a
 // side's two passes. A reading inside the floor is clamped to 0 in the
 // headline field; the raw value is kept in *_raw_pct.
 //
@@ -54,7 +54,6 @@
 #include <thread>
 
 #include "bench_common.h"
-#include "city_scale.h"
 #include "sim/parallel.h"
 #include "sim/shard.h"
 #include "support/atomic_file.h"
@@ -398,40 +397,20 @@ int main(int argc, char** argv) {
   // Supervisor pass: the same mix at the widest sweep width, but with
   // crash-safe checkpointing every 8 completions — the configuration a
   // long unattended campaign would actually run. Reports the supervisor
-  // counters and the checkpoint overhead vs its own plain baseline, timed
-  // interleaved (plain, checkpointed, plain, checkpointed) so both sides
-  // of the division see the same machine drift — borrowing the sweep's
-  // wall time from minutes earlier is how the checkpoint overhead used to
-  // come out negative. The <2% overhead ceiling is enforced by
+  // counters and the checkpoint work timed directly (config hash, then
+  // copy + encode + atomic write of every checkpoint) as a share of the
+  // pass's wall: a wall difference against a plain pass measures vCPU
+  // speed drift more than checkpointing. The <2% ceiling is enforced by
   // tests/perf_smoke_test.
   {
     const std::size_t threads = thread_counts.back();
-    sim::ParallelConfig plain_cfg;
-    plain_cfg.threads = threads;
     sim::ParallelConfig ckpt_cfg;
     ckpt_cfg.threads = threads;
     ckpt_cfg.checkpoint_path = "BENCH_wallclock.ckpt";
     ckpt_cfg.checkpoint_every = 8;
     sim::ParallelStats sstats;
-    std::vector<sim::RunOutput> supervised;
-    double plain_walls[2] = {0.0, 0.0};
-    double ckpt_walls[2] = {0.0, 0.0};
-    double ckpt_wall_s = 0.0;
-    for (int pass = 0; pass < 2; ++pass) {
-      const auto t_plain = std::chrono::steady_clock::now();
-      (void)sim::run_campaigns(world, runs, plain_cfg);
-      plain_walls[pass] = seconds_since(t_plain);
-
-      const auto t0 = std::chrono::steady_clock::now();
-      sim::ParallelStats pass_stats;
-      auto outputs = sim::run_campaigns(world, runs, ckpt_cfg, &pass_stats);
-      ckpt_walls[pass] = seconds_since(t0);
-      if (pass == 0 || ckpt_walls[pass] < ckpt_wall_s) {
-        ckpt_wall_s = ckpt_walls[pass];
-        sstats = pass_stats;
-        supervised = std::move(outputs);
-      }
-    }
+    const auto supervised =
+        sim::run_campaigns(world, runs, ckpt_cfg, &sstats);
     std::remove("BENCH_wallclock.ckpt");
 
     bool same = supervised.size() == serial.size();
@@ -439,13 +418,15 @@ int main(int argc, char** argv) {
       same = identical(serial[i], supervised[i]);
     }
     all_identical = all_identical && same;
-    const Overhead ckpt_overhead = measure_overhead(plain_walls, ckpt_walls);
+    const double ckpt_share_pct =
+        sstats.wall_s > 0.0 ? 100.0 * sstats.checkpoint_s / sstats.wall_s
+                            : 0.0;
     std::printf("supervised: %6.2f s at %zu threads with checkpoint every 8 "
-                "(overhead %+.1f%%, raw %+.1f%%, noise floor \xc2\xb1%.1f%%) "
+                "(checkpoint work %.1f ms, %.2f%% of the wall) "
                 "— %llu checkpoint writes, %llu bytes, "
                 "%llu retries, %llu timeouts   %s\n",
-                ckpt_wall_s, threads, ckpt_overhead.clamped_pct,
-                ckpt_overhead.raw_pct, ckpt_overhead.noise_floor_pct,
+                sstats.wall_s, threads, 1e3 * sstats.checkpoint_s,
+                ckpt_share_pct,
                 static_cast<unsigned long long>(sstats.checkpoint_writes),
                 static_cast<unsigned long long>(sstats.checkpoint_bytes),
                 static_cast<unsigned long long>(sstats.retries),
@@ -453,11 +434,9 @@ int main(int argc, char** argv) {
                 same ? "bit-identical to serial" : "MISMATCH vs serial");
     json << "  \"supervisor\": {\"threads\": " << threads
          << ", \"checkpoint_every\": 8"
-         << ", \"wall_s\": " << ckpt_wall_s
-         << ", \"checkpoint_overhead_pct\": " << ckpt_overhead.clamped_pct
-         << ", \"checkpoint_overhead_raw_pct\": " << ckpt_overhead.raw_pct
-         << ", \"checkpoint_noise_floor_pct\": "
-         << ckpt_overhead.noise_floor_pct
+         << ", \"wall_s\": " << sstats.wall_s
+         << ", \"checkpoint_s\": " << sstats.checkpoint_s
+         << ", \"checkpoint_share_pct\": " << ckpt_share_pct
          << ", \"retries\": " << sstats.retries
          << ", \"timeouts\": " << sstats.timeouts
          << ", \"event_budget_trips\": " << sstats.event_budget_trips
@@ -466,91 +445,6 @@ int main(int argc, char** argv) {
          << ", \"checkpoint_write_failures\": "
          << sstats.checkpoint_write_failures
          << ", \"identical\": " << (same ? "true" : "false") << "},\n";
-  }
-
-  // Warm-start setup sharing: the same 48-run mix serially through
-  // run_campaigns, cold (warm_start_setup off — every run rebuilds its
-  // WiGLE seed and venue locale from scratch) vs warm (one SetupCache
-  // snapshot per distinct setup, copied per run). Outputs must stay
-  // bit-identical; the whole win is setup_s. Best-of-2 per side, like every
-  // other comparison row.
-  bool warm_same = true;
-  {
-    const auto best_of_2 = [&](const sim::ParallelConfig& cfg,
-                               std::vector<sim::RunOutput>& keep) {
-      sim::PhaseProfile best{};
-      double best_wall = 0.0;
-      for (int pass = 0; pass < 2; ++pass) {
-        const auto t0 = std::chrono::steady_clock::now();
-        auto outputs = sim::run_campaigns(world, runs, cfg);
-        const double wall = seconds_since(t0);
-        if (pass == 0 || wall < best_wall) {
-          best_wall = wall;
-          best = sum_phases(outputs);
-          keep = std::move(outputs);
-        }
-      }
-      return best;
-    };
-    sim::ParallelConfig cold_cfg{1};
-    cold_cfg.warm_start_setup = false;
-    sim::ParallelConfig warm_cfg{1};
-    warm_cfg.warm_start_setup = true;
-    std::vector<sim::RunOutput> cold_out;
-    std::vector<sim::RunOutput> warm_out;
-    const sim::PhaseProfile cold_phases = best_of_2(cold_cfg, cold_out);
-    const sim::PhaseProfile warm_phases = best_of_2(warm_cfg, warm_out);
-    warm_same = cold_out.size() == serial.size() &&
-                warm_out.size() == serial.size();
-    for (std::size_t i = 0; warm_same && i < serial.size(); ++i) {
-      warm_same = identical(serial[i], cold_out[i]) &&
-                  identical(serial[i], warm_out[i]);
-    }
-    all_identical = all_identical && warm_same;
-    const double setup_speedup = warm_phases.setup_s > 0.0
-                                     ? cold_phases.setup_s / warm_phases.setup_s
-                                     : 0.0;
-    std::printf("warm start: setup %.3f s cold -> %.3f s warm (%.2fx) over "
-                "%zu serial runs   %s\n",
-                cold_phases.setup_s, warm_phases.setup_s, setup_speedup,
-                runs.size(),
-                warm_same ? "bit-identical to serial" : "MISMATCH vs serial");
-    json << "  \"warm_start\": {\"runs\": " << runs.size()
-         << ", \"setup_cold_s\": " << cold_phases.setup_s
-         << ", \"setup_warm_s\": " << warm_phases.setup_s
-         << ", \"setup_speedup\": " << setup_speedup
-         << ", \"identical\": " << (warm_same ? "true" : "false") << "},\n";
-  }
-
-  // City-scale district (bench/city_scale.h): grid-pipeline throughput at a
-  // size the harness can afford to rerun every revision. fig_city_scale
-  // covers the full 5k–20k sweep and the legacy-scan comparison.
-  {
-    bench::CityScaleParams params;
-    params.radios = 5000;
-    params.duration = support::SimTime::seconds(3.0);
-    const bench::CityScaleResult cs =
-        bench::run_city_scale(params, medium::Medium::Config{});
-    const double cs_hit_rate =
-        cs.cache_hits + cs.cache_misses > 0
-            ? static_cast<double>(cs.cache_hits) /
-                  static_cast<double>(cs.cache_hits + cs.cache_misses)
-            : 0.0;
-    std::printf("city scale: %d radios, %.0f s sim — %.3f s, %.3gM "
-                "deliveries/s, occupancy mean %.1f max %u\n",
-                params.radios, params.duration.sec(), cs.wall_s,
-                cs.deliveries_per_s / 1e6, cs.mean_bucket_occupancy,
-                cs.max_bucket_occupancy);
-    json << "  \"city_scale\": {\"radios\": " << params.radios
-         << ", \"sim_s\": " << params.duration.sec()
-         << ", \"deliveries\": " << cs.deliveries
-         << ", \"wall_s\": " << cs.wall_s
-         << ", \"deliveries_per_s\": " << cs.deliveries_per_s
-         << ", \"pathloss_cache_hit_rate\": " << cs_hit_rate
-         << ", \"candidates_loaded\": " << cs.candidates_loaded
-         << ", \"mean_bucket_occupancy\": " << cs.mean_bucket_occupancy
-         << ", \"max_bucket_occupancy\": " << cs.max_bucket_occupancy
-         << "},\n";
   }
 
   // Sharded city (sim/shard): deliver throughput vs shard count on the

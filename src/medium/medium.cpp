@@ -49,10 +49,8 @@ Radio Medium::attach(Position pos, std::uint8_t channel, double tx_power_dbm,
   st.rx_address = rx_address;
   if (rx_address) addr_insert(addr_key(*rx_address), slot);
   st.tx_busy_until = events_.now();
-  link_epoch_.push_back(0);
   active_slots_.push_back(slot);  // slots increase monotonically: stays sorted
   ++topology_epoch_;
-  maybe_grow_pair_cache();
   if (cfg_.spatial_grid) {
     if (tx_power_dbm > max_tx_power_dbm_) {
       max_tx_power_dbm_ = tx_power_dbm;
@@ -394,19 +392,6 @@ void Medium::rebuild_lut() {
                      propagation_.max_range(max_tx_power_dbm_));
 }
 
-void Medium::maybe_grow_pair_cache() {
-  if (!cfg_.pathloss_cache) return;
-  std::size_t want = 1024;
-  while (want < slots_.size() * 2 && want < (std::size_t{1} << 16)) {
-    want <<= 1;
-  }
-  if (want <= pair_cache_.size()) return;
-  // Growing clears the cache; invisible — entries are pure memoization —
-  // and only ever happens at attach time, never mid-frame.
-  pair_cache_.assign(want, PairEntry{});
-  pair_mask_ = want - 1;
-}
-
 const Medium::RangeEntry& Medium::range_for(double tx_power_dbm) {
   for (const RangeEntry& e : range_cache_) {
     if (e.dbm == tx_power_dbm) return e;
@@ -434,43 +419,6 @@ double Medium::survivor_rx_dbm(double tx_dbm, double dist_sq, Position tx_pos,
   return propagation_.rx_power_dbm(tx_dbm, distance(tx_pos, rx_pos));
 }
 
-double Medium::pair_cached_rx_dbm(std::uint32_t tx_slot,
-                                  std::uint32_t rx_slot, double tx_dbm,
-                                  double dist_sq, Position tx_pos,
-                                  Position rx_pos) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(tx_slot) << 32) | rx_slot;
-  // SplitMix-style finalizer spreads adjacent slot pairs across the table.
-  std::uint64_t h = key;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  PairEntry& e = pair_cache_[h & pair_mask_];
-  const std::uint32_t te = link_epoch_[tx_slot];
-  const std::uint32_t re = link_epoch_[rx_slot];
-  if (e.key == key && e.tx_dbm == tx_dbm && e.tx_epoch == te &&
-      e.rx_epoch == re) {
-    ++pathloss_cache_hits_;
-    return e.rx_dbm;
-  }
-  ++pathloss_cache_misses_;
-  const double rx = survivor_rx_dbm(tx_dbm, dist_sq, tx_pos, rx_pos);
-  // Store only while the frozen receiver position is still live: a sink
-  // callback moving the radio mid-fanout bumped its epoch already, and
-  // caching this frame's frozen value under the *new* epoch would serve a
-  // stale power to the next fanout. Skipping the store is invisible — the
-  // cache is pure memoization.
-  const Position live = slots_[rx_slot].pos;
-  if (live.x == rx_pos.x && live.y == rx_pos.y) {
-    e.key = key;
-    e.tx_dbm = tx_dbm;
-    e.rx_dbm = rx;
-    e.tx_epoch = te;
-    e.rx_epoch = re;
-  }
-  return rx;
-}
-
 void Medium::set_position(RadioId id, Position pos) {
   const std::uint32_t slot = slot_of(id);
   if (slot == kNoSlot) {
@@ -478,7 +426,6 @@ void Medium::set_position(RadioId id, Position pos) {
   }
   RadioState& st = slots_[slot];
   st.pos = pos;
-  ++link_epoch_[slot];  // invalidates every pair-cache entry touching us
   if (!cfg_.spatial_grid) return;
   const std::uint64_t key = cell_of(pos);
   if (st.in_grid && key == st.cell) {
@@ -547,8 +494,8 @@ std::uint64_t Medium::addr_key(const dot11::MacAddress& addr) {
 }
 
 std::size_t Medium::addr_home(std::uint64_t key) const {
-  // Same finalizer as the pair cache: MACs that differ only in the low
-  // octets (a vendor's sequential addresses) spread over the table.
+  // SplitMix-style finalizer: MACs that differ only in the low octets (a
+  // vendor's sequential addresses) spread over the table.
   std::uint64_t h = key;
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
@@ -897,9 +844,6 @@ void Medium::deliver_batched(const Transmission& t) {
         }
         continue;
       }
-    } else if (cfg_.pathloss_cache && !pair_cache_.empty()) {
-      rx_dbm = pair_cached_rx_dbm(self, c.slot, tx_power_dbm, c.dist_sq,
-                                  tx_pos, rx_pos);
     } else {
       rx_dbm = survivor_rx_dbm(tx_power_dbm, c.dist_sq, tx_pos, rx_pos);
     }

@@ -29,12 +29,11 @@
 // range² into one ascending run of survivors, and a ≤19-way merge walks the
 // runs in global id order. There is no per-frame sort, sqrt/log10 never run
 // for radios that turn out to be out of range, and the fanout order is
-// bit-identical to the oracle's. Survivor RX power comes from an
-// epoch-invalidated per-(tx, rx) slot-pair cache — static AP↔AP beacon
-// fanout is transcendental-free — and, on a miss, from a monotone
-// piecewise-linear path-loss LUT over d² (error ≪ RSSI quantization). Lossy
-// runs always use exact log-distance math: the erasure draw, keyed by
-// (transmission, receiver), must see bit-identical RX power.
+// bit-identical to the oracle's. Survivor RX power comes from a monotone
+// piecewise-linear path-loss LUT over d² (error ≪ RSSI quantization), with
+// exact log-distance math beyond its coverage. Lossy runs always use exact
+// math: the erasure draw, keyed by (transmission, receiver), must see
+// bit-identical RX power.
 //
 // Bucket storage (slot, x, y) lives in one compacted slab arena of parallel
 // arrays instead of per-cell heap vectors, so a probe's candidate stream is
@@ -91,16 +90,11 @@ class Medium {
     /// oracle the pipeline must match byte for byte (bench/micro_medium
     /// prices the two against each other).
     bool spatial_grid = true;
-    /// Piecewise-linear path-loss LUT for survivor RX power on a pair-cache
-    /// miss. Disable for exact log10 math on every survivor. The LUT error
-    /// (< PathLossLut::max_error_db(), ~4.5e-4 dB at default exponent) is
-    /// orders of magnitude below RSSI quantization.
+    /// Piecewise-linear path-loss LUT for survivor RX power. Disable for
+    /// exact log10 math on every survivor — the bitwise reference. The LUT
+    /// error (< PathLossLut::max_error_db(), ~4.5e-4 dB at default exponent)
+    /// is orders of magnitude below RSSI quantization.
     bool pathloss_lut = true;
-    /// Per-(tx slot, rx slot) RX-power cache, invalidated by per-radio link
-    /// epochs (bumped on every move / TX-power change). Static AP↔AP pairs
-    /// hit it on every beacon. Stores exactly what the LUT/exact path would
-    /// compute, so toggling it cannot change results.
-    bool pathloss_cache = true;
     /// Deterministic fault injection (loss, corruption, retries). Disabled
     /// by default: the perfect channel stays byte-identical to the seed.
     FaultModel::Config fault{};
@@ -144,13 +138,16 @@ class Medium {
   /// Snapshot `radio` and detach it. Precondition: the radio is idle (no
   /// queued or in-flight transmission) — the sharded city guarantees this
   /// by keeping clients radio-silent in the guard gaps, so a handoff never
-  /// races a fanout. Detaching runs the normal epoch invalidation, so any
-  /// stale pair-cache entries and bucket slots die with the local id.
+  /// races a fanout. Detaching drops the radio's bucket slot and address
+  /// registration with the local id.
   RadioSnapshot export_radio(Radio& radio);
 
-  /// Attach a radio from another Medium's snapshot, restoring its receive
-  /// address, counters and fault-stream sequence so the radio's observable
-  /// behaviour continues exactly where the exporting shard left off.
+  /// Attach a radio from another Medium's snapshot, restoring its position,
+  /// channel, TX power, receive address and counters. The fault model's
+  /// draws are keyed by the local radio id, and the importing Medium
+  /// assigns a fresh one, so a lossy radio does not continue its fault
+  /// streams across Mediums (the sharded city therefore refuses the fault
+  /// model).
   Radio import_radio(const RadioSnapshot& snapshot,
                      FrameSink* sink = nullptr);
 
@@ -174,12 +171,6 @@ class Medium {
   std::uint64_t frames_lost() const { return frames_lost_; }
   std::uint64_t frames_corrupted() const { return frames_corrupted_; }
   std::uint64_t retries() const { return retries_; }
-
-  /// Pathloss pair-cache effectiveness (batched, fault-free path only).
-  std::uint64_t pathloss_cache_hits() const { return pathloss_cache_hits_; }
-  std::uint64_t pathloss_cache_misses() const {
-    return pathloss_cache_misses_;
-  }
 
   /// Grid-pipeline work counters: fanouts run, candidates streamed through
   /// the range filter (bucket entries of the 3x3 probes plus address-index
@@ -352,19 +343,6 @@ class Medium {
     std::vector<std::pair<std::uint16_t, std::uint32_t>> parts;
   };
 
-  /// One entry of the pair pathloss cache. Valid for a lookup iff key,
-  /// tx_dbm and both link epochs match; any move or power change of either
-  /// endpoint bumps its epoch and silently invalidates every entry touching
-  /// it. Stores exactly the RX power the LUT/exact path computes, so a hit
-  /// is behaviorally indistinguishable from a recompute.
-  struct PairEntry {
-    std::uint64_t key = ~std::uint64_t{0};  // (tx_slot << 32) | rx_slot
-    double tx_dbm = 0.0;
-    double rx_dbm = 0.0;
-    std::uint32_t tx_epoch = 0;
-    std::uint32_t rx_epoch = 0;
-  };
-
   /// Slot for `id`: ids are issued monotonically and slots never recycle,
   /// so slot ≡ id − 1 for the radio's whole lifetime. kNoSlot once detached.
   /// The bound compares in RadioId's own unsigned 64-bit domain (slots_
@@ -391,13 +369,12 @@ class Medium {
   /// around the transmitter (both partitions for group-addressed frames,
   /// monitors only for unicast, plus the addressee run from the address
   /// index), filter each into a sorted survivor run, merge the runs in slot
-  /// order, cached/LUT RX power for survivors.
+  /// order, LUT RX power for survivors.
   void deliver_batched(const Transmission& t);
 
   Transmission& acquire_txn();
 
-  /// Radio moved: update its grid cell membership in O(cell occupancy) and
-  /// invalidate its pair-cache entries via the link epoch.
+  /// Radio moved: update its grid cell membership in O(cell occupancy).
   void set_position(RadioId id, Position pos);
   /// TX power raised: the grid cell size may need to grow to keep a range
   /// box within a 3x3 cell neighbourhood (and the LUT coverage with it).
@@ -443,11 +420,6 @@ class Medium {
   };
   const RangeEntry& range_for(double tx_power_dbm);
 
-  /// Survivor RX power through the pair cache (grid fault-free path):
-  /// survivor_rx_dbm runs only on a miss.
-  double pair_cached_rx_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot,
-                            double tx_dbm, double dist_sq, Position tx_pos,
-                            Position rx_pos);
   /// Survivor RX power: LUT when enabled and covering, exact (fresh hypot,
   /// bit-identical to the legacy scan) otherwise. `rx_pos` is the
   /// receiver position frozen at gather time — the link budget must not see
@@ -457,9 +429,6 @@ class Medium {
 
   /// (Re)build the d² path-loss LUT to cover the strongest transmitter.
   void rebuild_lut();
-  /// Grow the pair cache with the population (attach-time only; clears it,
-  /// which is invisible — entries are pure memoization).
-  void maybe_grow_pair_cache();
 
   static std::uint64_t cell_key(std::int64_t cx, std::int64_t cy) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
@@ -520,17 +489,6 @@ class Medium {
   /// Address index table (see AddrEntry): power-of-two size, load ≤ 1/2.
   std::vector<AddrEntry> addr_table_;
   std::size_t addr_count_ = 0;
-  /// Per-slot link epoch for the pair cache: bumped on set_position (power
-  /// changes are caught by the entry's stored tx_dbm).
-  std::vector<std::uint32_t> link_epoch_;
-
-  // Pair pathloss cache: open-addressed, overwrite-on-collision, sized as a
-  // power of two at attach time. Never touched by the fault path (which
-  // needs exact math anyway) and never resized mid-frame.
-  std::vector<PairEntry> pair_cache_;
-  std::uint64_t pair_mask_ = 0;
-  std::uint64_t pathloss_cache_hits_ = 0;
-  std::uint64_t pathloss_cache_misses_ = 0;
 
   // Memoized range data per distinct TX power, linear-scanned (a venue has
   // a handful of power classes).

@@ -5,9 +5,9 @@
 // draw per arrival) — never on how many other walkers exist, which shard
 // simulates it, or how many worker threads advance the shards. That
 // self-determined draw schedule is one leg of the sharded city's
-// byte-identity guarantee (DESIGN.md §5h); the shared-stream mobility in
-// bench/city_scale.h, which draws in global event order, deliberately does
-// NOT have this property and cannot be sharded.
+// byte-identity guarantee (DESIGN.md §5h). Mobility that draws from one
+// shared stream in global event order lacks this property and cannot be
+// sharded.
 //
 // Waypoints are sampled inside district squares only, so a walker dwells in
 // districts and transits gaps on straight segments; the sharded city keeps

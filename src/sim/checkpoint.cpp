@@ -362,8 +362,8 @@ std::uint64_t campaign_config_hash(const World& world,
     put_u8(canon, run.sample_every ? 1 : 0);
     if (run.sample_every) put_sim_time(canon, *run.sample_every);
     // The medium config the run resolves to, by run_campaign's own rule.
-    // Left out: spatial_grid and pathloss_cache, which cannot change
-    // results, and the fault seed, which run_campaign re-keys per run.
+    // Left out: spatial_grid, which cannot change results, and the fault
+    // seed, which run_campaign re-keys per run.
     const medium::Medium::Config& m =
         run.medium ? *run.medium : world.config().medium;
     put_f64(canon, m.propagation.reference_loss_db);

@@ -64,7 +64,10 @@ struct CampaignCheckpoint {
   /// 3: unicast frames reach only their addressee and monitors, and lossy
   /// draws are keyed per link, so version-2 runs hold other delivery counts
   /// and loss patterns for the same config hash; they fail as kBadVersion.
-  static constexpr std::uint32_t kFormatVersion = 3;
+  /// 4: the pair pathloss cache is gone, so an observed run no longer
+  /// carries its hit/miss counters; a version-3 file would resume runs that
+  /// carry them next to fresh runs that do not.
+  static constexpr std::uint32_t kFormatVersion = 4;
 
   /// campaign_config_hash() of the (world, runs) the checkpoint belongs to.
   std::uint64_t config_hash = 0;

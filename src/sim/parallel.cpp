@@ -20,6 +20,12 @@ namespace cityhunter::sim {
 
 namespace {
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 /// Accumulates per-OS-thread busy time. Locked once per run (runs last
 /// milliseconds to seconds), so contention is irrelevant.
 class LoadTracker {
@@ -92,11 +98,7 @@ RunOutput attempt_run(const World& world, const RunConfig& run,
     out.error.kind = RunErrorKind::kException;
     out.error.message = describe_failure(run, "unknown exception");
   }
-  if (tracker != nullptr) {
-    tracker->add(std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count());
-  }
+  if (tracker != nullptr) tracker->add(seconds_since(start));
   return out;
 }
 
@@ -120,7 +122,9 @@ class Supervisor {
           "ParallelConfig: checkpoint_every must be >= 1");
     }
     if (!cfg_.checkpoint_path.empty()) {
+      const auto start = std::chrono::steady_clock::now();
       config_hash_ = campaign_config_hash(world_, runs_);
+      checkpoint_s_ += seconds_since(start);
     }
   }
 
@@ -161,8 +165,8 @@ class Supervisor {
           run.chaos_poison_schedule = true;
         }
       }
-      RunOutput out = attempt_run(world_, run, inject_throw, tracker_,
-                                  cfg_.warm_start_setup ? &setup_cache_ : nullptr);
+      RunOutput out =
+          attempt_run(world_, run, inject_throw, tracker_, &setup_cache_);
       if (!out.error.failed()) {
         // error.attempts stays 0 on success — a retried-then-successful
         // run is bit-identical to an undisturbed one. The retry count
@@ -210,6 +214,7 @@ class Supervisor {
     stats.checkpoint_bytes = checkpoint_bytes_;
     stats.checkpoint_write_failures = checkpoint_write_failures_;
     stats.resumed_runs = resumed_runs_;
+    stats.checkpoint_s = checkpoint_s_;
   }
 
  private:
@@ -234,6 +239,7 @@ class Supervisor {
   }
 
   void write_checkpoint_locked() {
+    const auto start = std::chrono::steady_clock::now();
     CampaignCheckpoint cp;
     cp.config_hash = config_hash_;
     cp.total_runs = static_cast<std::uint32_t>(runs_.size());
@@ -254,6 +260,7 @@ class Supervisor {
       // exists to protect; the failure is surfaced as a counter.
       ++checkpoint_write_failures_;
     }
+    checkpoint_s_ += seconds_since(start);
   }
 
   const World& world_;
@@ -261,8 +268,8 @@ class Supervisor {
   ParallelConfig cfg_;
   ChaosConfig chaos_;
   LoadTracker* tracker_;
-  /// Campaign-lifetime memoized setup (cfg_.warm_start_setup); internally
-  /// mutex-serialised, shared by every worker's attempts.
+  /// Campaign-lifetime memoized setup; internally mutex-serialised, shared
+  /// by every worker's attempts.
   SetupCache setup_cache_;
 
   std::mutex mu_;
@@ -278,6 +285,7 @@ class Supervisor {
   std::uint64_t checkpoint_bytes_ = 0;
   std::uint64_t checkpoint_write_failures_ = 0;
   std::uint64_t resumed_runs_ = 0;
+  double checkpoint_s_ = 0.0;
 };
 
 /// The shared engine behind run_campaigns() and resume_campaigns(): fan the
@@ -317,9 +325,7 @@ std::vector<RunOutput> drive(std::span<const RunConfig> runs,
   if (stats != nullptr) {
     *stats = ParallelStats{};
     stats->workers = workers;
-    stats->wall_s = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - wall_start)
-                        .count();
+    stats->wall_s = seconds_since(wall_start);
     stats->loads = tracker.take();
     supervisor.fill_stats(*stats);
   }

@@ -65,6 +65,9 @@ struct ChaosConfig {
   static ChaosConfig from_env();
 };
 
+/// Runs always share memoized setup (WiGLE seed, venue locale) through one
+/// campaign-lifetime SetupCache; results are byte-identical to the cold
+/// setup of run_campaign(world, cfg).
 struct ParallelConfig {
   ParallelConfig() = default;
   /// Pool-size-only config — the shape every pre-supervisor call site used
@@ -81,13 +84,6 @@ struct ParallelConfig {
   /// after the final one). Must be >= 1 — validated in the same style as
   /// Medium::Config.
   int checkpoint_every = 8;
-
-  /// Share memoized run setup (WiGLE seed, venue locale) across the
-  /// campaign's runs via a SetupCache — identical-setup runs build the
-  /// expensive state once and copy from one immutable snapshot. Results are
-  /// byte-identical with or without it (see sim::SetupCache); disable only
-  /// to measure the cold-setup cost.
-  bool warm_start_setup = true;
 
   /// Fault injection; merged with CITYHUNTER_CHAOS (the env var wins only
   /// when this struct is all-off).
@@ -118,6 +114,9 @@ struct ParallelStats {
   std::uint64_t checkpoint_bytes = 0;  // total encoded bytes written
   std::uint64_t checkpoint_write_failures = 0;
   std::uint64_t resumed_runs = 0;      // outputs restored from a checkpoint
+  /// Wall time of the checkpoint work itself: hashing the campaign config
+  /// once, then copying, encoding and atomically writing every checkpoint.
+  double checkpoint_s = 0.0;
 
   double busy_s() const {
     double total = 0.0;

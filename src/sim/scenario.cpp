@@ -439,10 +439,6 @@ RunOutput run_campaign(const World& world, const RunConfig& cfg,
     m.add(m.counter("medium.transmissions"), medium.transmissions());
     m.add(m.counter("medium.deliveries"), medium.deliveries());
     m.add(m.counter("medium.retries"), medium.retries());
-    m.add(m.counter("medium.pathloss_cache_hits"),
-          medium.pathloss_cache_hits());
-    m.add(m.counter("medium.pathloss_cache_misses"),
-          medium.pathloss_cache_misses());
     const auto& fanout = medium.fanout_stats();
     m.add(m.counter("medium.fanout_batched"), fanout.fanouts);
     // Loaded-candidate count under its established name: perfbench's

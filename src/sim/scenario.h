@@ -243,8 +243,12 @@ struct RunOutput {
 /// computes — seed_from_wigle / seed_carrier_ssids are pure functions of
 /// (wigle, heat, venue position, seed config, t = 0) and every run seeds at
 /// sim time 0, so assigning the snapshot database is indistinguishable from
-/// reseeding; the PnlModel locale is a pure function of (world, venue). The
-/// warm-start equivalence test in tests/parallel_test.cpp pins this.
+/// reseeding; the PnlModel locale is a pure function of (world, venue).
+/// run_campaigns always shares one cache per campaign; the uncached
+/// run_campaign(world, cfg) stays as the reference, and
+/// RunCampaigns.WarmStartSetupIsBitIdenticalToColdSetup and
+/// ParallelIsBitIdenticalToSerial in tests/parallel_test.cpp pin the
+/// equality.
 ///
 /// Thread safety: lookup_or_build is mutex-serialised (misses build inside
 /// the lock — the first run of each distinct setup pays once); the returned

@@ -169,6 +169,14 @@ void ShardedCity::validate() {
     throw std::invalid_argument(
         "ShardedCity: phone speed and walk tick must be positive");
   }
+  if (cfg_.medium.fault.enabled) {
+    // Fault draws are keyed by the Medium-local radio id, which each shard
+    // assigns in its own attach order and import_radio assigns afresh, so
+    // loss patterns would depend on the shard count.
+    throw std::invalid_argument(
+        "ShardedCity: the fault model keys its draws by Medium-local radio "
+        "ids, which differ between shard counts; disable medium.fault");
+  }
   // RF-safety: the guard gap must contain max range twice plus the
   // worst-case walker penetration before handoff. max_safe_lookahead throws
   // when the gap cannot host any positive epoch; an explicit epoch must not

@@ -66,7 +66,9 @@ struct ShardedCityConfig {
   double ap_tx_dbm = 20.0;
   double phone_tx_dbm = 15.0;
   /// Per-shard Medium configuration (index/pipeline toggles). The
-  /// propagation model also sizes the RF-safety validation.
+  /// propagation model also sizes the RF-safety validation. The fault
+  /// model must stay disabled: its draws are keyed by Medium-local radio
+  /// ids, which depend on the shard count.
   medium::Medium::Config medium{};
   /// Retain every delivery record for test-side sorting/merging. Benches
   /// leave this off and compare streaming digests — a city-scale run logs
@@ -124,7 +126,8 @@ support::SimTime sharded_city_epoch(const ShardedCityConfig& cfg);
 
 /// Build and run the sharded city. Throws std::invalid_argument when the
 /// config violates the determinism prerequisites (shards not dividing the
-/// columns, a gap too narrow for the ranges/speeds, a too-long epoch).
+/// columns, a gap too narrow for the ranges/speeds, a too-long epoch, the
+/// fault model enabled).
 ShardedCityResult run_sharded_city(const ShardedCityConfig& cfg);
 
 }  // namespace cityhunter::sim

@@ -163,13 +163,16 @@ TEST(Checkpoint, BitFlipIsCrcMismatch) {
 }
 
 TEST(Checkpoint, WrongVersionIsItsOwnError) {
-  // A future version, and version 2: its runs were simulated with unicast
+  // A future version; version 2, whose runs were simulated with unicast
   // frames fanned out to every bystander and rank-ordered loss draws, so
   // their delivery counts and lossy outcomes differ from a fresh run of the
-  // same config and must not resume next to fresh runs.
-  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 3u);
+  // same config; and version 3, whose observed runs carry the pathloss
+  // cache counters a fresh run no longer reports. None may resume next to
+  // fresh runs.
+  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 4u);
   for (const std::uint32_t version :
-       {sim::CampaignCheckpoint::kFormatVersion + 1, std::uint32_t{2}}) {
+       {sim::CampaignCheckpoint::kFormatVersion + 1, std::uint32_t{2},
+        std::uint32_t{3}}) {
     SCOPED_TRACE(version);
     std::string bytes = sim::encode_checkpoint(tiny_checkpoint());
     bytes[4] = static_cast<char>(version);

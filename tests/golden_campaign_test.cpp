@@ -9,7 +9,6 @@
 // behavioural change slipped into the hot path.
 #include <gtest/gtest.h>
 
-#include "city_scale.h"
 #include "sim/scenario.h"
 
 namespace cityhunter {
@@ -108,38 +107,6 @@ TEST_F(GoldenCampaignTest, LegacyScanMatchesGolden) {
     SCOPED_TRACE(g.fault ? "legacy, fault on" : "legacy, fault off");
     expect_matches(run_golden(*world_, /*grid=*/false, g.fault), g);
   }
-}
-
-// City-scale district (bench/city_scale.h) at test-budget size: the grid
-// pipeline and the legacy-scan oracle must produce exactly these traffic
-// totals. Any drift means the channel-partitioned index, the d² range
-// filter, the pathloss LUT or the pair cache changed delivery *behaviour*
-// instead of just delivery *speed*.
-TEST(CityScaleGolden, PinnedCountsAcrossPipelines) {
-  bench::CityScaleParams params;
-  params.radios = 400;
-  params.area_m = 400.0;
-  params.duration = support::SimTime::seconds(2.0);
-
-  medium::Medium::Config scan_cfg;
-  scan_cfg.spatial_grid = false;
-  scan_cfg.pathloss_lut = false;
-  scan_cfg.pathloss_cache = false;
-
-  const bench::CityScaleResult batched =
-      bench::run_city_scale(params, medium::Medium::Config{});
-  const bench::CityScaleResult scan =
-      bench::run_city_scale(params, scan_cfg);
-
-  EXPECT_EQ(batched.transmissions, scan.transmissions);
-  EXPECT_EQ(batched.deliveries, scan.deliveries);
-
-  // Golden totals recorded when the batched pipeline landed (seed 2026,
-  // 400 radios on 400 m, 2 simulated seconds).
-  EXPECT_EQ(batched.transmissions, 2638u);
-  EXPECT_EQ(batched.deliveries, 21061u);
-  // The static AP↔AP beacon fanout must actually exercise the pair cache.
-  EXPECT_GT(batched.cache_hits, 0u);
 }
 
 TEST_F(GoldenCampaignTest, RepeatedRunsAreBitIdentical) {

@@ -234,6 +234,40 @@ TEST_F(MediumTest, DeliversWithinRange) {
     q.run_all();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3})) << "grid " << grid;
   }
+
+  // A TX-power change takes effect on the next frame: RSSI follows the new
+  // power exactly, and after a raise above every attach power (20 dBm,
+  // ~60 m range), which regrows the grid's cells, a receiver beyond the
+  // old range hears the frame.
+  for (const bool grid : {true, false}) {
+    Medium::Config cfg;
+    cfg.spatial_grid = grid;
+    cfg.pathloss_lut = false;
+    EventQueue q;
+    Medium m(q, cfg);
+    Collector near, far;
+    auto ap = m.attach({0, 0}, 6, 20.0);
+    m.attach({25, 0}, 6, 15.0, &near);
+    m.attach({66, 0}, 6, 15.0, &far);
+    const auto probe =
+        dot11::make_broadcast_probe_request(MacAddress::random_local(rng));
+    ap.set_tx_power_dbm(17.0);
+    ap.transmit(probe);
+    q.run_all();
+    ASSERT_EQ(near.infos.size(), 1u) << "grid " << grid;
+    EXPECT_EQ(near.infos[0].rssi_dbm, m.propagation().rx_power_dbm(17.0, 25.0))
+        << "grid " << grid;
+    EXPECT_TRUE(far.infos.empty()) << "grid " << grid;
+    ap.set_tx_power_dbm(23.0);
+    ap.transmit(probe);
+    q.run_all();
+    ASSERT_EQ(near.infos.size(), 2u) << "grid " << grid;
+    EXPECT_EQ(near.infos[1].rssi_dbm, m.propagation().rx_power_dbm(23.0, 25.0))
+        << "grid " << grid;
+    ASSERT_EQ(far.infos.size(), 1u) << "grid " << grid;
+    EXPECT_EQ(far.infos[0].rssi_dbm, m.propagation().rx_power_dbm(23.0, 66.0))
+        << "grid " << grid;
+  }
 }
 
 TEST_F(MediumTest, DropsBeyondRange) {
@@ -577,12 +611,13 @@ struct FuzzOp {
     kMove,
     kSetChannel,
     kSetRxAddress,
+    kSetTxPower,
     kTransmit
   } kind;
   std::size_t target = 0;    // radio index (mod population)
   Position pos;
   std::uint8_t channel = 6;
-  double dbm = 15.0;
+  double dbm = 15.0;  // attach power, or the power kSetTxPower sets
   bool broadcast = true;
   /// Index into kAddressPool: the address kSetRxAddress registers (-1 =
   /// back to monitor) and a unicast kTransmit's addr1 (-1 = an address no
@@ -631,6 +666,12 @@ std::vector<FuzzOp> make_fuzz_script(std::uint64_t seed, int ops) {
       op.kind = FuzzOp::kSetChannel;
     } else if (roll < 0.54) {
       op.kind = FuzzOp::kSetRxAddress;
+    } else if (roll < 0.58) {
+      // 23 dBm outranges every attach power: the grid regrows its cells
+      // and the LUT its coverage mid-script.
+      const double powers[] = {10.0, 15.0, 20.0, 23.0};
+      op.kind = FuzzOp::kSetTxPower;
+      op.dbm = powers[rng.index(4)];
     } else {
       op.kind = FuzzOp::kTransmit;
     }
@@ -678,6 +719,12 @@ void replay(FuzzRig& rig, const std::vector<FuzzOp>& script) {
         }
         break;
       }
+      case FuzzOp::kSetTxPower: {
+        if (n == 0) break;
+        Radio& r = rig.radios[op.target % n];
+        if (r.valid()) r.set_tx_power_dbm(op.dbm);
+        break;
+      }
       case FuzzOp::kTransmit: {
         if (n == 0) break;
         Radio& r = rig.radios[op.target % n];
@@ -700,11 +747,10 @@ void replay(FuzzRig& rig, const std::vector<FuzzOp>& script) {
   (void)alive_guess;
 }
 
-Medium::Config fuzz_config(bool lut, bool cache, bool grid, bool fault) {
+Medium::Config fuzz_config(bool lut, bool grid, bool fault) {
   Medium::Config cfg;
   cfg.spatial_grid = grid;
   cfg.pathloss_lut = lut;
-  cfg.pathloss_cache = cache;
   if (fault) {
     cfg.fault.enabled = true;
     cfg.fault.seed = 77;
@@ -720,18 +766,15 @@ TEST(MediumEquivalence, BatchedMatchesReferenceUnderChurn) {
 
     // Exact-math rigs: every delivery must match the scan oracle bit for
     // bit.
-    FuzzRig reference(fuzz_config(false, false, false, false));
-    FuzzRig batched_exact(fuzz_config(false, false, true, false));
-    FuzzRig batched_cached(fuzz_config(false, true, true, false));
+    FuzzRig reference(fuzz_config(false, false, false));
+    FuzzRig batched_exact(fuzz_config(false, true, false));
     replay(reference, script);
     replay(batched_exact, script);
-    replay(batched_cached, script);
     EXPECT_EQ(reference.log, batched_exact.log) << "seed " << seed;
-    EXPECT_EQ(reference.log, batched_cached.log) << "seed " << seed;
 
     // LUT rig: identical delivery set/order/timing; RSSI within the LUT's
     // analytic error bound (far below RSSI quantization).
-    FuzzRig batched_lut(fuzz_config(true, true, true, false));
+    FuzzRig batched_lut(fuzz_config(true, true, false));
     replay(batched_lut, script);
     ASSERT_EQ(batched_lut.log.size(), reference.log.size()) << "seed " << seed;
     const PathLossLut bound_lut(Medium::Config{}.propagation, 1000.0);
@@ -748,13 +791,13 @@ TEST(MediumEquivalence, BatchedMatchesReferenceUnderChurn) {
 
 TEST(MediumEquivalence, LossyRunsAreBitIdenticalAcrossPipelines) {
   // With fault injection on, the grid pipeline takes the exact-math road
-  // for the erasure draw even with the LUT and pair cache enabled, so lossy
-  // runs must agree with the scan oracle bit for bit — RSSI, loss pattern,
-  // and counters alike.
+  // for the erasure draw even with the LUT enabled, so lossy runs must
+  // agree with the scan oracle bit for bit — RSSI, loss pattern, and
+  // counters alike.
   for (const std::uint64_t seed : {5u, 6u}) {
     const auto script = make_fuzz_script(seed, 300);
-    FuzzRig scan(fuzz_config(false, false, false, true));
-    FuzzRig batched(fuzz_config(true, true, true, true));
+    FuzzRig scan(fuzz_config(false, false, true));
+    FuzzRig batched(fuzz_config(true, true, true));
     replay(scan, script);
     replay(batched, script);
     EXPECT_EQ(scan.log, batched.log) << "seed " << seed;
@@ -842,9 +885,9 @@ TEST(MediumEquivalence, GridFanoutSurvivesSinkChurnMidDelivery) {
     return state.log;
   };
 
-  const auto scan_log = run(fuzz_config(false, false, false, false));
+  const auto scan_log = run(fuzz_config(false, false, false));
   ASSERT_FALSE(scan_log.empty());
-  const auto log = run(fuzz_config(false, false, true, false));
+  const auto log = run(fuzz_config(false, true, false));
   ASSERT_EQ(log.size(), scan_log.size());
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (std::size_t i = 0; i < log.size(); ++i) {
@@ -910,13 +953,13 @@ TEST(MediumEquivalence, SetChannelStormMatchesLegacyScanAcrossPipelines) {
   for (const std::uint64_t seed : {101u, 202u}) {
     const auto script = make_channel_storm_script(seed, 500);
     for (const bool fault : {false, true}) {
-      FuzzRig scan(fuzz_config(false, false, false, fault));
+      FuzzRig scan(fuzz_config(false, false, fault));
       replay(scan, script);
       ASSERT_FALSE(scan.log.empty()) << "seed " << seed;
-      // The exact rig runs plain grid math; the lossy rig gets the full LUT
-      // + cache pipeline, which the fault path degrades to exact math.
-      FuzzRig rig(fault ? fuzz_config(true, true, true, true)
-                        : fuzz_config(false, false, true, false));
+      // The exact rig runs plain grid math; the lossy rig gets the LUT
+      // pipeline, which the fault path degrades to exact math.
+      FuzzRig rig(fault ? fuzz_config(true, true, true)
+                        : fuzz_config(false, true, false));
       replay(rig, script);
       EXPECT_EQ(scan.log, rig.log) << "seed " << seed << " fault " << fault;
       if (fault) {
@@ -930,12 +973,12 @@ TEST(MediumEquivalence, SetChannelStormMatchesLegacyScanAcrossPipelines) {
 
 TEST(MediumEquivalence, ChannelStormFaultyMigrationIsDeterministic) {
   // The nastiest combination in one rig: retune-dominated churn, fault
-  // injection, LUT + cache — replayed twice to check the rig itself is
+  // injection, the LUT — replayed twice to check the rig itself is
   // deterministic (arena compaction and bucket recycling must not leak
   // allocation order into deliveries).
   const auto script = make_channel_storm_script(321u, 600);
   const auto run_once = [&script]() {
-    FuzzRig rig(fuzz_config(true, true, true, true));
+    FuzzRig rig(fuzz_config(true, true, true));
     replay(rig, script);
     return rig.log;
   };
@@ -999,12 +1042,12 @@ TEST(MediumEquivalence, CompactionStormMatchesLegacyScanAcrossPipelines) {
   // alike.
   const auto script = make_compaction_storm_script(555u, 7000);
   for (const bool fault : {false, true}) {
-    FuzzRig scan(fuzz_config(false, false, false, fault));
+    FuzzRig scan(fuzz_config(false, false, fault));
     replay(scan, script);
     ASSERT_FALSE(scan.log.empty()) << "fault " << fault;
     EXPECT_EQ(scan.medium.arena_stats().compactions, 0u);  // no index at all
-    FuzzRig rig(fault ? fuzz_config(true, true, true, true)
-                      : fuzz_config(false, false, true, false));
+    FuzzRig rig(fault ? fuzz_config(true, true, true)
+                      : fuzz_config(false, true, false));
     replay(rig, script);
     const auto arena = rig.medium.arena_stats();
     EXPECT_GT(arena.compactions, 0u)
@@ -1021,75 +1064,6 @@ TEST(MediumEquivalence, CompactionStormMatchesLegacyScanAcrossPipelines) {
       EXPECT_EQ(scan.medium.retries(), rig.medium.retries());
     }
   }
-}
-
-// --- Pair pathloss cache ---
-
-TEST(MediumPairCache, EpochInvalidationOnMoveAndExactValues) {
-  // LUT off + cache on: cached RSSI must equal the exact model bitwise,
-  // before and after the receiver moves (the move bumps its link epoch and
-  // must invalidate the pair entry).
-  Medium::Config cfg;
-  cfg.pathloss_lut = false;
-  EventQueue events;
-  Medium medium(events, cfg);
-  Rng rng(3);
-
-  Collector rx;
-  auto ap = medium.attach({0, 0}, 6, 20.0);
-  auto phone = medium.attach({30, 0}, 6, 15.0, &rx);
-  const auto beacon =
-      dot11::make_broadcast_probe_request(MacAddress::random_local(rng));
-
-  ap.transmit(beacon);
-  events.run_all();
-  ASSERT_EQ(rx.infos.size(), 1u);
-  EXPECT_EQ(medium.pathloss_cache_misses(), 1u);
-  EXPECT_EQ(medium.pathloss_cache_hits(), 0u);
-  EXPECT_DOUBLE_EQ(rx.infos[0].rssi_dbm,
-                   medium.propagation().rx_power_dbm(20.0, 30.0));
-
-  ap.transmit(beacon);  // static pair: second beacon hits the cache
-  events.run_all();
-  ASSERT_EQ(rx.infos.size(), 2u);
-  EXPECT_EQ(medium.pathloss_cache_hits(), 1u);
-  EXPECT_DOUBLE_EQ(rx.infos[1].rssi_dbm, rx.infos[0].rssi_dbm);
-
-  phone.set_position({50, 0});  // invalidates every entry touching the phone
-  ap.transmit(beacon);
-  events.run_all();
-  ASSERT_EQ(rx.infos.size(), 3u);
-  EXPECT_EQ(medium.pathloss_cache_misses(), 2u);
-  EXPECT_EQ(medium.pathloss_cache_hits(), 1u);
-  EXPECT_DOUBLE_EQ(rx.infos[2].rssi_dbm,
-                   medium.propagation().rx_power_dbm(20.0, 50.0));
-  (void)phone;
-}
-
-TEST(MediumPairCache, TxPowerChangeInvalidatesWithoutMove) {
-  Medium::Config cfg;
-  cfg.pathloss_lut = false;
-  EventQueue events;
-  Medium medium(events, cfg);
-  Rng rng(4);
-
-  Collector rx;
-  auto ap = medium.attach({0, 0}, 6, 20.0);
-  medium.attach({25, 0}, 6, 15.0, &rx);
-  const auto beacon =
-      dot11::make_broadcast_probe_request(MacAddress::random_local(rng));
-
-  ap.transmit(beacon);
-  events.run_all();
-  ap.set_tx_power_dbm(17.0);  // entry keyed by tx power: stale value unusable
-  ap.transmit(beacon);
-  events.run_all();
-  ASSERT_EQ(rx.infos.size(), 2u);
-  EXPECT_DOUBLE_EQ(rx.infos[0].rssi_dbm,
-                   medium.propagation().rx_power_dbm(20.0, 25.0));
-  EXPECT_DOUBLE_EQ(rx.infos[1].rssi_dbm,
-                   medium.propagation().rx_power_dbm(17.0, 25.0));
-  EXPECT_EQ(medium.pathloss_cache_misses(), 2u);
 }
 
 }  // namespace

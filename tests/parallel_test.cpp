@@ -170,24 +170,6 @@ TEST(RunCampaigns, WarmStartSetupIsBitIdenticalToColdSetup) {
   EXPECT_GE(cache.hits(), runs.size());
 }
 
-TEST(RunCampaigns, WarmStartToggleDoesNotChangeCampaignOutputs) {
-  sim::World world(small_scenario());
-  const auto runs = mixed_runs();
-
-  sim::ParallelConfig cold_cfg{1};
-  cold_cfg.warm_start_setup = false;
-  sim::ParallelConfig warm_cfg{1};
-  warm_cfg.warm_start_setup = true;
-
-  const auto cold = sim::run_campaigns(world, runs, cold_cfg);
-  const auto warm = sim::run_campaigns(world, runs, warm_cfg);
-  ASSERT_EQ(cold.size(), warm.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_identical(cold[i], warm[i]);
-  }
-}
-
 TEST(RunCampaigns, SetupCacheIsBoundToOneWorld) {
   // A snapshot seeded from one world must never leak into another: the
   // cache binds to the first world it sees and rejects the rest loudly.

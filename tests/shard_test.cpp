@@ -5,6 +5,8 @@
 // determinism contract from shard.h: byte-identical delivery multisets at
 // any shard count and any worker count.
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -13,6 +15,7 @@
 
 #include "medium/event_queue.h"
 #include "medium/medium.h"
+#include "medium/propagation.h"
 #include "mobility/district_walk.h"
 #include "obs/delivery_log.h"
 #include "sim/shard.h"
@@ -356,6 +359,60 @@ TEST(ShardedCityTest, DeliveriesAreByteIdenticalAtAnyWorkerCount) {
   }
 }
 
+TEST(ShardedCityTest, GridPipelineMatchesTheScanOracle) {
+  // The legacy scan with exact math is the oracle. The grid with exact math
+  // must match it record for record, RSSI bits included; the default grid
+  // (path-loss LUT) must deliver the same frames, with RSSI within the
+  // LUT's analytic error bound. 4 shards put handoffs in play.
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    auto cfg = test_city();
+    cfg.shards = shards;
+    auto scan_cfg = cfg;
+    scan_cfg.medium.spatial_grid = false;
+    scan_cfg.medium.pathloss_lut = false;
+    auto exact_cfg = cfg;
+    exact_cfg.medium.pathloss_lut = false;
+
+    const auto scan = sim::run_sharded_city(scan_cfg);
+    EXPECT_EQ(scan.transmissions, 50607u);
+    EXPECT_EQ(scan.deliveries, 93364u);
+    EXPECT_EQ(scan.gap_silences, 3459u);
+    const auto oracle = sorted_records(scan);
+    ASSERT_EQ(oracle.size(), scan.deliveries);
+
+    const auto exact = sim::run_sharded_city(exact_cfg);
+    EXPECT_EQ(exact.transmissions, scan.transmissions);
+    EXPECT_EQ(exact.gap_silences, scan.gap_silences);
+    EXPECT_EQ(exact.delivery_digest, scan.delivery_digest);
+    EXPECT_TRUE(sorted_records(exact) == oracle);
+
+    const auto grid = sim::run_sharded_city(cfg);
+    EXPECT_EQ(grid.transmissions, scan.transmissions);
+    EXPECT_EQ(grid.gap_silences, scan.gap_silences);
+    const auto lut = sorted_records(grid);
+    ASSERT_EQ(lut.size(), oracle.size());
+    // Slack for rounding in the chord evaluation itself.
+    const double bound = medium::PathLossLut(cfg.medium.propagation,
+                                             sim::sharded_city_max_range_m(cfg))
+                             .max_error_db() +
+                         1e-9;
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      const auto& a = lut[i];
+      const auto& b = oracle[i];
+      const double diff = std::bit_cast<double>(a.rssi_bits) -
+                          std::bit_cast<double>(b.rssi_bits);
+      if (a.time_us != b.time_us || a.tx_id != b.tx_id ||
+          a.rx_id != b.rx_id || a.channel != b.channel ||
+          !(std::abs(diff) <= bound)) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
 TEST(ShardedCityTest, HandoffBookkeepingBalances) {
   auto cfg = test_city();
   cfg.shards = 4;
@@ -394,6 +451,15 @@ TEST(ShardedCityTest, RejectsConfigsThatBreakTheDeterminismContract) {
   cfg.epoch = SimTime::seconds(1.0);
   cfg.duration = SimTime::seconds(5.0);
   EXPECT_NO_THROW(sim::run_sharded_city(cfg));
+
+  // The fault model keys its draws by Medium-local radio ids, which each
+  // shard assigns in its own attach order: loss would follow the shard
+  // count.
+  cfg = test_city();
+  cfg.medium.fault.enabled = true;
+  cfg.medium.fault.seed = 9;
+  cfg.medium.fault.ambient_loss = 0.1;
+  EXPECT_THROW(sim::run_sharded_city(cfg), std::invalid_argument);
 }
 
 TEST(ShardedCityTest, EventBudgetGuardTripsInsteadOfHanging) {
