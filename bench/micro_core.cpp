@@ -38,9 +38,10 @@ BENCHMARK(BM_SsidDbAdd)->Arg(100)->Arg(500);
 
 void BM_SsidDbByWeight(benchmark::State& state) {
   auto db = make_db(static_cast<int>(state.range(0)));
+  std::vector<core::SsidId> v;
   for (auto _ : state) {
-    auto v = db.by_weight();
-    benchmark::DoNotOptimize(v);
+    db.by_weight(v);
+    benchmark::DoNotOptimize(v.data());
   }
 }
 BENCHMARK(BM_SsidDbByWeight)->Arg(100)->Arg(500)->Arg(2000);
@@ -54,14 +55,21 @@ void BM_BufferSelect(benchmark::State& state) {
                   1.0, support::SimTime::seconds(i));
   }
   core::BufferSelector selector(core::BufferSelectorConfig{}, rng.fork("s"));
-  const auto by_weight = db.by_weight();
-  const auto by_fresh = db.by_freshness();
-  std::unordered_set<std::string> sent;
-  for (int i = 0; i < 60; ++i) sent.insert("SSID-" + std::to_string(i));
+  std::vector<core::SsidId> by_weight;
+  std::vector<core::SsidId> by_fresh;
+  db.by_weight(by_weight);
+  db.by_freshness(by_fresh);
+  // The first 60 SSIDs were already sent to this client.
+  std::vector<std::uint8_t> sent(db.size(), 0);
+  for (int i = 0; i < 60; ++i) {
+    sent[*db.find_id("SSID-" + std::to_string(i))] = 1;
+  }
+  std::vector<core::SsidChoice> choices;
+  selector.select(db.records(), by_weight, by_fresh, &sent, choices);  // warm
   const auto a0 = bench::alloc_count();
   for (auto _ : state) {
-    auto choices = selector.select(by_weight, by_fresh, &sent);
-    benchmark::DoNotOptimize(choices);
+    selector.select(db.records(), by_weight, by_fresh, &sent, choices);
+    benchmark::DoNotOptimize(choices.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 40);
   state.counters["allocs_per_op"] =

@@ -131,7 +131,7 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(256)->Arg(1024)->Arg(1500);
 
 }  // namespace
 

@@ -31,18 +31,26 @@ class NearbyOnlyAttacker : public core::Attacker {
     database().add(ssid, 1.0, core::SsidSource::kDirectProbe, now);
   }
 
-  std::vector<core::SsidChoice> select_ssids(const core::ClientRecord& client,
-                                             int budget) override {
-    std::vector<core::SsidChoice> out;
-    for (const auto* rec : database().by_weight()) {
-      if (out.size() >= static_cast<std::size_t>(budget)) break;
-      if (client.sent.count(rec->ssid) != 0) continue;
-      out.push_back(core::SsidChoice{rec->ssid,
-                                     core::SelectionTag::kUntriedSweep,
-                                     rec->source});
+  void select_ssids(const core::ClientRecord& client, int budget,
+                    std::vector<core::SsidChoice>& out) override {
+    // Choices name SSIDs by database id; re-sort only when the database
+    // changed since the last probe.
+    if (order_version_ != database().version()) {
+      database().by_weight(order_);
+      order_version_ = database().version();
     }
-    return out;
+    const auto& records = database().records();
+    for (const core::SsidId id : order_) {
+      if (out.size() >= static_cast<std::size_t>(budget)) break;
+      if (client.was_sent(id)) continue;
+      out.push_back(core::SsidChoice{id, core::SelectionTag::kUntriedSweep,
+                                     records[id].source});
+    }
   }
+
+ private:
+  std::uint64_t order_version_ = ~std::uint64_t{0};
+  std::vector<core::SsidId> order_;
 };
 
 }  // namespace

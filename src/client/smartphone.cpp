@@ -47,10 +47,8 @@ void Smartphone::start() {
 
 void Smartphone::stop() {
   if (!started_ || stopped_) return;
-  stopped_ = true;
-  scan_end_handle_.cancel();
-  next_scan_handle_.cancel();
-  join_timeout_handle_.cancel();
+  stopped_ = true;  // pending scan events check this when they fire
+  ++join_generation_;
   medium_.detach(radio_);
 }
 
@@ -62,8 +60,7 @@ void Smartphone::set_position(Position p) {
 Position Smartphone::position() const { return pos_; }
 
 void Smartphone::schedule_next_scan(SimTime delay) {
-  next_scan_handle_ = medium_.events().schedule_in(
-      delay, [this] { begin_scan(); });
+  medium_.events().post_in(delay, [this] { begin_scan(); });
 }
 
 void Smartphone::begin_scan() {
@@ -96,8 +93,8 @@ void Smartphone::begin_scan() {
   radio_.transmit(tx_frame_);
 
   // Listen for MinChannelTime + MaxChannelTime, then evaluate.
-  scan_end_handle_ = medium_.events().schedule_in(
-      dot11::kMinChannelTime + dot11::kMaxChannelTime, [this] { end_scan(); });
+  medium_.events().post_in(dot11::kMinChannelTime + dot11::kMaxChannelTime,
+                           [this] { end_scan(); });
 }
 
 void Smartphone::end_scan() {
@@ -105,19 +102,9 @@ void Smartphone::end_scan() {
   scanning_ = false;
   ++scans_completed_;
 
-  // Choose the strongest joinable candidate: SSID in PNL, stored as open,
-  // advertised as open.
+  // Choose the strongest joinable candidate; the first one wins a tie.
   const Candidate* best = nullptr;
   for (const auto& c : candidates_) {
-    if (!c.open) continue;
-    bool joinable = false;
-    for (const auto& e : person_.pnl) {
-      if (e.ssid == c.ssid && e.open) {
-        joinable = true;
-        break;
-      }
-    }
-    if (!joinable) continue;
     if (best == nullptr || c.rssi_dbm > best->rssi_dbm) best = &c;
   }
   if (best != nullptr) {
@@ -134,10 +121,18 @@ void Smartphone::end_scan() {
 void Smartphone::try_join(const Candidate& c) {
   join_phase_ = JoinPhase::kAuth;
   join_bssid_ = c.bssid;
-  join_ssid_ = c.ssid;
+  join_pnl_index_ = c.pnl_index;
   radio_.transmit(dot11::make_auth_request(mac_, c.bssid, next_seq()));
-  join_timeout_handle_ = medium_.events().schedule_in(
-      cfg_.join_timeout, [this] { handshake_failed(); });
+  arm_join_timeout();
+}
+
+void Smartphone::arm_join_timeout() {
+  medium_.events().post_in(cfg_.join_timeout,
+                           [this, generation = join_generation_] {
+                             if (generation == join_generation_) {
+                               handshake_failed();
+                             }
+                           });
 }
 
 void Smartphone::handshake_failed() {
@@ -160,9 +155,17 @@ void Smartphone::on_frame(const Frame& frame, const medium::RxInfo& info) {
       const auto ssid = body->ies.ssid_view();  // no temporary string
       if (!ssid) return;
       ++responses_this_scan_;
-      candidates_.push_back(Candidate{std::string(*ssid), frame.header.addr3,
-                                      info.rssi_dbm,
-                                      !body->capability.privacy()});
+      // Keep only what end_scan could join: advertised open, and the SSID
+      // of an entry stored as open.
+      if (body->capability.privacy()) return;
+      for (std::size_t i = 0; i < person_.pnl.size(); ++i) {
+        const auto& e = person_.pnl[i];
+        if (e.open && e.ssid == *ssid) {
+          candidates_.push_back(
+              Candidate{i, frame.header.addr3, info.rssi_dbm});
+          return;
+        }
+      }
       return;
     }
     case dot11::MgmtSubtype::kAuthentication: {
@@ -172,17 +175,15 @@ void Smartphone::on_frame(const Frame& frame, const medium::RxInfo& info) {
       }
       const auto* body = frame.as<dot11::Authentication>();
       if (body->sequence != 2) return;
-      join_timeout_handle_.cancel();
+      ++join_generation_;
       if (body->status != dot11::StatusCode::kSuccess) {
         handshake_failed();
         return;
       }
       join_phase_ = JoinPhase::kAssoc;
-      radio_.transmit(
-          dot11::make_assoc_request(mac_, join_bssid_, join_ssid_,
-                                    next_seq()));
-      join_timeout_handle_ = medium_.events().schedule_in(
-          cfg_.join_timeout, [this] { handshake_failed(); });
+      radio_.transmit(dot11::make_assoc_request(
+          mac_, join_bssid_, person_.pnl[join_pnl_index_].ssid, next_seq()));
+      arm_join_timeout();
       return;
     }
     case dot11::MgmtSubtype::kAssociationResponse: {
@@ -191,14 +192,14 @@ void Smartphone::on_frame(const Frame& frame, const medium::RxInfo& info) {
         return;
       }
       const auto* body = frame.as<dot11::AssociationResponse>();
-      join_timeout_handle_.cancel();
+      ++join_generation_;
       if (body->status != dot11::StatusCode::kSuccess) {
         handshake_failed();
         return;
       }
       join_phase_ = JoinPhase::kIdle;
       connected_ = true;
-      lured_ssid_ = join_ssid_;
+      lured_ssid_ = person_.pnl[join_pnl_index_].ssid;
       if (on_connected) on_connected(*this);
       return;
     }

@@ -19,7 +19,6 @@
 
 #include "dot11/frame.h"
 #include "dot11/timing.h"
-#include "medium/event_queue.h"
 #include "medium/medium.h"
 #include "support/rng.h"
 #include "world/pnl.h"
@@ -53,6 +52,11 @@ struct SmartphoneConfig {
   std::uint8_t channel = 6;
 };
 
+/// Lifetime: the phone's timers are plain queue events that capture `this`
+/// and check its state when they fire (stop() voids them all), so the phone
+/// must outlive every later run of its medium's event queue. Declaring the
+/// queue before the phones, and not running it after they are destroyed,
+/// meets this.
 class Smartphone : public medium::FrameSink {
  public:
   /// The device is created detached; call start() to attach its radio and
@@ -95,17 +99,20 @@ class Smartphone : public medium::FrameSink {
   static dot11::MacAddress mac_for_person(const world::Person& p);
 
  private:
+  /// A response this scan could join: it advertised open, and its SSID is
+  /// the open PNL entry at `pnl_index`.
   struct Candidate {
-    std::string ssid;
+    std::size_t pnl_index;
     dot11::MacAddress bssid;
     double rssi_dbm;
-    bool open;
   };
 
   void schedule_next_scan(SimTime delay);
   void begin_scan();
   void end_scan();
   void try_join(const Candidate& c);
+  /// Arm the handshake timeout for the current join generation.
+  void arm_join_timeout();
   void handshake_failed();
 
   std::uint16_t next_seq() { return seq_ = (seq_ + 1) & 0x0fff; }
@@ -129,13 +136,13 @@ class Smartphone : public medium::FrameSink {
   enum class JoinPhase { kIdle, kAuth, kAssoc };
   JoinPhase join_phase_ = JoinPhase::kIdle;
   dot11::MacAddress join_bssid_;
-  std::string join_ssid_;
-  medium::EventHandle join_timeout_handle_;
+  std::size_t join_pnl_index_ = 0;
+  /// Bumped by stop() and by each handshake response: a pending join
+  /// timeout that captured an older value is stale and does nothing.
+  std::uint64_t join_generation_ = 0;
 
   int responses_this_scan_ = 0;
   std::vector<Candidate> candidates_;
-  medium::EventHandle scan_end_handle_;
-  medium::EventHandle next_scan_handle_;
   int scans_started_ = 0;
   int scans_completed_ = 0;
   std::uint16_t seq_ = 0;

@@ -59,36 +59,51 @@ void Attacker::handle_direct_probe_ssid(const std::string&, SimTime) {}
 
 void Attacker::on_hit(const ClientRecord&, const std::string&, SimTime) {}
 
+void Attacker::note_offer(ClientRecord& c, SsidId id, Attribution offer) {
+  if (id >= c.offered.size()) c.offered.resize(db_.size());
+  c.offered[id] = offer;
+}
+
 void Attacker::respond_to_direct_probe(ClientRecord& c,
                                        const std::string& ssid) {
   // KARMA's core move: mimic whatever the victim asks for, as an open AP.
   dot11::make_probe_response_into(tx_frame_, cfg_.bssid, c.mac, ssid,
                                   cfg_.channel, /*open=*/true, next_seq());
   radio_.transmit(tx_frame_);
-  c.offered[ssid] =
-      SsidChoice{ssid, SelectionTag::kDirectReply, SsidSource::kDirectProbe};
+  const Attribution reply{SelectionTag::kDirectReply,
+                          SsidSource::kDirectProbe};
+  if (const auto id = db_.find_id(ssid)) {
+    note_offer(c, *id, reply);
+  } else {
+    c.offered_unstored[ssid] = reply;
+  }
 }
 
 void Attacker::respond_to_broadcast_probe(ClientRecord& c) {
-  const auto choices = select_ssids(c, cfg_.response_budget);
+  choices_.clear();
+  select_ssids(c, cfg_.response_budget, choices_);
   ++scan_windows_;
-  responses_sent_ += choices.size();
+  responses_sent_ += choices_.size();
   if (trace_ != nullptr) {
     trace_->record(now(), obs::Category::kAttacker,
-                   obs::Event::kScanWindowFill, choices.size(),
+                   obs::Event::kScanWindowFill, choices_.size(),
                    static_cast<std::uint64_t>(cfg_.response_budget));
   }
   if (metrics_ != nullptr) {
-    metrics_->observe(scan_fill_id_, static_cast<double>(choices.size()));
+    metrics_->observe(scan_fill_id_, static_cast<double>(choices_.size()));
   }
-  for (const auto& choice : choices) {
-    dot11::make_probe_response_into(tx_frame_, cfg_.bssid, c.mac, choice.ssid,
-                                    cfg_.channel, /*open=*/true, next_seq());
+  const auto& records = db_.records();
+  for (const SsidChoice& choice : choices_) {
+    dot11::make_probe_response_into(tx_frame_, cfg_.bssid, c.mac,
+                                    records[choice.id].ssid, cfg_.channel,
+                                    /*open=*/true, next_seq());
     radio_.transmit(tx_frame_);
-    if (c.sent.insert(choice.ssid).second) {
+    if (choice.id >= c.sent.size()) c.sent.resize(records.size());
+    if (c.sent[choice.id] == 0) {
+      c.sent[choice.id] = 1;
       ++c.ssids_sent;
     }
-    c.offered[choice.ssid] = choice;
+    note_offer(c, choice.id, Attribution{choice.tag, choice.source});
   }
 }
 
@@ -134,8 +149,14 @@ void Attacker::on_frame(const Frame& frame, const medium::RxInfo&) {
         ++connected_count_;
         const auto ssid = body->ies.ssid().value_or("");
         c.hit_ssid = ssid;
-        auto it = c.offered.find(ssid);
-        if (it != c.offered.end()) c.hit_choice = it->second;
+        // A filled id slot is newer than any unstored direct reply.
+        const auto id = db_.find_id(ssid);
+        if (id && *id < c.offered.size() && c.offered[*id]) {
+          c.hit_choice = c.offered[*id];
+        } else if (const auto it = c.offered_unstored.find(ssid);
+                   it != c.offered_unstored.end()) {
+          c.hit_choice = it->second;
+        }
         on_hit(c, ssid, now());
       }
       return;

@@ -6,7 +6,8 @@
 // (direct/broadcast prober), every SSID already sent to it (the untried-list
 // machinery of §III-A), and how a hit was eventually achieved (for the Fig 6
 // source breakdown). Subclasses implement one hook: which SSIDs to offer a
-// broadcast probe.
+// broadcast probe, named by database id (SsidId). A response frame reads its
+// SSID from the database record, so a 40-response train copies no strings.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/ssid_db.h"
@@ -30,7 +30,7 @@ namespace cityhunter::core {
 using support::SimTime;
 
 /// Which selection path put an SSID into a response train.
-enum class SelectionTag {
+enum class SelectionTag : std::uint8_t {
   kDirectReply,      // mimicked a direct probe (KARMA path)
   kPlainDump,        // MANA: database replayed in insertion order
   kUntriedSweep,     // preliminary City-Hunter: first-N untried
@@ -42,14 +42,25 @@ enum class SelectionTag {
 
 const char* to_string(SelectionTag t);
 
-/// One SSID chosen for a response train, with attribution.
+/// One SSID chosen for a response train: its database id, with attribution.
 struct SsidChoice {
-  std::string ssid;
+  SsidId id = 0;
+  SelectionTag tag = SelectionTag::kUntriedSweep;
+  SsidSource source = SsidSource::kDirectProbe;
+};
+
+/// What an offer of an SSID is credited with if the client joins through
+/// it: the selection path, and where the database learned the SSID.
+struct Attribution {
   SelectionTag tag = SelectionTag::kUntriedSweep;
   SsidSource source = SsidSource::kDirectProbe;
 };
 
 /// Everything the attacker knows about one client MAC.
+///
+/// Per-SSID state is indexed by database id and grows with the database on
+/// demand: an id at or past the end of `sent` or `offered` was never sent or
+/// offered to this client.
 struct ClientRecord {
   dot11::MacAddress mac;
   bool direct_prober = false;  // sent at least one direct probe
@@ -60,13 +71,21 @@ struct ClientRecord {
 
   /// Distinct SSIDs offered to this client in broadcast responses.
   int ssids_sent = 0;
-  std::unordered_set<std::string> sent;
-  /// Attribution of the latest offer of each SSID.
-  std::unordered_map<std::string, SsidChoice> offered;
+  /// Per id: 1 once the SSID went out in a broadcast response.
+  std::vector<std::uint8_t> sent;
+  /// Per id: attribution of the latest offer of the SSID, by broadcast
+  /// response or by direct reply.
+  std::vector<std::optional<Attribution>> offered;
+  /// Latest direct reply for each SSID the database does not hold (KARMA
+  /// stores none). Once an SSID is in the database its offers land in
+  /// `offered`, so an `offered` entry is always the newer one.
+  std::unordered_map<std::string, Attribution> offered_unstored;
 
   /// Filled in on association.
   std::string hit_ssid;
-  std::optional<SsidChoice> hit_choice;
+  std::optional<Attribution> hit_choice;
+
+  bool was_sent(SsidId id) const { return id < sent.size() && sent[id] != 0; }
 };
 
 class Attacker : public medium::FrameSink {
@@ -91,6 +110,9 @@ class Attacker : public medium::FrameSink {
 
   const dot11::MacAddress& bssid() const { return cfg_.bssid; }
   medium::Radio& radio() { return radio_; }
+  /// Client state is keyed by record index, so once started the database
+  /// may only grow (add, observe_direct, record_hit); replace it
+  /// (assignment, restore) before start().
   SsidDatabase& database() { return db_; }
   const SsidDatabase& database() const { return db_; }
 
@@ -116,11 +138,12 @@ class Attacker : public medium::FrameSink {
   void on_frame(const dot11::Frame& frame, const medium::RxInfo& info) override;
 
  protected:
-  /// Strategy hook: choose up to `budget` SSIDs for a broadcast probe from
-  /// `client`. Entries already offered to the client are the subclass's
+  /// Strategy hook: append up to `budget` choices for a broadcast probe from
+  /// `client` to `out`, which arrives empty (it is the attacker's reused
+  /// scratch). Entries already offered to the client are the subclass's
   /// business (MANA deliberately repeats itself; City-Hunter filters).
-  virtual std::vector<SsidChoice> select_ssids(const ClientRecord& client,
-                                               int budget) = 0;
+  virtual void select_ssids(const ClientRecord& client, int budget,
+                            std::vector<SsidChoice>& out) = 0;
 
   /// Notification hooks.
   virtual void handle_direct_probe_ssid(const std::string& ssid, SimTime now);
@@ -140,12 +163,16 @@ class Attacker : public medium::FrameSink {
   ClientRecord& client(const dot11::MacAddress& mac);
   void respond_to_direct_probe(ClientRecord& c, const std::string& ssid);
   void respond_to_broadcast_probe(ClientRecord& c);
+  /// Record `offer` as the latest offer of database id `id` to `c`.
+  void note_offer(ClientRecord& c, SsidId id, Attribution offer);
 
   BaseConfig cfg_;
   medium::Radio radio_;
   /// Reused transmit scratch: the 40-response train rebuilds this frame in
   /// place instead of reallocating IE storage per response.
   dot11::Frame tx_frame_;
+  /// Reused select_ssids() output: one response train.
+  std::vector<SsidChoice> choices_;
   bool started_ = false;
   bool stopped_ = false;
   std::map<dot11::MacAddress, ClientRecord> clients_;

@@ -4,66 +4,78 @@
 
 namespace cityhunter::core {
 
+namespace {
+
+/// True when per-id flags `sent` (null: no untried tracking) mark `id`.
+bool was_sent(const std::vector<std::uint8_t>* sent, SsidId id) {
+  return sent != nullptr && id < sent->size() && (*sent)[id] != 0;
+}
+
+}  // namespace
+
 BufferSelector::BufferSelector(BufferSelectorConfig cfg, support::Rng rng)
     : cfg_(cfg), rng_(std::move(rng)), pb_size_(cfg.initial_pb_size) {
   pb_size_ = std::clamp(pb_size_, cfg_.min_buffer_size,
                         cfg_.budget - cfg_.min_buffer_size);
 }
 
-std::vector<const SsidRecord*> BufferSelector::collect(
-    const std::vector<const SsidRecord*>& ranked, std::size_t want,
-    const std::unordered_set<std::string>* already_sent,
-    const std::unordered_set<const SsidRecord*>& used) {
-  std::vector<const SsidRecord*> out;
-  out.reserve(want);
-  for (const auto* rec : ranked) {
-    if (out.size() >= want) break;
-    if (used.count(rec) != 0) continue;
-    if (already_sent != nullptr && already_sent->count(rec->ssid) != 0) {
-      continue;
-    }
-    out.push_back(rec);
+void BufferSelector::begin_marks(std::size_t n) {
+  if (used_.size() < n) {
+    used_.resize(n, 0);
+    chosen_.resize(n, 0);
   }
-  return out;
+  if (++epoch_ == 0) {
+    // Wrapped: stamps left from 65,535 selections ago would alias.
+    std::fill(used_.begin(), used_.end(), std::uint16_t{0});
+    std::fill(chosen_.begin(), chosen_.end(), std::uint16_t{0});
+    epoch_ = 1;
+  }
 }
 
-void BufferSelector::emit_buffer(
-    const std::vector<const SsidRecord*>& candidates, std::size_t main_size,
-    SelectionTag main_tag, SelectionTag ghost_tag,
-    std::vector<SsidChoice>& out) {
-  std::vector<const SsidRecord*> main(
-      candidates.begin(),
-      candidates.begin() + static_cast<long>(
-                               std::min(main_size, candidates.size())));
-  std::vector<const SsidRecord*> ghosts(
-      candidates.begin() + static_cast<long>(main.size()), candidates.end());
+void BufferSelector::collect(std::span<const SsidId> ranked, std::size_t want,
+                             const std::vector<std::uint8_t>* already_sent) {
+  cands_.clear();
+  for (const SsidId id : ranked) {
+    if (cands_.size() >= want) break;
+    if (used_[id] == epoch_ || was_sent(already_sent, id)) continue;
+    cands_.push_back(id);
+  }
+}
+
+void BufferSelector::emit_buffer(std::span<const SsidRecord> records,
+                                 std::size_t main_size, SelectionTag main_tag,
+                                 SelectionTag ghost_tag,
+                                 std::vector<SsidChoice>& out) {
+  const std::size_t n_main = std::min(main_size, cands_.size());
+  const std::size_t n_ghosts = cands_.size() - n_main;
 
   std::size_t picks = 0;
   if (cfg_.use_ghosts) {
-    picks = std::min({static_cast<std::size_t>(cfg_.ghost_picks),
-                      ghosts.size(), main.size()});
+    picks = std::min(
+        {static_cast<std::size_t>(cfg_.ghost_picks), n_ghosts, n_main});
   }
   // Replace the lowest-ranked `picks` of the buffer with random ghosts.
-  main.resize(main.size() - picks);
-  for (const auto* rec : main) {
-    out.push_back(SsidChoice{rec->ssid, main_tag, rec->source});
+  for (std::size_t i = 0; i < n_main - picks; ++i) {
+    const SsidId id = cands_[i];
+    out.push_back(SsidChoice{id, main_tag, records[id].source});
   }
   if (picks > 0) {
-    const auto idx = rng_.sample_indices(ghosts.size(), picks);
-    for (const auto i : idx) {
-      out.push_back(SsidChoice{ghosts[i]->ssid, ghost_tag, ghosts[i]->source});
+    rng_.sample_indices(n_ghosts, picks, ghost_idx_);
+    for (const std::size_t i : ghost_idx_) {
+      const SsidId id = cands_[n_main + i];
+      out.push_back(SsidChoice{id, ghost_tag, records[id].source});
     }
   }
 }
 
-std::vector<SsidChoice> BufferSelector::select(
-    const std::vector<const SsidRecord*>& by_weight,
-    const std::vector<const SsidRecord*>& by_freshness,
-    const std::unordered_set<std::string>* already_sent) {
+void BufferSelector::select(std::span<const SsidRecord> records,
+                            std::span<const SsidId> by_weight,
+                            std::span<const SsidId> by_freshness,
+                            const std::vector<std::uint8_t>* already_sent,
+                            std::vector<SsidChoice>& out) {
   const auto budget = static_cast<std::size_t>(cfg_.budget);
-  std::vector<SsidChoice> out;
-  out.reserve(budget);
-  std::unordered_set<const SsidRecord*> used;
+  out.clear();
+  begin_marks(records.size());
 
   // Popularity buffer first: an SSID that is both popular and fresh belongs
   // to (and is attributed to) PB; FB captures the fresh-but-not-popular
@@ -71,41 +83,34 @@ std::vector<SsidChoice> BufferSelector::select(
   const auto pb_target = cfg_.use_freshness
                              ? static_cast<std::size_t>(pb_size())
                              : budget;
-  const auto p_cands = collect(
-      by_weight, pb_target + static_cast<std::size_t>(cfg_.ghost_size),
-      already_sent, used);
-  emit_buffer(p_cands, std::min(pb_target, p_cands.size()),
-              SelectionTag::kPopularity, SelectionTag::kPopularityGhost, out);
-  for (const auto* rec : p_cands) used.insert(rec);
+  collect(by_weight, pb_target + static_cast<std::size_t>(cfg_.ghost_size),
+          already_sent);
+  emit_buffer(records, pb_target, SelectionTag::kPopularity,
+              SelectionTag::kPopularityGhost, out);
+  for (const SsidId id : cands_) used_[id] = epoch_;
 
   // Freshness buffer fills the remaining budget (all of it when the
   // popularity side ran out of untried SSIDs).
   if (cfg_.use_freshness && out.size() < budget) {
     const std::size_t fresh_want = budget - out.size();
-    const auto f_cands = collect(
-        by_freshness, fresh_want + static_cast<std::size_t>(cfg_.ghost_size),
-        already_sent, used);
-    emit_buffer(f_cands, std::min(fresh_want, f_cands.size()),
-                SelectionTag::kFreshness, SelectionTag::kFreshnessGhost, out);
-    for (const auto* rec : f_cands) used.insert(rec);
+    collect(by_freshness,
+            fresh_want + static_cast<std::size_t>(cfg_.ghost_size),
+            already_sent);
+    emit_buffer(records, fresh_want, SelectionTag::kFreshness,
+                SelectionTag::kFreshnessGhost, out);
   }
 
   // Early in a deployment few SSIDs have hit yet: backfill any freshness
   // deficit with more popularity candidates rather than waste budget.
   if (out.size() < budget) {
-    std::unordered_set<std::string> chosen;
-    for (const auto& c : out) chosen.insert(c.ssid);
-    for (const auto* rec : by_weight) {
+    for (const SsidChoice& c : out) chosen_[c.id] = epoch_;
+    for (const SsidId id : by_weight) {
       if (out.size() >= budget) break;
-      if (chosen.count(rec->ssid) != 0) continue;
-      if (already_sent != nullptr && already_sent->count(rec->ssid) != 0) {
-        continue;
-      }
-      out.push_back(
-          SsidChoice{rec->ssid, SelectionTag::kPopularity, rec->source});
+      if (chosen_[id] == epoch_ || was_sent(already_sent, id)) continue;
+      out.push_back(SsidChoice{id, SelectionTag::kPopularity,
+                               records[id].source});
     }
   }
-  return out;
 }
 
 void BufferSelector::notify_hit(SelectionTag tag) {

@@ -10,9 +10,14 @@
 // FB-ghost means the opposite. This is the adaptation rule of Megiddo and
 // Modha's ARC (adaptive replacement cache) transplanted from cache lines to
 // SSIDs.
+//
+// Selection allocates nothing at steady state: SSIDs are database ids, the
+// "already picked" sets are epoch-stamped mark arrays over ids, and the
+// candidate and ghost-index lists are member scratch reused across calls.
 #pragma once
 
-#include <unordered_set>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/attacker.h"
@@ -37,13 +42,15 @@ class BufferSelector {
  public:
   BufferSelector(BufferSelectorConfig cfg, support::Rng rng);
 
-  /// Choose up to cfg.budget SSIDs. `by_weight` / `by_freshness` are the
-  /// database's sorted views; `already_sent` may be null (no untried
-  /// tracking).
-  std::vector<SsidChoice> select(
-      const std::vector<const SsidRecord*>& by_weight,
-      const std::vector<const SsidRecord*>& by_freshness,
-      const std::unordered_set<std::string>* already_sent);
+  /// Choose up to cfg.budget SSIDs into `out` (cleared first). `records`
+  /// is the database's record array; `by_weight` / `by_freshness` are its
+  /// sorted id views. `already_sent` holds per-id sent flags (ids past its
+  /// end count as unsent), or is null for no untried tracking.
+  void select(std::span<const SsidRecord> records,
+              std::span<const SsidId> by_weight,
+              std::span<const SsidId> by_freshness,
+              const std::vector<std::uint8_t>* already_sent,
+              std::vector<SsidChoice>& out);
 
   /// Feed back the selection tag of a successful hit; adjusts the PB/FB
   /// split when the tag is a ghost tag and adaptation is enabled.
@@ -59,22 +66,35 @@ class BufferSelector {
   std::uint64_t pb_shrinks() const { return pb_shrinks_; }
 
  private:
-  /// Collect up to `want` untried records from `ranked` starting at the
-  /// cursor position, skipping entries already in `used`.
-  static std::vector<const SsidRecord*> collect(
-      const std::vector<const SsidRecord*>& ranked, std::size_t want,
-      const std::unordered_set<std::string>* already_sent,
-      const std::unordered_set<const SsidRecord*>& used);
+  /// Fill cands_ with up to `want` ids from `ranked`, in rank order,
+  /// skipping ids marked in used_ and ids already sent.
+  void collect(std::span<const SsidId> ranked, std::size_t want,
+               const std::vector<std::uint8_t>* already_sent);
 
-  void emit_buffer(const std::vector<const SsidRecord*>& candidates,
-                   std::size_t main_size, SelectionTag main_tag,
-                   SelectionTag ghost_tag, std::vector<SsidChoice>& out);
+  /// Emit the first `main_size` of cands_ under `main_tag`, except that the
+  /// lowest-ranked `ghost_picks` of them give way to random picks from the
+  /// rest of cands_ (the ghost list) under `ghost_tag`.
+  void emit_buffer(std::span<const SsidRecord> records, std::size_t main_size,
+                   SelectionTag main_tag, SelectionTag ghost_tag,
+                   std::vector<SsidChoice>& out);
+
+  /// Start a new mark epoch over `n` ids: every id reads unmarked.
+  void begin_marks(std::size_t n);
 
   BufferSelectorConfig cfg_;
   support::Rng rng_;
   int pb_size_;
   std::uint64_t pb_grows_ = 0;
   std::uint64_t pb_shrinks_ = 0;
+
+  // Selection scratch. An id is in the "used" (taken by a buffer) or the
+  // "chosen" (emitted) set of the current select() iff its stamp equals
+  // epoch_; when the epoch wraps, both arrays are cleared.
+  std::uint16_t epoch_ = 0;
+  std::vector<std::uint16_t> used_;
+  std::vector<std::uint16_t> chosen_;
+  std::vector<SsidId> cands_;
+  std::vector<std::size_t> ghost_idx_;
 };
 
 }  // namespace cityhunter::core

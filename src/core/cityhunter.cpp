@@ -43,17 +43,16 @@ void CityHunter::on_hit(const ClientRecord& client, const std::string& ssid,
 
 void CityHunter::refresh_views() {
   if (views_version_ == db_.version()) return;
-  by_weight_ = db_.by_weight();
-  by_freshness_ = db_.by_freshness();
+  db_.by_weight(by_weight_);
+  db_.by_freshness(by_freshness_);
   views_version_ = db_.version();
 }
 
-std::vector<SsidChoice> CityHunter::select_ssids(const ClientRecord& client,
-                                                 int /*budget*/) {
+void CityHunter::select_ssids(const ClientRecord& client, int /*budget*/,
+                              std::vector<SsidChoice>& out) {
   refresh_views();
-  const std::unordered_set<std::string>* sent_filter =
-      cfg_.untried_tracking ? &client.sent : nullptr;
-  return selector_.select(by_weight_, by_freshness_, sent_filter);
+  selector_.select(db_.records(), by_weight_, by_freshness_,
+                   cfg_.untried_tracking ? &client.sent : nullptr, out);
 }
 
 }  // namespace cityhunter::core

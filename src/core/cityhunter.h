@@ -50,10 +50,11 @@ class CityHunter : public Attacker {
                                 SimTime now) override;
   void on_hit(const ClientRecord& client, const std::string& ssid,
               SimTime now) override;
-  std::vector<SsidChoice> select_ssids(const ClientRecord& client,
-                                       int budget) override;
+  void select_ssids(const ClientRecord& client, int budget,
+                    std::vector<SsidChoice>& out) override;
 
  private:
+  /// Re-sort the id views in place when the database changed.
   void refresh_views();
 
   Config cfg_;
@@ -61,8 +62,8 @@ class CityHunter : public Attacker {
 
   // Sorted-view cache keyed on the database's mutation counter.
   std::uint64_t views_version_ = ~std::uint64_t{0};
-  std::vector<const SsidRecord*> by_weight_;
-  std::vector<const SsidRecord*> by_freshness_;
+  std::vector<SsidId> by_weight_;
+  std::vector<SsidId> by_freshness_;
 };
 
 }  // namespace cityhunter::core

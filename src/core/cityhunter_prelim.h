@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 
 #include "core/attacker.h"
 
@@ -38,41 +39,41 @@ class CityHunterPrelim : public Attacker {
     db_.record_hit(ssid, 0.0, now);
   }
 
-  std::vector<SsidChoice> select_ssids(const ClientRecord& client,
-                                       int budget) override {
+  void select_ssids(const ClientRecord& client, int budget,
+                    std::vector<SsidChoice>& out) override {
     refresh_order();
-    std::vector<SsidChoice> out;
-    out.reserve(static_cast<std::size_t>(budget));
-    for (const auto* rec : ordered_) {
+    const auto& records = db_.records();
+    for (const SsidId id : ordered_) {
       if (out.size() >= static_cast<std::size_t>(budget)) break;
-      if (client.sent.count(rec->ssid) != 0) continue;
+      if (client.was_sent(id)) continue;
       out.push_back(
-          SsidChoice{rec->ssid, SelectionTag::kUntriedSweep, rec->source});
+          SsidChoice{id, SelectionTag::kUntriedSweep, records[id].source});
     }
-    return out;
   }
 
  private:
   /// The preliminary design has no notion of ranking: its database is an
   /// unordered set and responses come out in whatever order the container
   /// yields (§III). We model that with a deterministic hash order, which is
-  /// as good as random with respect to SSID popularity.
+  /// as good as random with respect to SSID popularity. Re-sorted in place
+  /// when the database changes.
   void refresh_order() {
     if (order_version_ == db_.version()) return;
-    ordered_ = db_.by_insertion();
-    std::sort(ordered_.begin(), ordered_.end(),
-              [](const SsidRecord* a, const SsidRecord* b) {
-                const auto ha = std::hash<std::string>{}(a->ssid);
-                const auto hb = std::hash<std::string>{}(b->ssid);
-                if (ha != hb) return ha < hb;
-                return a->insertion_order < b->insertion_order;
-              });
+    const auto& records = db_.records();
+    ordered_.resize(records.size());
+    std::iota(ordered_.begin(), ordered_.end(), SsidId{0});
+    std::sort(ordered_.begin(), ordered_.end(), [&](SsidId a, SsidId b) {
+      const auto ha = std::hash<std::string>{}(records[a].ssid);
+      const auto hb = std::hash<std::string>{}(records[b].ssid);
+      if (ha != hb) return ha < hb;
+      return records[a].insertion_order < records[b].insertion_order;
+    });
     order_version_ = db_.version();
   }
 
   Config cfg_;
   std::uint64_t order_version_ = ~std::uint64_t{0};
-  std::vector<const SsidRecord*> ordered_;
+  std::vector<SsidId> ordered_;
 };
 
 }  // namespace cityhunter::core

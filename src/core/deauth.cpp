@@ -6,22 +6,24 @@ DeauthModule::DeauthModule(medium::Medium& medium, medium::Radio& radio,
                            Config cfg)
     : medium_(medium), radio_(radio), cfg_(std::move(cfg)) {}
 
-DeauthModule::~DeauthModule() { stop(); }
-
 void DeauthModule::start() {
   if (running_) return;
   running_ = true;
-  next_ = medium_.events().schedule_in(support::SimTime::zero(),
-                                       [this] { round(); });
+  schedule_round(support::SimTime::zero());
 }
 
 void DeauthModule::stop() {
   running_ = false;
-  next_.cancel();
+  ++generation_;
+}
+
+void DeauthModule::schedule_round(support::SimTime delay) {
+  medium_.events().post_in(delay, [this, generation = generation_] {
+    if (generation == generation_) round();
+  });
 }
 
 void DeauthModule::round() {
-  if (!running_) return;
   for (const auto& bssid : cfg_.target_bssids) {
     // Spoof the AP: addr2 (transmitter) and addr3 (BSSID) are the victim
     // AP's address; addr1 broadcast reaches every associated client.
@@ -30,7 +32,7 @@ void DeauthModule::round() {
         dot11::ReasonCode::kDeauthLeaving, seq_ = (seq_ + 1) & 0x0fff));
     ++sent_;
   }
-  next_ = medium_.events().schedule_in(cfg_.interval, [this] { round(); });
+  schedule_round(cfg_.interval);
 }
 
 }  // namespace cityhunter::core

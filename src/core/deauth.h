@@ -10,11 +10,14 @@
 #include <vector>
 
 #include "dot11/frame.h"
-#include "medium/event_queue.h"
 #include "medium/medium.h"
 
 namespace cityhunter::core {
 
+/// Lifetime: each round is a plain queue event that captures `this` and a
+/// generation number; stop() bumps the generation, so a round pending from
+/// before a stop (or a stop and restart) does nothing when it fires. The
+/// module must outlive every later run of its medium's event queue.
 class DeauthModule {
  public:
   struct Config {
@@ -24,7 +27,6 @@ class DeauthModule {
 
   /// `radio` must outlive the module (it is the attacker's radio).
   DeauthModule(medium::Medium& medium, medium::Radio& radio, Config cfg);
-  ~DeauthModule();
 
   DeauthModule(const DeauthModule&) = delete;
   DeauthModule& operator=(const DeauthModule&) = delete;
@@ -35,13 +37,15 @@ class DeauthModule {
   std::uint64_t deauths_sent() const { return sent_; }
 
  private:
+  /// Post the next round `delay` from now, tied to the current generation.
+  void schedule_round(support::SimTime delay);
   void round();
 
   medium::Medium& medium_;
   medium::Radio& radio_;
   Config cfg_;
   bool running_ = false;
-  medium::EventHandle next_;
+  std::uint64_t generation_ = 0;
   std::uint64_t sent_ = 0;
   std::uint16_t seq_ = 0;
 };

@@ -14,9 +14,8 @@ class KarmaAttacker : public Attacker {
   using Attacker::Attacker;
 
  protected:
-  std::vector<SsidChoice> select_ssids(const ClientRecord&, int) override {
-    return {};
-  }
+  void select_ssids(const ClientRecord&, int,
+                    std::vector<SsidChoice>&) override {}
 };
 
 }  // namespace cityhunter::core

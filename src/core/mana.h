@@ -34,20 +34,17 @@ class ManaAttacker : public Attacker {
     db_.add(ssid, cfg_.learned_weight, SsidSource::kDirectProbe, now);
   }
 
-  std::vector<SsidChoice> select_ssids(const ClientRecord&,
-                                       int /*budget*/) override {
+  void select_ssids(const ClientRecord&, int /*budget*/,
+                    std::vector<SsidChoice>& out) override {
     // Deliberately ignores the budget and any per-client history: dump
-    // everything, every time.
-    std::vector<SsidChoice> out;
-    const auto records = db_.by_insertion();
+    // everything, every time, in insertion (= id) order.
+    const auto& records = db_.records();
     const auto n = std::min<std::size_t>(
         records.size(), static_cast<std::size_t>(cfg_.max_dump));
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(SsidChoice{records[i]->ssid, SelectionTag::kPlainDump,
-                               records[i]->source});
+    for (SsidId id = 0; id < n; ++id) {
+      out.push_back(SsidChoice{id, SelectionTag::kPlainDump,
+                               records[id].source});
     }
-    return out;
   }
 
  private:

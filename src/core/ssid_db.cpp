@@ -1,6 +1,7 @@
 #include "core/ssid_db.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace cityhunter::core {
 
@@ -63,39 +64,34 @@ const SsidRecord* SsidDatabase::find(const std::string& ssid) const {
   return it == index_.end() ? nullptr : &records_[it->second];
 }
 
-std::vector<const SsidRecord*> SsidDatabase::by_weight() const {
-  std::vector<const SsidRecord*> out;
-  out.reserve(records_.size());
-  for (const auto& r : records_) out.push_back(&r);
-  std::sort(out.begin(), out.end(),
-            [](const SsidRecord* a, const SsidRecord* b) {
-              if (a->weight != b->weight) return a->weight > b->weight;
-              return a->insertion_order < b->insertion_order;
-            });
-  return out;
+std::optional<SsidId> SsidDatabase::find_id(const std::string& ssid) const {
+  auto it = index_.find(ssid);
+  if (it == index_.end()) return std::nullopt;
+  return static_cast<SsidId>(it->second);
 }
 
-std::vector<const SsidRecord*> SsidDatabase::by_freshness() const {
-  std::vector<const SsidRecord*> out;
-  for (const auto& r : records_) {
-    if (r.last_hit) out.push_back(&r);
+void SsidDatabase::by_weight(std::vector<SsidId>& out) const {
+  out.resize(records_.size());
+  std::iota(out.begin(), out.end(), SsidId{0});
+  std::sort(out.begin(), out.end(), [this](SsidId a, SsidId b) {
+    const SsidRecord& ra = records_[a];
+    const SsidRecord& rb = records_[b];
+    if (ra.weight != rb.weight) return ra.weight > rb.weight;
+    return ra.insertion_order < rb.insertion_order;
+  });
+}
+
+void SsidDatabase::by_freshness(std::vector<SsidId>& out) const {
+  out.clear();
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    if (records_[i].last_hit) out.push_back(static_cast<SsidId>(i));
   }
-  std::sort(out.begin(), out.end(),
-            [](const SsidRecord* a, const SsidRecord* b) {
-              if (*a->last_hit != *b->last_hit) {
-                return *a->last_hit > *b->last_hit;
-              }
-              return a->insertion_order < b->insertion_order;
-            });
-  return out;
-}
-
-std::vector<const SsidRecord*> SsidDatabase::by_insertion() const {
-  std::vector<const SsidRecord*> out;
-  out.reserve(records_.size());
-  for (const auto& r : records_) out.push_back(&r);
-  // records_ is already insertion-ordered.
-  return out;
+  std::sort(out.begin(), out.end(), [this](SsidId a, SsidId b) {
+    const SsidRecord& ra = records_[a];
+    const SsidRecord& rb = records_[b];
+    if (*ra.last_hit != *rb.last_hit) return *ra.last_hit > *rb.last_hit;
+    return ra.insertion_order < rb.insertion_order;
+  });
 }
 
 void SsidDatabase::restore(std::vector<SsidRecord> records) {

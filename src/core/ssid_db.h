@@ -3,6 +3,11 @@
 // Each record carries: the SSID, its weight (initialised from WiGLE rank
 // weights, bumped by hits and by re-observations in direct probes), its
 // provenance, and its hit history (count + time of latest hit = freshness).
+//
+// Records are append-only, so a record's index in records() is a dense,
+// stable id (SsidId). The attacker's per-client bookkeeping, the selection
+// buffers and the response trains all name SSIDs by that id and read the
+// string from the record only when a frame is built.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +22,10 @@ namespace cityhunter::core {
 
 using support::SimTime;
 
-enum class SsidSource {
+/// Index of a record in SsidDatabase::records().
+using SsidId = std::uint32_t;
+
+enum class SsidSource : std::uint8_t {
   kWigleNearby,   // among the 100 free APs nearest the attack location
   kWiglePopular,  // among the 200 highest heat-value (or AP-count) SSIDs
   kDirectProbe,   // learned on site from a disclosed PNL
@@ -58,25 +66,27 @@ class SsidDatabase {
     return index_.count(ssid) != 0;
   }
   const SsidRecord* find(const std::string& ssid) const;
+  /// Id of the record for `ssid`, if the database holds it.
+  std::optional<SsidId> find_id(const std::string& ssid) const;
   std::size_t size() const { return records_.size(); }
 
-  /// All records ordered by descending weight (stable: insertion order
-  /// breaks ties). O(n log n); attacker code caches between mutations.
-  std::vector<const SsidRecord*> by_weight() const;
+  /// Ids of all records by descending weight (stable: insertion order
+  /// breaks ties), written over `out`. O(n log n); attacker code caches
+  /// the order between mutations.
+  void by_weight(std::vector<SsidId>& out) const;
 
-  /// Records with at least one hit, most recent hit first.
-  std::vector<const SsidRecord*> by_freshness() const;
-
-  /// Records in insertion order (what plain MANA replays).
-  std::vector<const SsidRecord*> by_insertion() const;
+  /// Ids of the records with at least one hit, most recent hit first,
+  /// written over `out`.
+  void by_freshness(std::vector<SsidId>& out) const;
 
   std::size_t count_from(SsidSource source) const;
 
   /// Monotonic mutation counter — lets callers cache sorted views.
   std::uint64_t version() const { return version_; }
 
-  /// Insertion-ordered backing records — the database's full state, used by
-  /// the campaign checkpoint (sim/checkpoint) to serialize it verbatim.
+  /// Insertion-ordered backing records, indexed by SsidId — the database's
+  /// full state, which the campaign checkpoint (sim/checkpoint) serializes
+  /// verbatim.
   const std::vector<SsidRecord>& records() const { return records_; }
 
   /// Rebuild the database from checkpointed records (must be in insertion

@@ -128,18 +128,6 @@ Frame make_deauth(const MacAddress& src, const MacAddress& dst,
   return Frame{{dst, src, bssid, seq}, body};
 }
 
-namespace {
-
-/// Re-point the body variant at alternative T without discarding the existing
-/// object's IE storage when the alternative already matches.
-template <typename T>
-T& reuse_body(FrameBody& body) {
-  if (auto* p = std::get_if<T>(&body)) return *p;
-  return body.emplace<T>();
-}
-
-}  // namespace
-
 void make_broadcast_probe_request_into(Frame& out, const MacAddress& client,
                                        std::uint16_t seq) {
   out.header = {MacAddress::broadcast(), client, MacAddress::broadcast(), seq};

@@ -167,6 +167,31 @@ struct Frame {
   bool operator==(const Frame&) const = default;
 };
 
+/// Re-point a reused frame slot's body at alternative T and return it. When
+/// the body already holds a T it is returned as is. Otherwise a fresh T
+/// replaces it, and the old alternative's IE list (emptied) moves into the
+/// new one, so a pooled slot keeps its IE storage when the subtype changes
+/// — e.g. a probe request parsed where a probe response was.
+template <typename T>
+T& reuse_body(FrameBody& body) {
+  if (auto* held = std::get_if<T>(&body)) return *held;
+  IeList storage = std::visit(
+      [](auto& old) {
+        if constexpr (requires { old.ies; }) {
+          return std::move(old.ies);
+        } else {
+          return IeList{};
+        }
+      },
+      body);
+  T& fresh = body.emplace<T>();
+  if constexpr (requires { fresh.ies; }) {
+    fresh.ies = std::move(storage);
+    fresh.ies.clear();
+  }
+  return fresh;
+}
+
 /// Human-readable subtype name for logs.
 std::string subtype_name(MgmtSubtype s);
 

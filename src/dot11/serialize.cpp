@@ -148,18 +148,10 @@ void serialize_body(std::vector<std::uint8_t>& out, const FrameBody& body) {
   std::visit(Visitor{out}, body);
 }
 
-/// Re-point `body` at alternative T, reusing the existing object (and its IE
-/// backing storage) when the variant already holds one.
-template <typename T>
-T& body_slot(FrameBody& body) {
-  if (auto* p = std::get_if<T>(&body)) return *p;
-  return body.emplace<T>();
-}
-
 bool parse_body_into(MgmtSubtype subtype, Reader& r, FrameBody& body) {
   switch (subtype) {
     case MgmtSubtype::kBeacon: {
-      auto& b = body_slot<Beacon>(body);
+      auto& b = reuse_body<Beacon>(body);
       b.timestamp_us = r.u64();
       b.beacon_interval_tu = r.u16();
       b.capability.bits = r.u16();
@@ -167,11 +159,11 @@ bool parse_body_into(MgmtSubtype subtype, Reader& r, FrameBody& body) {
       return b.ies.assign_wire(r.rest());
     }
     case MgmtSubtype::kProbeRequest: {
-      auto& b = body_slot<ProbeRequest>(body);
+      auto& b = reuse_body<ProbeRequest>(body);
       return b.ies.assign_wire(r.rest());
     }
     case MgmtSubtype::kProbeResponse: {
-      auto& b = body_slot<ProbeResponse>(body);
+      auto& b = reuse_body<ProbeResponse>(body);
       b.timestamp_us = r.u64();
       b.beacon_interval_tu = r.u16();
       b.capability.bits = r.u16();
@@ -179,21 +171,21 @@ bool parse_body_into(MgmtSubtype subtype, Reader& r, FrameBody& body) {
       return b.ies.assign_wire(r.rest());
     }
     case MgmtSubtype::kAuthentication: {
-      auto& b = body_slot<Authentication>(body);
+      auto& b = reuse_body<Authentication>(body);
       b.algorithm = static_cast<AuthAlgorithm>(r.u16());
       b.sequence = r.u16();
       b.status = static_cast<StatusCode>(r.u16());
       return r.ok();
     }
     case MgmtSubtype::kAssociationRequest: {
-      auto& b = body_slot<AssociationRequest>(body);
+      auto& b = reuse_body<AssociationRequest>(body);
       b.capability.bits = r.u16();
       b.listen_interval = r.u16();
       if (!r.ok()) return false;
       return b.ies.assign_wire(r.rest());
     }
     case MgmtSubtype::kAssociationResponse: {
-      auto& b = body_slot<AssociationResponse>(body);
+      auto& b = reuse_body<AssociationResponse>(body);
       b.capability.bits = r.u16();
       b.status = static_cast<StatusCode>(r.u16());
       b.association_id = r.u16();
@@ -201,12 +193,12 @@ bool parse_body_into(MgmtSubtype subtype, Reader& r, FrameBody& body) {
       return b.ies.assign_wire(r.rest());
     }
     case MgmtSubtype::kDeauthentication: {
-      auto& b = body_slot<Deauthentication>(body);
+      auto& b = reuse_body<Deauthentication>(body);
       b.reason = static_cast<ReasonCode>(r.u16());
       return r.ok();
     }
     case MgmtSubtype::kDisassociation: {
-      auto& b = body_slot<Disassociation>(body);
+      auto& b = reuse_body<Disassociation>(body);
       b.reason = static_cast<ReasonCode>(r.u16());
       return r.ok();
     }

@@ -5,7 +5,7 @@
 
 namespace cityhunter::medium {
 
-void EventQueue::push(SimTime t, Callback fn, std::shared_ptr<bool> alive) {
+void EventQueue::post_at(SimTime t, Callback fn) {
   if (t < now_) {
     // Typed, with both times attached: retry/backoff scheduling bugs show up
     // as near-miss negative delays, and the campaign supervisor classifies
@@ -16,28 +16,17 @@ void EventQueue::push(SimTime t, Callback fn, std::shared_ptr<bool> alive) {
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    slab_[slot].fn = std::move(fn);
-    slab_[slot].alive = std::move(alive);
+    slab_[slot] = std::move(fn);
     ++stats_.slab_reuses;
   } else {
     slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(Event{std::move(fn), std::move(alive)});
+    slab_.push_back(std::move(fn));
     stats_.slab_slots = slab_.size();
   }
   heap_.push_back(HeapEntry{t, next_seq_++, slot});
   sift_up(heap_.size() - 1);
   ++stats_.scheduled;
   if (heap_.size() > stats_.peak_pending) stats_.peak_pending = heap_.size();
-}
-
-void EventQueue::post_at(SimTime t, Callback fn) {
-  push(t, std::move(fn), nullptr);
-}
-
-EventHandle EventQueue::schedule_at(SimTime t, Callback fn) {
-  auto alive = std::make_shared<bool>(true);
-  push(t, std::move(fn), alive);
-  return EventHandle(std::move(alive));
 }
 
 void EventQueue::run_until(SimTime until) {
@@ -110,13 +99,10 @@ bool EventQueue::step() {
   // Move the callable out of the slab and release the slot BEFORE invoking:
   // the callback may schedule new events, which can grow the slab and
   // invalidate references into it.
-  Event& ev = slab_[top.slot];
-  Callback fn = std::move(ev.fn);
-  const bool fire = !ev.alive || *ev.alive;
-  ev.alive.reset();
+  Callback fn = std::move(slab_[top.slot]);
   free_slots_.push_back(top.slot);
   ++stats_.processed;
-  if (fire) fn();
+  fn();
   return true;
 }
 

@@ -3,19 +3,22 @@
 // A single-threaded priority queue of (time, sequence, closure). Sequence
 // numbers make same-time events FIFO, which keeps runs deterministic.
 //
-// Hot-path layout: the fat part of an event (its callable, plus the optional
-// cancel flag) lives in a slab recycled through a free list, and the binary
-// heap orders 24-byte {time, seq, slot} entries — so heap sifts move three
-// words, never the callable. Callables are SmallFn (inline storage sized for
-// the medium's transmit closure), and the cancel flag is only allocated by
-// schedule_at/schedule_in, which hand back an EventHandle; fire-and-forget
-// callers use post_at/post_in and pay for neither.
+// Hot-path layout: an event's callable lives in a slab recycled through a
+// free list, and the binary heap orders 24-byte {time, seq, slot} entries —
+// so heap sifts move three words, never the callable. Callables are SmallFn
+// (inline storage sized for the medium's transmit closure), so posting an
+// event allocates nothing at steady state.
+//
+// There is no cancellation. An owner that may need to void a pending event
+// (a phone's join timeout, a deauth round) captures a generation number in
+// the closure and bumps its own counter instead; the stale event still
+// fires and returns at once. Closures that capture `this` therefore need
+// their owner alive for every later run of the queue.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -77,23 +80,6 @@ struct RunGuard {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Handle for cancelling a scheduled event. Cheap to copy; cancelling twice
-/// is a no-op.
-class EventHandle {
- public:
-  EventHandle() = default;
-  void cancel() {
-    if (alive_) *alive_ = false;
-  }
-  bool valid() const { return alive_ != nullptr; }
-
- private:
-  friend class EventQueue;
-  explicit EventHandle(std::shared_ptr<bool> alive)
-      : alive_(std::move(alive)) {}
-  std::shared_ptr<bool> alive_;
-};
-
 class EventQueue {
  public:
   /// Inline capacity fits the medium's finish-transmission closure (two
@@ -102,8 +88,8 @@ class EventQueue {
 
   /// Lifetime counters, maintained unconditionally (plain integer stores —
   /// no observable cost on the hot path). `scheduled` counts every accepted
-  /// push; `processed` counts executed steps (cancelled events included:
-  /// they still pass through the heap).
+  /// push; `processed` counts executed steps (events their owner has since
+  /// voided included: they still pass through the heap).
   struct Stats {
     std::uint64_t scheduled = 0;
     std::uint64_t processed = 0;
@@ -123,22 +109,12 @@ class EventQueue {
 
   SimTime now() const { return now_; }
 
-  /// Fire-and-forget: schedule `fn` at absolute time `t` (must be >= now).
-  /// No cancel flag is allocated — use this on hot paths.
+  /// Schedule `fn` at absolute time `t` (must be >= now).
   void post_at(SimTime t, Callback fn);
 
-  /// Fire-and-forget `fn` after `delay` from now.
+  /// Schedule `fn` after `delay` from now.
   void post_in(SimTime delay, Callback fn) {
     post_at(now_ + delay, std::move(fn));
-  }
-
-  /// Schedule `fn` at absolute time `t` (must be >= now) and return a
-  /// cancellation handle (allocates the shared cancel flag).
-  EventHandle schedule_at(SimTime t, Callback fn);
-
-  /// Schedule `fn` after `delay` from now, with a cancellation handle.
-  EventHandle schedule_in(SimTime delay, Callback fn) {
-    return schedule_at(now_ + delay, std::move(fn));
   }
 
   /// Arm (or, with a default RunGuard, disarm) the cooperative run limits.
@@ -162,11 +138,6 @@ class EventQueue {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Slab-resident part of an event. `alive` is null for post_* events.
-  struct Event {
-    Callback fn;
-    std::shared_ptr<bool> alive;
-  };
   /// Heap-resident part: ordering key plus the slab slot index.
   struct HeapEntry {
     SimTime time;
@@ -180,7 +151,6 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  void push(SimTime t, Callback fn, std::shared_ptr<bool> alive);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
@@ -199,7 +169,7 @@ class EventQueue {
   bool guard_armed_ = false;
   std::uint64_t guard_events_ = 0;  // events executed since arm_guard()
   std::chrono::steady_clock::time_point guard_start_{};
-  std::vector<Event> slab_;
+  std::vector<Callback> slab_;  // event callables, indexed by heap slot
   std::vector<std::uint32_t> free_slots_;
   std::vector<HeapEntry> heap_;  // binary min-heap by (time, seq)
 };

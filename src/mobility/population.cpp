@@ -15,10 +15,6 @@ VenuePopulation::VenuePopulation(medium::Medium& medium, world::PnlModel& pnl,
       phone_cfg_(phone_cfg),
       rng_(std::move(rng)) {}
 
-VenuePopulation::~VenuePopulation() {
-  for (auto& h : pending_) h.cancel();
-}
-
 Position VenuePopulation::random_static_spot() {
   // The attacker sits at the local origin; seats spread around it.
   return {rng_.uniform(-venue_.extent_m / 2, venue_.extent_m / 2),
@@ -53,8 +49,7 @@ void VenuePopulation::schedule_slot(SimTime duration,
   for (int i = 0; i < arrivals; ++i) {
     const SimTime at = SimTime::microseconds(static_cast<std::int64_t>(
         rng_.uniform(0.0, static_cast<double>(duration.us()))));
-    pending_.push_back(
-        medium_.events().schedule_in(at, [this, p] { arrival(p); }));
+    medium_.events().post_in(at, [this, p] { arrival(p); });
   }
 }
 
@@ -123,8 +118,7 @@ void VenuePopulation::spawn_member(world::Person person,
   phones_.push_back(std::move(phone));
 
   if (is_static) {
-    pending_.push_back(
-        medium_.events().schedule_in(dwell, [raw] { raw->stop(); }));
+    medium_.events().post_in(dwell, [raw] { raw->stop(); });
   } else {
     Walk w;
     w.phone = raw;
@@ -134,8 +128,8 @@ void VenuePopulation::spawn_member(world::Person person,
     w.start = medium_.events().now();
     const std::size_t index = walks_.size();
     walks_.push_back(w);
-    pending_.push_back(medium_.events().schedule_in(
-        SimTime::seconds(1.0), [this, index] { walk_tick(index); }));
+    medium_.events().post_in(SimTime::seconds(1.0),
+                             [this, index] { walk_tick(index); });
   }
 }
 
@@ -151,8 +145,8 @@ void VenuePopulation::walk_tick(std::size_t walk_index) {
     return;
   }
   w.phone->set_position(medium::lerp(w.from, w.to, walked / total));
-  pending_.push_back(medium_.events().schedule_in(
-      SimTime::seconds(1.0), [this, walk_index] { walk_tick(walk_index); }));
+  medium_.events().post_in(SimTime::seconds(1.0),
+                           [this, walk_index] { walk_tick(walk_index); });
 }
 
 }  // namespace cityhunter::mobility

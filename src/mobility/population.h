@@ -36,12 +36,16 @@ struct SlotParams {
   double mac_randomizing_fraction = 0.0;
 };
 
+/// Lifetime: arrivals, departures and walk ticks are plain queue events
+/// that capture `this` (or a phone the population owns), with no way to
+/// cancel them. The population must therefore outlive every later run of
+/// its medium's event queue: declare the queue first and do not run it
+/// after the population is destroyed, as sim::run_campaign does.
 class VenuePopulation {
  public:
   VenuePopulation(medium::Medium& medium, world::PnlModel& pnl,
                   VenueConfig venue, client::SmartphoneConfig phone_cfg,
                   support::Rng rng);
-  ~VenuePopulation();
 
   VenuePopulation(const VenuePopulation&) = delete;
   VenuePopulation& operator=(const VenuePopulation&) = delete;
@@ -80,7 +84,6 @@ class VenuePopulation {
   support::Rng rng_;
   std::vector<std::unique_ptr<client::Smartphone>> phones_;
   std::vector<Walk> walks_;
-  std::vector<medium::EventHandle> pending_;
 };
 
 }  // namespace cityhunter::mobility

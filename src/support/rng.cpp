@@ -108,17 +108,17 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
+void Rng::sample_indices(std::size_t n, std::size_t k,
+                         std::vector<std::size_t>& out) {
   if (k > n) k = n;
   // Partial Fisher-Yates over an index vector.
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  out.resize(n);
+  std::iota(out.begin(), out.end(), std::size_t{0});
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j = i + index(n - i);
-    std::swap(idx[i], idx[j]);
+    std::swap(out[i], out[j]);
   }
-  idx.resize(k);
-  return idx;
+  out.resize(k);
 }
 
 }  // namespace cityhunter::support

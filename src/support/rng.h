@@ -64,8 +64,10 @@ class Rng {
     }
   }
 
-  /// Sample k distinct indices out of [0, n). Order unspecified.
-  std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
+  /// Sample min(k, n) distinct indices out of [0, n) into `out`, replacing
+  /// its contents and reusing its capacity. Order unspecified.
+  void sample_indices(std::size_t n, std::size_t k,
+                      std::vector<std::size_t>& out);
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -39,6 +39,9 @@ class ScriptedRogue : public medium::FrameSink {
   /// If false, never answers broadcast probes (KARMA style).
   bool mimic_direct = true;
   bool advertise_open = true;
+  /// If false, authenticates clients but never answers their association
+  /// requests, so every join attempt ends in the handshake timeout.
+  bool answer_association = true;
 
   std::vector<std::string> probed_ssids;
   int broadcast_probes = 0;
@@ -70,7 +73,7 @@ class ScriptedRogue : public medium::FrameSink {
         }
         return;
       case dot11::MgmtSubtype::kAssociationRequest:
-        if (frame.header.addr1 == bssid_) {
+        if (frame.header.addr1 == bssid_ && answer_association) {
           associated.push_back(frame.header.addr2);
           radio_.transmit(dot11::make_assoc_response(
               bssid_, frame.header.addr2, dot11::StatusCode::kSuccess, 1,
@@ -145,6 +148,29 @@ TEST_F(SmartphoneTest, JoinsOpenPnlNetworkFromBroadcastMenu) {
   EXPECT_EQ(phone.lured_ssid().value_or(""), "Starbucks");
   ASSERT_EQ(rogue_.associated.size(), 1u);
   EXPECT_EQ(rogue_.associated[0], phone.mac());
+}
+
+TEST_F(SmartphoneTest, UnansweredAssociationFailsOnceAndRescans) {
+  // Authentication succeeds, association is never answered. Each attempt
+  // must fail once, 100 ms after the association request, and the phone
+  // goes back to one scan per interval. Had the authentication response
+  // not voided the first timeout, it would fail the attempt a second time
+  // and start a second scan chain.
+  rogue_.broadcast_menu = {"CafeNet"};
+  rogue_.answer_association = false;
+  auto cfg = phone_cfg();
+  cfg.scan_jitter = 0.0;  // exactly 30 s between attempts
+  Smartphone phone(make_person(false, {{"CafeNet", true,
+                                        world::PnlOrigin::kPublicVisit}}),
+                   medium_, {0, 0}, cfg, rng_.fork("p"));
+  phone.start();
+  events_.run_until(SimTime::minutes(5));
+  EXPECT_FALSE(phone.connected_to_attacker());
+  // First scan within 2 s, then one per 30 s plus ~0.12 s of listening
+  // and handshake: scans 0..9 fit in 5 minutes.
+  EXPECT_EQ(phone.scans_completed(), 10);
+  EXPECT_EQ(rogue_.broadcast_probes, 10);
+  EXPECT_TRUE(rogue_.associated.empty());
 }
 
 TEST_F(SmartphoneTest, IgnoresUnknownSsids) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <unordered_set>
 
 #include "client/smartphone.h"
 #include "core/buffers.h"
@@ -65,25 +67,40 @@ TEST(SsidDatabase, RecordHitUpdatesEverything) {
   EXPECT_EQ(db.size(), 1u);
 }
 
+/// The database's sorted views as id vectors.
+std::vector<SsidId> weight_view(const SsidDatabase& db) {
+  std::vector<SsidId> v;
+  db.by_weight(v);
+  return v;
+}
+std::vector<SsidId> fresh_view(const SsidDatabase& db) {
+  std::vector<SsidId> v;
+  db.by_freshness(v);
+  return v;
+}
+const std::string& ssid_of(const SsidDatabase& db, SsidId id) {
+  return db.records()[id].ssid;
+}
+
 TEST(SsidDatabase, ByWeightOrdering) {
   SsidDatabase db;
   db.add("low", 1, SsidSource::kDirectProbe, SimTime::zero());
   db.add("high", 100, SsidSource::kWiglePopular, SimTime::zero());
   db.add("mid", 50, SsidSource::kWigleNearby, SimTime::zero());
-  const auto v = db.by_weight();
+  const auto v = weight_view(db);
   ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0]->ssid, "high");
-  EXPECT_EQ(v[1]->ssid, "mid");
-  EXPECT_EQ(v[2]->ssid, "low");
+  EXPECT_EQ(ssid_of(db, v[0]), "high");
+  EXPECT_EQ(ssid_of(db, v[1]), "mid");
+  EXPECT_EQ(ssid_of(db, v[2]), "low");
 }
 
 TEST(SsidDatabase, ByWeightTieBreaksByInsertion) {
   SsidDatabase db;
   db.add("first", 10, SsidSource::kDirectProbe, SimTime::zero());
   db.add("second", 10, SsidSource::kDirectProbe, SimTime::zero());
-  const auto v = db.by_weight();
-  EXPECT_EQ(v[0]->ssid, "first");
-  EXPECT_EQ(v[1]->ssid, "second");
+  const auto v = weight_view(db);
+  EXPECT_EQ(ssid_of(db, v[0]), "first");
+  EXPECT_EQ(ssid_of(db, v[1]), "second");
 }
 
 TEST(SsidDatabase, ByFreshnessOnlyHitRecordsMostRecentFirst) {
@@ -93,10 +110,22 @@ TEST(SsidDatabase, ByFreshnessOnlyHitRecordsMostRecentFirst) {
   db.add("new-hit", 1, SsidSource::kDirectProbe, SimTime::zero());
   db.record_hit("old-hit", 0, SimTime::seconds(10));
   db.record_hit("new-hit", 0, SimTime::seconds(20));
-  const auto v = db.by_freshness();
+  const auto v = fresh_view(db);
   ASSERT_EQ(v.size(), 2u);
-  EXPECT_EQ(v[0]->ssid, "new-hit");
-  EXPECT_EQ(v[1]->ssid, "old-hit");
+  EXPECT_EQ(ssid_of(db, v[0]), "new-hit");
+  EXPECT_EQ(ssid_of(db, v[1]), "old-hit");
+}
+
+TEST(SsidDatabase, IdsAreRecordIndices) {
+  SsidDatabase db;
+  db.add("a", 1, SsidSource::kDirectProbe, SimTime::zero());
+  db.add("b", 1, SsidSource::kDirectProbe, SimTime::zero());
+  db.add("a", 9, SsidSource::kDirectProbe, SimTime::zero());  // re-add
+  ASSERT_TRUE(db.find_id("b").has_value());
+  EXPECT_EQ(*db.find_id("a"), 0u);
+  EXPECT_EQ(*db.find_id("b"), 1u);
+  EXPECT_EQ(ssid_of(db, *db.find_id("b")), "b");
+  EXPECT_FALSE(db.find_id("zz").has_value());
 }
 
 TEST(SsidDatabase, VersionBumpsOnEveryMutation) {
@@ -133,14 +162,32 @@ SsidDatabase weighted_db(int n) {
   return db;
 }
 
+/// Per-id sent flags marking the named SSIDs.
+std::vector<std::uint8_t> sent_flags(const SsidDatabase& db,
+                                     const std::unordered_set<std::string>& s) {
+  std::vector<std::uint8_t> flags(db.size(), 0);
+  for (const auto& ssid : s) {
+    if (const auto id = db.find_id(ssid)) flags[*id] = 1;
+  }
+  return flags;
+}
+
+/// One selection over the database's current sorted views.
+std::vector<SsidChoice> select(BufferSelector& sel, const SsidDatabase& db,
+                               const std::vector<std::uint8_t>* sent) {
+  std::vector<SsidChoice> out;
+  sel.select(db.records(), weight_view(db), fresh_view(db), sent, out);
+  return out;
+}
+
 TEST(BufferSelector, FillsBudgetFromPopularityWhenNothingFresh) {
   auto db = weighted_db(100);
   BufferSelectorConfig cfg;
   BufferSelector sel(cfg, Rng(1));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), nullptr);
+  const auto choices = select(sel, db, nullptr);
   EXPECT_EQ(choices.size(), 40u);
   // Highest-weight SSIDs come first (modulo the ghost swap at the tail).
-  EXPECT_EQ(choices[0].ssid, "pop-0");
+  EXPECT_EQ(ssid_of(db, choices[0].id), "pop-0");
   EXPECT_EQ(choices[0].tag, SelectionTag::kPopularity);
 }
 
@@ -149,14 +196,14 @@ TEST(BufferSelector, GhostPicksComeFromBeyondTheBuffer) {
   BufferSelectorConfig cfg;
   cfg.use_freshness = false;  // single-buffer: budget = 40, 2 ghost picks
   BufferSelector sel(cfg, Rng(2));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), nullptr);
+  const auto choices = select(sel, db, nullptr);
   ASSERT_EQ(choices.size(), 40u);
   int ghost_count = 0;
   for (const auto& c : choices) {
     if (c.tag == SelectionTag::kPopularityGhost) {
       ++ghost_count;
       // Ghost candidates are ranks 39..58 (0-based): beyond the main 38.
-      const int rank = std::stoi(c.ssid.substr(4));
+      const int rank = std::stoi(ssid_of(db, c.id).substr(4));
       EXPECT_GE(rank, 38);
       EXPECT_LT(rank, 58);
     }
@@ -169,8 +216,7 @@ TEST(BufferSelector, NoGhostsWhenDisabled) {
   BufferSelectorConfig cfg;
   cfg.use_ghosts = false;
   BufferSelector sel(cfg, Rng(3));
-  for (const auto& c :
-       sel.select(db.by_weight(), db.by_freshness(), nullptr)) {
+  for (const auto& c : select(sel, db, nullptr)) {
     EXPECT_NE(c.tag, SelectionTag::kPopularityGhost);
     EXPECT_NE(c.tag, SelectionTag::kFreshnessGhost);
   }
@@ -185,7 +231,7 @@ TEST(BufferSelector, FreshEntriesFillTheFreshnessBuffer) {
   BufferSelectorConfig cfg;
   cfg.initial_pb_size = 32;  // FB = 8
   BufferSelector sel(cfg, Rng(4));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), nullptr);
+  const auto choices = select(sel, db, nullptr);
   EXPECT_EQ(choices.size(), 40u);
   int fresh = 0;
   for (const auto& c : choices) {
@@ -204,10 +250,11 @@ TEST(BufferSelector, NoDuplicateSsidsInOneSelection) {
     db.record_hit("pop-" + std::to_string(i), 0.0, SimTime::seconds(i));
   }
   BufferSelector sel(BufferSelectorConfig{}, Rng(5));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), nullptr);
+  const auto choices = select(sel, db, nullptr);
   std::set<std::string> seen;
   for (const auto& c : choices) {
-    EXPECT_TRUE(seen.insert(c.ssid).second) << "duplicate " << c.ssid;
+    EXPECT_TRUE(seen.insert(ssid_of(db, c.id)).second)
+        << "duplicate " << ssid_of(db, c.id);
   }
 }
 
@@ -216,9 +263,10 @@ TEST(BufferSelector, UntriedFilterSkipsSentSsids) {
   std::unordered_set<std::string> sent;
   for (int i = 0; i < 40; ++i) sent.insert("pop-" + std::to_string(i));
   BufferSelector sel(BufferSelectorConfig{}, Rng(6));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), &sent);
+  const auto flags = sent_flags(db, sent);
+  const auto choices = select(sel, db, &flags);
   for (const auto& c : choices) {
-    EXPECT_EQ(sent.count(c.ssid), 0u) << c.ssid;
+    EXPECT_EQ(sent.count(ssid_of(db, c.id)), 0u) << ssid_of(db, c.id);
   }
   EXPECT_EQ(choices.size(), 40u);  // ranks 40..99 remain
 }
@@ -228,7 +276,8 @@ TEST(BufferSelector, ExhaustedDatabaseYieldsShortSelection) {
   std::unordered_set<std::string> sent;
   for (int i = 0; i < 20; ++i) sent.insert("pop-" + std::to_string(i));
   BufferSelector sel(BufferSelectorConfig{}, Rng(7));
-  const auto choices = sel.select(db.by_weight(), db.by_freshness(), &sent);
+  const auto flags = sent_flags(db, sent);
+  const auto choices = select(sel, db, &flags);
   EXPECT_EQ(choices.size(), 5u);
 }
 
@@ -266,6 +315,250 @@ TEST(BufferSelector, AdaptationDisabledIsFrozen) {
   BufferSelector sel(cfg, Rng(10));
   for (int i = 0; i < 50; ++i) sel.notify_hit(SelectionTag::kFreshnessGhost);
   EXPECT_EQ(sel.pb_size(), 30);
+}
+
+// --- BufferSelector against a string-keyed reference ---
+
+/// The selector as it was before SSIDs became database ids: sorted record
+/// pointers, string-keyed sent and chosen sets, and a fresh vector per
+/// call. Kept verbatim in behaviour as the oracle for the id-based one.
+class ReferenceSelector {
+ public:
+  struct Choice {
+    std::string ssid;
+    SelectionTag tag;
+    SsidSource source;
+  };
+
+  ReferenceSelector(BufferSelectorConfig cfg, Rng rng)
+      : cfg_(cfg), rng_(std::move(rng)), pb_size_(cfg.initial_pb_size) {
+    pb_size_ = std::clamp(pb_size_, cfg_.min_buffer_size,
+                          cfg_.budget - cfg_.min_buffer_size);
+  }
+
+  std::vector<Choice> select(
+      const std::vector<const SsidRecord*>& by_weight,
+      const std::vector<const SsidRecord*>& by_freshness,
+      const std::unordered_set<std::string>* already_sent) {
+    const auto budget = static_cast<std::size_t>(cfg_.budget);
+    std::vector<Choice> out;
+    std::unordered_set<const SsidRecord*> used;
+    const auto pb_target = cfg_.use_freshness
+                               ? static_cast<std::size_t>(pb_size_)
+                               : budget;
+    const auto p_cands = collect(
+        by_weight, pb_target + static_cast<std::size_t>(cfg_.ghost_size),
+        already_sent, used);
+    emit_buffer(p_cands, std::min(pb_target, p_cands.size()),
+                SelectionTag::kPopularity, SelectionTag::kPopularityGhost,
+                out);
+    for (const auto* rec : p_cands) used.insert(rec);
+    if (cfg_.use_freshness && out.size() < budget) {
+      const std::size_t fresh_want = budget - out.size();
+      const auto f_cands = collect(
+          by_freshness, fresh_want + static_cast<std::size_t>(cfg_.ghost_size),
+          already_sent, used);
+      emit_buffer(f_cands, std::min(fresh_want, f_cands.size()),
+                  SelectionTag::kFreshness, SelectionTag::kFreshnessGhost, out);
+      for (const auto* rec : f_cands) used.insert(rec);
+    }
+    if (out.size() < budget) {
+      std::unordered_set<std::string> chosen;
+      for (const auto& c : out) chosen.insert(c.ssid);
+      for (const auto* rec : by_weight) {
+        if (out.size() >= budget) break;
+        if (chosen.count(rec->ssid) != 0) continue;
+        if (already_sent != nullptr && already_sent->count(rec->ssid) != 0) {
+          continue;
+        }
+        out.push_back(Choice{rec->ssid, SelectionTag::kPopularity,
+                             rec->source});
+      }
+    }
+    return out;
+  }
+
+  void notify_hit(SelectionTag tag) {
+    if (!cfg_.adaptive) return;
+    const int lo = cfg_.min_buffer_size;
+    const int hi = cfg_.budget - cfg_.min_buffer_size;
+    if (tag == SelectionTag::kPopularityGhost && pb_size_ < hi) ++pb_size_;
+    if (tag == SelectionTag::kFreshnessGhost && pb_size_ > lo) --pb_size_;
+  }
+
+ private:
+  static std::vector<const SsidRecord*> collect(
+      const std::vector<const SsidRecord*>& ranked, std::size_t want,
+      const std::unordered_set<std::string>* already_sent,
+      const std::unordered_set<const SsidRecord*>& used) {
+    std::vector<const SsidRecord*> out;
+    for (const auto* rec : ranked) {
+      if (out.size() >= want) break;
+      if (used.count(rec) != 0) continue;
+      if (already_sent != nullptr && already_sent->count(rec->ssid) != 0) {
+        continue;
+      }
+      out.push_back(rec);
+    }
+    return out;
+  }
+
+  void emit_buffer(const std::vector<const SsidRecord*>& candidates,
+                   std::size_t main_size, SelectionTag main_tag,
+                   SelectionTag ghost_tag, std::vector<Choice>& out) {
+    std::vector<const SsidRecord*> main(
+        candidates.begin(),
+        candidates.begin() + static_cast<long>(
+                                 std::min(main_size, candidates.size())));
+    std::vector<const SsidRecord*> ghosts(
+        candidates.begin() + static_cast<long>(main.size()),
+        candidates.end());
+    std::size_t picks = 0;
+    if (cfg_.use_ghosts) {
+      picks = std::min({static_cast<std::size_t>(cfg_.ghost_picks),
+                        ghosts.size(), main.size()});
+    }
+    main.resize(main.size() - picks);
+    for (const auto* rec : main) {
+      out.push_back(Choice{rec->ssid, main_tag, rec->source});
+    }
+    if (picks > 0) {
+      std::vector<std::size_t> idx;
+      rng_.sample_indices(ghosts.size(), picks, idx);
+      for (const auto i : idx) {
+        out.push_back(Choice{ghosts[i]->ssid, ghost_tag, ghosts[i]->source});
+      }
+    }
+  }
+
+  BufferSelectorConfig cfg_;
+  Rng rng_;
+  int pb_size_;
+};
+
+/// Record-pointer views for the reference selector.
+std::vector<const SsidRecord*> pointer_view(const SsidDatabase& db,
+                                            const std::vector<SsidId>& ids) {
+  std::vector<const SsidRecord*> v;
+  for (const SsidId id : ids) v.push_back(&db.records()[id]);
+  return v;
+}
+
+/// Both selectors make one selection over `db`; the results must agree
+/// SSID for SSID, tag for tag and source for source.
+void expect_same_selection(BufferSelector& sel, ReferenceSelector& ref,
+                           const SsidDatabase& db,
+                           const std::unordered_set<std::string>* sent) {
+  const auto flags = sent ? sent_flags(db, *sent) : std::vector<std::uint8_t>{};
+  const auto got = select(sel, db, sent ? &flags : nullptr);
+  const auto want = ref.select(pointer_view(db, weight_view(db)),
+                               pointer_view(db, fresh_view(db)), sent);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(ssid_of(db, got[i].id), want[i].ssid) << "choice " << i;
+    EXPECT_EQ(got[i].tag, want[i].tag) << "choice " << i;
+    EXPECT_EQ(got[i].source, want[i].source) << "choice " << i;
+  }
+}
+
+/// Grow `db` by `n` SSIDs with random weights (ties likely) and sources,
+/// and give about a fifth of all records a hit at a random second.
+void grow_random(SsidDatabase& db, std::size_t n, Rng& gen) {
+  const std::size_t base = db.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    db.add("ssid-" + std::to_string(base + i),
+           static_cast<double>(gen.index(60)),
+           static_cast<SsidSource>(gen.index(4)), SimTime::zero());
+  }
+  for (std::size_t i = 0; i < db.size() / 5; ++i) {
+    db.record_hit(ssid_of(db, static_cast<SsidId>(gen.index(db.size()))), 0.0,
+                  SimTime::seconds(static_cast<double>(gen.index(300))));
+  }
+}
+
+TEST(BufferSelector, MatchesStringKeyedReference) {
+  Rng gen(16);
+  const SelectionTag hit_tags[] = {
+      SelectionTag::kPopularity, SelectionTag::kPopularityGhost,
+      SelectionTag::kFreshness, SelectionTag::kFreshnessGhost};
+  for (int trial = 0; trial < 2000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    BufferSelectorConfig cfg;
+    cfg.use_freshness = (trial & 1) != 0;
+    cfg.use_ghosts = (trial & 2) != 0;
+    cfg.adaptive = (trial & 4) != 0;
+    cfg.initial_pb_size = 2 + static_cast<int>(gen.index(37));
+    cfg.ghost_size = static_cast<int>(gen.index(25));
+    cfg.ghost_picks = static_cast<int>(gen.index(5));
+
+    SsidDatabase db;
+    grow_random(db, gen.index(401), gen);
+    std::unordered_set<std::string> sent;
+    const double sent_share = gen.uniform(0.0, 0.9);
+    for (const auto& rec : db.records()) {
+      if (gen.chance(sent_share)) sent.insert(rec.ssid);
+    }
+    const bool tracking = gen.chance(0.8);
+
+    const auto seed = static_cast<std::uint64_t>(trial) + 1000;
+    BufferSelector sel(cfg, Rng(seed));
+    ReferenceSelector ref(cfg, Rng(seed));
+    expect_same_selection(sel, ref, db, tracking ? &sent : nullptr);
+
+    // A hit may move the PB/FB split; the database then grows (and some of
+    // the new records hit) before the second selection.
+    const SelectionTag tag = hit_tags[gen.index(4)];
+    sel.notify_hit(tag);
+    ref.notify_hit(tag);
+    grow_random(db, gen.index(60), gen);
+    for (const auto& rec : db.records()) {
+      if (gen.chance(0.1)) sent.insert(rec.ssid);
+    }
+    expect_same_selection(sel, ref, db, tracking ? &sent : nullptr);
+
+    // Both consumed the same draws: a third selection over a fresh
+    // 100-SSID database, whose ghost picks read the next draws, agrees.
+    expect_same_selection(sel, ref, weighted_db(100), nullptr);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(BufferSelector, EpochWrapKeepsMatchingReference) {
+  // The mark arrays are stamped with a 16-bit epoch, one per selection. The
+  // first selection stamps the top SSIDs with epoch 1; for the next 65,535
+  // the top ten count as sent, so their stamps go stale. The selection
+  // after the wrap, with nothing sent, is the first to read epoch 1 again:
+  // had the wrap not cleared the arrays, the stale stamps would hide the
+  // top ten from the popularity buffer.
+  auto db = weighted_db(45);
+  for (int i = 0; i < 10; ++i) {
+    db.record_hit("pop-" + std::to_string(i * 4), 0.0, SimTime::seconds(i));
+  }
+  std::unordered_set<std::string> top_ten;
+  for (int i = 0; i < 10; ++i) top_ten.insert("pop-" + std::to_string(i));
+  const std::unordered_set<std::string> none;
+  const auto top_flags = sent_flags(db, top_ten);
+  const auto no_flags = sent_flags(db, none);
+
+  BufferSelector sel(BufferSelectorConfig{}, Rng(5));
+  ReferenceSelector ref(BufferSelectorConfig{}, Rng(5));
+  const auto by_weight = weight_view(db);
+  const auto by_fresh = fresh_view(db);
+  const auto p_weight = pointer_view(db, by_weight);
+  const auto p_fresh = pointer_view(db, by_fresh);
+  std::vector<SsidChoice> got;
+  for (int round = 0; round < 65600; ++round) {
+    const bool open = round == 0 || round >= 65536;
+    sel.select(db.records(), by_weight, by_fresh,
+               open ? &no_flags : &top_flags, got);
+    const auto want = ref.select(p_weight, p_fresh, open ? &none : &top_ten);
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(ssid_of(db, got[i].id), want[i].ssid)
+          << "round " << round << ", choice " << i;
+      ASSERT_EQ(got[i].tag, want[i].tag) << "round " << round;
+    }
+  }
 }
 
 // --- WiGLE seeding ---
@@ -593,20 +886,35 @@ TEST_F(AttackerTest, GhostHitAdjustsBufferSplit) {
 // --- DeauthModule ---
 
 TEST_F(AttackerTest, DeauthModuleBroadcastsPerTarget) {
-  KarmaAttacker attacker(medium_, base_);
-  attacker.start();
-  DeauthModule::Config dcfg;
-  dcfg.target_bssids = {*MacAddress::parse("02:00:00:00:00:01"),
-                        *MacAddress::parse("02:00:00:00:00:02")};
-  dcfg.interval = SimTime::seconds(10);
-  DeauthModule deauth(medium_, attacker.radio(), dcfg);
-  deauth.start();
-  events_.run_until(SimTime::seconds(35));
-  // Rounds at t=0, 10, 20, 30 -> 4 rounds x 2 targets.
-  EXPECT_EQ(deauth.deauths_sent(), 8u);
-  deauth.stop();
-  events_.run_until(SimTime::minutes(2));
-  EXPECT_EQ(deauth.deauths_sent(), 8u);
+  // Two inputs on fresh queues: a plain stop, and a stop followed at once
+  // by a restart. The restart must not revive the stopped chain's pending
+  // round (due at 40 s), which would add 2 deauths at 40 s and 50 s each.
+  for (const bool restart : {false, true}) {
+    SCOPED_TRACE(restart ? "stop then restart at 35 s" : "stop at 35 s");
+    medium::EventQueue events;
+    medium::Medium medium(events);
+    KarmaAttacker attacker(medium, base_);
+    attacker.start();
+    DeauthModule::Config dcfg;
+    dcfg.target_bssids = {*MacAddress::parse("02:00:00:00:00:01"),
+                          *MacAddress::parse("02:00:00:00:00:02")};
+    dcfg.interval = SimTime::seconds(10);
+    DeauthModule deauth(medium, attacker.radio(), dcfg);
+    deauth.start();
+    events.run_until(SimTime::seconds(35));
+    // Rounds at t=0, 10, 20, 30 -> 4 rounds x 2 targets.
+    EXPECT_EQ(deauth.deauths_sent(), 8u);
+    deauth.stop();
+    if (restart) {
+      deauth.start();
+      events.run_until(SimTime::seconds(58));
+      // Rounds at t=35, 45, 55 only.
+      EXPECT_EQ(deauth.deauths_sent(), 14u);
+    } else {
+      events.run_until(SimTime::minutes(2));
+      EXPECT_EQ(deauth.deauths_sent(), 8u);
+    }
+  }
 }
 
 TEST(SelectionTagNames, AllDistinct) {

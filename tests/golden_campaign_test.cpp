@@ -1,7 +1,7 @@
 // Campaign-level golden regression: a small fixed-seed campaign must
 // produce bit-identical statistics under every (spatial_grid, fault)
-// combination, and those statistics must match the values recorded when
-// the hot-path allocation overhaul landed.
+// combination for City-Hunter, and under both spatial_grid settings for
+// KARMA, MANA and the preliminary design, matching the recorded values.
 //
 // This is the end-to-end determinism contract: the pooled frame codec,
 // inline-storage event queue, flat radio table and reused builder frames
@@ -9,12 +9,15 @@
 // behavioural change slipped into the hot path.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/scenario.h"
 
 namespace cityhunter {
 namespace {
 
 struct GoldenRow {
+  sim::AttackerKind kind;
   bool fault;
   std::size_t total_clients;
   std::size_t direct_clients;
@@ -30,6 +33,17 @@ struct GoldenRow {
   std::size_t db_from_direct;
   int final_pb_size;
   int final_fb_size;
+  // Hit attribution, as stats::analyze breaks it down for Fig 6.
+  std::size_t hits_from_wigle;
+  std::size_t hits_from_direct_db;
+  std::size_t hits_from_carrier_seed;
+  std::size_t hits_via_popularity;
+  std::size_t hits_via_popularity_ghost;
+  std::size_t hits_via_freshness;
+  std::size_t hits_via_freshness_ghost;
+  /// Sum over broadcast clients of the distinct SSIDs each was sent.
+  long ssids_sent_broadcast_sum;
+  std::uint64_t events_scheduled;
 };
 
 // Recorded from the pre-overhaul tree (canteen, 60 expected clients,
@@ -37,14 +51,29 @@ struct GoldenRow {
 // must both reproduce these exactly. frames_delivered counts sink calls:
 // unicast frames reach only their addressee and monitors. The fault-on row
 // was re-recorded when per-link erasure draws became keyed by receiver.
+// The hit-attribution, SSIDs-sent and events-scheduled columns, and the
+// KARMA, MANA and preliminary rows, were recorded before the attacker moved
+// to database ids and the event queue lost its cancellable handles. The
+// canteen crowd has 11 direct probers, so the direct-reply path and
+// hits_from_direct_db are exercised.
 constexpr GoldenRow kGolden[] = {
-    {false, 80, 11, 69, 2, 7, 4450, 10374, 0, 0, 0, 240, 24, 32, 8},
-    {true, 75, 11, 64, 2, 5, 3959, 8987, 899, 2, 443, 237, 21, 32, 8},
+    {sim::AttackerKind::kCityHunter, false, 80, 11, 69, 2, 7, 4450, 10374, 0,
+     0, 0, 240, 24, 32, 8, 7, 0, 0, 6, 0, 1, 0, 3680, 4884},
+    {sim::AttackerKind::kCityHunter, true, 75, 11, 64, 2, 5, 3959, 8987, 899,
+     2, 443, 237, 21, 32, 8, 5, 0, 0, 5, 0, 0, 0, 3280, 4393},
+    {sim::AttackerKind::kKarma, false, 80, 11, 69, 2, 0, 186, 6339, 0, 0, 0,
+     0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 621},
+    {sim::AttackerKind::kMana, false, 80, 11, 69, 2, 2, 1607, 7707, 0, 0, 0,
+     26, 26, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1115, 2042},
+    {sim::AttackerKind::kPrelim, false, 80, 11, 69, 2, 3, 4598, 10751, 0, 0,
+     0, 247, 24, 0, 0, 3, 0, 0, 0, 0, 0, 0, 3840, 5036},
 };
 
-sim::RunOutput run_golden(const sim::World& world, bool grid, bool fault) {
+sim::RunOutput run_golden(const sim::World& world, bool grid, bool fault,
+                          sim::AttackerKind kind =
+                              sim::AttackerKind::kCityHunter) {
   sim::RunConfig run;
-  run.kind = sim::AttackerKind::kCityHunter;
+  run.kind = kind;
   run.venue = mobility::canteen_venue();
   run.slot.expected_clients = 60;
   run.slot.group_fraction = 0.3;
@@ -93,19 +122,36 @@ void expect_matches(const sim::RunOutput& out, const GoldenRow& g) {
   EXPECT_EQ(out.db_from_direct, g.db_from_direct);
   EXPECT_EQ(out.final_pb_size, g.final_pb_size);
   EXPECT_EQ(out.final_fb_size, g.final_fb_size);
+  EXPECT_EQ(out.result.hits_from_wigle, g.hits_from_wigle);
+  EXPECT_EQ(out.result.hits_from_direct_db, g.hits_from_direct_db);
+  EXPECT_EQ(out.result.hits_from_carrier_seed, g.hits_from_carrier_seed);
+  EXPECT_EQ(out.result.hits_via_popularity, g.hits_via_popularity);
+  EXPECT_EQ(out.result.hits_via_popularity_ghost,
+            g.hits_via_popularity_ghost);
+  EXPECT_EQ(out.result.hits_via_freshness, g.hits_via_freshness);
+  EXPECT_EQ(out.result.hits_via_freshness_ghost, g.hits_via_freshness_ghost);
+  long sent_sum = 0;
+  for (const int n : out.result.ssids_sent_all_broadcast) sent_sum += n;
+  EXPECT_EQ(sent_sum, g.ssids_sent_broadcast_sum);
+  EXPECT_EQ(out.queue_stats.scheduled, g.events_scheduled);
+}
+
+std::string row_name(const char* medium, const GoldenRow& g) {
+  return std::string(medium) + ", " + sim::to_string(g.kind) +
+         (g.fault ? ", fault on" : ", fault off");
 }
 
 TEST_F(GoldenCampaignTest, GridMatchesGolden) {
   for (const auto& g : kGolden) {
-    SCOPED_TRACE(g.fault ? "grid, fault on" : "grid, fault off");
-    expect_matches(run_golden(*world_, /*grid=*/true, g.fault), g);
+    SCOPED_TRACE(row_name("grid", g));
+    expect_matches(run_golden(*world_, /*grid=*/true, g.fault, g.kind), g);
   }
 }
 
 TEST_F(GoldenCampaignTest, LegacyScanMatchesGolden) {
   for (const auto& g : kGolden) {
-    SCOPED_TRACE(g.fault ? "legacy, fault on" : "legacy, fault off");
-    expect_matches(run_golden(*world_, /*grid=*/false, g.fault), g);
+    SCOPED_TRACE(row_name("legacy", g));
+    expect_matches(run_golden(*world_, /*grid=*/false, g.fault, g.kind), g);
   }
 }
 

@@ -26,9 +26,9 @@ using support::SimTime;
 TEST(EventQueue, ExecutesInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.schedule_at(SimTime::seconds(3.0), [&] { order.push_back(3); });
-  q.schedule_at(SimTime::seconds(1.0), [&] { order.push_back(1); });
-  q.schedule_at(SimTime::seconds(2.0), [&] { order.push_back(2); });
+  q.post_at(SimTime::seconds(3.0), [&] { order.push_back(3); });
+  q.post_at(SimTime::seconds(1.0), [&] { order.push_back(1); });
+  q.post_at(SimTime::seconds(2.0), [&] { order.push_back(2); });
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.now(), SimTime::seconds(3.0));
@@ -38,7 +38,7 @@ TEST(EventQueue, SameTimeIsFifo) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    q.schedule_at(SimTime::seconds(1.0), [&order, i] { order.push_back(i); });
+    q.post_at(SimTime::seconds(1.0), [&order, i] { order.push_back(i); });
   }
   q.run_all();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -53,37 +53,20 @@ TEST(EventQueue, RunUntilAdvancesClockEvenWhenEmpty) {
 TEST(EventQueue, RunUntilStopsAtBoundary) {
   EventQueue q;
   int fired = 0;
-  q.schedule_at(SimTime::seconds(1.0), [&] { ++fired; });
-  q.schedule_at(SimTime::seconds(10.0), [&] { ++fired; });
+  q.post_at(SimTime::seconds(1.0), [&] { ++fired; });
+  q.post_at(SimTime::seconds(10.0), [&] { ++fired; });
   q.run_until(SimTime::seconds(5.0));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int fired = 0;
-  auto h = q.schedule_in(SimTime::seconds(1.0), [&] { ++fired; });
-  h.cancel();
-  q.run_all();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(EventQueue, CancelTwiceIsSafe) {
-  EventQueue q;
-  auto h = q.schedule_in(SimTime::seconds(1.0), [] {});
-  h.cancel();
-  h.cancel();
-  q.run_all();
 }
 
 TEST(EventQueue, EventsMayScheduleEvents) {
   EventQueue q;
   int depth = 0;
   std::function<void()> recurse = [&] {
-    if (++depth < 5) q.schedule_in(SimTime::seconds(1.0), recurse);
+    if (++depth < 5) q.post_in(SimTime::seconds(1.0), recurse);
   };
-  q.schedule_in(SimTime::seconds(1.0), recurse);
+  q.post_in(SimTime::seconds(1.0), recurse);
   q.run_all();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(q.now(), SimTime::seconds(5.0));
@@ -91,9 +74,9 @@ TEST(EventQueue, EventsMayScheduleEvents) {
 
 TEST(EventQueue, RejectsPastScheduling) {
   EventQueue q;
-  q.schedule_at(SimTime::seconds(2.0), [] {});
+  q.post_at(SimTime::seconds(2.0), [] {});
   q.run_until(SimTime::seconds(3.0));
-  EXPECT_THROW(q.schedule_at(SimTime::seconds(1.0), [] {}),
+  EXPECT_THROW(q.post_at(SimTime::seconds(1.0), [] {}),
                std::invalid_argument);
 }
 
@@ -101,7 +84,7 @@ TEST(EventQueue, PastSchedulingErrorNamesBothTimes) {
   EventQueue q;
   q.run_until(SimTime::seconds(3.0));
   try {
-    q.schedule_at(SimTime::seconds(1.0), [] {});
+    q.post_at(SimTime::seconds(1.0), [] {});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();

@@ -19,11 +19,17 @@
 #include <thread>
 #include <vector>
 
+#include "client/smartphone.h"
+#include "core/cityhunter.h"
+#include "core/wigle_seed.h"
 #include "dot11/frame.h"
+#include "dot11/serialize.h"
 #include "medium/event_queue.h"
 #include "medium/medium.h"
+#include "mobility/population.h"
 #include "obs/trace.h"
 #include "sim/parallel.h"
+#include "sim/scenario.h"
 #include "sim/shard.h"
 
 namespace cityhunter {
@@ -332,6 +338,136 @@ TEST(PerfSmokeTest, UnicastTrainLoadsOnlyAddresseeAndMonitors) {
   EXPECT_EQ(stats.unicast, static_cast<std::uint64_t>(kTrain));
   EXPECT_EQ(stats.unicast_unheard, 0u);
   EXPECT_LE(stats.candidates_loaded - loaded0, 3u * kTrain);
+}
+
+TEST(PerfSmokeTest, FrameSlotKeepsIeStorageAcrossSubtypes) {
+  // The Medium parses every transmission into a pooled Frame, and a probe
+  // request often lands in a slot that last held a probe response. The
+  // slot must carry its IE storage across the subtype switch.
+  const dot11::MacAddress bssid({0x02, 0xaa, 0, 0, 0, 1});
+  const dot11::MacAddress client({0x02, 0xbb, 0, 0, 0, 2});
+  const auto request = dot11::serialize(
+      dot11::make_direct_probe_request(client, "golden-cafe"));
+  const auto response = dot11::serialize(dot11::make_probe_response(
+      bssid, client, "golden-cafe", 6, /*open=*/true));
+  dot11::Frame slot;
+  for (int i = 0; i < 8; ++i) {  // warm: grow the storage to its peak
+    ASSERT_TRUE(dot11::parse_into(request, slot));
+    ASSERT_TRUE(dot11::parse_into(response, slot));
+  }
+  const std::uint64_t allocs_before = bench::alloc_count();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(dot11::parse_into(i % 2 == 0 ? request : response, slot));
+  }
+  EXPECT_EQ(bench::alloc_count() - allocs_before, 0u);
+  EXPECT_EQ(slot.subtype(), dot11::MgmtSubtype::kProbeResponse);
+}
+
+// The whole venue loop with a warm attacker: a City-Hunter with 2,000
+// seeded SSIDs answers 50 static phones that scan every 20 s and never
+// join. Once two simulated minutes have grown every pool, table and
+// per-client array to its working size, the next ten minutes — probe,
+// selection, the 40-response train, delivery, the phones' scan state
+// machine and their timers — must allocate at most once per 100
+// transmissions. A count, not a timing.
+TEST(PerfSmokeTest, WarmVenueLoopAllocatesNothingPerTransmission) {
+  medium::EventQueue events;
+  medium::Medium med(events);
+  core::CityHunter::Config cfg;
+  cfg.base.bssid = dot11::MacAddress({0x0a, 0x7e, 0x64, 0xc1, 0x7e, 0x01});
+  core::CityHunter hunter(med, cfg, support::Rng(7));
+  for (int i = 0; i < 2000; ++i) {
+    hunter.database().add("seed-" + std::to_string(i),
+                          static_cast<double>(2000 - i),
+                          core::SsidSource::kWiglePopular,
+                          support::SimTime::zero());
+  }
+  hunter.start();
+
+  client::SmartphoneConfig phone_cfg;
+  phone_cfg.mean_scan_interval = support::SimTime::seconds(20);
+  std::vector<std::unique_ptr<client::Smartphone>> phones;
+  for (int i = 0; i < 50; ++i) {
+    world::Person person;
+    person.id = static_cast<std::uint64_t>(i + 1);
+    person.pnl = {{"home-" + std::to_string(i), true,
+                   world::PnlOrigin::kHome}};
+    const double angle = 0.125 * i;
+    phones.push_back(std::make_unique<client::Smartphone>(
+        std::move(person), med,
+        medium::Position{15.0 * std::cos(angle), 15.0 * std::sin(angle)},
+        phone_cfg, support::Rng(100 + static_cast<std::uint64_t>(i))));
+    phones.back()->start();
+  }
+
+  events.run_until(support::SimTime::minutes(2));
+  const std::uint64_t tx_before = med.transmissions();
+  const std::uint64_t allocs_before = bench::alloc_count();
+  events.run_until(support::SimTime::minutes(12));
+  const std::uint64_t allocs = bench::alloc_count() - allocs_before;
+  const std::uint64_t tx = med.transmissions() - tx_before;
+
+  ASSERT_GT(tx, 50'000u) << "every phone must keep scanning and be answered";
+  EXPECT_EQ(hunter.clients_connected(), 0u);
+  EXPECT_LE(allocs * 100, tx)
+      << allocs << " allocations for " << tx << " transmissions";
+}
+
+// The same loop with everything a venue run has: arrivals, groups, walkers,
+// direct probers, joins and a database that learns. Four runs wired from
+// public parts as sim::run_campaign wires them (slot 4 of each venue, 10
+// simulated minutes) may allocate at most once per transmission inside
+// run_until. What remains is per spawned phone (its Person and PNL, its
+// first probe's IEs, its ClientRecord), not per frame.
+TEST(PerfSmokeTest, VenueLoopStaysUnderOneAllocationPerTransmission) {
+  sim::ScenarioConfig scenario;
+  scenario.seed = 42;
+  const sim::World world(scenario);
+  const mobility::VenueConfig venues[] = {
+      mobility::subway_passage_venue(), mobility::canteen_venue(),
+      mobility::shopping_center_venue(), mobility::railway_station_venue()};
+  for (const auto& venue : venues) {
+    SCOPED_TRACE(venue.name);
+    const sim::RunConfig run;  // run_campaign's attacker and seed defaults
+    support::Rng rng(scenario.seed ^ (5 * 0x9e3779b97f4a7c15ULL));
+    medium::EventQueue events;
+    medium::Medium medium(events, world.config().medium);
+
+    auto ch_cfg = run.cityhunter;
+    ch_cfg.base.bssid = dot11::MacAddress({0x0a, 0x7e, 0x64, 0xc1, 0x7e, 0x01});
+    core::CityHunter hunter(medium, ch_cfg, rng.fork("selector"));
+    const auto attack_pos = sim::venue_city_position(venue.name);
+    core::seed_from_wigle(hunter.database(), world.wigle(), &world.heat(),
+                          attack_pos, run.wigle_seed, events.now());
+    hunter.start();
+
+    world::PnlModel pnl = world.pnl_model();
+    world::Locale locale;
+    locale.ranked_ssids = world.local_public_ssids(attack_pos, 500.0);
+    locale.bias = 0.45;
+    pnl.set_locale(std::move(locale));
+    auto phone_cfg = world.config().phone;
+    if (venue.mean_scan_interval_s > 0) {
+      phone_cfg.mean_scan_interval =
+          support::SimTime::seconds(venue.mean_scan_interval_s);
+    }
+    mobility::VenuePopulation population(medium, pnl, venue, phone_cfg,
+                                         rng.fork("population"));
+    mobility::SlotParams slot;
+    slot.expected_clients = venue.hourly_clients[4];
+    population.schedule_slot(support::SimTime::minutes(10), slot);
+
+    const std::uint64_t allocs_before = bench::alloc_count();
+    events.run_until(support::SimTime::minutes(10));
+    const std::uint64_t allocs = bench::alloc_count() - allocs_before;
+    const std::uint64_t tx = medium.transmissions();
+
+    ASSERT_GT(tx, 1000u);
+    ASSERT_GT(population.clients_spawned(), 10u);
+    EXPECT_LE(allocs, tx) << allocs << " allocations for " << tx
+                          << " transmissions, "
+                          << population.clients_spawned() << " phones";
+  }
 }
 
 TEST(PerfSmokeTest, CounterIsLive) {

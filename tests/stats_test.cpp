@@ -9,7 +9,6 @@ namespace {
 
 using core::ClientRecord;
 using core::SelectionTag;
-using core::SsidChoice;
 using core::SsidSource;
 using dot11::MacAddress;
 using support::SimTime;
@@ -35,7 +34,7 @@ class CampaignTest : public ::testing::Test {
   /// the association that marks a hit.
   void add_client(std::uint64_t id, bool direct, bool connected,
                   const std::string& hit_ssid = "",
-                  std::optional<SsidChoice> offer = std::nullopt,
+                  std::optional<std::string> offered_ssid = std::nullopt,
                   SimTime when = SimTime::zero()) {
     (void)when;
     MacAddress mac = mac_of(id);
@@ -45,15 +44,15 @@ class CampaignTest : public ::testing::Test {
     } else {
       attacker_->on_frame(dot11::make_broadcast_probe_request(mac), {});
     }
-    if (offer) {
+    if (offered_ssid) {
       // Emulate the response-train bookkeeping by injecting the offer via a
       // forged direct probe for that SSID (records into `offered`)...
       // Simpler and honest: drive the real path. The base class fills
       // `offered` when *it* responds; for KARMA that's the direct path only.
       // For breakdown tests we instead associate through the real handshake
       // and patch the choice by re-probing the SSID directly.
-      attacker_->on_frame(dot11::make_direct_probe_request(mac, offer->ssid),
-                          {});
+      attacker_->on_frame(
+          dot11::make_direct_probe_request(mac, *offered_ssid), {});
     }
     if (connected) {
       attacker_->on_frame(

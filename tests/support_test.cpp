@@ -214,15 +214,17 @@ TEST(Rng, WeightedIndexRejectsEmptyAndZero) {
 
 TEST(Rng, SampleIndicesDistinctAndBounded) {
   Rng rng(13);
+  std::vector<std::size_t> idx;
   for (int trial = 0; trial < 50; ++trial) {
-    auto idx = rng.sample_indices(20, 7);
+    rng.sample_indices(20, 7, idx);
     ASSERT_EQ(idx.size(), 7u);
     std::sort(idx.begin(), idx.end());
     EXPECT_TRUE(std::adjacent_find(idx.begin(), idx.end()) == idx.end());
     EXPECT_LT(idx.back(), 20u);
   }
   // k > n clamps to n.
-  EXPECT_EQ(rng.sample_indices(3, 10).size(), 3u);
+  rng.sample_indices(3, 10, idx);
+  EXPECT_EQ(idx.size(), 3u);
 }
 
 TEST(Rng, PoissonMeanRoughlyCorrect) {
