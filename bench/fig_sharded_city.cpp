@@ -20,6 +20,7 @@
 //   --smoke: 4k radios, 0.5 s — the ctest -L perf equality check.
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -33,6 +34,14 @@ using cityhunter::sim::ShardedCityResult;
 using cityhunter::sim::run_sharded_city;
 
 int g_failures = 0;
+
+/// The largest share of the run's wall any one shard spent waiting at the
+/// barrier (ShardStats::wait_s): how far the slowest shard held the rest up.
+double max_wait_share(const ShardedCityResult& r) {
+  double wait = 0.0;
+  for (const auto& s : r.per_shard) wait = std::max(wait, s.wait_s);
+  return r.wall_s > 0.0 ? wait / r.wall_s : 0.0;
+}
 
 bool check_identical(const ShardedCityResult& baseline,
                      const ShardedCityResult& r) {
@@ -77,8 +86,8 @@ void run_sweep(ShardedCityConfig cfg, const char* note) {
   std::printf(
       "\n  %d radios, 8x%d districts%s, %.2f s horizon (%u hardware "
       "threads)\n"
-      "  shards | workers | wall     | throughput | speedup | handoffs | "
-      "identical\n",
+      "  shards | workers | wall     | throughput | speedup | max wait | "
+      "handoffs | identical\n",
       radios, cfg.grid.rows, note, sim_s, hw);
 
   // Warm pass at 1 shard: page in the arenas, ramp the clocks.
@@ -97,10 +106,10 @@ void run_sweep(ShardedCityConfig cfg, const char* note) {
     if (again.wall_s < r.wall_s) r = std::move(again);
     const bool identical = shards == 1 || check_identical(baseline, r);
     std::printf(
-        "  %6d | %7zu | %7.3fs | %8.3gM/s | %6.2fx | %8llu | %s\n", shards,
-        r.workers, r.wall_s, r.deliveries_per_s / 1e6,
+        "  %6d | %7zu | %7.3fs | %8.3gM/s | %6.2fx | %7.1f%% | %8llu | %s\n",
+        shards, r.workers, r.wall_s, r.deliveries_per_s / 1e6,
         shards == 1 ? 1.0 : (r.wall_s > 0.0 ? baseline.wall_s / r.wall_s : 0.0),
-        static_cast<unsigned long long>(r.handoffs),
+        100.0 * max_wait_share(r), static_cast<unsigned long long>(r.handoffs),
         identical ? "yes" : "NO");
     if (shards == 1) baseline = std::move(r);
   }
@@ -113,9 +122,10 @@ void run_sweep(ShardedCityConfig cfg, const char* note) {
   pinned.workers = 2;
   const ShardedCityResult two_workers = run_sharded_city(pinned);
   check_identical(baseline, two_workers);
-  std::printf("  %6d | %7zu | %7.3fs | %8.3gM/s | %6s | %8llu | %s\n",
+  std::printf("  %6d | %7zu | %7.3fs | %8.3gM/s | %6s | %7.1f%% | %8llu | %s\n",
               pinned.shards, two_workers.workers, two_workers.wall_s,
               two_workers.deliveries_per_s / 1e6, "-",
+              100.0 * max_wait_share(two_workers),
               static_cast<unsigned long long>(two_workers.handoffs),
               two_workers.delivery_digest == baseline.delivery_digest
                   ? "yes"

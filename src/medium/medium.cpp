@@ -2,13 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "dot11/serialize.h"
 #include "dot11/timing.h"
 #include "obs/trace.h"
 
 namespace cityhunter::medium {
+namespace {
+
+/// Positions must be finite: a NaN or infinite coordinate has no grid cell,
+/// and the legacy scan's distance math would turn it into NaN link budgets.
+void require_finite(Position pos, const char* what) {
+  if (!std::isfinite(pos.x) || !std::isfinite(pos.y)) {
+    throw std::invalid_argument(std::string("Medium: ") + what +
+                                " needs a finite position");
+  }
+}
+
+}  // namespace
 
 Medium::Medium(EventQueue& events) : Medium(events, Config()) {}
 
@@ -32,6 +47,7 @@ Medium::~Medium() = default;
 Radio Medium::attach(Position pos, std::uint8_t channel, double tx_power_dbm,
                      FrameSink* sink,
                      std::optional<dot11::MacAddress> rx_address) {
+  require_finite(pos, "attach");
   if (slots_.size() >= static_cast<std::size_t>(kNoSlot) - 1) {
     throw std::length_error("Medium: radio id space exhausted");
   }
@@ -41,13 +57,14 @@ Radio Medium::attach(Position pos, std::uint8_t channel, double tx_power_dbm,
   // fanout merge sorted grid buckets instead of sorting candidates.
   const std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
   slots_.emplace_back();
+  rx_sinks_.push_back(sink);
+  rx_frames_.push_back(0);
   RadioState& st = slots_.back();
   st.pos = pos;
   st.channel = channel;
   st.tx_power_dbm = tx_power_dbm;
-  st.sink = sink;
   st.rx_address = rx_address;
-  if (rx_address) addr_insert(addr_key(*rx_address), slot);
+  if (rx_address) addrs_.insert({addr_key(*rx_address), slot});
   st.tx_busy_until = events_.now();
   active_slots_.push_back(slot);  // slots increase monotonically: stays sorted
   ++topology_epoch_;
@@ -60,7 +77,7 @@ Radio Medium::attach(Position pos, std::uint8_t channel, double tx_power_dbm,
         return Radio(this, id);
       }
     }
-    grid_insert(slot, st);
+    grid_insert(slot);
   }
   return Radio(this, id);
 }
@@ -69,11 +86,11 @@ void Medium::detach(Radio& radio) {
   const std::uint32_t slot = slot_of(radio.id_);
   if (slot != kNoSlot) {
     RadioState& st = slots_[slot];
-    grid_erase(st, slot);
+    grid_erase(slot);
     if (st.rx_address) addr_erase(addr_key(*st.rx_address), slot);
     st.rx_address.reset();
     st.attached = false;
-    st.sink = nullptr;
+    rx_sinks_[slot] = nullptr;
     const auto it =
         std::lower_bound(active_slots_.begin(), active_slots_.end(), slot);
     if (it != active_slots_.end() && *it == slot) active_slots_.erase(it);
@@ -83,10 +100,11 @@ void Medium::detach(Radio& radio) {
 }
 
 Medium::RadioSnapshot Medium::export_radio(Radio& radio) {
-  const RadioState& st = state(radio.id_);
+  const std::uint32_t slot = live_slot(radio.id_);
+  const RadioState& st = slots_[slot];
   const RadioSnapshot snapshot{st.pos,           st.channel,
                                st.tx_power_dbm,  st.rx_address,
-                               st.frames_sent,   st.frames_received,
+                               st.frames_sent,   rx_frames_[slot],
                                st.tx_seq,        st.tx_retries,
                                st.rx_lost};
   detach(radio);
@@ -96,33 +114,40 @@ Medium::RadioSnapshot Medium::export_radio(Radio& radio) {
 Radio Medium::import_radio(const RadioSnapshot& snapshot, FrameSink* sink) {
   Radio radio = attach(snapshot.pos, snapshot.channel, snapshot.tx_power_dbm,
                        sink, snapshot.rx_address);
-  RadioState& st = state(radio.id_);
+  const std::uint32_t slot = live_slot(radio.id_);
+  RadioState& st = slots_[slot];
   st.frames_sent = snapshot.frames_sent;
-  st.frames_received = snapshot.frames_received;
+  rx_frames_[slot] = snapshot.frames_received;
   st.tx_seq = snapshot.tx_seq;
   st.tx_retries = snapshot.tx_retries;
   st.rx_lost = snapshot.rx_lost;
   return radio;
 }
 
-Medium::RadioState& Medium::state(RadioId id) {
+std::uint32_t Medium::live_slot(RadioId id) const {
   const std::uint32_t slot = slot_of(id);
   if (slot == kNoSlot) {
     throw std::logic_error("Medium: use of detached radio");
   }
-  return slots_[slot];
+  return slot;
 }
 
+Medium::RadioState& Medium::state(RadioId id) { return slots_[live_slot(id)]; }
+
 const Medium::RadioState& Medium::state(RadioId id) const {
-  const std::uint32_t slot = slot_of(id);
-  if (slot == kNoSlot) {
-    throw std::logic_error("Medium: use of detached radio");
-  }
-  return slots_[slot];
+  return slots_[live_slot(id)];
 }
 
 std::int64_t Medium::cell_coord(double v) const {
-  return static_cast<std::int64_t>(std::floor(v / cell_size_));
+  // Positions are finite (attach and set_position refuse anything else), but
+  // a far-off one still floors outside the int32 range cell_key keeps — and
+  // outside int64, where the cast is undefined. Clamping is monotone, so a
+  // range box still covers every cell its radios are filed in; far radios
+  // share an edge cell, where the d² filter rejects them.
+  constexpr double kLo = std::numeric_limits<std::int32_t>::min();
+  constexpr double kHi = std::numeric_limits<std::int32_t>::max();
+  return static_cast<std::int64_t>(
+      std::clamp(std::floor(v / cell_size_), kLo, kHi));
 }
 
 std::uint64_t Medium::cell_of(Position pos) const {
@@ -163,26 +188,24 @@ void Medium::maybe_compact_arena() {
   slots.reserve(want);
   xs.reserve(want);
   ys.reserve(want);
-  for (auto& [cell, ce] : cells_) {
-    for (auto& [part, bid] : ce.parts) {
-      BucketRef& b = buckets_[bid];
-      // Quarter-headroom per bucket so the next few inserts don't regrow
-      // immediately; slack is reserved capacity, not garbage.
-      const std::uint32_t cap = b.size + b.size / 4 + 2;
-      const std::uint32_t off = static_cast<std::uint32_t>(slots.size());
-      slots.insert(slots.end(), arena_slots_.begin() + b.offset,
-                   arena_slots_.begin() + b.offset + b.size);
-      xs.insert(xs.end(), arena_xs_.begin() + b.offset,
-                arena_xs_.begin() + b.offset + b.size);
-      ys.insert(ys.end(), arena_ys_.begin() + b.offset,
-                arena_ys_.begin() + b.offset + b.size);
-      slots.resize(off + cap);
-      xs.resize(off + cap);
-      ys.resize(off + cap);
-      b.offset = off;
-      b.capacity = cap;
-    }
-  }
+  cells_.for_each([&](CellBucket& e) {
+    BucketRef& b = e.bucket;
+    // Quarter-headroom per bucket so the next few inserts don't regrow
+    // immediately; slack is reserved capacity, not garbage.
+    const std::uint32_t cap = b.size + b.size / 4 + 2;
+    const std::uint32_t off = static_cast<std::uint32_t>(slots.size());
+    slots.insert(slots.end(), arena_slots_.begin() + b.offset,
+                 arena_slots_.begin() + b.offset + b.size);
+    xs.insert(xs.end(), arena_xs_.begin() + b.offset,
+              arena_xs_.begin() + b.offset + b.size);
+    ys.insert(ys.end(), arena_ys_.begin() + b.offset,
+              arena_ys_.begin() + b.offset + b.size);
+    slots.resize(off + cap);
+    xs.resize(off + cap);
+    ys.resize(off + cap);
+    b.offset = off;
+    b.capacity = cap;
+  });
   arena_slots_.swap(slots);
   arena_xs_.swap(xs);
   arena_ys_.swap(ys);
@@ -190,39 +213,20 @@ void Medium::maybe_compact_arena() {
   ++arena_compactions_;
 }
 
-Medium::BucketRef* Medium::find_bucket(std::uint64_t cell,
-                                       std::uint16_t part) {
-  const auto it = cells_.find(cell);
-  if (it == cells_.end()) return nullptr;
-  for (auto& [p, bid] : it->second.parts) {
-    if (p == part) return &buckets_[bid];
-    if (p > part) break;  // directory is sorted by partition key
-  }
-  return nullptr;
+Medium::CellBucket* Medium::find_bucket(std::uint64_t cell,
+                                        std::uint16_t part) {
+  return cells_.find(cell_hash(cell, part), [&](const CellBucket& e) {
+    return e.cell == cell && e.part == part;
+  });
 }
 
 Medium::BucketRef& Medium::find_or_create_bucket(std::uint64_t cell,
                                                  std::uint16_t part) {
-  CellEntry& ce = cells_[cell];
-  const auto it = std::lower_bound(
-      ce.parts.begin(), ce.parts.end(), part,
-      [](const auto& e, std::uint16_t p) { return e.first < p; });
-  if (it != ce.parts.end() && it->first == part) return buckets_[it->second];
-  std::uint32_t id;
-  if (!free_buckets_.empty()) {
-    id = free_buckets_.back();
-    free_buckets_.pop_back();
-  } else {
-    id = static_cast<std::uint32_t>(buckets_.size());
-    buckets_.emplace_back();
-  }
-  ce.parts.insert(it, {part, id});
-  BucketRef& b = buckets_[id];
+  if (CellBucket* e = find_bucket(cell, part)) return e->bucket;
+  BucketRef b;
   b.capacity = 4;
   b.offset = arena_alloc(b.capacity);
-  b.size = 0;
-  b.sorted = 0;
-  return b;
+  return cells_.insert({cell, part, b}).bucket;
 }
 
 std::size_t Medium::bucket_locate(const BucketRef& b,
@@ -275,9 +279,10 @@ void Medium::bucket_normalize(BucketRef& b) {
   b.sorted = b.size;
 }
 
-void Medium::grid_insert(std::uint32_t slot, RadioState& st) {
+void Medium::grid_insert(std::uint32_t slot) {
+  RadioState& st = slots_[slot];
   st.cell = cell_of(st.pos);
-  st.part = listen_key(st);
+  st.part = listen_key(slot);
   st.in_grid = true;
   BucketRef& b = find_or_create_bucket(st.cell, st.part);
   if (b.size == b.capacity) bucket_grow(b);
@@ -299,18 +304,13 @@ void Medium::grid_insert(std::uint32_t slot, RadioState& st) {
   maybe_compact_arena();
 }
 
-void Medium::grid_erase(RadioState& st, std::uint32_t slot) {
+void Medium::grid_erase(std::uint32_t slot) {
+  RadioState& st = slots_[slot];
   if (!st.in_grid) return;
   st.in_grid = false;
-  const auto it = cells_.find(st.cell);
-  if (it == cells_.end()) return;
-  CellEntry& ce = it->second;
-  const auto pit = std::lower_bound(
-      ce.parts.begin(), ce.parts.end(), st.part,
-      [](const auto& e, std::uint16_t p) { return e.first < p; });
-  if (pit == ce.parts.end() || pit->first != st.part) return;
-  const std::uint32_t bid = pit->second;
-  BucketRef& b = buckets_[bid];
+  CellBucket* entry = find_bucket(st.cell, st.part);
+  if (entry == nullptr) return;
+  BucketRef& b = entry->bucket;
   const std::size_t off = b.offset;
   const std::size_t idx = bucket_locate(b, slot);
   if (idx == kNpos) return;
@@ -336,27 +336,26 @@ void Medium::grid_erase(RadioState& st, std::uint32_t slot) {
   --arena_live_;
   if (b.size == 0) {
     arena_garbage_ += b.capacity;
-    free_buckets_.push_back(bid);
-    ce.parts.erase(pit);
-    if (ce.parts.empty()) cells_.erase(it);
+    cells_.erase(entry);
   }
 }
 
-std::uint16_t Medium::listen_key(const RadioState& st) {
-  if (!st.attached || st.sink == nullptr) return 0;
+std::uint16_t Medium::listen_key(std::uint32_t slot) const {
+  const RadioState& st = slots_[slot];
+  if (!st.attached || rx_sinks_[slot] == nullptr) return 0;
   return static_cast<std::uint16_t>(
       (static_cast<std::uint16_t>(st.channel) + 1) << 1 |
       (st.rx_address ? 0 : 1));
 }
 
 void Medium::refile(std::uint32_t slot) {
-  RadioState& st = slots_[slot];
-  if (!st.in_grid || st.part == listen_key(st)) return;
+  const RadioState& st = slots_[slot];
+  if (!st.in_grid || st.part == listen_key(slot)) return;
   // The partition IS the fused key: a key change moves the radio to its new
   // (cell, key) bucket. The erase pays at most one prefix shift; the
   // re-insert is an O(1) churn-tail append.
-  grid_erase(st, slot);
-  grid_insert(slot, st);
+  grid_erase(slot);
+  grid_insert(slot);
 }
 
 Medium::BucketOccupancy Medium::bucket_occupancy() const {
@@ -371,8 +370,6 @@ Medium::BucketOccupancy Medium::bucket_occupancy() const {
 
 void Medium::grid_rebuild() {
   cells_.clear();
-  buckets_.clear();
-  free_buckets_.clear();
   arena_slots_.clear();
   arena_xs_.clear();
   arena_ys_.clear();
@@ -381,9 +378,7 @@ void Medium::grid_rebuild() {
   cell_size_ = std::max(1.0, propagation_.max_range(max_tx_power_dbm_));
   // active_slots_ is sorted, so every bucket is built by pure sorted-prefix
   // appends.
-  for (const std::uint32_t slot : active_slots_) {
-    grid_insert(slot, slots_[slot]);
-  }
+  for (const std::uint32_t slot : active_slots_) grid_insert(slot);
 }
 
 void Medium::rebuild_lut() {
@@ -420,28 +415,26 @@ double Medium::survivor_rx_dbm(double tx_dbm, double dist_sq, Position tx_pos,
 }
 
 void Medium::set_position(RadioId id, Position pos) {
-  const std::uint32_t slot = slot_of(id);
-  if (slot == kNoSlot) {
-    throw std::logic_error("Medium: use of detached radio");
-  }
+  const std::uint32_t slot = live_slot(id);
+  require_finite(pos, "set_position");
   RadioState& st = slots_[slot];
   st.pos = pos;
   if (!cfg_.spatial_grid) return;
   const std::uint64_t key = cell_of(pos);
   if (st.in_grid && key == st.cell) {
     // Same cell: refresh the bucket's position mirror in place.
-    BucketRef* b = find_bucket(st.cell, st.part);
-    if (b != nullptr) {
-      const std::size_t idx = bucket_locate(*b, slot);
+    if (CellBucket* e = find_bucket(st.cell, st.part)) {
+      const BucketRef& b = e->bucket;
+      const std::size_t idx = bucket_locate(b, slot);
       if (idx != kNpos) {
-        arena_xs_[b->offset + idx] = pos.x;
-        arena_ys_[b->offset + idx] = pos.y;
+        arena_xs_[b.offset + idx] = pos.x;
+        arena_ys_[b.offset + idx] = pos.y;
       }
     }
     return;
   }
-  grid_erase(st, slot);
-  grid_insert(slot, st);
+  grid_erase(slot);
+  grid_insert(slot);
 }
 
 void Medium::set_tx_power(RadioId id, double dbm) {
@@ -456,34 +449,25 @@ void Medium::set_tx_power(RadioId id, double dbm) {
 }
 
 void Medium::set_channel(RadioId id, std::uint8_t ch) {
-  const std::uint32_t slot = slot_of(id);
-  if (slot == kNoSlot) {
-    throw std::logic_error("Medium: use of detached radio");
-  }
+  const std::uint32_t slot = live_slot(id);
   slots_[slot].channel = ch;
   refile(slot);
 }
 
 void Medium::set_sink(RadioId id, FrameSink* sink) {
-  const std::uint32_t slot = slot_of(id);
-  if (slot == kNoSlot) {
-    throw std::logic_error("Medium: use of detached radio");
-  }
-  slots_[slot].sink = sink;
+  const std::uint32_t slot = live_slot(id);
+  rx_sinks_[slot] = sink;
   refile(slot);
 }
 
 void Medium::set_rx_address(RadioId id,
                             std::optional<dot11::MacAddress> addr) {
-  const std::uint32_t slot = slot_of(id);
-  if (slot == kNoSlot) {
-    throw std::logic_error("Medium: use of detached radio");
-  }
+  const std::uint32_t slot = live_slot(id);
   RadioState& st = slots_[slot];
   if (st.rx_address == addr) return;
   if (st.rx_address) addr_erase(addr_key(*st.rx_address), slot);
   st.rx_address = addr;
-  if (addr) addr_insert(addr_key(*addr), slot);
+  if (addr) addrs_.insert({addr_key(*addr), slot});
   refile(slot);
 }
 
@@ -493,54 +477,11 @@ std::uint64_t Medium::addr_key(const dot11::MacAddress& addr) {
   return v;  // 48 bits: never kNoAddr
 }
 
-std::size_t Medium::addr_home(std::uint64_t key) const {
-  // SplitMix-style finalizer: MACs that differ only in the low octets (a
-  // vendor's sequential addresses) spread over the table.
-  std::uint64_t h = key;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return static_cast<std::size_t>(h) & (addr_table_.size() - 1);
-}
-
-void Medium::addr_insert(std::uint64_t key, std::uint32_t slot) {
-  if ((addr_count_ + 1) * 2 > addr_table_.size()) {
-    std::vector<AddrEntry> old(
-        std::max<std::size_t>(16, 2 * addr_table_.size()),
-        AddrEntry{kNoAddr, 0});
-    old.swap(addr_table_);
-    addr_count_ = 0;
-    for (const AddrEntry& e : old) {
-      if (e.key != kNoAddr) addr_insert(e.key, e.slot);
-    }
-  }
-  const std::size_t mask = addr_table_.size() - 1;
-  std::size_t i = addr_home(key);
-  while (addr_table_[i].key != kNoAddr) i = (i + 1) & mask;
-  addr_table_[i] = {key, slot};
-  ++addr_count_;
-}
-
 void Medium::addr_erase(std::uint64_t key, std::uint32_t slot) {
-  const std::size_t mask = addr_table_.size() - 1;
-  std::size_t hole = addr_home(key);
-  while (addr_table_[hole].key != key || addr_table_[hole].slot != slot) {
-    if (addr_table_[hole].key == kNoAddr) return;  // not registered
-    hole = (hole + 1) & mask;
-  }
-  // Backward-shift deletion: an entry later in the probe run moves into the
-  // hole unless its home lies cyclically in (hole, j] — then the hole would
-  // cut it off from its home.
-  for (std::size_t j = (hole + 1) & mask; addr_table_[j].key != kNoAddr;
-       j = (j + 1) & mask) {
-    const std::size_t home = addr_home(addr_table_[j].key);
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      addr_table_[hole] = addr_table_[j];
-      hole = j;
-    }
-  }
-  addr_table_[hole].key = kNoAddr;
-  --addr_count_;
+  AddrEntry* e = addrs_.find(probe_mix(key), [&](const AddrEntry& a) {
+    return a.key == key && a.slot == slot;
+  });
+  if (e != nullptr) addrs_.erase(e);  // absent: not registered
 }
 
 Medium::Transmission& Medium::acquire_txn() {
@@ -733,15 +674,15 @@ void Medium::deliver_batched(const Transmission& t) {
   const std::int64_t cx1 = cell_coord(tx_pos.x + re.box_r);
   const std::int64_t cy0 = cell_coord(tx_pos.y - re.box_r);
   const std::int64_t cy1 = cell_coord(tx_pos.y + re.box_r);
+  const std::uint16_t parts[2] = {monitor, addressed};
+  const int nparts = group ? 2 : 1;
   for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
     for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-      const auto cell = cells_.find(cell_key(cx, cy));
-      if (cell == cells_.end()) continue;
-      for (const auto& [part, bid] : cell->second.parts) {
-        if (part > monitor) break;  // directory is sorted by partition key
-        if (part != monitor && !(group && part == addressed)) continue;
-        BucketRef& b = buckets_[bid];
-        if (b.size == 0) continue;
+      const std::uint64_t cell = cell_key(cx, cy);
+      for (int p = 0; p < nparts; ++p) {
+        CellBucket* entry = find_bucket(cell, parts[p]);
+        if (entry == nullptr) continue;
+        BucketRef& b = entry->bucket;
         bucket_normalize(b);
         loaded += b.size;
         const std::uint32_t* slots = arena_slots_.data() + b.offset;
@@ -766,25 +707,22 @@ void Medium::deliver_batched(const Transmission& t) {
   if (!group) {
     ++fanout_stats_.unicast;
     const std::size_t begin = cand.size();
-    if (!addr_table_.empty()) {
-      const std::uint64_t key = addr_key(to);
-      const std::size_t mask = addr_table_.size() - 1;
-      for (std::size_t i = addr_home(key); addr_table_[i].key != kNoAddr;
-           i = (i + 1) & mask) {
-        if (addr_table_[i].key != key) continue;
-        ++loaded;
-        const std::uint32_t slot = addr_table_[i].slot;
-        const RadioState& st = slots_[slot];
-        if (slot == self || st.channel != t.channel || st.sink == nullptr) {
-          continue;
-        }
-        const double dx = st.pos.x - tx_pos.x;
-        const double dy = st.pos.y - tx_pos.y;
-        const double dist_sq = dx * dx + dy * dy;
-        if (!(dist_sq <= re.range_sq)) continue;
-        cand.push_back({slot, dist_sq, st.pos.x, st.pos.y});
+    const std::uint64_t key = addr_key(to);
+    addrs_.for_each_in_run(probe_mix(key), [&](const AddrEntry& a) {
+      if (a.key != key) return;
+      ++loaded;
+      const std::uint32_t slot = a.slot;
+      const RadioState& st = slots_[slot];
+      if (slot == self || st.channel != t.channel ||
+          rx_sinks_[slot] == nullptr) {
+        return;
       }
-    }
+      const double dx = st.pos.x - tx_pos.x;
+      const double dy = st.pos.y - tx_pos.y;
+      const double dist_sq = dx * dx + dy * dy;
+      if (!(dist_sq <= re.range_sq)) return;
+      cand.push_back({slot, dist_sq, st.pos.x, st.pos.y});
+    });
     // Probe order is table order; a shared address may list several slots.
     std::sort(cand.begin() + static_cast<std::ptrdiff_t>(begin), cand.end(),
               [](const Survivor& a, const Survivor& b) {
@@ -818,11 +756,12 @@ void Medium::deliver_batched(const Transmission& t) {
     head_slot[best] = run_cur[best] != runs[best].end
                           ? cand[run_cur[best]].slot
                           : kNoSlot;
-    RadioState& st = slots_[c.slot];
     // A sink callback from an earlier candidate may have detached this
     // radio (or cleared its sink) mid-fanout; skip it, exactly as the
-    // legacy scan does.
-    if (!st.attached || st.sink == nullptr) continue;
+    // legacy scan does. The receive column is read by index every time:
+    // an earlier callback may also have attached radios and reallocated it.
+    FrameSink* const sink = rx_sinks_[c.slot];
+    if (sink == nullptr) continue;
     const RadioId rx_id = static_cast<RadioId>(c.slot) + 1;
     const Position rx_pos{c.x, c.y};  // frozen at gather time
     double rx_dbm;
@@ -835,7 +774,7 @@ void Medium::deliver_batched(const Transmission& t) {
       const double loss =
           group ? fault_.link_loss(rx_dbm) : fault_.per(rx_dbm);
       if (fault_.link_draw(from, t.fault_seq, rx_id) < loss) {
-        ++st.rx_lost;
+        ++slots_[c.slot].rx_lost;
         ++frames_lost_;
         ++drops_.erasure;
         if (trace_ != nullptr) {
@@ -851,13 +790,13 @@ void Medium::deliver_batched(const Transmission& t) {
     info.rssi_dbm = rx_dbm;
     info.time = events_.now();
     info.channel = t.channel;
-    ++st.frames_received;
+    ++rx_frames_[c.slot];
     ++deliveries_;
     if (trace_ != nullptr) {
       trace_->record(events_.now(), obs::Category::kMedium,
                      obs::Event::kDeliver, rx_id, from);
     }
-    st.sink->on_frame(t.frame, info);
+    sink->on_frame(t.frame, info);
   }
 }
 
@@ -890,7 +829,8 @@ void Medium::deliver(const Transmission& t) {
   for (const std::uint32_t slot : active_slots_) {
     const RadioState& st = slots_[slot];
     const RadioId id = static_cast<RadioId>(slot) + 1;
-    if (id == t.from || st.channel != t.channel || st.sink == nullptr) {
+    if (id == t.from || st.channel != t.channel ||
+        rx_sinks_[slot] == nullptr) {
       continue;
     }
     if (!group && st.rx_address && *st.rx_address != to) continue;
@@ -909,8 +849,8 @@ void Medium::deliver(const Transmission& t) {
       slot = slot_of(c.id);
       if (slot == kNoSlot) continue;  // detached by an earlier callback
     }
-    auto& st = slots_[slot];
-    if (st.sink == nullptr) continue;  // sink revoked by an earlier callback
+    FrameSink* const sink = rx_sinks_[slot];
+    if (sink == nullptr) continue;  // sink revoked by an earlier callback
     const double d = c.d;
     if (!propagation_.deliverable(t.tx_dbm, d)) continue;
     const double rx_dbm = propagation_.rx_power_dbm(t.tx_dbm, d);
@@ -923,7 +863,7 @@ void Medium::deliver(const Transmission& t) {
       // edge-of-range SNR loss — which no retransmission repairs — applies
       // here. The draw is keyed by (transmission, receiver), so it is the
       // same whichever other radios are in range.
-      ++st.rx_lost;
+      ++slots_[slot].rx_lost;
       ++frames_lost_;
       ++drops_.erasure;
       if (trace_ != nullptr) {
@@ -936,13 +876,12 @@ void Medium::deliver(const Transmission& t) {
     info.rssi_dbm = rx_dbm;
     info.time = events_.now();
     info.channel = t.channel;
-    ++st.frames_received;
+    ++rx_frames_[slot];
     ++deliveries_;
     if (trace_ != nullptr) {
       trace_->record(events_.now(), obs::Category::kMedium,
                      obs::Event::kDeliver, c.id, t.from);
     }
-    FrameSink* sink = st.sink;
     sink->on_frame(t.frame, info);
   }
 }
@@ -977,7 +916,7 @@ std::uint64_t Radio::frames_sent() const {
   return medium_->state(id_).frames_sent;
 }
 std::uint64_t Radio::frames_received() const {
-  return medium_->state(id_).frames_received;
+  return medium_->rx_frames_[medium_->live_slot(id_)];
 }
 std::uint64_t Radio::tx_retries() const {
   return medium_->state(id_).tx_retries;

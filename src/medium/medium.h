@@ -35,13 +35,15 @@
 // math: the erasure draw, keyed by (transmission, receiver), must see
 // bit-identical RX power.
 //
-// Bucket storage (slot, x, y) lives in one compacted slab arena of parallel
-// arrays instead of per-cell heap vectors, so a probe's candidate stream is
-// contiguous lines. Churn (attach/detach/set_position/set_channel/set_sink/
-// set_rx_address) migrates radios between buckets incrementally:
-// out-of-order arrivals append to a per-bucket unsorted tail that is merged
-// into the sorted prefix lazily, at the bucket's next probe — an attach
-// storm into one cell is amortized O(1) per radio.
+// A flat open-addressed cell table maps (cell, partition) to its bucket's
+// arena window, so probing one partition of a cell is one hash and usually
+// one cache line. Bucket storage (slot, x, y) lives in one compacted slab
+// arena of parallel arrays instead of per-cell heap vectors, so a probe's
+// candidate stream is contiguous lines. Churn (attach/detach/set_position/
+// set_channel/set_sink/set_rx_address) migrates radios between buckets
+// incrementally: out-of-order arrivals append to a per-bucket unsorted tail
+// that is merged into the sorted prefix lazily, at the bucket's next probe
+// — an attach storm into one cell is amortized O(1) per radio.
 //
 // The oracle (Config::spatial_grid = false) scans every attached radio in id
 // order with exact math per candidate, applying the same address filter.
@@ -49,22 +51,25 @@
 // changes and mid-fanout topology changes.
 //
 // Hot-path storage: radio state lives in a dense slab indexed by slot, and
-// each in-flight transmission borrows a pooled object that owns the wire
-// buffer and the decoded frame every receiver shares. The address index is
-// an open-addressed table that only grows. At steady state a
-// transmit→deliver round trip performs no heap allocation.
+// the two fields every delivery touches (the sink and the receive counter)
+// live in their own per-slot columns, so the survivor loop reads 16 bytes
+// per receiver instead of a whole RadioState. Each in-flight transmission
+// borrows a pooled object that owns the wire buffer and the decoded frame
+// every receiver shares. The address index and the cell table are
+// open-addressed tables that only grow. At steady state a transmit→deliver
+// round trip performs no heap allocation.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "dot11/frame.h"
 #include "medium/event_queue.h"
 #include "medium/fault.h"
 #include "medium/geometry.h"
+#include "medium/probe_table.h"
 #include "medium/propagation.h"
 #include "medium/radio.h"
 
@@ -109,7 +114,8 @@ class Medium {
   /// Create a radio at `pos` on `channel` with `tx_power_dbm`, receiving
   /// through `sink` under `rx_address` (see Radio::set_rx_address; nullopt
   /// = monitor). Registering the address here files the radio straight
-  /// into its listener partition.
+  /// into its listener partition. Throws std::invalid_argument when a
+  /// coordinate of `pos` is NaN or infinite (so does import_radio).
   Radio attach(Position pos, std::uint8_t channel, double tx_power_dbm,
                FrameSink* sink = nullptr,
                std::optional<dot11::MacAddress> rx_address = std::nullopt);
@@ -215,15 +221,12 @@ class Medium {
   }
 
   /// Visit every live bucket as (partition key, occupancy). Traversal order
-  /// follows the cell map — callers must be order-insensitive (histogram
+  /// follows the cell table — callers must be order-insensitive (histogram
   /// and min/max/sum aggregation are).
   template <typename Fn>
   void for_each_bucket(Fn&& fn) const {
-    for (const auto& [cell, ce] : cells_) {
-      for (const auto& [part, bid] : ce.parts) {
-        fn(part, buckets_[bid].size);
-      }
-    }
+    cells_.for_each(
+        [&fn](const CellBucket& e) { fn(e.part, e.bucket.size); });
   }
 
   /// Why frames died, split by cause. Additive to the aggregate counters
@@ -254,18 +257,18 @@ class Medium {
   /// existed).
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
+  /// Per-radio state the fanout does not touch per receiver. The sink and
+  /// the receive counter live in the rx_sinks_/rx_frames_ columns instead.
   struct RadioState {
     Position pos;
     std::uint8_t channel = 1;
     bool attached = true;           // false once detached; slots never recycle
     double tx_power_dbm = 0.0;
-    FrameSink* sink = nullptr;
     std::optional<dot11::MacAddress> rx_address;  // nullopt = monitor
     SimTime tx_busy_until;
     std::uint64_t queue_epoch = 0;  // bumped by clear_tx_queue()
     std::size_t tx_backlog = 0;
     std::uint64_t frames_sent = 0;
-    std::uint64_t frames_received = 0;
     std::uint64_t tx_seq = 0;       // fault-stream key, one per transmit()
     std::uint64_t tx_retries = 0;   // 802.11 retransmissions by this radio
     std::uint64_t rx_lost = 0;      // frames erased on the way to this radio
@@ -336,11 +339,29 @@ class Medium {
     std::uint32_t sorted = 0;
   };
 
-  /// Partition directory of one cell: (partition key → bucket id), sorted
-  /// by key. One entry per listening key present in the cell (typically the
-  /// venue's 1–3 channels plus the non-listener partition).
-  struct CellEntry {
-    std::vector<std::pair<std::uint16_t, std::uint32_t>> parts;
+  /// One live bucket of the cell table: (cell, partition key) → its arena
+  /// window. A cell has one entry per listening key present in it
+  /// (typically the venue's 1–3 channels plus the non-listener partition).
+  /// Entries move when the table grows or erases, so nothing holds a
+  /// BucketRef across either.
+  struct CellBucket {
+    std::uint64_t cell;
+    std::uint16_t part;  // kNoPart marks an unused entry
+    BucketRef bucket;
+  };
+  /// Listening keys stop at (255 + 1) << 1 | 1 = 513.
+  static constexpr std::uint16_t kNoPart = 0xffff;
+  static std::uint64_t cell_hash(std::uint64_t cell, std::uint16_t part) {
+    return probe_mix(cell ^ (static_cast<std::uint64_t>(part) *
+                             0x9e3779b97f4a7c15ULL));
+  }
+  struct CellTraits {
+    using Entry = CellBucket;
+    static Entry unused() { return {0, kNoPart, {}}; }
+    static bool empty(const Entry& e) { return e.part == kNoPart; }
+    static std::uint64_t hash(const Entry& e) {
+      return cell_hash(e.cell, e.part);
+    }
   };
 
   /// Slot for `id`: ids are issued monotonically and slots never recycle,
@@ -354,6 +375,9 @@ class Medium {
     return slots_[idx].attached ? static_cast<std::uint32_t>(idx) : kNoSlot;
   }
 
+  /// slot_of for a radio that must be attached: throws std::logic_error
+  /// ("use of detached radio") otherwise.
+  std::uint32_t live_slot(RadioId id) const;
   RadioState& state(RadioId id);
   const RadioState& state(RadioId id) const;
 
@@ -387,25 +411,28 @@ class Medium {
   /// or no sink), ((channel + 1) << 1 | monitor) otherwise. The key is the
   /// radio's bucket partition, so one probe covers the attached/sink/channel
   /// filters and the monitor/addressed split at once.
-  static std::uint16_t listen_key(const RadioState& st);
+  std::uint16_t listen_key(std::uint32_t slot) const;
   /// After a change to the radio's listening key (attach/detach, channel,
   /// sink, receive address): while the radio is in the grid, migrate it to
   /// its new (cell, key) bucket.
   void refile(std::uint32_t slot);
 
   /// --- Address index: receive address → slots registered under it. ---
-  /// Open addressing with linear probing over 48-bit keys packed into a
-  /// u64; one entry per registered radio, so an address shared by several
-  /// radios has several entries. Erase shifts the probe run back (no
-  /// tombstones), and the table only ever grows.
+  /// A ProbeTable over 48-bit keys packed into a u64; one entry per
+  /// registered radio, so an address shared by several radios has several
+  /// entries.
   struct AddrEntry {
     std::uint64_t key;
     std::uint32_t slot;
   };
   static constexpr std::uint64_t kNoAddr = ~std::uint64_t{0};
+  struct AddrTraits {
+    using Entry = AddrEntry;
+    static Entry unused() { return {kNoAddr, 0}; }
+    static bool empty(const Entry& e) { return e.key == kNoAddr; }
+    static std::uint64_t hash(const Entry& e) { return probe_mix(e.key); }
+  };
   static std::uint64_t addr_key(const dot11::MacAddress& addr);
-  std::size_t addr_home(std::uint64_t key) const;
-  void addr_insert(std::uint64_t key, std::uint32_t slot);
   void addr_erase(std::uint64_t key, std::uint32_t slot);
 
   /// Memoized per-TX-power range data (venues use a handful of power
@@ -434,10 +461,12 @@ class Medium {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
            static_cast<std::uint32_t>(cy);
   }
+  /// Floored cell index of a coordinate, clamped to the int32 range
+  /// cell_key keeps (see cell_coord in medium.cpp).
   std::int64_t cell_coord(double v) const;
   std::uint64_t cell_of(Position pos) const;
-  void grid_insert(std::uint32_t slot, RadioState& st);
-  void grid_erase(RadioState& st, std::uint32_t slot);
+  void grid_insert(std::uint32_t slot);
+  void grid_erase(std::uint32_t slot);
   /// Recompute the cell size from the strongest transmitter and re-bucket
   /// every radio (rare: only when a new power class appears). Rebuilds the
   /// arena from scratch — fully sorted, zero garbage.
@@ -455,10 +484,10 @@ class Medium {
   /// only insert paths call it, and those run from sink callbacks or
   /// top-level code, never while a filter is streaming the arena.
   void maybe_compact_arena();
-  /// The cell's bucket for `part`, nullptr when absent.
-  BucketRef* find_bucket(std::uint64_t cell, std::uint16_t part);
-  /// Find-or-create, registering a fresh bucket in the cell's partition
-  /// directory (bucket ids are recycled via free_buckets_).
+  /// The cell table entry of (cell, part), nullptr when absent.
+  CellBucket* find_bucket(std::uint64_t cell, std::uint16_t part);
+  /// Find-or-create: a missing bucket enters the cell table with a fresh
+  /// 4-element arena window.
   BucketRef& find_or_create_bucket(std::uint64_t cell, std::uint16_t part);
   /// Merge the bucket's unsorted churn tail into the sorted prefix (in
   /// place, backward merge — no arena growth). Called before a bucket is
@@ -475,20 +504,25 @@ class Medium {
   RadioId next_id_ = 1;
 
   // Flat radio table, indexed by slot ≡ id − 1. Slots are never recycled:
-  // the table grows with every attach (~200 bytes per radio ever attached),
-  // buying the slot-order ≡ id-order invariant the batched fanout relies
-  // on. active_slots_ stays sorted — slots only ever increase, so attach
-  // appends.
+  // the table and its two receive columns grow with every attach (128 bytes
+  // per radio ever attached: a 112-byte RadioState plus 16 bytes of
+  // columns), buying the slot-order ≡ id-order invariant the batched fanout
+  // relies on. active_slots_ stays sorted — slots only ever increase, so
+  // attach appends.
   std::vector<RadioState> slots_;
+  /// Receive columns, indexed by slot like slots_: the radio's sink
+  /// (nullptr once detached or when it has none) and the frames handed to
+  /// it. The survivor loop reads both by index after every sink call, since
+  /// a sink may attach radios and so reallocate them.
+  std::vector<FrameSink*> rx_sinks_;
+  std::vector<std::uint64_t> rx_frames_;
   std::vector<std::uint32_t> active_slots_;
   /// Bumped on attach/detach; lets the legacy scan trust cached
   /// candidate slots until the topology actually changes under a sink
   /// callback.
   std::uint64_t topology_epoch_ = 0;
 
-  /// Address index table (see AddrEntry): power-of-two size, load ≤ 1/2.
-  std::vector<AddrEntry> addr_table_;
-  std::size_t addr_count_ = 0;
+  ProbeTable<AddrTraits> addrs_;  // see AddrEntry
 
   // Memoized range data per distinct TX power, linear-scanned (a venue has
   // a handful of power classes).
@@ -509,13 +543,11 @@ class Medium {
 
   double cell_size_ = 0.0;
   double max_tx_power_dbm_ = -1e300;
-  /// Spatial index: cell map → partition directory → slab-resident buckets.
-  /// Buckets hold slots sorted ascending (== ascending radio id, modulo the
-  /// lazily-merged churn tail), so per-cell gather runs come out pre-sorted
-  /// for the merge fanout.
-  std::unordered_map<std::uint64_t, CellEntry> cells_;
-  std::vector<BucketRef> buckets_;
-  std::vector<std::uint32_t> free_buckets_;
+  /// Spatial index: the cell table maps (cell, partition) to a slab-resident
+  /// bucket. Buckets hold slots sorted ascending (== ascending radio id,
+  /// modulo the lazily-merged churn tail), so per-cell gather runs come out
+  /// pre-sorted for the merge fanout.
+  ProbeTable<CellTraits> cells_;
   /// The arena: three parallel arrays every bucket windows into. Grown at
   /// the tail; abandoned windows are tracked as garbage and reclaimed by
   /// maybe_compact_arena().

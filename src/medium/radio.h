@@ -51,6 +51,7 @@ class Radio {
   bool valid() const { return medium_ != nullptr; }
 
   Position position() const;
+  /// Throws std::invalid_argument when a coordinate is NaN or infinite.
   void set_position(Position p);
   std::uint8_t channel() const;
   void set_channel(std::uint8_t ch);

@@ -6,24 +6,34 @@ namespace cityhunter::obs {
 
 namespace {
 
-inline std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (i * 8)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
+/// MurmurHash3's fmix64: a bijection on 64-bit words in which every input
+/// bit reaches every output bit.
+inline std::uint64_t fmix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
   return h;
 }
 
 }  // namespace
 
 std::uint64_t record_hash(const DeliveryRecord& r) {
-  std::uint64_t h = 14695981039346656037ULL;
-  h = fnv1a_word(h, static_cast<std::uint64_t>(r.time_us));
-  h = fnv1a_word(h, r.tx_id);
-  h = fnv1a_word(h, r.rx_id);
-  h = fnv1a_word(h, r.rssi_bits);
-  h = fnv1a_word(h, r.channel);
-  return h;
+  // Each field gets its own fmix64 round under its own key, so the five
+  // rounds run side by side rather than as one serial chain, and a value
+  // hashes differently in each field (swapping tx_id and rx_id moves the
+  // hash). A final round over their xor keeps the digest's sum from
+  // splitting into per-field sums, which could not tell which receiver
+  // heard which frame. Each step is a bijection of one field's word, so
+  // flipping any bit of any field changes the hash.
+  const std::uint64_t a =
+      fmix64(static_cast<std::uint64_t>(r.time_us) ^ 0x9e3779b97f4a7c15ULL);
+  const std::uint64_t b = fmix64(r.tx_id ^ 0xbf58476d1ce4e5b9ULL);
+  const std::uint64_t c = fmix64(r.rx_id ^ 0x94d049bb133111ebULL);
+  const std::uint64_t d = fmix64(r.rssi_bits ^ 0xd6e8feb86659fd93ULL);
+  const std::uint64_t e = fmix64(r.channel ^ 0xa0761d6478bd642fULL);
+  return fmix64(a ^ b ^ c ^ d ^ e);
 }
 
 void DeliveryLog::record(std::int64_t time_us, std::uint64_t tx_id,

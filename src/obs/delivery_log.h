@@ -35,7 +35,10 @@ struct DeliveryRecord {
   auto operator<=>(const DeliveryRecord&) const = default;
 };
 
-/// FNV-1a over the record's fields (field-by-field, no struct padding).
+/// Word-wise hash of the record's five fields (no struct padding): one
+/// fmix64 round per field under a per-field key, then one over their xor.
+/// Any single-bit change to any field changes it, and so does swapping
+/// tx_id and rx_id (tests/shard_test.cpp pins two values).
 std::uint64_t record_hash(const DeliveryRecord& r);
 
 class DeliveryLog {

@@ -25,6 +25,7 @@ namespace {
 using medium::Position;
 using support::Rng;
 using support::SimTime;
+using Clock = std::chrono::steady_clock;
 
 constexpr std::uint8_t kChannels[] = {1, 6, 11};
 constexpr std::int64_t kBeaconIntervalUs = 102400;  // 802.11 default TBTT
@@ -53,11 +54,17 @@ std::uint64_t gid_from_mac(const dot11::MacAddress& m) {
 
 struct Shard;
 
-/// Logs every delivered frame with global ids; one sink per entity, owned
-/// next to the Radio it serves so a handoff re-points it atomically.
+/// Logs every delivered frame with global ids. One sink per radio, kept in
+/// its shard's dense `sinks` deque rather than inside the ~5.4 KB Entity:
+/// the Medium calls a sink on every delivery, and 24-byte sinks packed in
+/// attach order keep those calls on cache-resident lines. A handoff gives
+/// the entity a fresh sink in the destination shard; the old one stays
+/// behind, unregistered, with the dead entity.
 struct RecordingSink final : medium::FrameSink {
-  obs::DeliveryLog* log = nullptr;
-  std::uint64_t rx_gid = 0;
+  RecordingSink(obs::DeliveryLog* log_, std::uint64_t rx_gid_)
+      : log(log_), rx_gid(rx_gid_) {}
+  obs::DeliveryLog* log;
+  std::uint64_t rx_gid;
   void on_frame(const dot11::Frame& frame,
                 const medium::RxInfo& info) override {
     log->record(info.time.us(), gid_from_mac(frame.header.addr2), rx_gid,
@@ -82,7 +89,6 @@ class ShardedCity;
 
 struct Entity {
   Shard* home = nullptr;
-  RecordingSink sink;
   medium::Radio radio;
   bool is_ap = false;
   /// Cleared when the entity is handed off; its already-queued events fire
@@ -108,14 +114,20 @@ struct Shard {
   medium::EventQueue events;
   medium::Medium medium;
   obs::DeliveryLog log;
-  /// Deque: entity addresses are captured in queued events and sinks are
-  /// registered with the Medium, so they must never move.
+  /// Deques: entity addresses are captured in queued events and sink
+  /// addresses are registered with the Medium, so neither may move.
   std::deque<Entity> entities;
+  std::deque<RecordingSink> sinks;
   std::vector<Entity*> emigrants;  // marked this epoch, in event order
   std::uint64_t handoffs_in = 0;
   std::uint64_t handoffs_out = 0;
   std::uint64_t gap_silences = 0;
-  double busy_s = 0.0;
+  /// Barrier accounting, in whole clock ticks so that busy + wait sums to
+  /// exactly the same epoch wall for every shard: this epoch's run_until
+  /// time, and the run's totals of it and of the rest of each epoch.
+  Clock::duration epoch_busy{};
+  Clock::duration busy{};
+  Clock::duration wait{};
   std::exception_ptr error;
 };
 
@@ -135,6 +147,7 @@ class ShardedCity {
   void validate();
   void build();
   Entity& make_entity(Shard& shard);
+  RecordingSink* make_sink(Shard& shard, std::uint64_t gid);
   void schedule_beacon(Entity* e);
   void schedule_scan(Entity* e);
   void schedule_walk(Entity* e);
@@ -199,8 +212,11 @@ void ShardedCity::validate() {
 Entity& ShardedCity::make_entity(Shard& shard) {
   Entity& e = shard.entities.emplace_back();
   e.home = &shard;
-  e.sink.log = &shard.log;
   return e;
+}
+
+RecordingSink* ShardedCity::make_sink(Shard& shard, std::uint64_t gid) {
+  return &shard.sinks.emplace_back(&shard.log, gid);
 }
 
 void ShardedCity::build() {
@@ -245,13 +261,13 @@ void ShardedCity::build() {
           grid_.owner_shard(pos, cfg_.shards))];
       Entity& e = make_entity(shard);
       e.is_ap = true;
-      e.sink.rx_gid = ugid;
       e.beacon = dot11::make_beacon(mac_from_gid(ugid), "city-hunter-ap",
                                     channel, /*open=*/true,
                                     /*timestamp_us=*/0);
       e.next_beacon_us = static_cast<std::int64_t>(
           er.uniform(0.0, static_cast<double>(kBeaconIntervalUs)));
-      e.radio = shard.medium.attach(pos, channel, cfg_.ap_tx_dbm, &e.sink);
+      e.radio = shard.medium.attach(pos, channel, cfg_.ap_tx_dbm,
+                                    make_sink(shard, ugid));
       schedule_beacon(&e);
     } else {
       PhoneAgent agent;
@@ -268,9 +284,9 @@ void ShardedCity::build() {
       Shard& shard = *shards_[static_cast<std::size_t>(
           grid_.owner_shard(pos, cfg_.shards))];
       Entity& e = make_entity(shard);
-      e.sink.rx_gid = ugid;
       e.agent = std::move(agent);
-      e.radio = shard.medium.attach(pos, channel, cfg_.phone_tx_dbm, &e.sink);
+      e.radio = shard.medium.attach(pos, channel, cfg_.phone_tx_dbm,
+                                    make_sink(shard, ugid));
       schedule_scan(&e);
       schedule_walk(&e);
     }
@@ -324,15 +340,13 @@ void ShardedCity::schedule_walk(Entity* e) {
 }
 
 void ShardedCity::advance_shard(Shard& shard, SimTime until) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
   try {
     shard.events.run_until(until);
   } catch (...) {
     shard.error = std::current_exception();
   }
-  shard.busy_s +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  shard.epoch_busy = Clock::now() - t0;
 }
 
 struct EpochCtx {
@@ -354,6 +368,7 @@ struct EpochCtx {
 };
 
 void ShardedCity::advance_epoch(SimTime until) {
+  const auto t0 = Clock::now();
   if (workers_ <= 1 || shards_.size() <= 1) {
     for (auto& shard : shards_) advance_shard(*shard, until);
   } else {
@@ -361,6 +376,14 @@ void ShardedCity::advance_epoch(SimTime until) {
     team_->dispatch(&EpochCtx::entry, &ctx);
     ctx.run_lane(0);  // the calling thread is worker 0
     team_->wait();
+  }
+  // Every shard ran inside [t0, now], so its wait — the epoch's wall less
+  // its own run — is never negative: a shard waits on the slowest one, or,
+  // on fewer workers than shards, on the shards run before it.
+  const auto epoch_wall = Clock::now() - t0;
+  for (auto& shard : shards_) {
+    shard->busy += shard->epoch_busy;
+    shard->wait += epoch_wall - shard->epoch_busy;
   }
   for (auto& shard : shards_) {
     if (shard->error) std::rethrow_exception(shard->error);
@@ -399,9 +422,9 @@ void ShardedCity::exchange_handoffs() {
   for (Handoff& h : moving) {
     Shard& dest = *shards_[static_cast<std::size_t>(h.to)];
     Entity& e = make_entity(dest);
-    e.sink.rx_gid = h.agent.gid;
     e.agent = std::move(h.agent);
-    e.radio = dest.medium.import_radio(e.agent.radio, &e.sink);
+    e.radio = dest.medium.import_radio(e.agent.radio,
+                                       make_sink(dest, e.agent.gid));
     // The agent's next event times are strictly past the barrier (anything
     // due earlier already fired in the source shard), so rescheduling here
     // can never violate the queue's no-past-scheduling rule.
@@ -414,14 +437,13 @@ void ShardedCity::exchange_handoffs() {
 
 ShardedCityResult ShardedCity::run() {
   const ConservativeBarrier barrier({epoch_, cfg_.duration});
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
   for (std::size_t i = 0; i < barrier.epochs(); ++i) {
     advance_epoch(barrier.epoch_end(i));
     exchange_handoffs();
   }
   const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+      std::chrono::duration<double>(Clock::now() - t0).count();
 
   ShardedCityResult r;
   r.shards = cfg_.shards;
@@ -439,7 +461,8 @@ ShardedCityResult ShardedCity::run() {
     ss.handoffs_out = shard->handoffs_out;
     ss.gap_silences = shard->gap_silences;
     ss.events_processed = shard->events.stats().processed;
-    ss.busy_s = shard->busy_s;
+    ss.busy_s = std::chrono::duration<double>(shard->busy).count();
+    ss.wait_s = std::chrono::duration<double>(shard->wait).count();
     r.transmissions += ss.transmissions;
     r.deliveries += ss.deliveries;
     r.gap_silences += ss.gap_silences;
@@ -471,12 +494,10 @@ support::SimTime sharded_city_epoch(const ShardedCityConfig& cfg) {
 }
 
 ShardedCityResult run_sharded_city(const ShardedCityConfig& cfg) {
-  const auto t_setup = std::chrono::steady_clock::now();
+  const auto t_setup = Clock::now();
   ShardedCity city(cfg);
   const double setup_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    t_setup)
-          .count();
+      std::chrono::duration<double>(Clock::now() - t_setup).count();
   ShardedCityResult r = city.run();
   r.phases.setup_s = setup_s;
   r.phases.sim_s = r.wall_s;

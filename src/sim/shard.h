@@ -89,6 +89,12 @@ struct ShardStats {
   std::uint64_t gap_silences = 0;
   std::uint64_t events_processed = 0;
   double busy_s = 0.0;  // wall time this shard's event loop ran
+  /// Wall time this shard spent at the barrier: the sum over epochs of the
+  /// epoch's wall (first shard started → last shard done) less this shard's
+  /// busy time in it. busy_s + wait_s is the same for every shard of a run
+  /// (the summed epoch walls) and never exceeds ShardedCityResult::wall_s,
+  /// which also covers the handoff exchanges.
+  double wait_s = 0.0;
 };
 
 struct ShardedCityResult {

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -503,6 +504,75 @@ TEST_F(MediumTest, SlotTableBoundaryIdsResolveSafely) {
   EXPECT_THROW(stale.position(), std::logic_error);
   (void)a;
   (void)b;
+}
+
+TEST_F(MediumTest, NonFinitePositionsAreRejected) {
+  // A NaN or infinite coordinate has no grid cell (the cast of its floor to
+  // an integer is undefined), so attach, import_radio and set_position all
+  // refuse one, on both pipelines, and leave the Medium as it was.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Position bad[] = {{kNaN, 5.0}, {5.0, kNaN}, {kInf, 0.0}, {0.0, -kInf}};
+  for (const bool grid : {true, false}) {
+    Medium::Config cfg;
+    cfg.spatial_grid = grid;
+    EventQueue q;
+    Medium m(q, cfg);
+    Collector rx;
+    auto tx = m.attach({0, 0}, 6, 15.0);
+    for (const Position& p : bad) {
+      EXPECT_THROW(m.attach(p, 6, 15.0, &rx), std::invalid_argument);
+      EXPECT_THROW(tx.set_position(p), std::invalid_argument);
+      Medium::RadioSnapshot snapshot;
+      snapshot.pos = p;
+      EXPECT_THROW(m.import_radio(snapshot, &rx), std::invalid_argument);
+    }
+    EXPECT_EQ(tx.position().x, 0.0) << "grid " << grid;
+    EXPECT_EQ(tx.position().y, 0.0) << "grid " << grid;
+    // No id was issued to a refused radio, and delivery still works.
+    auto next = m.attach({10, 0}, 6, 15.0, &rx);
+    EXPECT_EQ(next.id(), 2u) << "grid " << grid;
+    tx.transmit(dot11::make_broadcast_probe_request(
+        MacAddress::random_local(rng)));
+    q.run_all();
+    EXPECT_EQ(rx.frames.size(), 1u) << "grid " << grid;
+  }
+}
+
+TEST_F(MediumTest, FarOffRadioNeitherHearsNorIsHeard) {
+  // x = ±1e300 floors far outside the int32 cell range the grid keys on:
+  // the grid clamps such radios into edge cells, where the d² filter keeps
+  // them apart from everyone, each other included. The scan agrees.
+  for (const bool grid : {true, false}) {
+    Medium::Config cfg;
+    cfg.spatial_grid = grid;
+    EventQueue q;
+    Medium m(q, cfg);
+    Collector near_rx, far_rx, farther_rx, opposite_rx;
+    auto near = m.attach({0, 0}, 6, 20.0, &near_rx);
+    auto far = m.attach({1e300, 0}, 6, 20.0, &far_rx);
+    auto farther = m.attach({2e300, 0}, 6, 20.0, &farther_rx);
+    auto opposite = m.attach({-1e300, -1e300}, 6, 20.0, &opposite_rx);
+    for (Radio* r : {&near, &far, &farther, &opposite}) {
+      r->transmit(dot11::make_broadcast_probe_request(
+          MacAddress::random_local(rng)));
+    }
+    q.run_all();
+    EXPECT_EQ(m.transmissions(), 4u) << "grid " << grid;
+    EXPECT_EQ(m.deliveries(), 0u) << "grid " << grid;
+    EXPECT_TRUE(near_rx.frames.empty()) << "grid " << grid;
+    EXPECT_TRUE(far_rx.frames.empty()) << "grid " << grid;
+    EXPECT_TRUE(farther_rx.frames.empty()) << "grid " << grid;
+    EXPECT_TRUE(opposite_rx.frames.empty()) << "grid " << grid;
+
+    // Moved back into range, the far radio hears like any other.
+    far.set_position({10, 0});
+    near.transmit(dot11::make_broadcast_probe_request(
+        MacAddress::random_local(rng)));
+    q.run_all();
+    EXPECT_EQ(far_rx.frames.size(), 1u) << "grid " << grid;
+    EXPECT_EQ(m.deliveries(), 1u) << "grid " << grid;
+  }
 }
 
 // --- PathLossLut ---
@@ -1047,6 +1117,25 @@ TEST(MediumEquivalence, CompactionStormMatchesLegacyScanAcrossPipelines) {
       EXPECT_EQ(scan.medium.retries(), rig.medium.retries());
     }
   }
+}
+
+TEST(MediumEquivalence, IndexEmptiesAfterDetachingEveryRadio) {
+  // The cell table erases by backward shift. An erase that leaves a stale
+  // entry behind, or strands one out of its probe run, keeps a bucket and
+  // its arena window alive with no radio in it. After the compaction
+  // storm's churn, detaching every radio must empty the whole index.
+  const auto script = make_compaction_storm_script(555u, 7000);
+  FuzzRig rig(fuzz_config(false, true, false));
+  replay(rig, script);
+  ASSERT_GT(rig.medium.bucket_occupancy().buckets, 0u);
+  ASSERT_GT(rig.medium.arena_stats().compactions, 0u);
+  for (Radio& r : rig.radios) {
+    if (r.valid()) rig.medium.detach(r);
+  }
+  const auto occ = rig.medium.bucket_occupancy();
+  EXPECT_EQ(occ.buckets, 0u);
+  EXPECT_EQ(occ.radios, 0u);
+  EXPECT_EQ(rig.medium.arena_stats().live, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -202,6 +203,47 @@ TEST(DeliveryLogTest, DigestIsOrderIndependentAndMultiplicityAware) {
   const obs::DeliveryLog* split[] = {&left, &right};
   const obs::DeliveryLog* whole[] = {&forward};
   EXPECT_EQ(obs::combined_digest(split), obs::combined_digest(whole));
+}
+
+TEST(DeliveryLogTest, RecordHashSeesEveryBit) {
+  const obs::DeliveryRecord records[] = {
+      {0, 1, 2, 0, 0},
+      {1'234'567, 42, 4242, std::bit_cast<std::uint64_t>(-61.5), 6},
+      {-1, ~std::uint64_t{0}, 7, std::bit_cast<std::uint64_t>(-95.25), 11},
+  };
+  for (const auto& r : records) {
+    SCOPED_TRACE(testing::Message() << "record at " << r.time_us);
+    const std::uint64_t h = obs::record_hash(r);
+    for (int bit = 0; bit < 64; ++bit) {
+      const std::uint64_t m = std::uint64_t{1} << bit;
+      auto t = r;
+      t.time_us = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(r.time_us) ^ m);
+      EXPECT_NE(obs::record_hash(t), h) << "time_us bit " << bit;
+      t = r;
+      t.tx_id ^= m;
+      EXPECT_NE(obs::record_hash(t), h) << "tx_id bit " << bit;
+      t = r;
+      t.rx_id ^= m;
+      EXPECT_NE(obs::record_hash(t), h) << "rx_id bit " << bit;
+      t = r;
+      t.rssi_bits ^= m;
+      EXPECT_NE(obs::record_hash(t), h) << "rssi_bits bit " << bit;
+      if (bit < 8) {
+        t = r;
+        t.channel = static_cast<std::uint8_t>(r.channel ^ m);
+        EXPECT_NE(obs::record_hash(t), h) << "channel bit " << bit;
+      }
+    }
+    // Which radio sent and which heard is part of the record.
+    auto swapped = r;
+    std::swap(swapped.tx_id, swapped.rx_id);
+    EXPECT_NE(obs::record_hash(swapped), h);
+  }
+  // Pinned, so a later change to the function is a deliberate one: every
+  // delivery digest moves with it.
+  EXPECT_EQ(obs::record_hash(records[0]), 0x8e632e18e3455f70ULL);
+  EXPECT_EQ(obs::record_hash(records[1]), 0xa210d91f357a57beULL);
 }
 
 TEST(DeliveryLogTest, MergeFollowsInputOrder) {
@@ -460,6 +502,34 @@ TEST(ShardedCityTest, RejectsConfigsThatBreakTheDeterminismContract) {
   cfg.medium.fault.seed = 9;
   cfg.medium.fault.ambient_loss = 0.1;
   EXPECT_THROW(sim::run_sharded_city(cfg), std::invalid_argument);
+}
+
+TEST(ShardedCityTest, ReportsBarrierWaitPerShard) {
+  // Each epoch, every shard is either running or waiting at the barrier,
+  // so busy + wait is the same summed epoch wall for every shard, and that
+  // never exceeds the run's wall, which also covers the handoffs.
+  auto cfg = test_city();
+  cfg.shards = 4;
+  cfg.keep_deliveries = false;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    cfg.workers = workers;
+    const auto r = sim::run_sharded_city(cfg);
+    ASSERT_EQ(r.per_shard.size(), 4u);
+    const double epoch_walls = r.per_shard[0].busy_s + r.per_shard[0].wait_s;
+    EXPECT_GT(epoch_walls, 0.0);
+    double busy_sum = 0.0;
+    for (const auto& s : r.per_shard) {
+      EXPECT_GE(s.wait_s, 0.0);
+      EXPECT_NEAR(s.busy_s + s.wait_s, epoch_walls, 1e-9);
+      EXPECT_LE(s.busy_s + s.wait_s, r.wall_s);
+      busy_sum += s.busy_s;
+    }
+    // One worker runs the shards one after another inside each epoch.
+    if (workers == 1) {
+      EXPECT_LE(busy_sum, epoch_walls + 1e-9);
+    }
+  }
 }
 
 TEST(ShardedCityTest, EventBudgetGuardTripsInsteadOfHanging) {
