@@ -1,7 +1,7 @@
 // Countermeasure evaluation (paper §VI's closing claim): existing evil-twin
-// detection still works against City-Hunter. Deploys a passive detector and
-// an operator monitor alongside each attacker generation in the canteen and
-// reports time-to-detection. The irony the paper acknowledges: the better
+// detection still works against City-Hunter. Deploys a passive detector
+// alongside each attacker generation in the canteen and reports
+// time-to-detection. The irony the paper acknowledges: the better
 // the attacker (more SSIDs offered per victim), the louder its multi-SSID
 // signature.
 #include "bench_common.h"
@@ -14,88 +14,32 @@ int main() {
                       "Sec VI (countermeasures remain effective)");
   sim::World world = bench::make_world();
 
-  // The detection sweep needs its own wiring (run_campaign has no detector
-  // hook by design — detection is an observer of the same medium).
   support::TextTable t({"attacker", "h_b", "detected", "time-to-detect",
                         "ssids seen from rogue bssid"});
 
+  // Every generation meets the same canteen crowd (same run seed); the
+  // detector is one more observer on each run's medium.
   for (const auto kind :
        {sim::AttackerKind::kKarma, sim::AttackerKind::kMana,
         sim::AttackerKind::kPrelim, sim::AttackerKind::kCityHunter}) {
-    medium::EventQueue events;
-    medium::Medium medium(events, world.config().medium);
-    support::Rng rng(world.config().seed ^ 0xD37EC7);
-
-    core::Attacker::BaseConfig base;
-    base.bssid = *dot11::MacAddress::parse("0a:7e:64:c1:7e:01");
-    base.pos = {0, 0};
-
-    std::unique_ptr<core::Attacker> attacker;
-    const auto venue = mobility::canteen_venue();
-    const auto attack_pos = sim::venue_city_position(venue.name);
-    switch (kind) {
-      case sim::AttackerKind::kKarma:
-        attacker = std::make_unique<core::KarmaAttacker>(medium, base);
-        break;
-      case sim::AttackerKind::kMana: {
-        core::ManaAttacker::Config c;
-        c.base = base;
-        attacker = std::make_unique<core::ManaAttacker>(medium, c);
-        break;
-      }
-      case sim::AttackerKind::kPrelim: {
-        core::CityHunterPrelim::Config c;
-        c.base = base;
-        attacker = std::make_unique<core::CityHunterPrelim>(medium, c);
-        core::WigleSeedConfig seed;
-        seed.ranking = core::PopularRanking::kApCount;
-        core::seed_from_wigle(attacker->database(), world.wigle(), nullptr,
-                              attack_pos, seed, events.now());
-        break;
-      }
-      case sim::AttackerKind::kCityHunter: {
-        core::CityHunter::Config c;
-        c.base = base;
-        auto ch = std::make_unique<core::CityHunter>(medium, c,
-                                                     rng.fork("sel"));
-        core::seed_from_wigle(ch->database(), world.wigle(), &world.heat(),
-                              attack_pos, core::WigleSeedConfig{},
-                              events.now());
-        attacker = std::move(ch);
-        break;
-      }
-    }
-    attacker->start();
-
-    defense::EvilTwinDetector detector(medium, {12, 5}, 6,
+    sim::RunConfig cfg;
+    cfg.kind = kind;
+    cfg.venue = mobility::canteen_venue();
+    cfg.slot.expected_clients = 640;
+    cfg.duration = support::SimTime::minutes(30);
+    sim::VenueRun run(world, cfg);
+    defense::EvilTwinDetector detector(run.medium(), {12, 5}, 6,
                                        defense::EvilTwinDetector::Config{});
     detector.start();
+    const auto out = run.run();
 
-    // Local copy: the shared World's PNL model is immutable (see
-    // sim/scenario.h); locale + person-id counters are per-crowd state.
-    world::PnlModel pnl = world.pnl_model();
-    world::Locale locale;
-    locale.ranked_ssids = world.local_public_ssids(attack_pos, 500.0);
-    locale.bias = 0.45;
-    pnl.set_locale(std::move(locale));
-
-    auto phone_cfg = world.config().phone;
-    phone_cfg.mean_scan_interval =
-        support::SimTime::seconds(venue.mean_scan_interval_s);
-    mobility::VenuePopulation population(medium, pnl, venue,
-                                         phone_cfg, rng.fork("pop"));
-    mobility::SlotParams slot;
-    slot.expected_clients = 640;
-    population.schedule_slot(support::SimTime::minutes(30), slot);
-    events.run_until(support::SimTime::minutes(30));
-
-    const auto result = stats::analyze(*attacker, sim::to_string(kind));
-    bench::report_channel(stats::medium_stats(medium));
-    const auto detect_time = detector.first_detection(base.bssid);
-    t.add_row({sim::to_string(kind), support::TextTable::pct(result.h_b()),
+    bench::report_channel(out);
+    const auto& bssid = run.attacker().bssid();
+    const auto detect_time = detector.first_detection(bssid);
+    t.add_row({sim::to_string(kind), support::TextTable::pct(out.result.h_b()),
                detect_time ? "yes" : "no",
                detect_time ? detect_time->str() : "-",
-               std::to_string(detector.ssid_count(base.bssid))});
+               std::to_string(detector.ssid_count(bssid))});
   }
   std::printf("%s\n", t.str().c_str());
   std::printf("expectation: every generation is detected; the stronger the "

@@ -7,7 +7,6 @@
 // Ground truth (who actually got lured) comes from the simulator, which the
 // attacker cannot see.
 #include "bench_common.h"
-#include "mobility/population.h"
 
 using namespace cityhunter;
 
@@ -22,59 +21,33 @@ int main() {
                         "attacker-perceived h_b"});
 
   for (const double fraction : {0.0, 0.5, 1.0}) {
-    medium::EventQueue events;
-    medium::Medium medium(events, world.config().medium);
-    support::Rng rng(world.config().seed ^ 0x3AC5);
-
-    core::CityHunter::Config cfg;
-    cfg.base.bssid = *dot11::MacAddress::parse("0a:7e:64:c1:7e:01");
-    cfg.base.pos = {0, 0};
-    core::CityHunter hunter(medium, cfg, rng.fork("sel"));
-    const auto venue = mobility::canteen_venue();
-    const auto attack_pos = sim::venue_city_position(venue.name);
-    core::seed_from_wigle(hunter.database(), world.wigle(), &world.heat(),
-                          attack_pos, core::WigleSeedConfig{}, events.now());
-    hunter.start();
-
-    // Local copy: the shared World's PNL model is immutable (see
-    // sim/scenario.h); locale + person-id counters are per-crowd state.
-    world::PnlModel pnl = world.pnl_model();
-    world::Locale locale;
-    locale.ranked_ssids = world.local_public_ssids(attack_pos, 500.0);
-    locale.bias = 0.45;
-    pnl.set_locale(std::move(locale));
-
-    auto phone_cfg = world.config().phone;
-    phone_cfg.mean_scan_interval =
-        support::SimTime::seconds(venue.mean_scan_interval_s);
-    mobility::VenuePopulation population(medium, pnl, venue,
-                                         phone_cfg, rng.fork("pop"));
-    mobility::SlotParams slot;
-    slot.expected_clients = 640;
-    slot.mac_randomizing_fraction = fraction;
-    population.schedule_slot(support::SimTime::minutes(30), slot);
-    events.run_until(support::SimTime::minutes(30));
+    sim::RunConfig cfg;
+    cfg.venue = mobility::canteen_venue();
+    cfg.slot.expected_clients = 640;
+    cfg.slot.mac_randomizing_fraction = fraction;
+    cfg.duration = support::SimTime::minutes(30);
+    sim::VenueRun run(world, cfg);
+    const auto perceived = run.run();
 
     // Ground truth from the simulator.
     std::size_t real_probing = 0, real_connected = 0;
-    for (const auto& phone : population.phones()) {
+    for (const auto& phone : run.population().phones()) {
       if (!phone->ever_probed() || phone->person().sends_direct_probes) {
         continue;
       }
       ++real_probing;
       if (phone->connected_to_attacker()) ++real_connected;
     }
-    const auto perceived = stats::analyze(hunter, "x");
-    bench::report_channel(stats::medium_stats(medium));
+    bench::report_channel(perceived);
 
     t.add_row({support::TextTable::pct(fraction, 0),
-               std::to_string(perceived.total_clients),
+               std::to_string(perceived.result.total_clients),
                std::to_string(real_probing),
                support::TextTable::pct(
                    real_probing ? static_cast<double>(real_connected) /
                                       static_cast<double>(real_probing)
                                 : 0.0),
-               support::TextTable::pct(perceived.h_b())});
+               support::TextTable::pct(perceived.result.h_b())});
   }
   std::printf("%s\n", t.str().c_str());
   std::printf("expectation: randomization inflates the attacker's client "

@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
   sim::World world(scenario);
 
   // Hand-wire the custom attacker into its own simulation: this is what
-  // sim::run_campaign does for the built-in strategies.
+  // sim::VenueRun does for the built-in strategies. The queue is declared
+  // first, so it outlives everything that posts events into it.
   medium::EventQueue events;
   medium::Medium medium(events, world.config().medium);
 
@@ -81,13 +82,8 @@ int main(int argc, char** argv) {
   attacker.start();
   std::printf("seeded %zu nearby SSIDs\n", attacker.database().size());
 
-  // Local copy: the shared World's PNL model is immutable (see
-  // sim/scenario.h); locale + person-id counters are per-crowd state.
-  world::PnlModel pnl = world.pnl_model();
-  world::Locale locale;
-  locale.ranked_ssids = world.local_public_ssids(attack_pos, 500.0);
-  locale.bias = 0.45;
-  pnl.set_locale(std::move(locale));
+  // The venue crowd's own PNL model, as every sim::VenueRun builds it.
+  world::PnlModel pnl = sim::venue_pnl_model(world, venue.name);
 
   support::Rng rng(scenario.seed);
   mobility::VenuePopulation population(medium, pnl, venue,

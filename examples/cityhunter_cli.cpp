@@ -97,6 +97,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // A positive, finite slot that SimTime::minutes can hold (it casts
+  // minutes * 60 * 1e6 to int64 microseconds; NaN fails both tests), and a
+  // randomizing fraction in [0, 1].
+  if (!(minutes > 0.0 && minutes * 60.0 * 1e6 < 0x1p63) ||
+      !(randomize >= 0.0 && randomize <= 1.0)) {
+    usage(argv[0]);
+    return 2;
+  }
 
   sim::ScenarioConfig scenario;
   scenario.seed = seed;

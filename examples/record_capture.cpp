@@ -19,47 +19,25 @@ int main(int argc, char** argv) {
   scenario.seed = 42;
   sim::World world(scenario);
 
-  // Hand-wire a run so the monitor can sit on the same medium.
-  medium::EventQueue events;
-  medium::Medium medium(events, world.config().medium);
-  support::Rng rng(scenario.seed);
+  sim::RunConfig cfg;
+  cfg.venue = mobility::canteen_venue();
+  cfg.slot.expected_clients = 120;  // 5-minute slice of a canteen crowd
+  cfg.duration = support::SimTime::minutes(5);
 
-  core::CityHunter::Config cfg;
-  cfg.base.bssid = *dot11::MacAddress::parse("0a:7e:64:c1:7e:01");
-  cfg.base.pos = {0, 0};
-  core::CityHunter hunter(medium, cfg, rng.fork("sel"));
-  const auto venue = mobility::canteen_venue();
-  const auto attack_pos = sim::venue_city_position(venue.name);
-  core::seed_from_wigle(hunter.database(), world.wigle(), &world.heat(),
-                        attack_pos, core::WigleSeedConfig{}, events.now());
-  hunter.start();
-
+  // The recorder outlives the run, so the medium never holds a dangling
+  // sink; the monitor radio sits next to the attacker.
   medium::PcapRecorder recorder(path);
-  auto monitor = medium.attach({3, 3}, 6, 0.0, &recorder);
-
-  // Local copy: the shared World's PNL model is immutable (see
-  // sim/scenario.h); locale + person-id counters are per-crowd state.
-  world::PnlModel pnl = world.pnl_model();
-  world::Locale locale;
-  locale.ranked_ssids = world.local_public_ssids(attack_pos, 500.0);
-  locale.bias = 0.45;
-  pnl.set_locale(std::move(locale));
-
-  mobility::VenuePopulation population(medium, pnl, venue,
-                                       world.config().phone, rng.fork("pop"));
-  mobility::SlotParams slot;
-  slot.expected_clients = 120;  // 5-minute slice of a canteen crowd
-  population.schedule_slot(support::SimTime::minutes(5), slot);
+  sim::VenueRun run(world, cfg);
+  auto monitor = run.medium().attach({3, 3}, 6, 0.0, &recorder);
 
   std::printf("capturing 5 simulated minutes to %s ...\n", path.c_str());
-  events.run_until(support::SimTime::minutes(5));
-  recorder.writer().flush();
-  medium.detach(monitor);
+  const auto out = run.run();
+  recorder.flush();
+  run.medium().detach(monitor);
 
-  const auto result = stats::analyze(hunter, "City-Hunter");
-  std::printf("%s\n", stats::summary_line(result).c_str());
+  std::printf("%s\n", stats::summary_line(out.result).c_str());
   std::printf("%zu frames written to %s (linktype 802.11; open in "
               "Wireshark)\n",
-              recorder.writer().frames_written(), path.c_str());
+              recorder.frames_written(), path.c_str());
   return 0;
 }

@@ -39,8 +39,10 @@ struct SlotParams {
 /// Lifetime: arrivals, departures and walk ticks are plain queue events
 /// that capture `this` (or a phone the population owns), with no way to
 /// cancel them. The population must therefore outlive every later run of
-/// its medium's event queue: declare the queue first and do not run it
-/// after the population is destroyed, as sim::run_campaign does.
+/// its medium's event queue. sim::VenueRun, which builds the crowd of
+/// every venue run, guarantees that by member order; a hand-wired caller
+/// declares the queue first and does not run it after the population is
+/// destroyed.
 class VenuePopulation {
  public:
   VenuePopulation(medium::Medium& medium, world::PnlModel& pnl,

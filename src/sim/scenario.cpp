@@ -26,12 +26,14 @@ std::vector<VenueSite> venue_sites() {
   };
 }
 
-/// §V-B operator hotspots, one list for the cold and warm seeding paths so
-/// they cannot diverge.
-const std::vector<std::string>& carrier_ssid_list() {
+/// §V-B operator hotspots at the top popular rank's weight, seeded at sim
+/// time 0 like every other setup seed.
+void seed_carriers(core::SsidDatabase& db, const RunConfig& cfg) {
   static const std::vector<std::string> kCarriers = {"PCCW1x", "Y5ZONE",
                                                      "CMCC-AUTO"};
-  return kCarriers;
+  core::seed_carrier_ssids(db, kCarriers,
+                           static_cast<double>(cfg.wigle_seed.popular_count),
+                           support::SimTime());
 }
 
 /// FNV-1a over exactly the RunConfig fields the setup snapshot depends on
@@ -69,6 +71,84 @@ void schedule_chaos_hang(medium::EventQueue& events) {
     }
     schedule_chaos_hang(events);
   });
+}
+
+/// The one builder of a setup snapshot: SetupCache memoizes it and an
+/// uncached VenueRun calls it fresh. Seeds at sim time 0, exactly when
+/// every run's own setup happens (setup precedes the event loop).
+SetupCache::Snapshot build_setup(const World& world, const RunConfig& cfg) {
+  SetupCache::Snapshot setup{core::SsidDatabase{},
+                             venue_pnl_model(world, cfg.venue.name)};
+  const auto attack_city_pos = venue_city_position(cfg.venue.name);
+  switch (cfg.kind) {
+    case AttackerKind::kKarma:
+    case AttackerKind::kMana:
+      break;  // no WiGLE seed; the database starts empty
+    case AttackerKind::kPrelim: {
+      auto seed_cfg = cfg.wigle_seed;
+      seed_cfg.ranking = core::PopularRanking::kApCount;  // §III design
+      core::seed_from_wigle(setup.seeded_db, world.wigle(), nullptr,
+                            attack_city_pos, seed_cfg, support::SimTime());
+      break;
+    }
+    case AttackerKind::kCityHunter:
+      core::seed_from_wigle(setup.seeded_db, world.wigle(), &world.heat(),
+                            attack_city_pos, cfg.wigle_seed,
+                            support::SimTime());
+      break;
+  }
+  if (cfg.seed_carrier_ssids) seed_carriers(setup.seeded_db, cfg);
+  return setup;
+}
+
+/// This run's own setup: one copy of the cache's shared snapshot, or a
+/// fresh build moved in.
+SetupCache::Snapshot run_setup(const World& world, const RunConfig& cfg,
+                               SetupCache* setup_cache) {
+  if (setup_cache == nullptr) return build_setup(world, cfg);
+  return *setup_cache->lookup_or_build(world, cfg);
+}
+
+/// Supervisor-field and duration validation, same style as Medium::Config
+/// (negated comparison so NaN is rejected too). Inside the run, so a
+/// poisoned config fails this one run — isolated and classified by
+/// run_campaigns — instead of taking the campaign down.
+const RunConfig& validated(const RunConfig& cfg) {
+  if (!(cfg.deadline_s >= 0.0)) {
+    throw std::invalid_argument("RunConfig: deadline_s must be non-negative");
+  }
+  if (cfg.max_retries < 0 || cfg.max_retries > 8) {
+    throw std::invalid_argument("RunConfig: max_retries must be in [0, 8]");
+  }
+  if (cfg.duration < support::SimTime::zero()) {
+    throw std::invalid_argument("RunConfig: duration must be non-negative");
+  }
+  return cfg;
+}
+
+/// The run's medium config. The fault streams are re-keyed per run off the
+/// run's labelled RNG root, so repeated slots see different channel noise
+/// but every rerun of the same (world seed, run config) is bit-identical at
+/// any thread count.
+medium::Medium::Config run_medium_config(const World& world,
+                                         const RunConfig& cfg,
+                                         const Rng& rng) {
+  medium::Medium::Config medium_cfg =
+      cfg.medium ? *cfg.medium : world.config().medium;
+  if (medium_cfg.fault.enabled) {
+    medium_cfg.fault.seed = rng.fork("fault").engine()();
+  }
+  return medium_cfg;
+}
+
+client::SmartphoneConfig venue_phone_config(const World& world,
+                                            const RunConfig& cfg) {
+  auto phone_cfg = world.config().phone;
+  if (cfg.venue.mean_scan_interval_s > 0) {
+    phone_cfg.mean_scan_interval =
+        support::SimTime::seconds(cfg.venue.mean_scan_interval_s);
+  }
+  return phone_cfg;
 }
 
 }  // namespace
@@ -151,6 +231,17 @@ std::vector<std::string> World::local_public_ssids(medium::Position pos,
   return out;
 }
 
+world::PnlModel venue_pnl_model(const World& world,
+                                const std::string& venue_name) {
+  world::PnlModel pnl = world.pnl_model();
+  world::Locale locale;
+  locale.ranked_ssids =
+      world.local_public_ssids(venue_city_position(venue_name), 500.0);
+  locale.bias = 0.45;
+  pnl.set_locale(std::move(locale));
+  return pnl;
+}
+
 std::shared_ptr<const SetupCache::Snapshot> SetupCache::lookup_or_build(
     const World& world, const RunConfig& cfg) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -168,78 +259,22 @@ std::shared_ptr<const SetupCache::Snapshot> SetupCache::lookup_or_build(
     return it->second;
   }
   ++misses_;
-  Snapshot building{core::SsidDatabase{}, world.pnl_model()};
-  const auto attack_city_pos = venue_city_position(cfg.venue.name);
-  // Mirror of run_campaign's cold setup, seeding at sim time 0 — exactly
-  // when every run's own seeding happens (setup precedes the event loop).
-  switch (cfg.kind) {
-    case AttackerKind::kKarma:
-    case AttackerKind::kMana:
-      break;  // no WiGLE seed; the database starts empty
-    case AttackerKind::kPrelim: {
-      auto seed_cfg = cfg.wigle_seed;
-      seed_cfg.ranking = core::PopularRanking::kApCount;  // §III design
-      core::seed_from_wigle(building.seeded_db, world.wigle(), nullptr,
-                            attack_city_pos, seed_cfg, support::SimTime());
-      break;
-    }
-    case AttackerKind::kCityHunter:
-      core::seed_from_wigle(building.seeded_db, world.wigle(), &world.heat(),
-                            attack_city_pos, cfg.wigle_seed,
-                            support::SimTime());
-      break;
-  }
-  if (cfg.seed_carrier_ssids) {
-    core::seed_carrier_ssids(building.seeded_db, carrier_ssid_list(),
-                             static_cast<double>(cfg.wigle_seed.popular_count),
-                             support::SimTime());
-  }
-  world::Locale locale;
-  locale.ranked_ssids = world.local_public_ssids(attack_city_pos, 500.0);
-  locale.bias = 0.45;
-  building.pnl.set_locale(std::move(locale));
-  auto snap = std::make_shared<const Snapshot>(std::move(building));
+  auto snap = std::make_shared<const Snapshot>(build_setup(world, cfg));
   map_.emplace(h, snap);
   return snap;
 }
 
-RunOutput run_campaign(const World& world, const RunConfig& cfg) {
-  return run_campaign(world, cfg, nullptr);
-}
-
-RunOutput run_campaign(const World& world, const RunConfig& cfg,
-                       SetupCache* setup_cache) {
-  using Clock = std::chrono::steady_clock;
-  const auto phase_seconds = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
-  // Supervisor-field validation, same style as Medium::Config (negated
-  // comparison so NaN is rejected too). Inside run_campaign, so a poisoned
-  // config fails this one run — isolated and classified by run_campaigns —
-  // instead of taking the campaign down.
-  if (!(cfg.deadline_s >= 0.0)) {
-    throw std::invalid_argument("RunConfig: deadline_s must be non-negative");
-  }
-  if (cfg.max_retries < 0 || cfg.max_retries > 8) {
-    throw std::invalid_argument("RunConfig: max_retries must be in [0, 8]");
-  }
-  const auto t_setup = Clock::now();
-
-  Rng rng(world.config().seed ^ (cfg.run_seed * 0x9e3779b97f4a7c15ULL));
-
-  obs::Probe probe(cfg.obs);
-
-  medium::EventQueue events;
-  medium::Medium::Config medium_cfg =
-      cfg.medium ? *cfg.medium : world.config().medium;
-  if (medium_cfg.fault.enabled) {
-    // Re-key the fault streams per run off the run's labelled RNG root, so
-    // repeated slots see different channel noise but every rerun of the
-    // same (world seed, run config) is bit-identical at any thread count.
-    medium_cfg.fault.seed = rng.fork("fault").engine()();
-  }
-  medium::Medium medium(events, medium_cfg);
-  medium.set_trace(probe.trace());
+VenueRun::VenueRun(const World& world, const RunConfig& cfg,
+                   SetupCache* setup_cache)
+    : cfg_(validated(cfg)),
+      t_setup_(Clock::now()),
+      rng_(world.config().seed ^ (cfg.run_seed * 0x9e3779b97f4a7c15ULL)),
+      probe_(cfg.obs),
+      medium_(events_, run_medium_config(world, cfg, rng_)),
+      setup_(run_setup(world, cfg, setup_cache)),
+      population_(medium_, setup_.pnl, cfg.venue,
+                  venue_phone_config(world, cfg), rng_.fork("population")) {
+  medium_.set_trace(probe_.trace());
 
   // Attacker at the local origin of the venue frame.
   core::Attacker::BaseConfig base;
@@ -247,80 +282,45 @@ RunOutput run_campaign(const World& world, const RunConfig& cfg,
   base.pos = {0, 0};
   base.channel = 6;
   base.tx_power_dbm = 20.0;  // 100 mW
-
-  const auto attack_city_pos = venue_city_position(cfg.venue.name);
-
-  // Warm start: fetch (or build, first run only) the memoized setup
-  // snapshot. Everything below applies it copy-on-write — the snapshot is
-  // shared and immutable; the run assigns into its own database / PnlModel.
-  std::shared_ptr<const SetupCache::Snapshot> snap;
-  if (setup_cache != nullptr) {
-    snap = setup_cache->lookup_or_build(world, cfg);
-  }
-
-  std::unique_ptr<core::Attacker> attacker;
-  core::CityHunter* hunter = nullptr;
   switch (cfg.kind) {
     case AttackerKind::kKarma:
-      attacker = std::make_unique<core::KarmaAttacker>(medium, base);
+      attacker_ = std::make_unique<core::KarmaAttacker>(medium_, base);
       break;
     case AttackerKind::kMana: {
       auto mana_cfg = cfg.mana;
       mana_cfg.base = base;
-      attacker = std::make_unique<core::ManaAttacker>(medium, mana_cfg);
+      attacker_ = std::make_unique<core::ManaAttacker>(medium_, mana_cfg);
       break;
     }
     case AttackerKind::kPrelim: {
       core::CityHunterPrelim::Config pc;
       pc.base = base;
-      attacker = std::make_unique<core::CityHunterPrelim>(medium, pc);
-      if (snap == nullptr) {
-        auto seed_cfg = cfg.wigle_seed;
-        seed_cfg.ranking = core::PopularRanking::kApCount;  // §III design
-        core::seed_from_wigle(attacker->database(), world.wigle(), nullptr,
-                              attack_city_pos, seed_cfg, events.now());
-      }
+      attacker_ = std::make_unique<core::CityHunterPrelim>(medium_, pc);
       break;
     }
     case AttackerKind::kCityHunter: {
       auto ch_cfg = cfg.cityhunter;
       ch_cfg.base = base;
-      auto ch = std::make_unique<core::CityHunter>(medium, ch_cfg,
-                                                   rng.fork("selector"));
-      hunter = ch.get();
-      attacker = std::move(ch);
-      if (snap == nullptr) {
-        core::seed_from_wigle(attacker->database(), world.wigle(),
-                              &world.heat(), attack_city_pos, cfg.wigle_seed,
-                              events.now());
-      }
+      auto ch = std::make_unique<core::CityHunter>(medium_, ch_cfg,
+                                                   rng_.fork("selector"));
+      hunter_ = ch.get();
+      attacker_ = std::move(ch);
       break;
     }
   }
-  // Database layering, preserving the cold path's order exactly: WiGLE seed
-  // (from the snapshot or recomputed above) → initial_database overwrite →
-  // carrier SSIDs on top. The snapshot already folded the carrier seeds into
-  // its database, so the warm path only reseeds them when initial_database
-  // replaced it.
-  if (snap != nullptr && !cfg.initial_database) {
-    attacker->database() = snap->seeded_db;
-  }
+  // Database layering: WiGLE seed and carriers (the setup) → an
+  // initial_database overwrite → carrier SSIDs again on top.
   if (cfg.initial_database) {
-    attacker->database() = *cfg.initial_database;
+    setup_.seeded_db = *cfg.initial_database;
+    if (cfg.seed_carrier_ssids) seed_carriers(setup_.seeded_db, cfg);
   }
-  if (cfg.seed_carrier_ssids && (snap == nullptr || cfg.initial_database)) {
-    core::seed_carrier_ssids(
-        attacker->database(), carrier_ssid_list(),
-        static_cast<double>(cfg.wigle_seed.popular_count), events.now());
-  }
-  attacker->set_trace(probe.trace());
-  attacker->set_metrics(probe.metrics());
-  attacker->start();
+  attacker_->database() = std::move(setup_.seeded_db);
+  attacker_->set_trace(probe_.trace());
+  attacker_->set_metrics(probe_.metrics());
+  attacker_->start();
 
   // Optional §V-B deauth setup: a legitimate venue AP holding pre-associated
   // clients, and the attacker forging deauths in its name.
-  std::unique_ptr<client::LegitimateAp> legit_ap;
-  std::unique_ptr<core::DeauthModule> deauth;
   mobility::SlotParams slot = cfg.slot;
   if (cfg.deauth) {
     client::LegitimateAp::Config ap_cfg;
@@ -330,116 +330,101 @@ RunOutput run_campaign(const World& world, const RunConfig& cfg,
     ap_cfg.pos = {25, 10};  // across the hall from the attacker
     ap_cfg.open = true;
     ap_cfg.channel = 6;
-    legit_ap = std::make_unique<client::LegitimateAp>(medium, ap_cfg);
-    legit_ap->start();
+    legit_ap_ = std::make_unique<client::LegitimateAp>(medium_, ap_cfg);
+    legit_ap_->start();
     slot.pre_associated_fraction = cfg.deauth->pre_associated_fraction;
     slot.legit_ap = ap_cfg.bssid;
     if (cfg.deauth->enable_deauth) {
       core::DeauthModule::Config dm;
       dm.target_bssids = {ap_cfg.bssid};
       dm.interval = cfg.deauth->interval;
-      deauth = std::make_unique<core::DeauthModule>(medium, attacker->radio(),
-                                                    dm);
-      deauth->start();
+      deauth_ = std::make_unique<core::DeauthModule>(
+          medium_, attacker_->radio(), dm);
+      deauth_->start();
     }
   }
 
-  // People found at this venue carry locally flavoured PNLs. The run owns a
-  // copy of the PNL model: the venue locale and the person/group/home id
-  // counters are per-crowd state, and keeping them out of the shared World
-  // is what makes concurrent runs independent (and reruns reproducible).
-  // Warm start copies the snapshot's locale-applied model — set_locale only
-  // assigns the member, so copy-then-set and copy-of-set are identical —
-  // and skips the O(aps) venue SSID ranking.
-  world::PnlModel pnl = snap != nullptr ? snap->pnl : world.pnl_model();
-  if (snap == nullptr) {
-    world::Locale locale;
-    locale.ranked_ssids = world.local_public_ssids(attack_city_pos, 500.0);
-    locale.bias = 0.45;
-    pnl.set_locale(std::move(locale));
-  }
+  population_.schedule_slot(cfg.duration, slot);
 
-  auto phone_cfg = world.config().phone;
-  if (cfg.venue.mean_scan_interval_s > 0) {
-    phone_cfg.mean_scan_interval =
-        support::SimTime::seconds(cfg.venue.mean_scan_interval_s);
-  }
-  mobility::VenuePopulation population(medium, pnl, cfg.venue, phone_cfg,
-                                       rng.fork("population"));
-  population.schedule_slot(cfg.duration, slot);
-
-  RunOutput out;
   if (cfg.sample_every) {
     const auto interval = *cfg.sample_every;
     for (SimTime t = interval; t <= cfg.duration; t += interval) {
-      events.post_at(t, [&out, &events, a = attacker.get()] {
+      events_.post_at(t, [this] {
         std::size_t connected_broadcast = 0;
-        for (const auto& [mac, c] : a->clients()) {
+        for (const auto& [mac, c] : attacker_->clients()) {
           if (!c.direct_prober && c.connected) ++connected_broadcast;
         }
-        out.series.push_back(SeriesPoint{events.now(), a->database().size(),
-                                         connected_broadcast});
+        series_.push_back(SeriesPoint{
+            events_.now(), attacker_->database().size(), connected_broadcast});
       });
     }
   }
 
-  if (cfg.chaos_hang) schedule_chaos_hang(events);
+  if (cfg.chaos_hang) schedule_chaos_hang(events_);
   if (cfg.chaos_poison_schedule) {
     // The poison fires from inside an event so the failure surfaces out of
     // the run loop, exactly where a real backoff-arithmetic bug would.
-    events.post_in(support::SimTime::milliseconds(1), [&events] {
-      events.post_at(events.now() - support::SimTime::microseconds(1), [] {});
+    events_.post_in(support::SimTime::milliseconds(1), [this] {
+      events_.post_at(events_.now() - support::SimTime::microseconds(1),
+                      [] {});
     });
   }
+}
 
+RunOutput VenueRun::run() {
+  const auto phase_seconds = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
   // Arm the cooperative watchdog for the event loop only: setup cost is the
   // caller's (already profiled as setup_s), and the loop is where a run can
   // actually wedge. A default guard (no deadline, no budget, no cancel
   // flag) never trips and costs one branch per event.
   medium::RunGuard guard;
-  guard.max_events = cfg.max_sim_events;
-  guard.deadline_s = cfg.deadline_s;
-  guard.cancel = cfg.cancel;
-  events.arm_guard(guard);
+  guard.max_events = cfg_.max_sim_events;
+  guard.deadline_s = cfg_.deadline_s;
+  guard.cancel = cfg_.cancel;
+  events_.arm_guard(guard);
 
   const auto t_sim = Clock::now();
-  events.run_until(cfg.duration);
+  events_.run_until(cfg_.duration);
   const auto t_analysis = Clock::now();
 
-  out.result = stats::analyze(*attacker, to_string(cfg.kind));
+  RunOutput out;
+  out.series = std::move(series_);
+  out.result = stats::analyze(*attacker_, to_string(cfg_.kind));
   out.window_rates =
-      stats::realtime_hb(*attacker, SimTime::minutes(2), cfg.duration);
-  out.db_final_size = attacker->database().size();
+      stats::realtime_hb(*attacker_, SimTime::minutes(2), cfg_.duration);
+  out.db_final_size = attacker_->database().size();
   out.db_from_direct =
-      attacker->database().count_from(core::SsidSource::kDirectProbe);
-  if (hunter != nullptr) {
-    out.final_pb_size = hunter->selector().pb_size();
-    out.final_fb_size = hunter->selector().fb_size();
+      attacker_->database().count_from(core::SsidSource::kDirectProbe);
+  if (hunter_ != nullptr) {
+    out.final_pb_size = hunter_->selector().pb_size();
+    out.final_fb_size = hunter_->selector().fb_size();
   }
-  if (deauth) out.deauths_sent = deauth->deauths_sent();
-  out.frames_transmitted = medium.transmissions();
-  out.frames_delivered = medium.deliveries();
-  out.medium_stats = stats::medium_stats(medium);
-  out.database = attacker->database();
-  out.queue_stats = events.stats();
+  if (deauth_) out.deauths_sent = deauth_->deauths_sent();
+  out.frames_transmitted = medium_.transmissions();
+  out.frames_delivered = medium_.deliveries();
+  out.medium_stats = stats::medium_stats(medium_);
+  out.database = attacker_->database();
+  out.queue_stats = events_.stats();
 
-  if (probe.enabled()) {
+  if (probe_.enabled()) {
     // Compose the deterministic metric series from the counters each layer
     // kept during the run. The attacker's scan-window distribution was
     // observed live; everything else is a single store here, so the
     // snapshot is a pure function of the simulation.
-    obs::MetricsRegistry& m = *probe.metrics();
-    const auto& qs = events.stats();
+    obs::MetricsRegistry& m = *probe_.metrics();
+    const auto& qs = events_.stats();
     m.add(m.counter("queue.scheduled"), qs.scheduled);
     m.add(m.counter("queue.processed"), qs.processed);
     m.add(m.counter("queue.slab_slots"), qs.slab_slots);
     m.add(m.counter("queue.slab_reuses"), qs.slab_reuses);
     m.set(m.gauge("queue.peak_pending"),
           static_cast<double>(qs.peak_pending));
-    m.add(m.counter("medium.transmissions"), medium.transmissions());
-    m.add(m.counter("medium.deliveries"), medium.deliveries());
-    m.add(m.counter("medium.retries"), medium.retries());
-    const auto& fanout = medium.fanout_stats();
+    m.add(m.counter("medium.transmissions"), medium_.transmissions());
+    m.add(m.counter("medium.deliveries"), medium_.deliveries());
+    m.add(m.counter("medium.retries"), medium_.retries());
+    const auto& fanout = medium_.fanout_stats();
     m.add(m.counter("medium.fanout_batched"), fanout.fanouts);
     // Loaded-candidate count under its established name: perfbench's
     // candidates_per_delivery sums this counter.
@@ -451,46 +436,55 @@ RunOutput run_campaign(const World& world, const RunConfig& cfg,
     // histogram is order-insensitive, so the cell-map traversal order
     // doesn't matter).
     const auto occ_id = m.distribution("medium.bucket_occupancy", 4.0);
-    medium.for_each_bucket([&m, occ_id](std::uint16_t, std::uint32_t size) {
+    medium_.for_each_bucket([&m, occ_id](std::uint16_t, std::uint32_t size) {
       m.observe(occ_id, static_cast<double>(size));
     });
-    const auto occ = medium.bucket_occupancy();
+    const auto occ = medium_.bucket_occupancy();
     m.set(m.gauge("medium.bucket_max_occupancy"),
           static_cast<double>(occ.max_occupancy));
-    const auto& drops = medium.drops();
+    const auto& drops = medium_.drops();
     m.add(m.counter("fault.drop_erasure"), drops.erasure);
     m.add(m.counter("fault.drop_collision"), drops.collision);
     m.add(m.counter("fault.drop_crc_reject"), drops.crc_reject);
     m.add(m.counter("fault.retry_exhausted"), drops.retry_exhausted);
-    m.add(m.counter("attacker.scan_windows"), attacker->scan_windows());
-    m.add(m.counter("attacker.responses_sent"), attacker->responses_sent());
-    m.add(m.counter("attacker.clients_seen"), attacker->clients_seen());
+    m.add(m.counter("attacker.scan_windows"), attacker_->scan_windows());
+    m.add(m.counter("attacker.responses_sent"), attacker_->responses_sent());
+    m.add(m.counter("attacker.clients_seen"), attacker_->clients_seen());
     m.add(m.counter("attacker.clients_connected"),
-          attacker->clients_connected());
-    if (hunter != nullptr) {
-      m.add(m.counter("attacker.pb_grows"), hunter->selector().pb_grows());
+          attacker_->clients_connected());
+    if (hunter_ != nullptr) {
+      m.add(m.counter("attacker.pb_grows"), hunter_->selector().pb_grows());
       m.add(m.counter("attacker.pb_shrinks"),
-            hunter->selector().pb_shrinks());
+            hunter_->selector().pb_shrinks());
       m.set(m.gauge("attacker.pb_size"),
-            static_cast<double>(hunter->selector().pb_size()));
+            static_cast<double>(hunter_->selector().pb_size()));
       m.set(m.gauge("attacker.fb_size"),
-            static_cast<double>(hunter->selector().fb_size()));
+            static_cast<double>(hunter_->selector().fb_size()));
     }
-    m.add(m.counter("trace.dropped"), probe.trace()->dropped());
+    m.add(m.counter("trace.dropped"), probe_.trace()->dropped());
     // Wallclock phases — kTimer points, stripped by deterministic().
-    m.record_seconds(m.timer("phase.setup"), phase_seconds(t_setup, t_sim));
+    m.record_seconds(m.timer("phase.setup"), phase_seconds(t_setup_, t_sim));
     m.record_seconds(m.timer("phase.sim"), phase_seconds(t_sim, t_analysis));
     m.record_seconds(m.timer("phase.analysis"),
                      phase_seconds(t_analysis, Clock::now()));
     out.metrics = m.snapshot();
-    out.trace = probe.trace()->chronological();
-    out.trace_dropped = probe.trace()->dropped();
+    out.trace = probe_.trace()->chronological();
+    out.trace_dropped = probe_.trace()->dropped();
   }
 
-  out.phases.setup_s = phase_seconds(t_setup, t_sim);
+  out.phases.setup_s = phase_seconds(t_setup_, t_sim);
   out.phases.sim_s = phase_seconds(t_sim, t_analysis);
   out.phases.analysis_s = phase_seconds(t_analysis, Clock::now());
   return out;
+}
+
+RunOutput run_campaign(const World& world, const RunConfig& cfg) {
+  return VenueRun(world, cfg).run();
+}
+
+RunOutput run_campaign(const World& world, const RunConfig& cfg,
+                       SetupCache* setup_cache) {
+  return VenueRun(world, cfg, setup_cache).run();
 }
 
 }  // namespace cityhunter::sim

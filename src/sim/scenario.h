@@ -1,10 +1,11 @@
 // Scenario wiring: one World (city + APs + WiGLE + photos + heat map + PNL
-// model) shared by many campaign runs, and a run_campaign() driver that
-// deploys an attacker in a venue for one test slot, exactly as the paper
-// deployed its Raspberry Pi.
+// model) shared by many campaign runs, and a VenueRun that deploys an
+// attacker in a venue for one test slot, exactly as the paper deployed its
+// Raspberry Pi. run_campaign() is a VenueRun with nothing attached.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -66,7 +67,8 @@ class World {
   const world::WigleDb& wigle() const { return wigle_; }
   const heatmap::HeatMap& heat() const { return heat_; }
   /// Shared, immutable PNL model. Anything that needs per-crowd state (the
-  /// venue Locale, person-id counters) copies it first — see run_campaign.
+  /// venue Locale, person-id counters) copies it first — see
+  /// venue_pnl_model.
   const world::PnlModel& pnl_model() const { return pnl_; }
   const ScenarioConfig& config() const { return cfg_; }
 
@@ -90,6 +92,14 @@ class World {
   heatmap::HeatMap heat_;
   world::PnlModel pnl_;
 };
+
+/// A copy of the world's PNL model for one crowd at `venue_name`: people
+/// found at a venue carry locally flavoured PNLs, drawn from the open public
+/// SSIDs within 500 m of the venue. The copy is per-crowd state (the locale
+/// and the person/group/home id counters), which is what keeps concurrent
+/// runs independent and reruns reproducible.
+world::PnlModel venue_pnl_model(const World& world,
+                                const std::string& venue_name);
 
 enum class AttackerKind { kKarma, kMana, kPrelim, kCityHunter };
 
@@ -137,9 +147,10 @@ struct RunConfig {
   obs::Config obs{};
 
   /// --- Supervisor limits (enforced cooperatively at event-queue
-  /// granularity; see sim/parallel and DESIGN.md §5f). run_campaign
-  /// validates these in the same style as Medium::Config: deadline_s >= 0
-  /// (NaN rejected), max_sim_events any, max_retries in [0, 8]. ---
+  /// granularity; see sim/parallel and DESIGN.md §5f). VenueRun validates
+  /// these, and duration >= 0, in the same style as Medium::Config:
+  /// deadline_s >= 0 (NaN rejected), max_sim_events any, max_retries in
+  /// [0, 8]. ---
 
   /// Per-run wallclock deadline in seconds covering the event loop; 0 = no
   /// deadline. A tripped deadline aborts the run with
@@ -236,19 +247,17 @@ struct RunOutput {
 /// FNV-1a construction the checkpoint config hash uses and hands out one
 /// immutable snapshot per distinct setup; runs copy from the snapshot
 /// (copy-on-write: the attacker's database and the PNL crowd counters
-/// mutate per-run, so each run assigns the shared seeded state into its own
+/// mutate per-run, so each run copies the shared seeded state into its own
 /// instances and never writes through the snapshot).
 ///
-/// Byte-identity: the snapshot stores exactly what the incremental path
-/// computes — seed_from_wigle / seed_carrier_ssids are pure functions of
-/// (wigle, heat, venue position, seed config, t = 0) and every run seeds at
-/// sim time 0, so assigning the snapshot database is indistinguishable from
-/// reseeding; the PnlModel locale is a pure function of (world, venue).
-/// run_campaigns always shares one cache per campaign; the uncached
-/// run_campaign(world, cfg) stays as the reference, and
-/// RunCampaigns.WarmStartSetupIsBitIdenticalToColdSetup and
-/// ParallelIsBitIdenticalToSerial in tests/parallel_test.cpp pin the
-/// equality.
+/// Byte-identity: one function builds every snapshot, and an uncached
+/// VenueRun calls it fresh, so a cached run differs from an uncached one
+/// only if the key misses a field the snapshot depends on. Seeding happens
+/// at sim time 0 on both paths. run_campaigns always shares one cache per
+/// campaign; the uncached run_campaign(world, cfg) stays as the reference,
+/// and RunCampaigns.WarmStartSetupIsBitIdenticalToColdSetup,
+/// SetupCacheKeySeparatesEverySetup and ParallelIsBitIdenticalToSerial in
+/// tests/parallel_test.cpp pin the equality.
 ///
 /// Thread safety: lookup_or_build is mutex-serialised (misses build inside
 /// the lock — the first run of each distinct setup pays once); the returned
@@ -260,7 +269,7 @@ class SetupCache {
   struct Snapshot {
     /// Database state after WiGLE (and carrier) seeding at sim time 0.
     core::SsidDatabase seeded_db;
-    /// World PNL model with the venue Locale already applied.
+    /// venue_pnl_model(world, cfg.venue.name).
     world::PnlModel pnl;
   };
 
@@ -281,15 +290,72 @@ class SetupCache {
   std::uint64_t misses_ = 0;
 };
 
-/// Deploy `cfg.kind` in `cfg.venue` for `cfg.duration` and analyse. Pure in
-/// the world: the output depends only on (world seed, cfg), never on other
-/// runs — the per-run RNG is seeded world.seed ^ run_seed*φ and the PNL
-/// model is copied, so repeated or concurrent runs are bit-identical.
+/// One deployment: `cfg.kind` in `cfg.venue` for `cfg.duration`. The
+/// constructor validates `cfg` and wires the run without advancing time:
+/// the per-run RNG (seeded world.seed ^ run_seed*φ, with "fault",
+/// "selector" and "population" forks), the medium, the attacker and its
+/// seeded database, the §V-B legitimate AP and deauth, the venue crowd, and
+/// the series and chaos events. events(), medium(), attacker() and
+/// population() let a caller attach an observer (a detector, a pcap
+/// monitor) before run() and read ground truth after it.
+///
+/// Lifetime: the medium and everything on it (the attacker, the legitimate
+/// AP, the deauth module, the crowd) post events that capture them, with no
+/// way to cancel. The queue is declared before every one of them, so it is
+/// destroyed last and nothing runs it after they are gone. An observer the
+/// caller attaches to medium() must stay alive until run() returns.
+///
+/// Pure in the world: the output depends only on (world seed, cfg), never
+/// on other runs or on the setup cache, so repeated or concurrent runs are
+/// bit-identical.
+class VenueRun {
+ public:
+  /// `cfg` must outlive the VenueRun. `setup_cache` (nullable) shares the
+  /// seeded database and venue PNL model across runs — see SetupCache.
+  /// Throws std::invalid_argument on an invalid supervisor field or a
+  /// negative duration.
+  VenueRun(const World& world, const RunConfig& cfg,
+           SetupCache* setup_cache = nullptr);
+
+  VenueRun(const VenueRun&) = delete;
+  VenueRun& operator=(const VenueRun&) = delete;
+
+  medium::EventQueue& events() { return events_; }
+  medium::Medium& medium() { return medium_; }
+  core::Attacker& attacker() { return *attacker_; }
+  const mobility::VenuePopulation& population() const { return population_; }
+
+  /// Arm the watchdog, run the queue to cfg.duration and analyse. Call
+  /// once. PhaseProfile::setup_s spans construction to the loop's start.
+  RunOutput run();
+
+ private:
+  using Clock = std::chrono::steady_clock;
+
+  const RunConfig& cfg_;
+  Clock::time_point t_setup_;
+  Rng rng_;
+  obs::Probe probe_;
+  medium::EventQueue events_;  // before every owner that posts into it
+  medium::Medium medium_;
+  /// This run's copy of the setup snapshot: the seeded database moves into
+  /// the attacker, the PNL model stays here for the crowd to draw from.
+  SetupCache::Snapshot setup_;
+  std::unique_ptr<core::Attacker> attacker_;
+  core::CityHunter* hunter_ = nullptr;  // attacker_ when it is City-Hunter
+  std::unique_ptr<client::LegitimateAp> legit_ap_;
+  std::unique_ptr<core::DeauthModule> deauth_;
+  mobility::VenuePopulation population_;
+  std::vector<SeriesPoint> series_;
+};
+
+/// VenueRun(world, cfg).run(): deploy `cfg.kind` in `cfg.venue` for
+/// `cfg.duration` and analyse, with nothing attached.
 RunOutput run_campaign(const World& world, const RunConfig& cfg);
 
 /// As above, sharing memoized setup state across runs via `setup_cache`
-/// (nullptr = cold setup every run). Output is byte-identical with or
-/// without the cache — see SetupCache.
+/// (nullptr = build the setup for this run alone). Output is byte-identical
+/// with or without the cache — see SetupCache.
 RunOutput run_campaign(const World& world, const RunConfig& cfg,
                        SetupCache* setup_cache);
 

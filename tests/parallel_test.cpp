@@ -120,6 +120,19 @@ void expect_identical(const sim::RunOutput& a, const sim::RunOutput& b) {
   EXPECT_EQ(a.frames_delivered, b.frames_delivered);
   EXPECT_EQ(a.medium_stats, b.medium_stats);
   EXPECT_EQ(a.error, b.error);
+  const auto& ra = a.database.records();
+  const auto& rb = b.database.records();
+  ASSERT_EQ(ra.size(), rb.size());
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    SCOPED_TRACE(ra[i].ssid);
+    EXPECT_EQ(ra[i].ssid, rb[i].ssid);
+    EXPECT_EQ(ra[i].weight, rb[i].weight);
+    EXPECT_EQ(ra[i].source, rb[i].source);
+    EXPECT_EQ(ra[i].hits, rb[i].hits);
+    EXPECT_EQ(ra[i].last_hit, rb[i].last_hit);
+    EXPECT_EQ(ra[i].added, rb[i].added);
+    EXPECT_EQ(ra[i].insertion_order, rb[i].insertion_order);
+  }
 }
 
 TEST(RunCampaigns, ParallelIsBitIdenticalToSerial) {
@@ -168,6 +181,59 @@ TEST(RunCampaigns, WarmStartSetupIsBitIdenticalToColdSetup) {
   // The second sweep built nothing new: every lookup was a hit.
   EXPECT_EQ(cache.misses(), misses_after_first_sweep);
   EXPECT_GE(cache.hits(), runs.size());
+}
+
+TEST(RunCampaigns, SetupCacheKeySeparatesEverySetup) {
+  // Cached and uncached runs build their setup with the same function, so
+  // only the cache key can make them differ. Each variant below changes one
+  // field the key covers; sharing one cache, every run must still equal its
+  // uncached run, and each distinct setup must be built exactly once.
+  sim::World world(small_scenario());
+  sim::RunConfig base;
+  base.kind = sim::AttackerKind::kCityHunter;
+  base.venue = mobility::shopping_center_venue();
+  base.slot.expected_clients = 60;
+  base.duration = support::SimTime::minutes(2);
+  std::vector<sim::RunConfig> runs;
+  const auto vary = [&](auto edit) {
+    sim::RunConfig run = base;
+    edit(run);
+    runs.push_back(std::move(run));
+  };
+  // A warm start with carriers first: the carrier setup's miss, so the
+  // carrier run below is a hit that must not inherit its database.
+  vary([](sim::RunConfig& r) {
+    r.seed_carrier_ssids = true;
+    r.initial_database.emplace();
+    r.initial_database->add("Carried-Over", 7.0,
+                            core::SsidSource::kDirectProbe,
+                            support::SimTime::zero());
+  });
+  vary([](sim::RunConfig&) {});
+  vary([](sim::RunConfig& r) { r.wigle_seed.nearby_count = 50; });
+  vary([](sim::RunConfig& r) { r.wigle_seed.popular_count = 120; });
+  vary([](sim::RunConfig& r) {
+    r.wigle_seed.ranking = core::PopularRanking::kApCount;
+  });
+  vary([](sim::RunConfig& r) { r.seed_carrier_ssids = true; });
+  vary([](sim::RunConfig& r) { r.kind = sim::AttackerKind::kPrelim; });
+  // A venue name as long as the base's: the key must read its characters.
+  vary([](sim::RunConfig& r) { r.venue = mobility::railway_station_venue(); });
+  constexpr std::uint64_t kDistinctSetups = 7;
+
+  std::vector<sim::RunOutput> uncached;
+  for (const auto& run : runs) {
+    uncached.push_back(sim::run_campaign(world, run));
+  }
+  sim::SetupCache cache;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "pass " << pass << " run " << i);
+      expect_identical(uncached[i], sim::run_campaign(world, runs[i], &cache));
+    }
+    EXPECT_EQ(cache.misses(), kDistinctSetups);
+  }
+  EXPECT_EQ(cache.hits(), 2 * runs.size() - kDistinctSetups);
 }
 
 TEST(RunCampaigns, SetupCacheIsBoundToOneWorld) {

@@ -21,12 +21,10 @@
 
 #include "client/smartphone.h"
 #include "core/cityhunter.h"
-#include "core/wigle_seed.h"
 #include "dot11/frame.h"
 #include "dot11/serialize.h"
 #include "medium/event_queue.h"
 #include "medium/medium.h"
-#include "mobility/population.h"
 #include "obs/trace.h"
 #include "sim/parallel.h"
 #include "sim/scenario.h"
@@ -414,11 +412,10 @@ TEST(PerfSmokeTest, WarmVenueLoopAllocatesNothingPerTransmission) {
 }
 
 // The same loop with everything a venue run has: arrivals, groups, walkers,
-// direct probers, joins and a database that learns. Four runs wired from
-// public parts as sim::run_campaign wires them (slot 4 of each venue, 10
-// simulated minutes) may allocate at most once per transmission inside
-// run_until. What remains is per spawned phone (its Person and PNL, its
-// first probe's IEs, its ClientRecord), not per frame.
+// direct probers, joins and a database that learns. Four sim::VenueRuns
+// (slot 4 of each venue, 10 simulated minutes) may allocate at most once per
+// transmission inside run_until. What remains is per spawned phone (its
+// Person and PNL, its first probe's IEs, its ClientRecord), not per frame.
 TEST(PerfSmokeTest, VenueLoopStaysUnderOneAllocationPerTransmission) {
   sim::ScenarioConfig scenario;
   scenario.seed = 42;
@@ -428,45 +425,23 @@ TEST(PerfSmokeTest, VenueLoopStaysUnderOneAllocationPerTransmission) {
       mobility::shopping_center_venue(), mobility::railway_station_venue()};
   for (const auto& venue : venues) {
     SCOPED_TRACE(venue.name);
-    const sim::RunConfig run;  // run_campaign's attacker and seed defaults
-    support::Rng rng(scenario.seed ^ (5 * 0x9e3779b97f4a7c15ULL));
-    medium::EventQueue events;
-    medium::Medium medium(events, world.config().medium);
-
-    auto ch_cfg = run.cityhunter;
-    ch_cfg.base.bssid = dot11::MacAddress({0x0a, 0x7e, 0x64, 0xc1, 0x7e, 0x01});
-    core::CityHunter hunter(medium, ch_cfg, rng.fork("selector"));
-    const auto attack_pos = sim::venue_city_position(venue.name);
-    core::seed_from_wigle(hunter.database(), world.wigle(), &world.heat(),
-                          attack_pos, run.wigle_seed, events.now());
-    hunter.start();
-
-    world::PnlModel pnl = world.pnl_model();
-    world::Locale locale;
-    locale.ranked_ssids = world.local_public_ssids(attack_pos, 500.0);
-    locale.bias = 0.45;
-    pnl.set_locale(std::move(locale));
-    auto phone_cfg = world.config().phone;
-    if (venue.mean_scan_interval_s > 0) {
-      phone_cfg.mean_scan_interval =
-          support::SimTime::seconds(venue.mean_scan_interval_s);
-    }
-    mobility::VenuePopulation population(medium, pnl, venue, phone_cfg,
-                                         rng.fork("population"));
-    mobility::SlotParams slot;
-    slot.expected_clients = venue.hourly_clients[4];
-    population.schedule_slot(support::SimTime::minutes(10), slot);
+    sim::RunConfig cfg;
+    cfg.venue = venue;
+    cfg.slot.expected_clients = venue.hourly_clients[4];
+    cfg.duration = support::SimTime::minutes(10);
+    cfg.run_seed = 5;
+    sim::VenueRun run(world, cfg);
 
     const std::uint64_t allocs_before = bench::alloc_count();
-    events.run_until(support::SimTime::minutes(10));
+    run.events().run_until(cfg.duration);
     const std::uint64_t allocs = bench::alloc_count() - allocs_before;
-    const std::uint64_t tx = medium.transmissions();
+    const std::uint64_t tx = run.medium().transmissions();
 
     ASSERT_GT(tx, 1000u);
-    ASSERT_GT(population.clients_spawned(), 10u);
+    ASSERT_GT(run.population().clients_spawned(), 10u);
     EXPECT_LE(allocs, tx) << allocs << " allocations for " << tx
                           << " transmissions, "
-                          << population.clients_spawned() << " phones";
+                          << run.population().clients_spawned() << " phones";
   }
 }
 

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <set>
+#include <stdexcept>
 
-#include "sim/export.h"
 #include "sim/scenario.h"
 
 namespace cityhunter::sim {
@@ -180,6 +180,17 @@ TEST(RunCampaign, DeauthScenarioReachesParkedClients) {
   EXPECT_GT(attacked.result.total_clients, 50u);
 }
 
+TEST(RunCampaign, NegativeDurationIsRejected) {
+  // An empty crowd, as a slot's client count scaled by a negative duration
+  // draws no arrivals: without the check the run simulated nothing and the
+  // window-rate analysis threw std::length_error on a negative window count.
+  World world(small_scenario());
+  auto run = small_run(AttackerKind::kCityHunter);
+  run.slot.expected_clients = 0;
+  run.duration = SimTime::minutes(-5);
+  EXPECT_THROW((void)run_campaign(world, run), std::invalid_argument);
+}
+
 TEST(RunCampaign, WarmStartCarriesLearnedSsids) {
   World world(small_scenario());
   auto run = small_run(AttackerKind::kCityHunter);
@@ -194,39 +205,6 @@ TEST(RunCampaign, WarmStartCarriesLearnedSsids) {
   // seeding (idempotent) plus the second slot's own learning.
   EXPECT_GE(second.db_final_size, first.db_final_size);
   EXPECT_GE(second.db_from_direct, first.db_from_direct);
-}
-
-TEST(Export, ResultsCsvShape) {
-  stats::CampaignResult r;
-  r.label = "X";
-  r.total_clients = 10;
-  r.direct_clients = 2;
-  r.broadcast_clients = 8;
-  r.broadcast_connected = 4;
-  r.hits_from_wigle = 3;
-  const auto csv = results_csv({r});
-  EXPECT_NE(csv.find("label,total,direct"), std::string::npos);
-  EXPECT_NE(csv.find("\"X\",10,2,8,0,4,0.4,0.5,3,0,0,0,0"), std::string::npos);
-  // Header + 1 row = 2 newlines.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);
-}
-
-TEST(Export, SeriesAndWindowsCsv) {
-  std::vector<SeriesPoint> series{
-      {support::SimTime::minutes(1), 100, 5},
-      {support::SimTime::minutes(2), 120, 9},
-  };
-  const auto s = series_csv(series);
-  EXPECT_NE(s.find("minutes,db_size,broadcast_connected"), std::string::npos);
-  EXPECT_NE(s.find("1,100,5"), std::string::npos);
-  EXPECT_NE(s.find("2,120,9"), std::string::npos);
-
-  std::vector<stats::WindowRate> windows(1);
-  windows[0].start = support::SimTime::minutes(4);
-  windows[0].broadcast_clients = 8;
-  windows[0].broadcast_connected = 2;
-  const auto w = windows_csv(windows);
-  EXPECT_NE(w.find("4,8,0.25"), std::string::npos);
 }
 
 TEST(AttackerKindNames, Distinct) {
