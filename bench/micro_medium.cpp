@@ -10,7 +10,15 @@
 //                  exact hypot/log10 per candidate.
 //
 // The moving variant displaces one radio before each transmit to price the
-// incremental grid maintenance into the win.
+// incremental grid maintenance into the win; the lossy variant turns the
+// fault model on (lossy_campaign's 20% ambient loss, 8% corruption), so
+// every transmit builds and draws its TX-side fault stream.
+//
+// FaultStream prices that stream alone: built from (seed, radio, sequence)
+// and drawn as a broadcast (one corruption draw) or as a unicast first
+// attempt (collision and corruption draws). RngUniform and RngFork price
+// the engine under every Rng: one uniform draw from a long-lived stream,
+// and one labelled fork of a freshly built parent.
 //
 // Each case reports allocs_per_tx next to delivered_per_tx: the pooled
 // transmission objects, inline event storage, flat radio table and reused
@@ -23,6 +31,7 @@
 
 #include "dot11/frame.h"
 #include "medium/event_queue.h"
+#include "medium/fault.h"
 #include "medium/medium.h"
 #include "support/rng.h"
 
@@ -35,13 +44,25 @@ class CountingSink : public FrameSink {
   std::uint64_t frames = 0;
 };
 
-enum class Mode { kBatched, kLegacyScan };
+enum class Mode { kBatched, kBatchedLossy, kLegacyScan };
+
+/// lossy_campaign's channel.
+FaultModel::Config lossy_fault() {
+  FaultModel::Config cfg;
+  cfg.enabled = true;
+  cfg.ambient_loss = 0.2;
+  cfg.corruption_rate = 0.08;
+  return cfg;
+}
 
 Medium::Config mode_config(Mode mode) {
   Medium::Config cfg;
   switch (mode) {
     case Mode::kBatched:
       break;  // defaults: grid + LUT
+    case Mode::kBatchedLossy:
+      cfg.fault = lossy_fault();
+      break;
     case Mode::kLegacyScan:
       cfg.spatial_grid = false;
       break;
@@ -174,6 +195,9 @@ void attach_churn_loop(benchmark::State& state) {
 void BM_DeliverBatched(benchmark::State& state) {
   deliver_loop(state, Mode::kBatched, /*move=*/false);
 }
+void BM_DeliverBatchedLossy(benchmark::State& state) {
+  deliver_loop(state, Mode::kBatchedLossy, /*move=*/false);
+}
 void BM_DeliverLegacyScan(benchmark::State& state) {
   deliver_loop(state, Mode::kLegacyScan, /*move=*/false);
 }
@@ -193,7 +217,44 @@ void BM_ChurnAttachDetach(benchmark::State& state) {
   attach_churn_loop(state);
 }
 
+void BM_FaultStream(benchmark::State& state) {
+  const FaultModel fault(lossy_fault());
+  const auto& cfg = fault.config();
+  const bool unicast = state.range(0) != 0;
+  std::uint64_t seq = 0;
+  std::uint64_t lost = 0;
+  for (auto _ : state) {
+    support::Rng rng = fault.stream(7, seq++);
+    const bool collided = unicast && rng.chance(cfg.ambient_loss);
+    const bool corrupted = rng.chance(cfg.corruption_rate);
+    lost += collided || corrupted ? 1 : 0;
+    benchmark::DoNotOptimize(lost);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["lost_ratio"] =
+      static_cast<double>(lost) / static_cast<double>(state.iterations());
+}
+
+void BM_RngUniform(benchmark::State& state) {
+  support::Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(rng.uniform());
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_RngFork(benchmark::State& state) {
+  const support::Rng parent(static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state) {
+    support::Rng child = parent.fork("mobility");
+    benchmark::DoNotOptimize(child);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 BENCHMARK(BM_DeliverBatched)->Arg(100)->Arg(1000)->Arg(4000)->Arg(10000);
+BENCHMARK(BM_DeliverBatchedLossy)->Arg(100)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_FaultStream)->ArgName("unicast")->Arg(0)->Arg(1);
+BENCHMARK(BM_RngUniform)->Arg(42);
+BENCHMARK(BM_RngFork)->Arg(42);
 BENCHMARK(BM_DeliverLegacyScan)->Arg(100)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_DeliverBatchedMoving)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_DeliverBatchedChannelMixed)->Arg(1000)->Arg(4000)->Arg(20000);

@@ -5,10 +5,14 @@
 //
 // Prints the campaign summary, the source breakdown and (for City-Hunter)
 // the final buffer split.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "sim/scenario.h"
 #include "stats/report.h"
@@ -42,6 +46,17 @@ mobility::VenueConfig venue_by_name(const std::string& name) {
   std::exit(2);
 }
 
+/// Parses the whole of `text` as a number: no sign on an unsigned value, no
+/// trailing junk, nothing out of range, and only finite reals.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(out);
+  return true;
+}
+
 sim::AttackerKind attacker_by_name(const std::string& name) {
   if (name == "karma") return sim::AttackerKind::kKarma;
   if (name == "mana") return sim::AttackerKind::kMana;
@@ -56,7 +71,7 @@ sim::AttackerKind attacker_by_name(const std::string& name) {
 int main(int argc, char** argv) {
   std::string venue_name = "canteen";
   std::string attacker_name = "cityhunter";
-  double clients = -1;
+  std::optional<double> clients;  // unset = the venue's 12pm rate
   double minutes = 60;
   std::uint64_t seed = 42, run_seed = 1;
   bool deauth = false, carrier = false;
@@ -71,24 +86,30 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](auto& out) {
+      if (!parse_number(next(), out)) {
+        usage(argv[0]);
+        std::exit(2);
+      }
+    };
     if (arg == "--venue") {
       venue_name = next();
     } else if (arg == "--attacker") {
       attacker_name = next();
     } else if (arg == "--clients") {
-      clients = std::atof(next());
+      number(clients.emplace());
     } else if (arg == "--minutes") {
-      minutes = std::atof(next());
+      number(minutes);
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      number(seed);
     } else if (arg == "--run-seed") {
-      run_seed = std::strtoull(next(), nullptr, 10);
+      number(run_seed);
     } else if (arg == "--deauth") {
       deauth = true;
     } else if (arg == "--carrier") {
       carrier = true;
     } else if (arg == "--randomize") {
-      randomize = std::atof(next());
+      number(randomize);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -97,10 +118,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // A positive, finite slot that SimTime::minutes can hold (it casts
-  // minutes * 60 * 1e6 to int64 microseconds; NaN fails both tests), and a
+  // A positive slot that SimTime::minutes can hold (it casts
+  // minutes * 60 * 1e6 to int64 microseconds), a non-negative crowd and a
   // randomizing fraction in [0, 1].
   if (!(minutes > 0.0 && minutes * 60.0 * 1e6 < 0x1p63) ||
+      (clients && *clients < 0.0) ||
       !(randomize >= 0.0 && randomize <= 1.0)) {
     usage(argv[0]);
     return 2;
@@ -116,7 +138,7 @@ int main(int argc, char** argv) {
   run.kind = attacker_by_name(attacker_name);
   run.venue = venue_by_name(venue_name);
   run.slot.expected_clients =
-      clients > 0 ? clients : run.venue.hourly_clients[4] * minutes / 60.0;
+      clients ? *clients : run.venue.hourly_clients[4] * minutes / 60.0;
   run.slot.mac_randomizing_fraction = randomize;
   run.duration = support::SimTime::minutes(minutes);
   run.run_seed = run_seed;

@@ -123,6 +123,11 @@ const RunConfig& validated(const RunConfig& cfg) {
   if (cfg.duration < support::SimTime::zero()) {
     throw std::invalid_argument("RunConfig: duration must be non-negative");
   }
+  // A zero interval would post series points forever; a negative one
+  // schedules into the past.
+  if (cfg.sample_every && *cfg.sample_every <= support::SimTime::zero()) {
+    throw std::invalid_argument("RunConfig: sample_every must be positive");
+  }
   return cfg;
 }
 

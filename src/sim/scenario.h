@@ -128,7 +128,8 @@ struct RunConfig {
   bool seed_carrier_ssids = false;
   std::optional<DeauthScenario> deauth;
 
-  /// Sample the database size at this interval (Fig 1a). Unset = no series.
+  /// Sample the database size at this interval (Fig 1a). Unset = no series;
+  /// a non-positive interval is rejected.
   std::optional<SimTime> sample_every;
 
   /// Override the world's medium config for this run. Fault-injection

@@ -1,11 +1,37 @@
 #include "support/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 
 namespace cityhunter::support {
+
+void Mt19937_64::seed_through_draw() {
+  // Only the first block gets here, at a position below kM: its draw reads
+  // seed words pos_ + 1 and pos_ + kM.
+  const std::size_t need = pos_ + kM + 1;
+  std::uint64_t w = x_[seeded_ - 1];
+  for (std::size_t i = seeded_; i < need; ++i) x_[i] = w = seed_step(w, i);
+  seeded_ = static_cast<std::uint16_t>(need);
+  ready_ = static_cast<std::uint16_t>(need == kN ? kN : pos_ + 1);
+}
+
+Mt19937_64::result_type Mt19937_64::peek() const {
+  const std::size_t p = pos_;
+  if (p < ready_) return temper(twisted(p));
+  // First block, p < kM: run the seeding recurrence on past the seeded
+  // words, in registers, to words p + 1 and p + kM.
+  std::uint64_t w = x_[seeded_ - 1];
+  std::uint64_t next = p + 1 < seeded_ ? x_[p + 1] : 0;
+  for (std::size_t i = seeded_; i <= p + kM; ++i) {
+    w = seed_step(w, i);
+    if (i == p + 1) next = w;
+  }
+  return temper(twist(x_[p], next, w));
+}
 
 std::uint64_t Rng::splitmix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -21,11 +47,9 @@ Rng Rng::fork(std::string_view label) const {
     h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
     h *= 1099511628211ULL;
   }
-  // Combine with the parent's *seed-derived* identity: re-hash a copy of the
-  // engine's next output without disturbing the parent (we copy the engine).
-  std::mt19937_64 copy = engine_;
-  const std::uint64_t parent_word = copy();
-  return Rng(splitmix(h ^ parent_word));
+  // Combine with the parent's *seed-derived* identity: the engine's next
+  // output, peeked without disturbing the parent.
+  return Rng(splitmix(h ^ engine_.peek()));
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -73,22 +97,6 @@ int Rng::poisson(double mean) {
   return d(engine_);
 }
 
-int Rng::zipf(int n, double s) {
-  if (n <= 0) throw std::invalid_argument("zipf: n must be positive");
-  if (n == 1) return 1;
-  // Inverse CDF over the harmonic weights. n in this codebase is at most a
-  // few thousand, so a linear scan is fine and exact.
-  double norm = 0.0;
-  for (int k = 1; k <= n; ++k) norm += 1.0 / std::pow(k, s);
-  double u = uniform(0.0, norm);
-  double acc = 0.0;
-  for (int k = 1; k <= n; ++k) {
-    acc += 1.0 / std::pow(k, s);
-    if (u <= acc) return k;
-  }
-  return n;
-}
-
 std::size_t Rng::index(std::size_t n) {
   if (n == 0) throw std::invalid_argument("index: empty range");
   return static_cast<std::size_t>(
@@ -119,6 +127,24 @@ void Rng::sample_indices(std::size_t n, std::size_t k,
     std::swap(out[i], out[j]);
   }
   out.resize(k);
+}
+
+ZipfTable::ZipfTable(std::size_t n, double s) {
+  cdf_.reserve(n);
+  double acc = 0.0;
+  for (std::size_t k = 1; k <= n; ++k) {
+    acc += 1.0 / std::pow(static_cast<double>(k), s);
+    cdf_.push_back(acc);
+  }
+}
+
+std::size_t ZipfTable::sample(Rng& rng) const {
+  if (cdf_.empty()) throw std::invalid_argument("ZipfTable: no items");
+  if (cdf_.size() == 1) return 0;
+  const double u = rng.uniform(0.0, cdf_.back());
+  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+  return it == cdf_.end() ? cdf_.size() - 1
+                          : static_cast<std::size_t>(it - cdf_.begin());
 }
 
 }  // namespace cityhunter::support

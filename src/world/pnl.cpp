@@ -50,17 +50,20 @@ PnlModel::PnlModel(const CityModel& city,
   });
   ranked_public_.reserve(ranked.size());
   for (auto& [ssid, w] : ranked) ranked_public_.push_back(std::move(ssid));
+  public_zipf_ = support::ZipfTable(ranked_public_.size(), cfg_.zipf_exponent);
+}
+
+void PnlModel::set_locale(Locale locale) {
+  locale_ = std::move(locale);
+  locale_zipf_ =
+      support::ZipfTable(locale_.ranked_ssids.size(), cfg_.zipf_exponent);
 }
 
 std::string PnlModel::sample_public_ssid(support::Rng& rng) {
   if (!locale_.ranked_ssids.empty() && rng.chance(locale_.bias)) {
-    const int n = static_cast<int>(locale_.ranked_ssids.size());
-    const int rank = rng.zipf(n, cfg_.zipf_exponent);
-    return locale_.ranked_ssids[static_cast<std::size_t>(rank - 1)];
+    return locale_.ranked_ssids[locale_zipf_.sample(rng)];
   }
-  const int n = static_cast<int>(ranked_public_.size());
-  const int rank = rng.zipf(n, cfg_.zipf_exponent);
-  return ranked_public_[static_cast<std::size_t>(rank - 1)];
+  return ranked_public_[public_zipf_.sample(rng)];
 }
 
 std::string PnlModel::sample_tail_ssid(support::Rng& rng) {

@@ -126,7 +126,7 @@ class PnlModel {
            PnlModelConfig cfg = PnlModelConfig());
 
   /// Install the locale of the venue whose crowd is being generated.
-  void set_locale(Locale locale) { locale_ = std::move(locale); }
+  void set_locale(Locale locale);
 
   /// Generate one person walking alone. `venue_ssids` are the SSIDs local to
   /// the attacked venue; `venue_regular_prob` is the chance this person is a
@@ -156,6 +156,9 @@ class PnlModel {
   PnlModelConfig cfg_;
   std::vector<std::string> ranked_public_;
   Locale locale_;
+  /// Zipf rank tables over ranked_public_ and locale_.ranked_ssids.
+  support::ZipfTable public_zipf_;
+  support::ZipfTable locale_zipf_;
   std::uint64_t next_person_id_ = 1;
   std::uint64_t next_group_id_ = 1;
   std::uint64_t next_home_id_ = 1;

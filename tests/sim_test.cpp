@@ -191,6 +191,18 @@ TEST(RunCampaign, NegativeDurationIsRejected) {
   EXPECT_THROW((void)run_campaign(world, run), std::invalid_argument);
 }
 
+TEST(RunCampaign, NonPositiveSampleIntervalIsRejected) {
+  // A zero interval never advanced the series loop, which posted events
+  // until memory ran out; a negative one scheduled into the past.
+  World world(small_scenario());
+  auto run = small_run(AttackerKind::kMana);
+  for (const SimTime every : {SimTime::zero(), SimTime::seconds(-30)}) {
+    run.sample_every = every;
+    EXPECT_THROW((void)run_campaign(world, run), std::invalid_argument)
+        << every.sec() << " s";
+  }
+}
+
 TEST(RunCampaign, WarmStartCarriesLearnedSsids) {
   World world(small_scenario());
   auto run = small_run(AttackerKind::kCityHunter);

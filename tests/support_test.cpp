@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <numeric>
+#include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "medium/fault.h"
 #include "support/histogram.h"
 #include "support/rng.h"
 #include "support/sim_time.h"
@@ -115,6 +121,121 @@ TEST(SimTime, HumanReadableString) {
   EXPECT_EQ(SimTime::hours(3.25).str(), "3h15m");
 }
 
+// --- Mt19937_64 against the standard engine ---
+
+static_assert(sizeof(Rng) <= 2512, "an Rng is one engine's state and no more");
+
+/// Draw counts past the first block's seeding frontier (156), the first
+/// block (312) and the second (624).
+constexpr int kOracleDraws = 700;
+
+TEST(RngEngine, MatchesStdMt19937OutputForOutput) {
+  std::vector<std::uint64_t> seeds = {0, ~std::uint64_t{0}, 1, 5489,
+                                      std::uint64_t{1} << 63};
+  std::mt19937_64 seeder(20240601);
+  while (seeds.size() < 305) seeds.push_back(seeder());
+  for (std::size_t si = 0; si < seeds.size(); ++si) {
+    const std::uint64_t seed = seeds[si];
+    Mt19937_64 engine(seed);
+    std::mt19937_64 oracle(seed);
+    // Each seed peeks on its own cadence, so peeks land at every offset of
+    // the lazily seeded prefix and of later blocks.
+    const int peek_every = 1 + static_cast<int>(si % 7);
+    for (int k = 0; k < kOracleDraws; ++k) {
+      if (k % peek_every == 0) {
+        std::mt19937_64 ahead = oracle;
+        ASSERT_EQ(engine.peek(), ahead()) << "seed " << seed << " peek " << k;
+      }
+      ASSERT_EQ(engine(), oracle()) << "seed " << seed << " draw " << k;
+    }
+  }
+}
+
+TEST(RngEngine, CopiesTakenMidBlockContinueIdentically) {
+  for (const std::uint64_t seed : {std::uint64_t{0}, ~std::uint64_t{0},
+                                   std::uint64_t{42}}) {
+    for (const int at : {0, 1, 2, 100, 155, 156, 157, 311, 312, 313, 623,
+                         624, 625}) {
+      Mt19937_64 engine(seed);
+      std::mt19937_64 oracle(seed);
+      for (int k = 0; k < at; ++k) {
+        engine();
+        oracle();
+      }
+      Mt19937_64 copy = engine;
+      std::mt19937_64 oracle_copy = oracle;
+      // The original runs on first: a copy shares no state with it.
+      for (int k = 0; k < 400; ++k) ASSERT_EQ(engine(), oracle());
+      for (int k = 0; k < kOracleDraws; ++k) {
+        ASSERT_EQ(copy(), oracle_copy())
+            << "seed " << seed << " copied at " << at << " draw " << k;
+      }
+    }
+  }
+}
+
+TEST(RngEngine, ForksBetweenDrawsLeaveTheStreamAlone) {
+  for (int seed = 0; seed < 20; ++seed) {
+    Rng forked(static_cast<std::uint64_t>(seed));
+    Rng plain(static_cast<std::uint64_t>(seed));
+    for (int k = 0; k < kOracleDraws; ++k) {
+      if (k % 13 == seed % 13) {
+        // A fork reads the parent's next output: the same child as a fork
+        // taken from a copy, whether or not that word is seeded yet.
+        Rng child = forked.fork("child");
+        Rng copy = forked;
+        Rng twin = copy.fork("child");
+        ASSERT_EQ(child.engine()(), twin.engine()()) << k;
+      }
+      ASSERT_EQ(forked.engine()(), plain.engine()()) << "seed " << seed
+                                                     << " draw " << k;
+    }
+  }
+}
+
+TEST(RngEngine, PinnedFirstOutputs) {
+  // Recorded with the std::mt19937_64-backed Rng this engine replaced.
+  Rng fork = Rng(77).fork("mobility");
+  for (const std::uint64_t want :
+       {0x6bf49196e1b37a35ULL, 0x47c8339ad9dcbfbdULL, 0x0be391c6bfdaacdeULL,
+        0x29e1a3be6004b05dULL}) {
+    EXPECT_EQ(fork.engine()(), want);
+  }
+  Rng stream = medium::FaultModel{}.stream(3, 7);
+  for (const std::uint64_t want :
+       {0x999494739f2c9d70ULL, 0xab276d7b89eadc68ULL, 0x855e1d6cc480b9b4ULL,
+        0xa35b81dcae31acebULL}) {
+    EXPECT_EQ(stream.engine()(), want);
+  }
+  Rng draws = Rng(77).fork("mobility");
+  EXPECT_EQ(draws.uniform(), 0.42170057233461294);
+  EXPECT_EQ(draws.normal(0.0, 1.0), -0.36165283160644529);
+  EXPECT_EQ(draws.uniform_int(0, 1000000), 521815);
+}
+
+TEST(Rng, ConstForkIsRaceFree) {
+  // peek() only reads: threads forking one const parent get the serial
+  // forks. Parents sit unseeded, part-seeded and past the first block.
+  std::vector<Rng> parents(3, Rng(2024));
+  for (int k = 0; k < 5; ++k) parents[1].engine()();
+  for (int k = 0; k < 400; ++k) parents[2].engine()();
+  constexpr int kForks = 1000;
+  const auto fork_all = [&](std::vector<std::uint64_t>& out) {
+    for (const Rng& parent : parents) {
+      for (int i = 0; i < kForks; ++i) {
+        out.push_back(parent.fork(std::to_string(i)).engine()());
+      }
+    }
+  };
+  std::vector<std::uint64_t> serial;
+  fork_all(serial);
+  std::vector<std::vector<std::uint64_t>> per_thread(4);
+  std::vector<std::thread> threads;
+  for (auto& out : per_thread) threads.emplace_back(fork_all, std::ref(out));
+  for (auto& t : threads) t.join();
+  for (const auto& out : per_thread) EXPECT_EQ(out, serial);
+}
+
 // --- Rng determinism ---
 
 TEST(Rng, SameSeedSameStream) {
@@ -174,23 +295,57 @@ TEST(Rng, ChanceEdgeCases) {
 }
 
 TEST(Rng, ZipfRankOneIsMostProbable) {
+  const ZipfTable zipf(10, 1.0);
   Rng rng(9);
-  std::vector<int> counts(11, 0);
+  std::vector<int> counts(10, 0);
   for (int i = 0; i < 20000; ++i) {
-    const int r = rng.zipf(10, 1.0);
-    ASSERT_GE(r, 1);
-    ASSERT_LE(r, 10);
-    ++counts[static_cast<std::size_t>(r)];
+    const std::size_t r = zipf.sample(rng);
+    ASSERT_LT(r, 10u);
+    ++counts[r];
   }
-  EXPECT_GT(counts[1], counts[2]);
-  EXPECT_GT(counts[2], counts[5]);
-  EXPECT_GT(counts[5], 0);
+  EXPECT_GT(counts[0], counts[1]);
+  EXPECT_GT(counts[1], counts[4]);
+  EXPECT_GT(counts[4], 0);
 }
 
 TEST(Rng, ZipfSingleElement) {
   Rng rng(9);
-  EXPECT_EQ(rng.zipf(1, 1.0), 1);
-  EXPECT_THROW(rng.zipf(0, 1.0), std::invalid_argument);
+  EXPECT_EQ(ZipfTable(1, 1.0).sample(rng), 0u);
+  EXPECT_THROW(ZipfTable(0, 1.0).sample(rng), std::invalid_argument);
+  EXPECT_THROW(ZipfTable().sample(rng), std::invalid_argument);
+}
+
+/// The inverse-CDF scan the table replaced: both loops over n with a pow
+/// per term, on every draw. Returns a 1-based rank.
+int zipf_linear_scan(Rng& rng, int n, double s) {
+  if (n == 1) return 1;
+  double norm = 0.0;
+  for (int k = 1; k <= n; ++k) norm += 1.0 / std::pow(k, s);
+  const double u = rng.uniform(0.0, norm);
+  double acc = 0.0;
+  for (int k = 1; k <= n; ++k) {
+    acc += 1.0 / std::pow(k, s);
+    if (u <= acc) return k;
+  }
+  return n;
+}
+
+TEST(Rng, ZipfTableMatchesLinearScan) {
+  // Same ranks from the same draws, and both streams end in step.
+  for (const int n : {1, 2, 3, 10, 57, 600, 3000}) {
+    for (const double s : {0.0, 0.5, 0.75, 1.0, 1.7}) {
+      const ZipfTable zipf(static_cast<std::size_t>(n), s);
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        Rng table_rng(seed), scan_rng(seed);
+        for (int i = 0; i < 200; ++i) {
+          ASSERT_EQ(zipf.sample(table_rng) + 1,
+                    static_cast<std::size_t>(zipf_linear_scan(scan_rng, n, s)))
+              << "n " << n << " s " << s << " seed " << seed << " draw " << i;
+        }
+        EXPECT_EQ(table_rng.engine()(), scan_rng.engine()());
+      }
+    }
+  }
 }
 
 TEST(Rng, WeightedIndexRespectsWeights) {
