@@ -15,9 +15,10 @@
 // PR8 finished the job: every pass that gets *compared* (serial baseline,
 // tracing, parallel sweep) is best-of-2 on both sides of the division,
 // which removes the negative overhead artifacts the one-shot comparisons
-// used to publish on a 1-CPU container. Cold setup is the serial pass
-// (run_campaign without a SetupCache); warm setup is the 1-thread parallel
-// row, since run_campaigns always shares one. Both report setup_s.
+// used to publish on a 1-CPU container. Every pass builds each run's setup
+// the same way, seeding from the World's precomputed offline lists (no
+// SetupCache on either side), so the serial and 1-thread rows' setup_s
+// should agree within noise.
 //
 // Thread counts above the machine's actual hardware concurrency are skipped
 // (oversubscribed numbers on a smaller machine say nothing about the

@@ -9,6 +9,7 @@
 // Each set gets Barron-Barrett rank weights: best = set size ... worst = 1.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,11 +28,26 @@ struct WigleSeedConfig {
   PopularRanking ranking = PopularRanking::kHeat;
 };
 
-/// Populate `db` from the WiGLE snapshot. `heat` may be null when
-/// `ranking == kApCount`.
+/// Throws std::invalid_argument when either count is negative.
+void check_seed_counts(const WigleSeedConfig& cfg);
+
+/// Populate `db` from the WiGLE snapshot, ranking it on demand. `heat` may
+/// be null when `ranking == kApCount`. Throws std::invalid_argument on a
+/// negative count, or on heat ranking without a HeatMap.
 void seed_from_wigle(SsidDatabase& db, const world::WigleDb& wigle,
                      const heatmap::HeatMap* heat, medium::Position attack_pos,
                      const WigleSeedConfig& cfg, support::SimTime now);
+
+/// The adding loop behind every WiGLE seed: the first `cfg.popular_count`
+/// entries of `popular` (ranked under `cfg.ranking`), then the first
+/// `cfg.nearby_count` of `nearby` (nearest first), each set with rank
+/// weights. The lists may be longer than the counts, as sim::World's
+/// precomputed rankings are. Throws std::invalid_argument on a negative
+/// count.
+void seed_ranked(SsidDatabase& db,
+                 std::span<const heatmap::ScoredSsid> popular,
+                 std::span<const std::string> nearby,
+                 const WigleSeedConfig& cfg, support::SimTime now);
 
 /// Sec V-B extension: add operator hotspot SSIDs with top-rank weight.
 void seed_carrier_ssids(SsidDatabase& db,

@@ -4,28 +4,47 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 namespace cityhunter::heatmap {
 
 HeatMap::HeatMap(const world::PhotoSet& photos, double width_m,
                  double height_m, double cell_m)
     : width_m_(width_m), height_m_(height_m), cell_m_(cell_m) {
-  if (width_m <= 0 || height_m <= 0 || cell_m <= 0) {
-    throw std::invalid_argument("HeatMap: non-positive dimensions");
+  // Negated comparisons so NaN is rejected too; an infinite extent or cell
+  // has no grid.
+  for (const double d : {width_m, height_m, cell_m}) {
+    if (!(d > 0.0) || !std::isfinite(d)) {
+      throw std::invalid_argument(
+          "HeatMap: dimensions must be finite and positive");
+    }
   }
-  cols_ = static_cast<std::size_t>(std::ceil(width_m / cell_m));
-  rows_ = static_cast<std::size_t>(std::ceil(height_m / cell_m));
+  // At least one cell per axis, even when the ratio underflows to 0.
+  const double cols = std::max(1.0, std::ceil(width_m / cell_m));
+  const double rows = std::max(1.0, std::ceil(height_m / cell_m));
+  if (!(cols * rows <= static_cast<double>(grid_.max_size()))) {
+    throw std::length_error("HeatMap: grid too large");
+  }
+  cols_ = static_cast<std::size_t>(cols);
+  rows_ = static_cast<std::size_t>(rows);
   grid_.assign(cols_ * rows_, 0.0);
   for (const auto& p : photos.positions()) {
-    if (p.x < 0 || p.y < 0 || p.x >= width_m_ || p.y >= height_m_) continue;
+    if (!inside(p)) continue;
     const auto c = static_cast<std::size_t>(p.x / cell_m_);
     const auto r = static_cast<std::size_t>(p.y / cell_m_);
     grid_[r * cols_ + c] += 1.0;
   }
 }
 
+bool HeatMap::inside(Position p) const {
+  // Every comparison is false for NaN, so a NaN coordinate is outside too
+  // and never cast to a cell index.
+  return p.x >= 0 && p.y >= 0 && p.x < width_m_ && p.y < height_m_;
+}
+
 double HeatMap::at(Position p) const {
-  if (p.x < 0 || p.y < 0 || p.x >= width_m_ || p.y >= height_m_) return 0.0;
+  if (!inside(p)) return 0.0;
   const auto c = static_cast<std::size_t>(p.x / cell_m_);
   const auto r = static_cast<std::size_t>(p.y / cell_m_);
   return grid_[r * cols_ + c];
@@ -33,15 +52,6 @@ double HeatMap::at(Position p) const {
 
 double HeatMap::max_cell() const {
   return grid_.empty() ? 0.0 : *std::max_element(grid_.begin(), grid_.end());
-}
-
-double HeatMap::ssid_heat(const world::WigleDb& wigle,
-                          const std::string& ssid) const {
-  double sum = 0.0;
-  for (const auto& pos : wigle.free_ap_positions(ssid)) {
-    sum += at(pos);
-  }
-  return sum;
 }
 
 std::string HeatMap::to_csv() const {
@@ -80,6 +90,22 @@ std::string HeatMap::to_ascii(int max_cols) const {
 }
 
 namespace {
+/// Scores every free SSID in one pass over the records, adding each SSID's
+/// `value(ap)` terms in record order.
+template <class Value>
+std::vector<ScoredSsid> score_free_ssids(const world::WigleDb& wigle,
+                                         Value value) {
+  std::vector<ScoredSsid> scored;
+  std::unordered_map<std::string_view, std::size_t> slot;
+  for (const auto& ap : wigle.records()) {
+    if (!ap.open) continue;
+    const auto [it, fresh] = slot.try_emplace(ap.ssid, scored.size());
+    if (fresh) scored.push_back({ap.ssid, 0.0});
+    scored[it->second].score += value(ap);
+  }
+  return scored;
+}
+
 std::vector<ScoredSsid> top_k(std::vector<ScoredSsid> scored, std::size_t k) {
   std::sort(scored.begin(), scored.end(),
             [](const ScoredSsid& a, const ScoredSsid& b) {
@@ -93,20 +119,18 @@ std::vector<ScoredSsid> top_k(std::vector<ScoredSsid> scored, std::size_t k) {
 
 std::vector<ScoredSsid> top_by_heat(const world::WigleDb& wigle,
                                     const HeatMap& heat, std::size_t k) {
-  std::vector<ScoredSsid> scored;
-  for (const auto& ssid : wigle.free_ssids()) {
-    scored.push_back({ssid, heat.ssid_heat(wigle, ssid)});
-  }
-  return top_k(std::move(scored), k);
+  return top_k(score_free_ssids(wigle,
+                                [&heat](const world::AccessPointInfo& ap) {
+                                  return heat.at(ap.pos);
+                                }),
+               k);
 }
 
 std::vector<ScoredSsid> top_by_ap_count(const world::WigleDb& wigle,
                                         std::size_t k) {
-  std::vector<ScoredSsid> scored;
-  for (const auto& [ssid, count] : wigle.free_ap_counts()) {
-    scored.push_back({ssid, static_cast<double>(count)});
-  }
-  return top_k(std::move(scored), k);
+  return top_k(score_free_ssids(
+                   wigle, [](const world::AccessPointInfo&) { return 1.0; }),
+               k);
 }
 
 std::vector<double> rank_weights(std::size_t n) {

@@ -22,11 +22,13 @@ using medium::Position;
 class HeatMap {
  public:
   /// Bin `photos` into cells of `cell_m` metres over a `width_m` x
-  /// `height_m` grid.
+  /// `height_m` grid. Throws std::invalid_argument unless all three are
+  /// finite and positive.
   HeatMap(const world::PhotoSet& photos, double width_m, double height_m,
           double cell_m = 250.0);
 
-  /// Heat (photo count) of the cell containing `p`; 0 outside the grid.
+  /// Heat (photo count) of the cell containing `p`; 0 outside the grid or
+  /// for a NaN coordinate.
   double at(Position p) const;
 
   std::size_t cols() const { return cols_; }
@@ -37,16 +39,14 @@ class HeatMap {
   }
   double max_cell() const;
 
-  /// Heat value of an SSID: sum of heat over all its free AP positions in
-  /// the WiGLE snapshot.
-  double ssid_heat(const world::WigleDb& wigle, const std::string& ssid) const;
-
   /// CSV rendering (row per line) for Fig 4.
   std::string to_csv() const;
   /// Coarse ASCII rendering for terminals.
   std::string to_ascii(int max_cols = 72) const;
 
  private:
+  bool inside(Position p) const;
+
   double width_m_, height_m_, cell_m_;
   std::size_t cols_, rows_;
   std::vector<double> grid_;
@@ -58,11 +58,14 @@ struct ScoredSsid {
   double score = 0.0;  // heat value or AP count, depending on ranking
 };
 
-/// Top-`k` free SSIDs by heat value.
+/// Top-`k` free SSIDs by heat value: the sum of grid heat at each of the
+/// SSID's free AP positions in the WiGLE snapshot. One pass over the records
+/// adds each SSID's terms in record order. Ties go to the smaller SSID.
 std::vector<ScoredSsid> top_by_heat(const world::WigleDb& wigle,
                                     const HeatMap& heat, std::size_t k);
 
-/// Top-`k` free SSIDs by WiGLE AP count (the naive ranking of Table IV).
+/// Top-`k` free SSIDs by WiGLE AP count, counted over free APs only (the
+/// naive ranking of Table IV). Ties go to the smaller SSID.
 std::vector<ScoredSsid> top_by_ap_count(const world::WigleDb& wigle,
                                         std::size_t k);
 

@@ -73,15 +73,14 @@ RunErrorKind classify_abort(medium::RunAbortError::Kind k) {
 /// discarding every other run's result. `inject_throw` is the chaos layer's
 /// synthetic exception.
 RunOutput attempt_run(const World& world, const RunConfig& run,
-                      bool inject_throw, LoadTracker* tracker,
-                      SetupCache* setup_cache) {
+                      bool inject_throw, LoadTracker* tracker) {
   const auto start = std::chrono::steady_clock::now();
   RunOutput out;
   try {
     if (inject_throw) {
       throw std::runtime_error("chaos: injected failure before the run");
     }
-    out = run_campaign(world, run, setup_cache);
+    out = run_campaign(world, run);
   } catch (const medium::RunAbortError& e) {
     out = RunOutput{};
     out.error.kind = classify_abort(e.kind());
@@ -165,8 +164,7 @@ class Supervisor {
           run.chaos_poison_schedule = true;
         }
       }
-      RunOutput out =
-          attempt_run(world_, run, inject_throw, tracker_, &setup_cache_);
+      RunOutput out = attempt_run(world_, run, inject_throw, tracker_);
       if (!out.error.failed()) {
         // error.attempts stays 0 on success — a retried-then-successful
         // run is bit-identical to an undisturbed one. The retry count
@@ -268,9 +266,6 @@ class Supervisor {
   ParallelConfig cfg_;
   ChaosConfig chaos_;
   LoadTracker* tracker_;
-  /// Campaign-lifetime memoized setup; internally mutex-serialised, shared
-  /// by every worker's attempts.
-  SetupCache setup_cache_;
 
   std::mutex mu_;
   std::vector<RunOutput> outputs_;

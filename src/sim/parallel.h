@@ -65,9 +65,8 @@ struct ChaosConfig {
   static ChaosConfig from_env();
 };
 
-/// Runs always share memoized setup (WiGLE seed, venue locale) through one
-/// campaign-lifetime SetupCache; results are byte-identical to the cold
-/// setup of run_campaign(world, cfg).
+/// Every run builds its own setup from the World's precomputed offline
+/// lists, as run_campaign(world, cfg) does, so no worker waits on another.
 struct ParallelConfig {
   ParallelConfig() = default;
   /// Pool-size-only config — the shape every pre-supervisor call site used

@@ -17,14 +17,31 @@ struct VenueSite {
   std::vector<std::string> ssids;
 };
 
-std::vector<VenueSite> venue_sites() {
-  return {
+const std::vector<VenueSite>& venue_sites() {
+  static const std::vector<VenueSite> kSites = {
       {"subway-passage", {5300, 4600}, {"MTR Free Wi-Fi"}},
       {"canteen", {4100, 6200}, {"Canteen-Free-WiFi", "CampusNet-Open"}},
       {"shopping-center", {6200, 4100}, {"HarbourMall-Guest"}},
       {"railway-station", {3300, 7400}, {"RailwayStation-Free"}},
   };
+  return kSites;
 }
+
+constexpr medium::Position kCityCentre{5000, 5000};
+
+/// Index of `venue_name` in venue_sites(); venue_sites().size() for the
+/// city-centre fallback.
+std::size_t site_index(const std::string& venue_name) {
+  const auto& sites = venue_sites();
+  std::size_t i = 0;
+  while (i < sites.size() && venue_name != sites[i].name) ++i;
+  return i;
+}
+
+/// A venue crowd's locale: the open public SSIDs within this radius of the
+/// venue, drawn from with this bias.
+constexpr double kLocaleRadiusM = 500.0;
+constexpr double kLocaleBias = 0.45;
 
 /// §V-B operator hotspots at the top popular rank's weight, seeded at sim
 /// time 0 like every other setup seed.
@@ -74,12 +91,13 @@ void schedule_chaos_hang(medium::EventQueue& events) {
 }
 
 /// The one builder of a setup snapshot: SetupCache memoizes it and an
-/// uncached VenueRun calls it fresh. Seeds at sim time 0, exactly when
-/// every run's own setup happens (setup precedes the event loop).
+/// uncached VenueRun calls it fresh. It seeds from prefixes of the World's
+/// offline lists, at sim time 0, exactly when every run's own setup happens
+/// (setup precedes the event loop).
 SetupCache::Snapshot build_setup(const World& world, const RunConfig& cfg) {
   SetupCache::Snapshot setup{core::SsidDatabase{},
                              venue_pnl_model(world, cfg.venue.name)};
-  const auto attack_city_pos = venue_city_position(cfg.venue.name);
+  const auto& nearby = world.site_lists(cfg.venue.name).nearest_free;
   switch (cfg.kind) {
     case AttackerKind::kKarma:
     case AttackerKind::kMana:
@@ -87,14 +105,15 @@ SetupCache::Snapshot build_setup(const World& world, const RunConfig& cfg) {
     case AttackerKind::kPrelim: {
       auto seed_cfg = cfg.wigle_seed;
       seed_cfg.ranking = core::PopularRanking::kApCount;  // §III design
-      core::seed_from_wigle(setup.seeded_db, world.wigle(), nullptr,
-                            attack_city_pos, seed_cfg, support::SimTime());
+      core::seed_ranked(setup.seeded_db,
+                        world.ranked_free_ssids(seed_cfg.ranking), nearby,
+                        seed_cfg, support::SimTime());
       break;
     }
     case AttackerKind::kCityHunter:
-      core::seed_from_wigle(setup.seeded_db, world.wigle(), &world.heat(),
-                            attack_city_pos, cfg.wigle_seed,
-                            support::SimTime());
+      core::seed_ranked(setup.seeded_db,
+                        world.ranked_free_ssids(cfg.wigle_seed.ranking),
+                        nearby, cfg.wigle_seed, support::SimTime());
       break;
   }
   if (cfg.seed_carrier_ssids) seed_carriers(setup.seeded_db, cfg);
@@ -128,6 +147,9 @@ const RunConfig& validated(const RunConfig& cfg) {
   if (cfg.sample_every && *cfg.sample_every <= support::SimTime::zero()) {
     throw std::invalid_argument("RunConfig: sample_every must be positive");
   }
+  // The counts size the seed lists, and popular_count is the carrier
+  // seed's weight.
+  core::check_seed_counts(cfg.wigle_seed);
   return cfg;
 }
 
@@ -159,10 +181,8 @@ client::SmartphoneConfig venue_phone_config(const World& world,
 }  // namespace
 
 medium::Position venue_city_position(const std::string& venue_name) {
-  for (const auto& site : venue_sites()) {
-    if (venue_name == site.name) return site.pos;
-  }
-  return {5000, 5000};  // city centre fallback
+  const std::size_t i = site_index(venue_name);
+  return i < venue_sites().size() ? venue_sites()[i].pos : kCityCentre;
 }
 
 const char* to_string(AttackerKind k) {
@@ -210,7 +230,16 @@ World::World(ScenarioConfig cfg)
         return world::PhotoSet::generate(city_, rng_photos, cfg_.photos);
       }()),
       heat_(photos_, city_.width(), city_.height()),
-      pnl_(city_, aps_, cfg_.pnl) {}
+      pnl_(city_, aps_, cfg_.pnl),
+      by_heat_(heatmap::top_by_heat(wigle_, heat_, wigle_.size())),
+      by_count_(heatmap::top_by_ap_count(wigle_, wigle_.size())) {
+  const auto add_site = [this](medium::Position pos) {
+    sites_.push_back({wigle_.nearest_free_ssids(pos, wigle_.size()),
+                      local_public_ssids(pos, kLocaleRadiusM)});
+  };
+  for (const auto& site : venue_sites()) add_site(site.pos);
+  add_site(kCityCentre);
+}
 
 std::vector<std::string> World::local_public_ssids(medium::Position pos,
                                                    double radius_m) const {
@@ -236,13 +265,21 @@ std::vector<std::string> World::local_public_ssids(medium::Position pos,
   return out;
 }
 
+const std::vector<heatmap::ScoredSsid>& World::ranked_free_ssids(
+    core::PopularRanking ranking) const {
+  return ranking == core::PopularRanking::kHeat ? by_heat_ : by_count_;
+}
+
+const SiteLists& World::site_lists(const std::string& venue_name) const {
+  return sites_[site_index(venue_name)];
+}
+
 world::PnlModel venue_pnl_model(const World& world,
                                 const std::string& venue_name) {
   world::PnlModel pnl = world.pnl_model();
   world::Locale locale;
-  locale.ranked_ssids =
-      world.local_public_ssids(venue_city_position(venue_name), 500.0);
-  locale.bias = 0.45;
+  locale.ranked_ssids = world.site_lists(venue_name).locale;
+  locale.bias = kLocaleBias;
   pnl.set_locale(std::move(locale));
   return pnl;
 }

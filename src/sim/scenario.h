@@ -52,12 +52,27 @@ struct ScenarioConfig {
 };
 
 /// City coordinates where each of the paper's four venues sits (used for
-/// the nearest-SSID WiGLE query and for placing the venues' own APs).
+/// the nearest-SSID WiGLE query and for placing the venues' own APs). An
+/// unknown name gets the city centre.
 medium::Position venue_city_position(const std::string& venue_name);
+
+/// The offline lists of one attack position (see World::site_lists).
+struct SiteLists {
+  /// Every distinct free WiGLE SSID, nearest first: its first n entries are
+  /// WigleDb::nearest_free_ssids(pos, n).
+  std::vector<std::string> nearest_free;
+  /// local_public_ssids(pos, 500 m): the venue crowd's locale.
+  std::vector<std::string> locale;
+};
 
 /// The static world: built once per scenario seed, shared across runs. All
 /// accessors are const — campaigns never mutate the world, which is what
 /// lets run_campaigns() fan them across threads (see sim/parallel.h).
+///
+/// The world also does the paper's offline phase (§III-B, §IV-B) once, at
+/// construction: the city-wide free-SSID rankings and, for every venue
+/// position and the city-centre fallback, the nearest-SSID order and the
+/// locale. A run seeds its attacker from prefixes of these lists.
 class World {
  public:
   explicit World(ScenarioConfig cfg);
@@ -77,6 +92,15 @@ class World {
   std::vector<std::string> local_public_ssids(medium::Position pos,
                                               double radius_m = 800.0) const;
 
+  /// Every free WiGLE SSID ranked city-wide: its first k entries are
+  /// heatmap::top_by_heat(wigle(), heat(), k) or top_by_ap_count(wigle(), k).
+  const std::vector<heatmap::ScoredSsid>& ranked_free_ssids(
+      core::PopularRanking ranking) const;
+
+  /// The offline lists at venue_city_position(venue_name); an unknown name
+  /// gets the city centre's.
+  const SiteLists& site_lists(const std::string& venue_name) const;
+
  private:
   ScenarioConfig cfg_;
   /// Root of all world-construction randomness. Each subsystem forks its
@@ -91,6 +115,10 @@ class World {
   world::PhotoSet photos_;
   heatmap::HeatMap heat_;
   world::PnlModel pnl_;
+  std::vector<heatmap::ScoredSsid> by_heat_;
+  std::vector<heatmap::ScoredSsid> by_count_;
+  /// One entry per venue site, in venue-site order, then the city centre.
+  std::vector<SiteLists> sites_;
 };
 
 /// A copy of the world's PNL model for one crowd at `venue_name`: people
@@ -238,33 +266,34 @@ struct RunOutput {
   RunError error;
 };
 
-/// Memoized expensive run setup, shared across the runs of one campaign.
+/// Memoized run setup: one immutable snapshot per distinct setup, shared
+/// by the runs that hand the cache in.
 ///
-/// Profiling (BENCH_wallclock.json): per-run setup is ~18% of serial
-/// campaign wallclock, dominated by two pure functions of (World, a few
-/// RunConfig fields) recomputed identically for every run — the WiGLE seed
-/// scan over the whole AP snapshot and the venue-locale SSID ranking behind
-/// the per-run PnlModel copy. The cache keys those inputs with the same
-/// FNV-1a construction the checkpoint config hash uses and hands out one
-/// immutable snapshot per distinct setup; runs copy from the snapshot
-/// (copy-on-write: the attacker's database and the PNL crowd counters
-/// mutate per-run, so each run copies the shared seeded state into its own
-/// instances and never writes through the snapshot).
+/// The setup is cheap: the World computes the WiGLE rankings, the
+/// nearest-SSID orders and the venue locales once, at construction, and
+/// build_setup only seeds a database from prefixes of them and copies the
+/// PNL model, so an uncached VenueRun's setup costs about what a cache hit
+/// does. run_campaigns shares no cache; perfbench's venue passes still
+/// pass one, and the cache goes once they stop (ROADMAP item 1).
+///
+/// The key is an FNV-1a hash over exactly the RunConfig fields the
+/// snapshot depends on, the same construction the checkpoint config hash
+/// uses. Runs copy the snapshot: the attacker's database and the PNL crowd
+/// counters mutate per run, so each run copies the shared state into its
+/// own instances and never writes through the snapshot.
 ///
 /// Byte-identity: one function builds every snapshot, and an uncached
 /// VenueRun calls it fresh, so a cached run differs from an uncached one
 /// only if the key misses a field the snapshot depends on. Seeding happens
-/// at sim time 0 on both paths. run_campaigns always shares one cache per
-/// campaign; the uncached run_campaign(world, cfg) stays as the reference,
-/// and RunCampaigns.WarmStartSetupIsBitIdenticalToColdSetup,
-/// SetupCacheKeySeparatesEverySetup and ParallelIsBitIdenticalToSerial in
-/// tests/parallel_test.cpp pin the equality.
+/// at sim time 0 on both paths. WarmStartSetupIsBitIdenticalToColdSetup
+/// and SetupCacheKeySeparatesEverySetup in tests/parallel_test.cpp pin the
+/// equality.
 ///
 /// Thread safety: lookup_or_build is mutex-serialised (misses build inside
-/// the lock — the first run of each distinct setup pays once); the returned
-/// snapshot is immutable and safe to read concurrently. A cache binds to
-/// the first World it sees and throws on a different one — setup state is
-/// world-derived, so sharing across worlds would serve wrong data.
+/// the lock); the returned snapshot is immutable and safe to read
+/// concurrently. A cache binds to the first World it sees and throws on a
+/// different one — setup state is world-derived, so sharing across worlds
+/// would serve wrong data.
 class SetupCache {
  public:
   struct Snapshot {
@@ -313,8 +342,8 @@ class VenueRun {
  public:
   /// `cfg` must outlive the VenueRun. `setup_cache` (nullable) shares the
   /// seeded database and venue PNL model across runs — see SetupCache.
-  /// Throws std::invalid_argument on an invalid supervisor field or a
-  /// negative duration.
+  /// Throws std::invalid_argument on an invalid supervisor field, a
+  /// negative duration or a negative WiGLE seed count.
   VenueRun(const World& world, const RunConfig& cfg,
            SetupCache* setup_cache = nullptr);
 

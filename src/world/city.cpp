@@ -8,8 +8,16 @@ namespace cityhunter::world {
 
 CityModel::CityModel(Config cfg) : cfg_(std::move(cfg)) {
   if (cfg_.districts.empty()) cfg_.districts = default_districts();
-  weights_.reserve(cfg_.districts.size());
-  for (const auto& d : cfg_.districts) weights_.push_back(d.people_weight);
+  for (std::size_t i = 0; i < cfg_.districts.size(); ++i) {
+    const District& d = cfg_.districts[i];
+    all_.index.push_back(i);
+    all_.weights.push_back(d.people_weight);
+    const auto kind = static_cast<std::size_t>(d.kind);
+    if (kind < kDistrictKinds) {
+      by_kind_[kind].index.push_back(i);
+      by_kind_[kind].weights.push_back(d.people_weight);
+    }
+  }
 }
 
 std::vector<District> CityModel::default_districts() {
@@ -39,14 +47,12 @@ double CityModel::density(Position p) const {
 }
 
 Position CityModel::sample_from(support::Rng& rng,
-                                const std::vector<std::size_t>& idx) const {
-  if (idx.empty()) {
+                                const DistrictTable& table) const {
+  if (table.index.empty()) {
     throw std::invalid_argument("CityModel: no matching district");
   }
-  std::vector<double> w;
-  w.reserve(idx.size());
-  for (const auto i : idx) w.push_back(cfg_.districts[i].people_weight);
-  const auto& d = cfg_.districts[idx[rng.weighted_index(w)]];
+  const auto& d =
+      cfg_.districts[table.index[rng.weighted_index(table.weights)]];
   // Sample the district Gaussian, clamped to the city rectangle.
   Position p;
   p.x = std::clamp(rng.normal(d.center.x, d.sigma_m), 0.0, cfg_.width_m);
@@ -55,18 +61,16 @@ Position CityModel::sample_from(support::Rng& rng,
 }
 
 Position CityModel::sample_location(support::Rng& rng) const {
-  std::vector<std::size_t> all(cfg_.districts.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  return sample_from(rng, all);
+  return sample_from(rng, all_);
 }
 
 Position CityModel::sample_location_of_kind(support::Rng& rng,
                                             DistrictKind kind) const {
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < cfg_.districts.size(); ++i) {
-    if (cfg_.districts[i].kind == kind) idx.push_back(i);
+  const auto k = static_cast<std::size_t>(kind);
+  if (k >= kDistrictKinds) {
+    throw std::invalid_argument("CityModel: no matching district");
   }
-  return sample_from(rng, idx);
+  return sample_from(rng, by_kind_[k]);
 }
 
 Position CityModel::sample_uniform(support::Rng& rng) const {

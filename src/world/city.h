@@ -6,6 +6,7 @@
 // photograph — the two signals the heat-map pipeline (heatmap/) consumes.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,8 @@ enum class DistrictKind {
   kTransport,    // railway stations, interchanges
   kAirport,      // few APs, very many distinct visitors
 };
+
+inline constexpr std::size_t kDistrictKinds = 4;
 
 /// A Gaussian population blob.
 struct District {
@@ -56,7 +59,8 @@ class CityModel {
   double density(Position p) const;
 
   /// Sample a location with probability proportional to density. The
-  /// optional kind filter restricts to districts of that kind.
+  /// optional kind filter restricts to districts of that kind. Neither
+  /// allocates: the district tables are built with the model.
   Position sample_location(support::Rng& rng) const;
   Position sample_location_of_kind(support::Rng& rng, DistrictKind kind) const;
 
@@ -66,10 +70,16 @@ class CityModel {
   const District& district(std::size_t i) const { return cfg_.districts[i]; }
 
  private:
-  Position sample_from(support::Rng& rng,
-                       const std::vector<std::size_t>& idx) const;
+  /// Districts a draw picks from, with their people weights.
+  struct DistrictTable {
+    std::vector<std::size_t> index;
+    std::vector<double> weights;
+  };
+
+  Position sample_from(support::Rng& rng, const DistrictTable& table) const;
   Config cfg_;
-  std::vector<double> weights_;  // per-district people weights
+  DistrictTable all_;
+  std::array<DistrictTable, kDistrictKinds> by_kind_;
 };
 
 }  // namespace cityhunter::world

@@ -13,10 +13,10 @@ PhotoSet PhotoSet::generate(const CityModel& city, support::Rng& rng,
   static constexpr DistrictKind kTouristKinds[] = {
       DistrictKind::kCommercial, DistrictKind::kTransport,
       DistrictKind::kAirport};
-  const std::vector<double> kind_weights{0.45, 0.15, 0.40};
+  static const std::vector<double> kKindWeights{0.45, 0.15, 0.40};
   for (int i = 0; i < cfg.photo_count; ++i) {
     if (rng.chance(cfg.tourist_fraction)) {
-      const auto kind = kTouristKinds[rng.weighted_index(kind_weights)];
+      const auto kind = kTouristKinds[rng.weighted_index(kKindWeights)];
       set.positions_.push_back(city.sample_location_of_kind(rng, kind));
     } else {
       set.positions_.push_back(city.sample_location(rng));

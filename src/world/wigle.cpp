@@ -1,7 +1,8 @@
 #include "world/wigle.h"
 
 #include <algorithm>
-#include <set>
+#include <string_view>
+#include <unordered_map>
 
 namespace cityhunter::world {
 
@@ -48,50 +49,32 @@ WigleDb WigleDb::from_records(std::vector<AccessPointInfo> records) {
 
 std::vector<std::string> WigleDb::nearest_free_ssids(Position pos,
                                                      std::size_t n) const {
-  std::vector<const AccessPointInfo*> free;
-  free.reserve(records_.size());
+  struct Nearest {
+    double distance;
+    std::string_view ssid;
+  };
+  std::vector<Nearest> nearest;
+  std::unordered_map<std::string_view, std::size_t> slot;
   for (const auto& ap : records_) {
-    if (ap.open) free.push_back(&ap);
+    if (!ap.open) continue;
+    const double d = medium::distance(ap.pos, pos);
+    const auto [it, fresh] = slot.try_emplace(ap.ssid, nearest.size());
+    if (fresh) {
+      nearest.push_back({d, ap.ssid});
+    } else if (d < nearest[it->second].distance) {
+      nearest[it->second].distance = d;
+    }
   }
-  std::sort(free.begin(), free.end(),
-            [&](const AccessPointInfo* a, const AccessPointInfo* b) {
-              const double da = medium::distance(a->pos, pos);
-              const double db = medium::distance(b->pos, pos);
-              if (da != db) return da < db;
-              return a->ssid < b->ssid;  // deterministic tie-break
+  std::sort(nearest.begin(), nearest.end(),
+            [](const Nearest& a, const Nearest& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return a.ssid < b.ssid;  // deterministic tie-break
             });
+  if (nearest.size() > n) nearest.resize(n);
   std::vector<std::string> out;
-  std::set<std::string> seen;
-  for (const auto* ap : free) {
-    if (out.size() >= n) break;
-    if (seen.insert(ap->ssid).second) out.push_back(ap->ssid);
-  }
+  out.reserve(nearest.size());
+  for (const auto& entry : nearest) out.emplace_back(entry.ssid);
   return out;
-}
-
-std::map<std::string, int> WigleDb::free_ap_counts() const {
-  std::map<std::string, int> counts;
-  for (const auto& ap : records_) {
-    if (ap.open) ++counts[ap.ssid];
-  }
-  return counts;
-}
-
-std::vector<Position> WigleDb::free_ap_positions(
-    const std::string& ssid) const {
-  std::vector<Position> out;
-  for (const auto& ap : records_) {
-    if (ap.open && ap.ssid == ssid) out.push_back(ap.pos);
-  }
-  return out;
-}
-
-std::vector<std::string> WigleDb::free_ssids() const {
-  std::set<std::string> seen;
-  for (const auto& ap : records_) {
-    if (ap.open) seen.insert(ap.ssid);
-  }
-  return {seen.begin(), seen.end()};
 }
 
 }  // namespace cityhunter::world

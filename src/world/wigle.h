@@ -3,13 +3,12 @@
 // Stands in for wigle.net in the paper: a crowd-sourced database of APs with
 // SSIDs, positions and security flags. Built by sampling the ground-truth AP
 // population with a coverage probability (wardrivers never see everything),
-// it answers the two queries City-Hunter's database initialisation needs:
-// the N free APs nearest the attack location, and city-wide AP counts per
-// free SSID.
+// it is the input of City-Hunter's database initialisation: the N free APs
+// nearest the attack location (below), and the city-wide rankings of free
+// SSIDs by heat value or AP count (heatmap/).
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -49,19 +48,13 @@ class WigleDb {
   const std::vector<AccessPointInfo>& records() const { return records_; }
 
   /// The `n` free (open) APs nearest to `pos`, deduplicated by SSID, nearest
-  /// first. This is the "100 SSIDs near the attacker" source.
+  /// first. This is the "100 SSIDs near the attacker" source. Ties in
+  /// distance go to the lexicographically smaller SSID. One pass over the
+  /// records takes each SSID's nearest free AP, then the SSIDs are sorted
+  /// by (that distance, SSID): the same list a sort of every free record
+  /// by (distance, SSID) yields when each SSID keeps its first occurrence.
   std::vector<std::string> nearest_free_ssids(Position pos,
                                               std::size_t n) const;
-
-  /// AP count per SSID over free APs only — the "city-wide distributed"
-  /// signal.
-  std::map<std::string, int> free_ap_counts() const;
-
-  /// All positions of free APs advertising `ssid` (heat-value input).
-  std::vector<Position> free_ap_positions(const std::string& ssid) const;
-
-  /// Distinct free SSIDs.
-  std::vector<std::string> free_ssids() const;
 
  private:
   std::vector<AccessPointInfo> records_;

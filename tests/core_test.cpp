@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "client/smartphone.h"
 #include "core/buffers.h"
@@ -604,6 +605,29 @@ TEST(WigleSeed, HeatRankingRequiresHeatMap) {
   EXPECT_THROW(
       seed_from_wigle(db, wigle, nullptr, {0, 0}, cfg, SimTime::zero()),
       std::invalid_argument);
+}
+
+TEST(WigleSeed, NegativeCountsAreRejected) {
+  // A count of -1 used to become SIZE_MAX and seed every free SSID.
+  std::vector<world::AccessPointInfo> recs(1);
+  recs[0].ssid = "cafe";
+  recs[0].open = true;
+  const auto wigle = world::WigleDb::from_records(recs);
+  const std::vector<heatmap::ScoredSsid> popular{{"cafe", 1.0}};
+  const std::vector<std::string> nearby{"cafe"};
+  for (const auto& [near, pop] : {std::pair{-1, 2}, std::pair{2, -1}}) {
+    SsidDatabase db;
+    WigleSeedConfig cfg;
+    cfg.nearby_count = near;
+    cfg.popular_count = pop;
+    cfg.ranking = PopularRanking::kApCount;
+    EXPECT_THROW(
+        seed_from_wigle(db, wigle, nullptr, {0, 0}, cfg, SimTime::zero()),
+        std::invalid_argument);
+    EXPECT_THROW(seed_ranked(db, popular, nearby, cfg, SimTime::zero()),
+                 std::invalid_argument);
+    EXPECT_EQ(db.size(), 0u);
+  }
 }
 
 TEST(WigleSeed, CarrierSeedAddsWithGivenWeight) {

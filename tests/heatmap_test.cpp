@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "heatmap/heatmap.h"
 #include "support/rng.h"
 #include "world/ap_generator.h"
@@ -41,12 +43,40 @@ TEST(HeatMap, OutOfBoundsQueriesAreZero) {
   EXPECT_DOUBLE_EQ(heat.at({-1, 50}), 0.0);
   EXPECT_DOUBLE_EQ(heat.at({50, -1}), 0.0);
   EXPECT_DOUBLE_EQ(heat.at({city.width() + 1, 50}), 0.0);
+  // A NaN coordinate used to be cast to a cell index (UBSan:
+  // float-cast-overflow).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DOUBLE_EQ(heat.at({nan, 50}), 0.0);
+  EXPECT_DOUBLE_EQ(heat.at({50, nan}), 0.0);
 }
 
 TEST(HeatMap, RejectsBadDimensions) {
   world::PhotoSet photos;
   EXPECT_THROW(HeatMap(photos, 0, 100), std::invalid_argument);
   EXPECT_THROW(HeatMap(photos, 100, 100, -1), std::invalid_argument);
+}
+
+TEST(HeatMap, RejectsNonFiniteDimensions) {
+  // These used to be accepted: a NaN or infinite extent or cell size was
+  // cast to a column count (UB), giving 0 or 2^63 columns.
+  world::PhotoSet photos;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, 0.0}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(HeatMap(photos, bad, 100, 10), std::invalid_argument);
+    EXPECT_THROW(HeatMap(photos, 100, bad, 10), std::invalid_argument);
+    EXPECT_THROW(HeatMap(photos, 100, 100, bad), std::invalid_argument);
+  }
+  const HeatMap ok(photos, 100, 100, 10);
+  EXPECT_EQ(ok.cols(), 10u);
+  EXPECT_EQ(ok.rows(), 10u);
+  // Finite dimensions whose ratio overflows have no grid either; one that
+  // underflows still gets a cell for its photos.
+  EXPECT_THROW(HeatMap(photos, 1e300, 100, 1e-300), std::length_error);
+  const HeatMap tiny(photos, 1e-300, 1e-300, 1e300);
+  EXPECT_EQ(tiny.cols(), 1u);
+  EXPECT_EQ(tiny.rows(), 1u);
 }
 
 TEST(HeatMap, HotDistrictsBeatQuietCorners) {
@@ -82,9 +112,15 @@ TEST(HeatMap, SsidHeatSumsOverFreeAps) {
   mk("cold", {200, 9800}, true);
   const auto wigle = world::WigleDb::from_records(recs);
 
-  EXPECT_GT(heat.ssid_heat(wigle, "hot"), heat.ssid_heat(wigle, "cold"));
-  // Secure APs contribute nothing.
-  EXPECT_DOUBLE_EQ(heat.ssid_heat(wigle, "hot-but-secure"), 0.0);
+  const auto top = top_by_heat(wigle, heat, 10);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].ssid, "hot");
+  EXPECT_EQ(top[0].score,
+            heat.at({5000, 5000}) + heat.at({5050, 5050}));
+  EXPECT_EQ(top[1].ssid, "cold");
+  EXPECT_GT(top[0].score, top[1].score);
+  // A secure AP adds nothing: it is not a free SSID at all.
+  for (const auto& s : top) EXPECT_NE(s.ssid, "hot-but-secure");
 }
 
 TEST(HeatMap, CsvHasRowPerGridRow) {

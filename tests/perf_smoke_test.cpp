@@ -445,6 +445,56 @@ TEST(PerfSmokeTest, VenueLoopStaysUnderOneAllocationPerTransmission) {
   }
 }
 
+// City sampling draws from district tables CityModel builds once, so a draw
+// allocates nothing.
+TEST(PerfSmokeTest, CitySamplingAllocatesNothing) {
+  const world::CityModel city;
+  support::Rng rng(11);
+  const std::uint64_t allocs_before = bench::alloc_count();
+  for (int i = 0; i < 1000; ++i) {
+    (void)city.sample_location(rng);
+    (void)city.sample_location_of_kind(
+        rng, static_cast<world::DistrictKind>(i % world::kDistrictKinds));
+  }
+  EXPECT_EQ(bench::alloc_count() - allocs_before, 0u);
+}
+
+// The default World — 50,000 photos, ~10,000 APs, the WiGLE snapshot and
+// the offline seed lists — within a tenth of the 164,458 allocations it
+// made while every city draw built its own district tables.
+TEST(PerfSmokeTest, DefaultWorldBuildStaysUnderAllocationBudget) {
+  sim::ScenarioConfig scenario;
+  scenario.seed = 42;
+  const std::uint64_t allocs_before = bench::alloc_count();
+  const sim::World world(scenario);
+  const std::uint64_t allocs = bench::alloc_count() - allocs_before;
+  EXPECT_LE(allocs * 10, 164'458u) << allocs << " allocations";
+}
+
+// An uncached VenueRun seeds from the World's offline lists, so building its
+// setup allocates about what copying a cached snapshot does. It used to
+// rank the whole WiGLE snapshot: 1,414 allocations against 277 cached.
+TEST(PerfSmokeTest, UncachedVenueRunSetupAllocatesLikeCachedOne) {
+  sim::ScenarioConfig scenario;
+  scenario.seed = 42;
+  const sim::World world(scenario);
+  sim::RunConfig cfg;
+  cfg.venue = mobility::canteen_venue();
+  cfg.slot.expected_clients = cfg.venue.hourly_clients[4];
+  cfg.duration = support::SimTime::minutes(10);
+  sim::SetupCache cache;
+  { const sim::VenueRun fill(world, cfg, &cache); }
+  const auto construction_allocs = [&](sim::SetupCache* setup_cache) {
+    const std::uint64_t before = bench::alloc_count();
+    const sim::VenueRun run(world, cfg, setup_cache);
+    return bench::alloc_count() - before;
+  };
+  const std::uint64_t cached = construction_allocs(&cache);
+  const std::uint64_t uncached = construction_allocs(nullptr);
+  EXPECT_LE(uncached * 4, cached * 5)
+      << uncached << " allocations uncached, " << cached << " cached";
+}
+
 TEST(PerfSmokeTest, CounterIsLive) {
   // Guard against the counter silently compiling out (e.g. the macro not
   // reaching this target): an explicit heap allocation must register.

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "heatmap/heatmap.h"
 #include "support/rng.h"
 #include "world/ap_generator.h"
 #include "world/city.h"
@@ -179,21 +180,10 @@ TEST(WigleDb, FreeApCountsOnlyCountOpen) {
     recs.push_back(ap);
   }
   const auto db = WigleDb::from_records(recs);
-  EXPECT_EQ(db.free_ap_counts().at("chain"), 3);
-}
-
-TEST(WigleDb, FreeApPositions) {
-  std::vector<AccessPointInfo> recs;
-  AccessPointInfo ap;
-  ap.ssid = "x";
-  ap.open = true;
-  ap.pos = {7, 8};
-  recs.push_back(ap);
-  const auto db = WigleDb::from_records(recs);
-  const auto pos = db.free_ap_positions("x");
-  ASSERT_EQ(pos.size(), 1u);
-  EXPECT_DOUBLE_EQ(pos[0].x, 7);
-  EXPECT_TRUE(db.free_ap_positions("unknown").empty());
+  const auto top = heatmap::top_by_ap_count(db, 10);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].ssid, "chain");
+  EXPECT_EQ(top[0].score, 3.0);
 }
 
 // --- PhotoSet ---
