@@ -14,6 +14,15 @@
 // fault model on (lossy_campaign's 20% ambient loss, 8% corruption), so
 // every transmit builds and draws its TX-side fault stream.
 //
+// DeliverStationProbe prices a phone's broadcast probe request in a crowd
+// of N phones around one attacker: phones register as stations, which do not
+// receive probe requests, so each frame reaches the attacker alone (a
+// fanout that handed it to every phone would make N + 1 deliveries).
+//
+// EventQueueStep prices one event at a fixed queue depth: the popped event
+// posts its replacement at a random delay. 485 is about a venue run's peak
+// depth; 40,000 a 20k-radio city's order.
+//
 // FaultStream prices that stream alone: built from (seed, radio, sequence)
 // and drawn as a broadcast (one corruption draw) or as a unicast first
 // attempt (collision and corruption draws). RngUniform and RngFork price
@@ -217,6 +226,70 @@ void BM_ChurnAttachDetach(benchmark::State& state) {
   attach_churn_loop(state);
 }
 
+void BM_DeliverStationProbe(benchmark::State& state) {
+  EventQueue events;
+  Medium medium(events);
+  CountingSink sink;
+  support::Rng rng(7);
+  const auto n = static_cast<int>(state.range(0));
+  for (int i = 0; i < n; ++i) {  // N listening phones, then the sender
+    const dot11::MacAddress mac(
+        {0x02, 0x5a, 0, 0, static_cast<std::uint8_t>(i >> 8),
+         static_cast<std::uint8_t>(i)});
+    medium.attach({rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)}, 6,
+                  15.0, &sink, mac, RxRole::kStation);
+  }
+  const dot11::MacAddress sender_mac({0x02, 0x5a, 0xff, 0, 0, 1});
+  Radio sender = medium.attach({0, 0}, 6, 15.0, &sink, sender_mac,
+                               RxRole::kStation);
+  medium.attach({5, 5}, 6, 20.0, &sink);  // the attacker: a monitor
+  const auto frame = dot11::make_broadcast_probe_request(sender_mac);
+  sender.transmit(frame);
+  events.run_all();
+  const auto frames0 = sink.frames;
+  const auto loaded0 = medium.fanout_stats().candidates_loaded;
+  const auto a0 = cityhunter::bench::alloc_count();
+  for (auto _ : state) {
+    sender.transmit(frame);
+    events.run_all();
+  }
+  state.SetItemsProcessed(state.iterations());
+  const double iters = static_cast<double>(state.iterations());
+  state.counters["delivered_per_tx"] =
+      static_cast<double>(sink.frames - frames0) / iters;
+  state.counters["candidates_per_tx"] =
+      static_cast<double>(medium.fanout_stats().candidates_loaded - loaded0) /
+      iters;
+  state.counters["allocs_per_tx"] =
+      static_cast<double>(cityhunter::bench::alloc_count() - a0) / iters;
+}
+
+/// Posts its replacement, `delays` apart, when it fires.
+struct Repost {
+  EventQueue* queue;
+  const std::vector<std::int64_t>* delays;
+  std::size_t* next;
+  void operator()() const {
+    const std::int64_t d = (*delays)[(*next)++ % delays->size()];
+    queue->post_in(SimTime::microseconds(d), *this);
+  }
+};
+
+void BM_EventQueueStep(benchmark::State& state) {
+  EventQueue q;
+  support::Rng rng(3);
+  std::vector<std::int64_t> delays(4096);
+  for (auto& d : delays) d = static_cast<std::int64_t>(rng.index(2'000'000));
+  std::size_t next = 0;
+  const Repost repost{&q, &delays, &next};
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    q.post_in(SimTime::microseconds(delays[next++ % delays.size()]), repost);
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(q.step());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["pending"] = static_cast<double>(q.pending());
+}
+
 void BM_FaultStream(benchmark::State& state) {
   const FaultModel fault(lossy_fault());
   const auto& cfg = fault.config();
@@ -252,6 +325,8 @@ void BM_RngFork(benchmark::State& state) {
 
 BENCHMARK(BM_DeliverBatched)->Arg(100)->Arg(1000)->Arg(4000)->Arg(10000);
 BENCHMARK(BM_DeliverBatchedLossy)->Arg(100)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_DeliverStationProbe)->Arg(10)->Arg(100)->Arg(1000);
+BENCHMARK(BM_EventQueueStep)->Arg(485)->Arg(8000)->Arg(40000);
 BENCHMARK(BM_FaultStream)->ArgName("unicast")->Arg(0)->Arg(1);
 BENCHMARK(BM_RngUniform)->Arg(42);
 BENCHMARK(BM_RngFork)->Arg(42);

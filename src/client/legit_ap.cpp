@@ -31,7 +31,7 @@ void LegitimateAp::on_frame(const Frame& frame, const medium::RxInfo&) {
   switch (frame.subtype()) {
     case dot11::MgmtSubtype::kProbeRequest: {
       const auto* body = frame.as<dot11::ProbeRequest>();
-      const auto probed = body->ies.ssid();
+      const auto probed = body->ies.ssid_view();  // no temporary string
       // Answer broadcast probes and direct probes for our own SSID.
       if (!body->is_broadcast() && (!probed || *probed != cfg_.ssid)) return;
       dot11::make_probe_response_into(tx_frame_, cfg_.bssid,

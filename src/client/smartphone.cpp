@@ -37,7 +37,10 @@ Smartphone::~Smartphone() { stop(); }
 void Smartphone::start() {
   if (started_) return;
   started_ = true;
-  radio_ = medium_.attach(pos_, cfg_.channel, cfg_.tx_power_dbm, this, mac_);
+  // A station: the medium never hands it another phone's broadcast probe
+  // request, which on_frame would drop anyway.
+  radio_ = medium_.attach(pos_, cfg_.channel, cfg_.tx_power_dbm, this, mac_,
+                          medium::RxRole::kStation);
   if (!associated_ap_) {
     schedule_next_scan(
         SimTime::microseconds(static_cast<std::int64_t>(rng_.uniform(

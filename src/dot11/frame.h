@@ -87,7 +87,7 @@ struct ProbeRequest {
   /// True when the SSID element is absent or zero-length: a broadcast probe
   /// that does not disclose any PNL entry.
   bool is_broadcast() const {
-    const auto s = ies.ssid();
+    const auto s = ies.ssid_view();  // no temporary string
     return !s.has_value() || s->empty();
   }
 };

@@ -1,5 +1,6 @@
 #include "medium/event_queue.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -23,13 +24,14 @@ void EventQueue::post_at(SimTime t, Callback fn) {
     slab_.push_back(std::move(fn));
     stats_.slab_slots = slab_.size();
   }
-  heap_.push_back(HeapEntry{t, next_seq_++, slot});
-  sift_up(heap_.size() - 1);
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, HeapEntry{t, next_seq_++, slot});
   ++stats_.scheduled;
   if (heap_.size() > stats_.peak_pending) stats_.peak_pending = heap_.size();
 }
 
 void EventQueue::run_until(SimTime until) {
+  if (until < now_) throw PastScheduleError(now_, until);
   while (!heap_.empty() && heap_.front().time <= until) {
     step();
   }
@@ -91,9 +93,9 @@ bool EventQueue::step() {
     ++guard_events_;
   }
   const HeapEntry top = heap_.front();
-  heap_.front() = heap_.back();
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  if (!heap_.empty()) sift_down(0, last);
 
   now_ = top.time;
   // Move the callable out of the slab and release the slot BEFORE invoking:
@@ -106,27 +108,31 @@ bool EventQueue::step() {
   return true;
 }
 
-void EventQueue::sift_up(std::size_t i) {
+void EventQueue::sift_up(std::size_t i, HeapEntry moving) {
   while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    const std::size_t parent = (i - 1) / kArity;
+    if (!earlier(moving, heap_[parent])) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
+  heap_[i] = moving;
 }
 
-void EventQueue::sift_down(std::size_t i) {
+void EventQueue::sift_down(std::size_t i, HeapEntry moving) {
   const std::size_t n = heap_.size();
   for (;;) {
-    const std::size_t left = 2 * i + 1;
-    if (left >= n) break;
-    const std::size_t right = left + 1;
-    std::size_t best = left;
-    if (right < n && earlier(heap_[right], heap_[left])) best = right;
-    if (!earlier(heap_[best], heap_[i])) break;
-    std::swap(heap_[i], heap_[best]);
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (earlier(heap_[c], heap_[best])) best = c;
+    }
+    if (!earlier(heap_[best], moving)) break;
+    heap_[i] = heap_[best];
     i = best;
   }
+  heap_[i] = moving;
 }
 
 }  // namespace cityhunter::medium

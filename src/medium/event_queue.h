@@ -4,10 +4,14 @@
 // numbers make same-time events FIFO, which keeps runs deterministic.
 //
 // Hot-path layout: an event's callable lives in a slab recycled through a
-// free list, and the binary heap orders 24-byte {time, seq, slot} entries —
-// so heap sifts move three words, never the callable. Callables are SmallFn
-// (inline storage sized for the medium's transmit closure), so posting an
-// event allocates nothing at steady state.
+// free list, and a 4-ary heap orders 24-byte {time, seq, slot} entries —
+// so heap sifts move three words, never the callable. A sift holds the
+// moving entry aside and shifts parents or children into the hole, one
+// store per level; four children share a cache line or two, and the tree is
+// half as deep as a binary one. (time, seq) is a total order, so the pop
+// order does not depend on the heap's shape. Callables are SmallFn (inline
+// storage sized for the medium's transmit closure), so posting an event
+// allocates nothing at steady state.
 //
 // There is no cancellation. An owner that may need to void a pending event
 // (a phone's join timeout, a deauth round) captures a generation number in
@@ -124,7 +128,9 @@ class EventQueue {
   void arm_guard(RunGuard guard);
 
   /// Run all events with time <= `until`, advancing now() as they fire.
-  /// now() ends at `until` even if the queue drains earlier.
+  /// now() ends at `until` even if the queue drains earlier. Throws
+  /// PastScheduleError when `until` is before now(): the clock never runs
+  /// backwards.
   void run_until(SimTime until);
 
   /// Run until the queue is empty.
@@ -151,8 +157,11 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
+  static constexpr std::size_t kArity = 4;
+  /// Place `moving` at or above the hole `i`, shifting later parents down.
+  void sift_up(std::size_t i, HeapEntry moving);
+  /// Place `moving` at or below the hole `i`, shifting earlier children up.
+  void sift_down(std::size_t i, HeapEntry moving);
 
   /// Deadline re-check stride: a steady_clock read every event would cost
   /// more than the event dispatch itself; every 2048 events bounds the
@@ -171,7 +180,7 @@ class EventQueue {
   std::chrono::steady_clock::time_point guard_start_{};
   std::vector<Callback> slab_;  // event callables, indexed by heap slot
   std::vector<std::uint32_t> free_slots_;
-  std::vector<HeapEntry> heap_;  // binary min-heap by (time, seq)
+  std::vector<HeapEntry> heap_;  // 4-ary min-heap by (time, seq)
 };
 
 }  // namespace cityhunter::medium

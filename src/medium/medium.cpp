@@ -23,6 +23,25 @@ void require_finite(Position pos, const char* what) {
   }
 }
 
+/// TX power must be finite and reach a finite range: the grid sizes its
+/// cells from that range, and a NaN power would also never match its own
+/// range-cache entry.
+void require_finite_power(const LogDistancePathLoss& propagation, double dbm,
+                          const char* what) {
+  if (!std::isfinite(dbm) || !std::isfinite(propagation.max_range(dbm))) {
+    throw std::invalid_argument(std::string("Medium: ") + what +
+                                " needs a TX power with a finite range");
+  }
+}
+
+/// The role rule, shared by the grid and the oracle: a group-addressed probe
+/// request does not reach stations. Every other frame reaches them as the
+/// address filter allows.
+bool skips_stations(const dot11::Frame& frame) {
+  return frame.header.addr1.is_multicast() &&
+         frame.as<dot11::ProbeRequest>() != nullptr;
+}
+
 }  // namespace
 
 Medium::Medium(EventQueue& events) : Medium(events, Config()) {}
@@ -46,8 +65,10 @@ Medium::~Medium() = default;
 
 Radio Medium::attach(Position pos, std::uint8_t channel, double tx_power_dbm,
                      FrameSink* sink,
-                     std::optional<dot11::MacAddress> rx_address) {
+                     std::optional<dot11::MacAddress> rx_address,
+                     RxRole role) {
   require_finite(pos, "attach");
+  require_finite_power(propagation_, tx_power_dbm, "attach");
   if (slots_.size() >= static_cast<std::size_t>(kNoSlot) - 1) {
     throw std::length_error("Medium: radio id space exhausted");
   }
@@ -64,6 +85,7 @@ Radio Medium::attach(Position pos, std::uint8_t channel, double tx_power_dbm,
   st.channel = channel;
   st.tx_power_dbm = tx_power_dbm;
   st.rx_address = rx_address;
+  st.role = role;
   if (rx_address) addrs_.insert({addr_key(*rx_address), slot});
   st.tx_busy_until = events_.now();
   active_slots_.push_back(slot);  // slots increase monotonically: stays sorted
@@ -106,14 +128,14 @@ Medium::RadioSnapshot Medium::export_radio(Radio& radio) {
                                st.tx_power_dbm,  st.rx_address,
                                st.frames_sent,   rx_frames_[slot],
                                st.tx_seq,        st.tx_retries,
-                               st.rx_lost};
+                               st.rx_lost,       st.role};
   detach(radio);
   return snapshot;
 }
 
 Radio Medium::import_radio(const RadioSnapshot& snapshot, FrameSink* sink) {
   Radio radio = attach(snapshot.pos, snapshot.channel, snapshot.tx_power_dbm,
-                       sink, snapshot.rx_address);
+                       sink, snapshot.rx_address, snapshot.role);
   const std::uint32_t slot = live_slot(radio.id_);
   RadioState& st = slots_[slot];
   st.frames_sent = snapshot.frames_sent;
@@ -284,6 +306,7 @@ void Medium::grid_insert(std::uint32_t slot) {
   st.cell = cell_of(st.pos);
   st.part = listen_key(slot);
   st.in_grid = true;
+  ++part_count_[st.part];
   BucketRef& b = find_or_create_bucket(st.cell, st.part);
   if (b.size == b.capacity) bucket_grow(b);
   const std::size_t at = static_cast<std::size_t>(b.offset) + b.size;
@@ -308,6 +331,7 @@ void Medium::grid_erase(std::uint32_t slot) {
   RadioState& st = slots_[slot];
   if (!st.in_grid) return;
   st.in_grid = false;
+  --part_count_[st.part];
   CellBucket* entry = find_bucket(st.cell, st.part);
   if (entry == nullptr) return;
   BucketRef& b = entry->bucket;
@@ -343,9 +367,9 @@ void Medium::grid_erase(std::uint32_t slot) {
 std::uint16_t Medium::listen_key(std::uint32_t slot) const {
   const RadioState& st = slots_[slot];
   if (!st.attached || rx_sinks_[slot] == nullptr) return 0;
-  return static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(st.channel) + 1) << 1 |
-      (st.rx_address ? 0 : 1));
+  const unsigned kind =
+      !st.rx_address ? 1u : st.role == RxRole::kStation ? 2u : 0u;
+  return static_cast<std::uint16_t>((st.channel + 1u) << 2 | kind);
 }
 
 void Medium::refile(std::uint32_t slot) {
@@ -375,6 +399,7 @@ void Medium::grid_rebuild() {
   arena_ys_.clear();
   arena_live_ = 0;
   arena_garbage_ = 0;
+  part_count_.fill(0);
   cell_size_ = std::max(1.0, propagation_.max_range(max_tx_power_dbm_));
   // active_slots_ is sorted, so every bucket is built by pure sorted-prefix
   // appends.
@@ -439,6 +464,7 @@ void Medium::set_position(RadioId id, Position pos) {
 
 void Medium::set_tx_power(RadioId id, double dbm) {
   auto& st = state(id);
+  require_finite_power(propagation_, dbm, "set_tx_power");
   st.tx_power_dbm = dbm;
   if (!cfg_.spatial_grid) return;
   if (dbm > max_tx_power_dbm_) {
@@ -642,25 +668,40 @@ void Medium::deliver_batched(const Transmission& t) {
   const std::uint32_t self = static_cast<std::uint32_t>(from - 1);
   const dot11::MacAddress& to = t.frame.header.addr1;
   const bool group = to.is_multicast();
-  // Listener partitions of the channel: addressed radios, then monitors.
-  const std::uint16_t addressed = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(t.channel) + 1) << 1);
-  const std::uint16_t monitor = addressed | 1;
 
-  // Probe the channel's listener buckets of every cell the range box
-  // overlaps — both partitions for a group-addressed frame, monitors only
-  // for a unicast one: radios on other channels, non-listeners (partition
-  // 0) and unicast bystanders never cost a cache line. Each bucket is
-  // normalized to ascending slot order (merging any churn tail) and
+  // The channel's listener partitions that can act on this frame: monitors,
+  // APs and stations for a group-addressed frame, minus stations for a probe
+  // request; monitors only for a unicast one, whose addressees come from the
+  // address index. Radios on other channels, non-listeners (partition 0),
+  // unicast bystanders and stations a probe request cannot reach never cost
+  // a cache line. Nor does a partition whose only member is the sender: it
+  // cannot yield a survivor, so none of its cells is probed.
+  const std::uint16_t base = static_cast<std::uint16_t>((t.channel + 1u) << 2);
+  const std::uint16_t listeners[3] = {static_cast<std::uint16_t>(base | 1),
+                                      base,
+                                      static_cast<std::uint16_t>(base | 2)};
+  const int nlisteners = !group ? 1 : skips_stations(t.frame) ? 2 : 3;
+  const RadioState& sender = slots_[self];
+  std::uint16_t parts[3];
+  int nparts = 0;
+  for (int p = 0; p < nlisteners; ++p) {
+    const std::uint16_t part = listeners[p];
+    const std::uint32_t own = sender.in_grid && sender.part == part ? 1 : 0;
+    if (part_count_[part] > own) parts[nparts++] = part;
+  }
+
+  // Probe those partitions in every cell the range box overlaps. Each bucket
+  // is normalized to ascending slot order (merging any churn tail) and
   // filtered right away in the squared-distance domain — no sqrt/log10 for
   // radios that turn out to be out of range — so its survivors form one
-  // sorted run. The range box spans at most 3x3 cells, two partitions
-  // each, and a unicast frame adds the addressee run: at most 19 runs.
+  // sorted run. The range box spans at most 3x3 cells, three partitions
+  // each; a unicast frame probes one partition and adds the addressee run.
+  // At most 27 runs.
   struct Run {
     std::uint32_t begin;
     std::uint32_t end;
   };
-  constexpr int kMaxRuns = 19;
+  constexpr int kMaxRuns = 27;
   Run runs[kMaxRuns];
   int nruns = 0;
   std::size_t loaded = 0;
@@ -674,9 +715,7 @@ void Medium::deliver_batched(const Transmission& t) {
   const std::int64_t cx1 = cell_coord(tx_pos.x + re.box_r);
   const std::int64_t cy0 = cell_coord(tx_pos.y - re.box_r);
   const std::int64_t cy1 = cell_coord(tx_pos.y + re.box_r);
-  const std::uint16_t parts[2] = {monitor, addressed};
-  const int nparts = group ? 2 : 1;
-  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
+  for (std::int64_t cx = cx0; nparts > 0 && cx <= cx1; ++cx) {
     for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
       const std::uint64_t cell = cell_key(cx, cy);
       for (int p = 0; p < nparts; ++p) {
@@ -821,10 +860,12 @@ void Medium::deliver(const Transmission& t) {
     ~DepthGuard() { --depth; }
   } guard{deliver_depth_};
 
-  // The address filter applies here, at gather time, like the grid's: a
-  // unicast frame skips every addressed radio whose address is not addr1.
+  // The address filter and the role rule apply here, at gather time, like
+  // the grid's: a unicast frame skips every addressed radio whose address is
+  // not addr1, and a group-addressed probe request skips stations.
   const dot11::MacAddress& to = t.frame.header.addr1;
   const bool group = to.is_multicast();
+  const bool skip_stations = skips_stations(t.frame);
   targets.reserve(active_slots_.size());
   for (const std::uint32_t slot : active_slots_) {
     const RadioState& st = slots_[slot];
@@ -834,6 +875,9 @@ void Medium::deliver(const Transmission& t) {
       continue;
     }
     if (!group && st.rx_address && *st.rx_address != to) continue;
+    if (skip_stations && st.rx_address && st.role == RxRole::kStation) {
+      continue;
+    }
     targets.push_back({id, slot, distance(t.tx_pos, st.pos)});
   }
 

@@ -8,25 +8,31 @@
 // Delivery fanout has one pipeline and one test oracle (DESIGN.md §5d–§5g).
 //
 // Who hears a frame. A radio either registers a receive address
-// (Radio::set_rx_address) or is a monitor (the default). Group-addressed
-// frames reach every listener in range on the channel. A unicast frame
-// reaches only the radios registered under its addr1, plus monitors in
-// range: bystanders are never enumerated, as a NIC's address filter drops
-// them before the host sees them.
+// (Radio::set_rx_address) or is a monitor (the default). An addressed radio
+// also has a receive role, access point or station (RxRole, fixed at
+// attach). A unicast frame reaches only the radios registered under its
+// addr1, plus monitors in range: bystanders are never enumerated, as a
+// NIC's address filter drops them before the host sees them. A
+// group-addressed frame reaches every listener in range on the channel,
+// except that a group-addressed probe request skips stations: only an AP
+// acts on one, and a station's MAC discards it.
 //
 // The pipeline (default) culls receivers with a uniform spatial grid: the
 // cell size tracks the maximum deliverable range of the strongest attached
 // transmitter, so a transmission probes at most the 3x3 cells its own range
 // box overlaps. Each cell keeps one bucket per fused listening key:
-// ((channel + 1) << 1 | monitor) for radios with a sink, 0 for radios that
-// cannot receive. A group-addressed frame probes both listener partitions
-// of its channel per cell; a unicast frame probes only the monitor
+// ((channel + 1) << 2 | {0 = AP, 1 = monitor, 2 = station}) for radios with
+// a sink, 0 for radios that cannot receive. A group-addressed frame probes
+// the monitor, AP and station partitions of its channel per cell (a probe
+// request only the first two); a unicast frame probes only the monitor
 // partition and finds its addressees through a MAC → slot index, whose
-// hits pass the same self/channel/sink/d² checks as one more run.
+// hits pass the same self/channel/sink/d² checks as one more run. A
+// population count per listening key lets the fanout skip, in every cell,
+// a partition whose only member (if any) is the sender itself.
 // Slots are issued monotonically and never recycled (slot ≡ id − 1), so slot
 // order IS radio-id order: buckets keep their slots sorted, each probed
 // bucket is filtered in the squared-distance domain against a per-tx-power
-// range² into one ascending run of survivors, and a ≤19-way merge walks the
+// range² into one ascending run of survivors, and a ≤27-way merge walks the
 // runs in global id order. There is no per-frame sort, sqrt/log10 never run
 // for radios that turn out to be out of range, and the fanout order is
 // bit-identical to the oracle's. Survivor RX power comes from a monotone
@@ -46,7 +52,8 @@
 // — an attach storm into one cell is amortized O(1) per radio.
 //
 // The oracle (Config::spatial_grid = false) scans every attached radio in id
-// order with exact math per candidate, applying the same address filter.
+// order with exact math per candidate, applying the same address filter and
+// role rule.
 // Tests hold the pipeline to it byte for byte, under churn, faults, address
 // changes and mid-fanout topology changes.
 //
@@ -60,6 +67,7 @@
 // round trip performs no heap allocation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -113,12 +121,15 @@ class Medium {
 
   /// Create a radio at `pos` on `channel` with `tx_power_dbm`, receiving
   /// through `sink` under `rx_address` (see Radio::set_rx_address; nullopt
-  /// = monitor). Registering the address here files the radio straight
-  /// into its listener partition. Throws std::invalid_argument when a
-  /// coordinate of `pos` is NaN or infinite (so does import_radio).
+  /// = monitor) in `role` (see RxRole; it holds for the radio's lifetime).
+  /// Registering the address here files the radio straight into its
+  /// listener partition. Throws std::invalid_argument when a coordinate of
+  /// `pos` is NaN or infinite, or when `tx_power_dbm` or its maximum range
+  /// is not finite (so does import_radio).
   Radio attach(Position pos, std::uint8_t channel, double tx_power_dbm,
                FrameSink* sink = nullptr,
-               std::optional<dot11::MacAddress> rx_address = std::nullopt);
+               std::optional<dot11::MacAddress> rx_address = std::nullopt,
+               RxRole role = RxRole::kAccessPoint);
 
   /// Remove a radio; its handle becomes invalid and queued frames are
   /// dropped.
@@ -139,6 +150,7 @@ class Medium {
     std::uint64_t tx_seq = 0;
     std::uint64_t tx_retries = 0;
     std::uint64_t rx_lost = 0;
+    RxRole role = RxRole::kAccessPoint;
   };
 
   /// Snapshot `radio` and detach it. Precondition: the radio is idle (no
@@ -149,7 +161,7 @@ class Medium {
   RadioSnapshot export_radio(Radio& radio);
 
   /// Attach a radio from another Medium's snapshot, restoring its position,
-  /// channel, TX power, receive address and counters. The fault model's
+  /// channel, TX power, receive address, role and counters. The fault model's
   /// draws are keyed by the local radio id, and the importing Medium
   /// assigns a fresh one, so a lossy radio does not continue its fault
   /// streams across Mediums (the sharded city therefore refuses the fault
@@ -265,6 +277,7 @@ class Medium {
     bool attached = true;           // false once detached; slots never recycle
     double tx_power_dbm = 0.0;
     std::optional<dot11::MacAddress> rx_address;  // nullopt = monitor
+    RxRole role = RxRole::kAccessPoint;  // acts while rx_address is set
     SimTime tx_busy_until;
     std::uint64_t queue_epoch = 0;  // bumped by clear_tx_queue()
     std::size_t tx_backlog = 0;
@@ -349,8 +362,9 @@ class Medium {
     std::uint16_t part;  // kNoPart marks an unused entry
     BucketRef bucket;
   };
-  /// Listening keys stop at (255 + 1) << 1 | 1 = 513.
+  /// Listening keys stop at (255 + 1) << 2 | 2 = 1026.
   static constexpr std::uint16_t kNoPart = 0xffff;
+  static constexpr std::size_t kListenKeys = ((255 + 1) << 2 | 2) + 1;
   static std::uint64_t cell_hash(std::uint64_t cell, std::uint16_t part) {
     return probe_mix(cell ^ (static_cast<std::uint64_t>(part) *
                              0x9e3779b97f4a7c15ULL));
@@ -390,10 +404,12 @@ class Medium {
   /// so it does not depend on which other radios were in range.
   void deliver(const Transmission& t);
   /// Grid pipeline: probe the channel's listener buckets in the ≤3x3 cells
-  /// around the transmitter (both partitions for group-addressed frames,
-  /// monitors only for unicast, plus the addressee run from the address
-  /// index), filter each into a sorted survivor run, merge the runs in slot
-  /// order, LUT RX power for survivors.
+  /// around the transmitter (monitor, AP and station partitions for
+  /// group-addressed frames, minus stations for a probe request; monitors
+  /// only for unicast, plus the addressee run from the address index),
+  /// skipping a partition no radio but the sender is filed in. Filter each
+  /// bucket into a sorted survivor run, merge the runs in slot order, LUT RX
+  /// power for survivors.
   void deliver_batched(const Transmission& t);
 
   Transmission& acquire_txn();
@@ -408,9 +424,10 @@ class Medium {
   void set_rx_address(RadioId id, std::optional<dot11::MacAddress> addr);
 
   /// The radio's fused listening key: 0 when it cannot receive (detached
-  /// or no sink), ((channel + 1) << 1 | monitor) otherwise. The key is the
-  /// radio's bucket partition, so one probe covers the attached/sink/channel
-  /// filters and the monitor/addressed split at once.
+  /// or no sink), ((channel + 1) << 2 | {0 = AP, 1 = monitor, 2 = station})
+  /// otherwise. The key is the radio's bucket partition, so one probe covers
+  /// the attached/sink/channel filters and the monitor/AP/station split at
+  /// once.
   std::uint16_t listen_key(std::uint32_t slot) const;
   /// After a change to the radio's listening key (attach/detach, channel,
   /// sink, receive address): while the radio is in the grid, migrate it to
@@ -548,6 +565,9 @@ class Medium {
   /// modulo the lazily-merged churn tail), so per-cell gather runs come out
   /// pre-sorted for the merge fanout.
   ProbeTable<CellTraits> cells_;
+  /// Radios filed in the grid per listening key, over all cells: a fanout
+  /// skips a partition whose count is zero once the sender is taken out.
+  std::array<std::uint32_t, kListenKeys> part_count_{};
   /// The arena: three parallel arrays every bucket windows into. Grown at
   /// the tail; abandoned windows are tracked as garbage and reclaimed by
   /// maybe_compact_arena().

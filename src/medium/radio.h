@@ -19,12 +19,19 @@ struct RxInfo {
   std::uint8_t channel = 1;
 };
 
+/// What an addressed radio acts on, fixed at Medium::attach. Only an access
+/// point answers a probe request; a station's MAC discards other stations'
+/// probes. The role takes effect while the radio has a receive address: a
+/// monitor hears everything whatever its role.
+enum class RxRole : std::uint8_t { kAccessPoint, kStation };
+
 /// Receiver callback. What reaches it depends on the radio's receive address
-/// (Radio::set_rx_address). A monitor (no address, the default) gets every
-/// decodable frame on its channel. An addressed radio gets group-addressed
-/// frames and the unicast frames whose addr1 is its address, as a NIC's
-/// address filter would pass them. Sinks still check addr1 themselves:
-/// group-addressed frames reach every listener.
+/// (Radio::set_rx_address) and role. A monitor (no address, the default) gets
+/// every decodable frame on its channel. An addressed radio gets the unicast
+/// frames whose addr1 is its address, as a NIC's address filter would pass
+/// them, and group-addressed frames, except that a station never gets a
+/// group-addressed probe request. Sinks still check addr1 and the subtype
+/// themselves: beacons and broadcast deauthentications reach stations too.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
@@ -62,7 +69,7 @@ class Radio {
   /// reaches this radio only when its addr1 matches. nullopt (the default)
   /// makes the radio a monitor that hears all traffic on its channel.
   /// Several radios may share an address; each of them receives. set_sink
-  /// leaves the address alone.
+  /// leaves the address alone, and no setter changes the radio's RxRole.
   void set_rx_address(std::optional<dot11::MacAddress> addr);
 
   /// Enqueue a frame for transmission. Transmissions from one radio are

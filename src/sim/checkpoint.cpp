@@ -492,18 +492,38 @@ std::string run_output_bytes(const RunOutput& run) {
   return out;
 }
 
-std::string encode_checkpoint(const CampaignCheckpoint& cp) {
+std::string encode_checkpoint_entry(std::uint32_t index,
+                                    const RunOutput& run) {
   std::string out;
+  put_u32(out, index);
+  serialize_run_output(out, run);
+  return out;
+}
+
+std::string encode_checkpoint(const CampaignCheckpoint& cp) {
+  std::vector<std::string> entries;
+  entries.reserve(cp.completed.size());
+  for (const CompletedRun& run : cp.completed) {
+    entries.push_back(encode_checkpoint_entry(run.index, run.output));
+  }
+  const std::vector<std::string_view> views(entries.begin(), entries.end());
+  return encode_checkpoint(cp.config_hash, cp.total_runs, views);
+}
+
+std::string encode_checkpoint(std::uint64_t config_hash,
+                              std::uint32_t total_runs,
+                              std::span<const std::string_view> entries) {
+  std::size_t payload = 0;
+  for (const std::string_view e : entries) payload += e.size();
+  std::string out;
+  out.reserve(kHeaderSize + payload + kCrcSize);
   out.append(kMagic, sizeof(kMagic));
   put_u32(out, CampaignCheckpoint::kFormatVersion);
   put_u64(out, 0);  // total_length placeholder, patched below
-  put_u64(out, cp.config_hash);
-  put_u32(out, cp.total_runs);
-  put_u32(out, static_cast<std::uint32_t>(cp.completed.size()));
-  for (const CompletedRun& run : cp.completed) {
-    put_u32(out, run.index);
-    serialize_run_output(out, run.output);
-  }
+  put_u64(out, config_hash);
+  put_u32(out, total_runs);
+  put_u32(out, static_cast<std::uint32_t>(entries.size()));
+  for (const std::string_view e : entries) out.append(e);
   // Patch the real total length (header + payload + CRC trailer) into the
   // header, then seal with the CRC over everything before it. The length
   // field lets decoders distinguish "file got cut short" from "bits

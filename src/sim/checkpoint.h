@@ -67,7 +67,10 @@ struct CampaignCheckpoint {
   /// 4: the pair pathloss cache is gone, so an observed run no longer
   /// carries its hit/miss counters; a version-3 file would resume runs that
   /// carry them next to fresh runs that do not.
-  static constexpr std::uint32_t kFormatVersion = 4;
+  /// 5: phones register as stations and no longer receive other phones'
+  /// broadcast probe requests, so version-4 runs hold larger delivery and
+  /// per-receiver loss counts for the same config hash.
+  static constexpr std::uint32_t kFormatVersion = 5;
 
   /// campaign_config_hash() of the (world, runs) the checkpoint belongs to.
   std::uint64_t config_hash = 0;
@@ -101,6 +104,17 @@ std::string run_output_bytes(const RunOutput& run);
 
 /// Encode to the on-disk byte format (header + entries + CRC trailer).
 std::string encode_checkpoint(const CampaignCheckpoint& cp);
+
+/// One completed run's entry in that format: its index, then its
+/// serialize_run_output bytes. A campaign encodes each run once, when it
+/// completes, and every later checkpoint reuses the entry.
+std::string encode_checkpoint_entry(std::uint32_t index, const RunOutput& run);
+
+/// encode_checkpoint from entries already encoded, in ascending index
+/// order: the same bytes as encoding the runs they hold.
+std::string encode_checkpoint(std::uint64_t config_hash,
+                              std::uint32_t total_runs,
+                              std::span<const std::string_view> entries);
 
 /// Decode and fully validate bytes. Returns the checkpoint or the first
 /// distinct failure (truncation / magic / version / CRC / structure).

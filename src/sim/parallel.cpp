@@ -115,6 +115,7 @@ class Supervisor {
         chaos_(cfg.chaos.any() ? cfg.chaos : ChaosConfig::from_env()),
         tracker_(tracker),
         outputs_(runs.size()),
+        entries_(cfg.checkpoint_path.empty() ? 0 : runs.size()),
         done_(runs.size(), false) {
     if (cfg_.checkpoint_every < 1) {
       throw std::invalid_argument(
@@ -134,6 +135,7 @@ class Supervisor {
       done_[run.index] = true;
       ++completed_count_;
       ++resumed_runs_;
+      encode_entry(run.index);
     }
   }
 
@@ -221,6 +223,7 @@ class Supervisor {
     outputs_[index] = std::move(out);
     done_[index] = true;
     ++completed_count_;
+    encode_entry(index);
     if (!cfg_.checkpoint_path.empty() &&
         (completed_count_ % static_cast<std::size_t>(cfg_.checkpoint_every) ==
              0 ||
@@ -236,19 +239,25 @@ class Supervisor {
     }
   }
 
+  /// A completed run's checkpoint entry, encoded once: every later
+  /// checkpoint reuses it instead of copying and re-encoding the output.
+  void encode_entry(std::size_t index) {
+    if (cfg_.checkpoint_path.empty()) return;
+    const auto start = std::chrono::steady_clock::now();
+    entries_[index] = encode_checkpoint_entry(
+        static_cast<std::uint32_t>(index), outputs_[index]);
+    checkpoint_s_ += seconds_since(start);
+  }
+
   void write_checkpoint_locked() {
     const auto start = std::chrono::steady_clock::now();
-    CampaignCheckpoint cp;
-    cp.config_hash = config_hash_;
-    cp.total_runs = static_cast<std::uint32_t>(runs_.size());
+    std::vector<std::string_view> entries;
+    entries.reserve(completed_count_);
     for (std::size_t i = 0; i < runs_.size(); ++i) {
-      if (!done_[i]) continue;
-      CompletedRun run;
-      run.index = static_cast<std::uint32_t>(i);
-      run.output = outputs_[i];
-      cp.completed.push_back(std::move(run));
+      if (done_[i]) entries.push_back(entries_[i]);
     }
-    const std::string bytes = encode_checkpoint(cp);
+    const std::string bytes = encode_checkpoint(
+        config_hash_, static_cast<std::uint32_t>(runs_.size()), entries);
     std::string error;
     if (support::write_file_atomic(cfg_.checkpoint_path, bytes, &error)) {
       ++checkpoint_writes_;
@@ -269,6 +278,7 @@ class Supervisor {
 
   std::mutex mu_;
   std::vector<RunOutput> outputs_;
+  std::vector<std::string> entries_;  // checkpoint entries, by run index
   std::vector<bool> done_;
   std::size_t completed_count_ = 0;
   std::uint64_t config_hash_ = 0;

@@ -334,6 +334,34 @@ TEST_F(SmartphoneTest, RandomizedMacStillCompletesHandshake) {
   EXPECT_NE(rogue_.associated[0], Smartphone::mac_for_person(person));
 }
 
+TEST(SmartphoneRoleTest, PhonesHearNoOtherPhonesProbeRequests) {
+  // A phone registers as a station, and a station's MAC discards probe
+  // requests: the medium hands each phone's probes to the monitor in range
+  // and to no other phone.
+  medium::EventQueue events;
+  medium::Medium medium(events);
+  struct Monitor : medium::FrameSink {
+    std::uint64_t probes = 0;
+    void on_frame(const Frame& frame, const medium::RxInfo&) override {
+      if (frame.subtype() == dot11::MgmtSubtype::kProbeRequest) ++probes;
+    }
+  } monitor;
+  medium.attach({0, 0}, 6, 0.0, &monitor);
+  SmartphoneConfig cfg;
+  cfg.first_scan_delay_max = SimTime::seconds(1);
+  Rng rng(3);
+  Smartphone legacy(make_person(true, {{"Home", true, world::PnlOrigin::kHome}},
+                                1),
+                    medium, {1, 0}, cfg, rng.fork("legacy"));
+  Smartphone modern(make_person(false, {}, 2), medium, {2, 0}, cfg,
+                    rng.fork("modern"));
+  legacy.start();
+  modern.start();
+  events.run_until(SimTime::seconds(10));
+  EXPECT_EQ(monitor.probes, 3u);  // one direct and two broadcast probes
+  EXPECT_EQ(medium.deliveries(), monitor.probes);
+}
+
 // --- LegitimateAp ---
 
 TEST(LegitimateApTest, AnswersProbesAndAssociates) {

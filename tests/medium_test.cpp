@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dot11/serialize.h"
@@ -96,6 +100,143 @@ TEST(EventQueue, PastSchedulingErrorNamesBothTimes) {
     EXPECT_NE(what.find(SimTime::seconds(1.0).str()), std::string::npos)
         << what;
   }
+}
+
+TEST(EventQueue, RunUntilNeverRewindsTheClock) {
+  // Running until a time before now() would set the clock back: an event
+  // then posted for 6 s would run after one that already ran at 10 s. The
+  // call is refused like a past post_at, and the clock stays where it was.
+  EventQueue q;
+  std::vector<int> order;
+  q.post_at(SimTime::seconds(10.0), [&] { order.push_back(10); });
+  q.run_until(SimTime::seconds(20.0));
+  EXPECT_THROW(q.run_until(SimTime::seconds(5.0)), PastScheduleError);
+  EXPECT_EQ(q.now(), SimTime::seconds(20.0));
+  EXPECT_THROW(q.post_at(SimTime::seconds(6.0), [&] { order.push_back(6); }),
+               PastScheduleError);
+  q.run_until(SimTime::seconds(20.0));  // running until now() is a no-op
+  EXPECT_EQ(order, (std::vector<int>{10}));
+  EXPECT_EQ(q.now(), SimTime::seconds(20.0));
+}
+
+// A queue kept as a sorted map of (time, seq) with the same slab free list
+// as EventQueue: the pop order and Stats any correct heap must reproduce.
+class ReferenceQueue {
+ public:
+  SimTime now() const { return now_; }
+
+  void post_at(SimTime t, std::function<void()> fn) {
+    std::uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+      ++stats_.slab_reuses;
+    } else {
+      slot = slots_++;
+      stats_.slab_slots = slots_;
+    }
+    pending_.emplace(std::pair{t.us(), next_seq_++},
+                     Pending{slot, std::move(fn)});
+    ++stats_.scheduled;
+    stats_.peak_pending =
+        std::max<std::uint64_t>(stats_.peak_pending, pending_.size());
+  }
+
+  bool step() {
+    if (pending_.empty()) return false;
+    auto node = pending_.extract(pending_.begin());
+    now_ = SimTime::microseconds(node.key().first);
+    free_.push_back(node.mapped().slot);
+    ++stats_.processed;
+    node.mapped().fn();
+    return true;
+  }
+
+  const EventQueue::Stats& stats() const { return stats_; }
+
+ private:
+  struct Pending {
+    std::uint32_t slot;
+    std::function<void()> fn;
+  };
+  SimTime now_ = SimTime::zero();
+  std::uint64_t next_seq_ = 0;
+  std::uint32_t slots_ = 0;
+  std::vector<std::uint32_t> free_;
+  std::map<std::pair<std::int64_t, std::uint64_t>, Pending> pending_;
+  EventQueue::Stats stats_;
+};
+
+// Random posts with few distinct delays (so many same-time ties), from the
+// top level and from inside firing events. Labels follow post order, so
+// they are the queue's sequence numbers; each firing logs (time, label).
+// A firing posts 0.8 events on average, so the final drain ends, and the
+// top level adds about two more than it pops per round, so the queue grows
+// a few thousand deep.
+template <typename Queue>
+struct HeapWorkload {
+  Queue q;
+  Rng rng{2024};
+  std::uint64_t next_label = 0;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> log;
+
+  void post() {
+    const auto delay =
+        SimTime::microseconds(static_cast<std::int64_t>(rng.index(6)) * 100);
+    q.post_at(q.now() + delay, [this, label = next_label++] {
+      log.emplace_back(q.now().us(), label);
+      for (std::size_t k = rng.index(5) / 2; k > 0; --k) post();
+    });
+  }
+
+  void run(std::size_t events) {
+    while (log.size() < events) {
+      for (std::size_t k = rng.index(24); k > 0; --k) post();
+      for (std::size_t k = rng.index(96); k > 0 && q.step(); --k) {
+      }
+    }
+    while (q.step()) {
+    }
+  }
+};
+
+TEST(EventQueue, PopsInTimeSeqOrderWithReferenceStats) {
+  constexpr std::size_t kEvents = 100'000;
+  // Everything posted first: the pops are the posts sorted by (time, seq).
+  {
+    EventQueue q;
+    Rng rng(7);
+    std::vector<std::pair<std::int64_t, std::uint64_t>> posted, popped;
+    for (std::uint64_t seq = 0; seq < kEvents; ++seq) {
+      const std::int64_t t = static_cast<std::int64_t>(rng.index(1000));
+      posted.emplace_back(t, seq);
+      q.post_at(SimTime::microseconds(t), [&popped, &q, seq] {
+        popped.emplace_back(q.now().us(), seq);
+      });
+    }
+    q.run_all();
+    std::sort(posted.begin(), posted.end());
+    EXPECT_EQ(popped, posted);
+    EXPECT_EQ(q.stats(), (EventQueue::Stats{kEvents, kEvents, kEvents,
+                                             kEvents, 0}));
+  }
+  // Posts and pops interleaved, the queue ten to a few thousand deep: every
+  // pop is the least pending (time, seq), so the log is strictly ascending,
+  // and the slab counters match the reference queue's.
+  HeapWorkload<EventQueue> heap;
+  HeapWorkload<ReferenceQueue> reference;
+  heap.run(kEvents);
+  reference.run(kEvents);
+  ASSERT_GE(heap.log.size(), kEvents);
+  EXPECT_EQ(heap.log.size(), heap.next_label);
+  EXPECT_TRUE(std::adjacent_find(heap.log.begin(), heap.log.end(),
+                                 [](const auto& a, const auto& b) {
+                                   return !(a < b);
+                                 }) == heap.log.end());
+  EXPECT_EQ(heap.log, reference.log);
+  EXPECT_EQ(heap.q.stats(), reference.q.stats());
+  EXPECT_GT(heap.q.stats().peak_pending, 1000u);
+  EXPECT_GT(heap.q.stats().slab_reuses, kEvents / 2);
 }
 
 // --- Propagation ---
@@ -575,6 +716,216 @@ TEST_F(MediumTest, FarOffRadioNeitherHearsNorIsHeard) {
   }
 }
 
+TEST_F(MediumTest, RejectsNonFiniteTxPower) {
+  // A NaN, infinite or overflowing power has no finite range: the grid
+  // would size its cells and range boxes from it (an undefined double →
+  // integer cast), and a NaN power never matches its own range-cache entry.
+  // attach, import_radio and set_tx_power_dbm refuse one, on both
+  // pipelines, and leave the Medium as it was.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const bool grid : {true, false}) {
+    Medium::Config cfg;
+    cfg.spatial_grid = grid;
+    EventQueue q;
+    Medium m(q, cfg);
+    Collector rx;
+    auto tx = m.attach({0, 0}, 6, 15.0);
+    for (const double dbm : {kNaN, kInf, -kInf, 1e5}) {
+      EXPECT_THROW(m.attach({1, 0}, 6, dbm, &rx), std::invalid_argument)
+          << dbm;
+      EXPECT_THROW(tx.set_tx_power_dbm(dbm), std::invalid_argument) << dbm;
+      Medium::RadioSnapshot snapshot;
+      snapshot.tx_power_dbm = dbm;
+      EXPECT_THROW(m.import_radio(snapshot, &rx), std::invalid_argument)
+          << dbm;
+    }
+    EXPECT_EQ(tx.tx_power_dbm(), 15.0) << "grid " << grid;
+    auto next = m.attach({10, 0}, 6, 15.0, &rx);
+    EXPECT_EQ(next.id(), 2u) << "grid " << grid;
+    tx.transmit(dot11::make_broadcast_probe_request(
+        MacAddress::random_local(rng)));
+    q.run_all();
+    EXPECT_EQ(rx.frames.size(), 1u) << "grid " << grid;
+  }
+}
+
+// --- Receive roles ---
+
+TEST_F(MediumTest, ReceiveMatrixFollowsAddressAndRole) {
+  // A monitor hears everything on its channel. An AP and a station hear
+  // unicast frames only under their own address; a group-addressed frame
+  // reaches both, except a probe request, which reaches no station.
+  const MacAddress src({0x02, 0, 0, 0, 0, 0x30});
+  const MacAddress ap_addr({0x02, 0, 0, 0, 0, 0x31});
+  const MacAddress sta_addr({0x02, 0, 0, 0, 0, 0x32});
+  const MacAddress other({0x02, 0, 0, 0, 0, 0x33});
+  struct Case {
+    const char* name;
+    dot11::Frame frame;
+    bool monitor, ap, station;
+  };
+  const Case cases[] = {
+      {"broadcast probe request", dot11::make_broadcast_probe_request(src),
+       true, true, false},
+      {"direct probe request", dot11::make_direct_probe_request(src, "home"),
+       true, true, false},
+      {"beacon", dot11::make_beacon(src, "cafe", 6, true, 0), true, true,
+       true},
+      {"broadcast deauth",
+       dot11::make_deauth(src, MacAddress::broadcast(), src,
+                          dot11::ReasonCode::kDeauthLeaving),
+       true, true, true},
+      {"unicast to the station",
+       dot11::make_probe_response(src, sta_addr, "cafe", 6, true), true,
+       false, true},
+      {"unicast to another address",
+       dot11::make_probe_response(src, other, "cafe", 6, true), true, false,
+       false},
+  };
+  for (const bool grid : {true, false}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + (grid ? ", grid" : ", scan"));
+      Medium::Config cfg;
+      cfg.spatial_grid = grid;
+      EventQueue q;
+      Medium m(q, cfg);
+      Collector monitor, ap, station;
+      auto tx = m.attach({0, 0}, 6, 20.0);
+      m.attach({10, 0}, 6, 15.0, &monitor);
+      m.attach({12, 0}, 6, 15.0, &ap, ap_addr);  // the default role
+      m.attach({14, 0}, 6, 15.0, &station, sta_addr, RxRole::kStation);
+      tx.transmit(c.frame);
+      q.run_all();
+      EXPECT_EQ(monitor.frames.size(), c.monitor ? 1u : 0u);
+      EXPECT_EQ(ap.frames.size(), c.ap ? 1u : 0u);
+      EXPECT_EQ(station.frames.size(), c.station ? 1u : 0u);
+      EXPECT_EQ(m.deliveries(), static_cast<std::uint64_t>(
+                                    c.monitor + c.ap + c.station));
+    }
+  }
+}
+
+TEST_F(MediumTest, RoleSurvivesEveryReRegistration) {
+  // The role is fixed at attach. A new address (MAC randomization), a spell
+  // as a monitor, a new sink, a retune and an export/import all leave a
+  // station a station and an AP an AP.
+  const MacAddress src({0x02, 0, 0, 0, 0, 0x40});
+  const auto probe = dot11::make_broadcast_probe_request(src);
+  for (const bool grid : {true, false}) {
+    SCOPED_TRACE(grid ? "grid" : "scan");
+    Medium::Config cfg;
+    cfg.spatial_grid = grid;
+    EventQueue q;
+    Medium m(q, cfg);
+    Collector first, second, ap_rx;
+    auto tx = m.attach({0, 0}, 6, 20.0);
+    auto sta = m.attach({10, 0}, 6, 15.0, &first,
+                        MacAddress({0x02, 0, 0, 0, 0, 0x41}),
+                        RxRole::kStation);
+    auto ap = m.attach({12, 0}, 6, 15.0, &ap_rx,
+                       MacAddress({0x02, 0, 0, 0, 0, 0x42}));
+    // Frames each sink has heard after one probe request and one beacon.
+    const auto send_both = [&] {
+      tx.transmit(probe);
+      tx.transmit(dot11::make_beacon(src, "cafe", tx.channel(), true, 0));
+      q.run_all();
+    };
+
+    sta.set_rx_address(MacAddress({0x02, 0, 0, 0, 0, 0x43}));
+    send_both();
+    EXPECT_EQ(first.frames.size(), 1u);  // the beacon only
+    sta.set_rx_address(std::nullopt);    // a monitor hears the probe too
+    send_both();
+    EXPECT_EQ(first.frames.size(), 3u);
+    sta.set_rx_address(MacAddress({0x02, 0, 0, 0, 0, 0x44}));
+    send_both();
+    EXPECT_EQ(first.frames.size(), 4u);
+    sta.set_sink(&second);
+    send_both();
+    EXPECT_EQ(second.frames.size(), 1u);
+    sta.set_channel(11);
+    tx.set_channel(11);
+    ap.set_channel(11);
+    send_both();
+    EXPECT_EQ(second.frames.size(), 2u);
+
+    const Medium::RadioSnapshot sta_snap = m.export_radio(sta);
+    const Medium::RadioSnapshot ap_snap = m.export_radio(ap);
+    EXPECT_EQ(sta_snap.role, RxRole::kStation);
+    EXPECT_EQ(ap_snap.role, RxRole::kAccessPoint);
+    m.import_radio(sta_snap, &second);
+    m.import_radio(ap_snap, &ap_rx);
+    send_both();
+    EXPECT_EQ(second.frames.size(), 3u);
+    EXPECT_EQ(second.frames.back().subtype(), dot11::MgmtSubtype::kBeacon);
+    EXPECT_EQ(ap_rx.frames.size(), 12u);  // both frames, six times
+  }
+}
+
+TEST_F(MediumTest, UnicastTrainFromTheOnlyMonitorLoadsOnlyItsAddressee) {
+  // A venue's attacker is its only monitor. Its probe-response train to one
+  // of 200 stations probes no monitor bucket (it would find only the
+  // sender) and loads just the addressee from the address index. A second
+  // monitor attached mid-train hears every frame from then on; once it is
+  // detached, the next train loads the addressee alone again.
+  EventQueue q;
+  Medium m(q);
+  Collector attacker_rx, second_rx;
+  auto attacker = m.attach({0, 0}, 6, 20.0, &attacker_rx);
+  std::vector<Collector> phones(200);
+  for (std::size_t i = 0; i < phones.size(); ++i) {
+    const double angle = 0.0314 * static_cast<double>(i);
+    m.attach({20.0 * std::cos(angle), 20.0 * std::sin(angle)}, 6, 15.0,
+             &phones[i],
+             MacAddress({0x02, 0xc1, 0, 0, static_cast<std::uint8_t>(i >> 8),
+                         static_cast<std::uint8_t>(i)}),
+             RxRole::kStation);
+  }
+  constexpr std::size_t kTarget = 117;
+  const MacAddress victim({0x02, 0xc1, 0, 0, 0, kTarget});
+  const MacAddress bssid({0x0a, 0x7e, 0x64, 0xc1, 0x7e, 0x01});
+  constexpr int kTrain = 40;
+  for (int i = 0; i < kTrain; ++i) {
+    attacker.transmit(dot11::make_probe_response(
+        bssid, victim, "SSID-" + std::to_string(i), 6, true));
+  }
+  const auto one_frame =
+      dot11::airtime(dot11::wire_size(dot11::make_probe_response(
+                         bssid, victim, "SSID-0", 6, true)),
+                     m.config().mgmt_rate_mbps) *
+      m.config().contention_factor;
+  q.run_until(one_frame * 20.5);
+  const std::size_t first_half = phones[kTarget].frames.size();
+  ASSERT_GT(first_half, 0u);
+  ASSERT_LT(first_half, static_cast<std::size_t>(kTrain));
+  EXPECT_EQ(m.fanout_stats().candidates_loaded, first_half);
+  auto second = m.attach({5, 5}, 6, 15.0, &second_rx);
+  q.run_all();
+
+  for (std::size_t i = 0; i < phones.size(); ++i) {
+    EXPECT_EQ(phones[i].frames.size(), i == kTarget ? std::size_t{kTrain} : 0u)
+        << "phone " << i;
+  }
+  EXPECT_TRUE(attacker_rx.frames.empty());
+  EXPECT_EQ(second_rx.frames.size(),
+            static_cast<std::size_t>(kTrain) - first_half);
+  EXPECT_EQ(m.deliveries(), kTrain + second_rx.frames.size());
+  EXPECT_EQ(m.fanout_stats().unicast, static_cast<std::uint64_t>(kTrain));
+  EXPECT_EQ(m.fanout_stats().unicast_unheard, 0u);
+
+  m.detach(second);
+  const auto loaded = m.fanout_stats().candidates_loaded;
+  for (int i = 0; i < kTrain; ++i) {
+    attacker.transmit(dot11::make_probe_response(bssid, victim, "again", 6,
+                                                 true));
+  }
+  q.run_all();
+  EXPECT_EQ(phones[kTarget].frames.size(), 2u * kTrain);
+  EXPECT_EQ(m.fanout_stats().candidates_loaded - loaded,
+            static_cast<std::uint64_t>(kTrain));
+}
+
 // --- PathLossLut ---
 
 TEST(PathLossLut, MonotoneAndWithinErrorBound) {
@@ -647,12 +998,21 @@ struct FuzzRig {
 
   explicit FuzzRig(Medium::Config cfg) : medium(events, cfg) {}
 
-  void attach(Position pos, std::uint8_t channel, double dbm) {
+  void attach(Position pos, std::uint8_t channel, double dbm, RxRole role) {
     auto sink = std::make_unique<LoggingSink>();
     sink->log = &log;
-    radios.push_back(medium.attach(pos, channel, dbm, sink.get()));
+    radios.push_back(
+        medium.attach(pos, channel, dbm, sink.get(), std::nullopt, role));
     sink->id = radios.back().id();
     sinks.push_back(std::move(sink));
+  }
+
+  /// Hand radio `i` off to its own Medium: export, then import under a
+  /// fresh id (a shard handoff without the second shard).
+  void reimport(std::size_t i) {
+    const Medium::RadioSnapshot snapshot = medium.export_radio(radios[i]);
+    radios[i] = medium.import_radio(snapshot, sinks[i].get());
+    sinks[i]->id = radios[i].id();
   }
 };
 
@@ -665,6 +1025,7 @@ struct FuzzOp {
     kSetChannel,
     kSetRxAddress,
     kSetTxPower,
+    kReimport,
     kTransmit
   } kind;
   std::size_t target = 0;    // radio index (mod population)
@@ -676,7 +1037,57 @@ struct FuzzOp {
   /// back to monitor) and a unicast kTransmit's addr1 (-1 = an address no
   /// radio holds).
   int addr = -1;
+  /// The role a kAttach gives its radio (it acts once the radio has an
+  /// address), and which frame a kTransmit sends (see fuzz_frame).
+  RxRole role = RxRole::kAccessPoint;
+  int frame = 0;
 };
+
+// A kTransmit's frame: a broadcast probe request, a direct probe request, a
+// beacon or a broadcast deauthentication when op.broadcast is set;
+// otherwise a probe response, a deauthentication or a probe request
+// addressed to `dst`.
+dot11::Frame fuzz_frame(const FuzzOp& op, const MacAddress& src,
+                        const MacAddress& dst, std::uint8_t channel) {
+  if (op.broadcast) {
+    switch (op.frame % 4) {
+      case 0:
+        return dot11::make_broadcast_probe_request(src);
+      case 1:
+        return dot11::make_direct_probe_request(src, "fuzz-home");
+      case 2:
+        return dot11::make_beacon(src, "fuzz-ssid", channel, true, 0);
+      default:
+        return dot11::make_deauth(src, MacAddress::broadcast(), src,
+                                  dot11::ReasonCode::kDeauthLeaving);
+    }
+  }
+  switch (op.frame % 3) {
+    case 0:
+      return dot11::make_probe_response(src, dst, "fuzz-ssid", channel, true);
+    case 1:
+      return dot11::make_deauth(src, dst, src,
+                                dot11::ReasonCode::kDeauthLeaving);
+    default: {
+      dot11::Frame probe = dot11::make_direct_probe_request(src, "fuzz-home");
+      probe.header.addr1 = dst;
+      return probe;
+    }
+  }
+}
+
+// Gives every op of `script` a random role and frame from a stream of its
+// own, so each script's churn — and the storms' compaction counts — stay
+// what their generators drew.
+std::vector<FuzzOp> with_roles_and_frames(std::vector<FuzzOp> script,
+                                          std::uint64_t seed) {
+  Rng rng(seed ^ 0x706f6c65ULL);
+  for (FuzzOp& op : script) {
+    op.role = rng.chance(0.5) ? RxRole::kStation : RxRole::kAccessPoint;
+    op.frame = static_cast<int>(rng.index(12));
+  }
+  return script;
+}
 
 // Receive addresses the fuzz scripts register and aim unicast frames at.
 // Four addresses over dozens of radios, so several radios share one.
@@ -725,12 +1136,14 @@ std::vector<FuzzOp> make_fuzz_script(std::uint64_t seed, int ops) {
       const double powers[] = {10.0, 15.0, 20.0, 23.0};
       op.kind = FuzzOp::kSetTxPower;
       op.dbm = powers[rng.index(4)];
+    } else if (roll < 0.62) {
+      op.kind = FuzzOp::kReimport;
     } else {
       op.kind = FuzzOp::kTransmit;
     }
     script.push_back(op);
   }
-  return script;
+  return with_roles_and_frames(std::move(script), seed);
 }
 
 void replay(FuzzRig& rig, const std::vector<FuzzOp>& script) {
@@ -740,7 +1153,7 @@ void replay(FuzzRig& rig, const std::vector<FuzzOp>& script) {
     const std::size_t n = rig.radios.size();
     switch (op.kind) {
       case FuzzOp::kAttach:
-        rig.attach(op.pos, op.channel, op.dbm);
+        rig.attach(op.pos, op.channel, op.dbm, op.role);
         ++alive_guess;
         break;
       case FuzzOp::kDetach: {
@@ -778,6 +1191,11 @@ void replay(FuzzRig& rig, const std::vector<FuzzOp>& script) {
         if (r.valid()) r.set_tx_power_dbm(op.dbm);
         break;
       }
+      case FuzzOp::kReimport: {
+        if (n == 0) break;
+        if (rig.radios[op.target % n].valid()) rig.reimport(op.target % n);
+        break;
+      }
       case FuzzOp::kTransmit: {
         if (n == 0) break;
         Radio& r = rig.radios[op.target % n];
@@ -785,13 +1203,7 @@ void replay(FuzzRig& rig, const std::vector<FuzzOp>& script) {
         const auto unheld = MacAddress::random_local(frame_rng);
         const auto dst = op.addr < 0 ? unheld : kAddressPool[op.addr];
         if (!r.valid()) break;
-        if (op.broadcast) {
-          r.transmit(dot11::make_broadcast_probe_request(src));
-        } else {
-          r.transmit(
-              dot11::make_probe_response(src, dst, "fuzz-ssid", r.channel(),
-                                         true));
-        }
+        r.transmit(fuzz_frame(op, src, dst, r.channel()));
         rig.events.run_all();
         break;
       }
@@ -838,6 +1250,75 @@ TEST(MediumEquivalence, BatchedMatchesReferenceUnderChurn) {
       EXPECT_LE(std::abs(batched_lut.log[i].rssi_dbm -
                          reference.log[i].rssi_dbm),
                 bound_lut.max_error_db() + 1e-12);
+    }
+  }
+}
+
+// Role churn in a crowd: radios packed into ±60 m, so most hear each
+// other; a fifth of all ops register or drop an address, and the broadcast
+// mix is half probe requests. Stations in range of a group probe request,
+// the one frame they do not receive, are then common, where the sparse mix
+// above delivers a few dozen frames per script.
+std::vector<FuzzOp> make_role_storm_script(std::uint64_t seed, int ops) {
+  Rng rng(seed);
+  std::vector<FuzzOp> script;
+  const std::uint8_t channels[] = {1, 6};
+  const auto pos = [&rng]() -> Position {
+    return {rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0)};
+  };
+  for (int i = 0; i < 24; ++i) {  // initial population
+    script.push_back({FuzzOp::kAttach, 0, pos(), channels[rng.index(2)],
+                      rng.chance(0.3) ? 20.0 : 15.0, true});
+  }
+  for (int i = 0; i < ops; ++i) {
+    const double roll = rng.uniform(0.0, 1.0);
+    FuzzOp op;
+    op.target = rng.index(64);
+    op.pos = pos();
+    op.channel = channels[rng.index(2)];
+    op.dbm = rng.chance(0.3) ? 20.0 : 15.0;
+    op.broadcast = rng.chance(0.6);
+    op.addr = random_pool_index(rng);
+    if (roll < 0.06) {
+      op.kind = FuzzOp::kAttach;
+    } else if (roll < 0.10) {
+      op.kind = FuzzOp::kDetach;
+    } else if (roll < 0.20) {
+      op.kind = FuzzOp::kMove;
+    } else if (roll < 0.25) {
+      op.kind = FuzzOp::kSetChannel;
+    } else if (roll < 0.45) {
+      op.kind = FuzzOp::kSetRxAddress;
+    } else if (roll < 0.52) {
+      op.kind = FuzzOp::kReimport;
+    } else {
+      op.kind = FuzzOp::kTransmit;
+    }
+    script.push_back(op);
+  }
+  return with_roles_and_frames(std::move(script), seed);
+}
+
+TEST(MediumEquivalence, RoleStormMatchesLegacyScanAcrossPipelines) {
+  // Monitors, addressed APs and stations, every group and unicast frame of
+  // the fuzz mix, under address, channel, position and handoff churn: the
+  // grid's partitions and partition skips must deliver exactly what the
+  // scan's gather-time rule delivers, exact-math and lossy alike.
+  for (const std::uint64_t seed : {7u, 8u}) {
+    const auto script = make_role_storm_script(seed, 600);
+    for (const bool fault : {false, true}) {
+      FuzzRig scan(fuzz_config(false, false, fault));
+      replay(scan, script);
+      ASSERT_GT(scan.log.size(), 500u) << "seed " << seed;
+      FuzzRig rig(fault ? fuzz_config(true, true, true)
+                        : fuzz_config(false, true, false));
+      replay(rig, script);
+      EXPECT_EQ(scan.log, rig.log) << "seed " << seed << " fault " << fault;
+      if (fault) {
+        EXPECT_EQ(scan.medium.frames_lost(), rig.medium.frames_lost());
+        EXPECT_EQ(scan.medium.drops(), rig.medium.drops());
+        EXPECT_EQ(scan.medium.retries(), rig.medium.retries());
+      }
     }
   }
 }
@@ -996,7 +1477,7 @@ std::vector<FuzzOp> make_channel_storm_script(std::uint64_t seed, int ops) {
     }
     script.push_back(op);
   }
-  return script;
+  return with_roles_and_frames(std::move(script), seed);
 }
 
 TEST(MediumEquivalence, SetChannelStormMatchesLegacyScanAcrossPipelines) {
@@ -1084,7 +1565,7 @@ std::vector<FuzzOp> make_compaction_storm_script(std::uint64_t seed,
     }
     script.push_back(op);
   }
-  return script;
+  return with_roles_and_frames(std::move(script), seed);
 }
 
 TEST(MediumEquivalence, CompactionStormMatchesLegacyScanAcrossPipelines) {

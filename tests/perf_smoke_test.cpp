@@ -361,6 +361,19 @@ TEST(PerfSmokeTest, FrameSlotKeepsIeStorageAcrossSubtypes) {
   EXPECT_EQ(slot.subtype(), dot11::MgmtSubtype::kProbeResponse);
 }
 
+// Classifying a probe request reads its SSID in place. A 32-byte SSID is
+// too long for a small-string buffer, so a copy would allocate.
+TEST(PerfSmokeTest, ProbeClassificationAllocatesNothing) {
+  const auto probe = dot11::make_direct_probe_request(
+      dot11::MacAddress({0x02, 0xbb, 0, 0, 0, 2}), std::string(32, 's'));
+  const auto* body = probe.as<dot11::ProbeRequest>();
+  ASSERT_NE(body, nullptr);
+  const std::uint64_t allocs_before = bench::alloc_count();
+  const bool broadcast = body->is_broadcast();
+  EXPECT_EQ(bench::alloc_count() - allocs_before, 0u);
+  EXPECT_FALSE(broadcast);
+}
+
 // The whole venue loop with a warm attacker: a City-Hunter with 2,000
 // seeded SSIDs answers 50 static phones that scan every 20 s and never
 // join. Once two simulated minutes have grown every pool, table and
