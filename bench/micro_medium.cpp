@@ -12,7 +12,8 @@
 // The moving variant displaces one radio before each transmit to price the
 // incremental grid maintenance into the win; the lossy variant turns the
 // fault model on (lossy_campaign's 20% ambient loss, 8% corruption), so
-// every transmit builds and draws its TX-side fault stream.
+// every transmit makes its keyed TX-side fault draws and every delivery its
+// link erasure draw.
 //
 // DeliverStationProbe prices a phone's broadcast probe request in a crowd
 // of N phones around one attacker: phones register as stations, which do not
@@ -23,11 +24,12 @@
 // posts its replacement at a random delay. 485 is about a venue run's peak
 // depth; 40,000 a 20k-radio city's order.
 //
-// FaultStream prices that stream alone: built from (seed, radio, sequence)
-// and drawn as a broadcast (one corruption draw) or as a unicast first
-// attempt (collision and corruption draws). RngUniform and RngFork price
-// the engine under every Rng: one uniform draw from a long-lived stream,
-// and one labelled fork of a freshly built parent.
+// FaultStream prices a lossy transmission's TX-side fault draws alone: the
+// key hashed from (seed, radio, sequence), then a broadcast's one
+// corruption draw or a unicast first attempt's collision and corruption
+// draws. RngUniform and RngFork price the engine under every Rng: one
+// uniform draw from a long-lived stream, and one labelled fork of a freshly
+// built parent.
 //
 // Each case reports allocs_per_tx next to delivered_per_tx: the pooled
 // transmission objects, inline event storage, flat radio table and reused
@@ -292,14 +294,13 @@ void BM_EventQueueStep(benchmark::State& state) {
 
 void BM_FaultStream(benchmark::State& state) {
   const FaultModel fault(lossy_fault());
-  const auto& cfg = fault.config();
   const bool unicast = state.range(0) != 0;
   std::uint64_t seq = 0;
   std::uint64_t lost = 0;
   for (auto _ : state) {
-    support::Rng rng = fault.stream(7, seq++);
-    const bool collided = unicast && rng.chance(cfg.ambient_loss);
-    const bool corrupted = rng.chance(cfg.corruption_rate);
+    const FaultModel::TxKey key = fault.tx_key(7, seq++);
+    const bool collided = unicast && fault.collides(key, 0);
+    const bool corrupted = fault.corrupts(key, 0);
     lost += collided || corrupted ? 1 : 0;
     benchmark::DoNotOptimize(lost);
   }

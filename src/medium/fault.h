@@ -8,7 +8,7 @@
 //   * Per-receiver erasure with an SNR-derived packet-error rate (logistic
 //     curve over log-distance RX power above a configurable noise floor),
 //     plus an SNR-independent ambient collision floor.
-//   * Interference bursts that flip real bits in the serialized buffer, so
+//   * Interference bursts that flip distinct bits of the serialized buffer, so
 //     corrupted frames are rejected by the CRC-32 FCS in dot11::parse — the
 //     same path a real NIC uses to drop bad frames.
 //   * 802.11 retransmission for unicast management frames: an attempt that
@@ -21,22 +21,24 @@
 //     get exactly one attempt with the full per-receiver loss, as per the
 //     standard.
 //
-// TX-side draws (collision, corruption, backoff, bit flips) come from a
-// dedicated stream that is a pure function of (seed, tx radio, frame
-// sequence). Each per-link erasure draw is a hash of (seed, tx radio, frame
-// sequence, rx radio), so a receiver's loss pattern does not depend on
-// which other radios were in range, and a lossy run is bit-identical no
-// matter how campaigns are interleaved across threads.
+// Every fault decision is a keyed hash draw, not a draw from a seeded random
+// stream. A transmission's key hashes (seed, tx radio, frame sequence); a
+// per-link erasure draw hashes that key with the receiver's radio id, and a
+// TX-side draw (collision, corruption, backoff, flip count, flip position)
+// hashes it with a (decision, attempt or index) code from a range of ids no
+// Medium hands out. So a receiver's loss pattern does not depend on which
+// other radios were in range, no TX decision reuses a receiver's draw, and a
+// lossy run is bit-identical no matter how campaigns are interleaved across
+// threads.
 //
 // Disabled by default: with `Config{}.enabled == false` the medium makes no
-// RNG draws and no timing changes, and every existing figure stays
+// fault draws and no timing changes, and every existing figure stays
 // byte-identical.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "support/rng.h"
 #include "support/sim_time.h"
 
 namespace cityhunter::medium {
@@ -46,7 +48,7 @@ using support::SimTime;
 class FaultModel {
  public:
   struct Config {
-    /// Master switch. Off = perfect channel, zero overhead, no RNG draws.
+    /// Master switch. Off = perfect channel, zero overhead, no draws.
     bool enabled = false;
 
     /// Receiver noise floor (thermal + steady interference). SNR of a frame
@@ -68,7 +70,8 @@ class FaultModel {
     /// burst. Corruption flips real bits in the wire bytes; the FCS check
     /// rejects the frame at every receiver.
     double corruption_rate = 0.0;
-    /// Bits flipped per corrupted attempt (1..max_bit_flips, uniform).
+    /// Distinct bits flipped per corrupted frame (1..max_bit_flips,
+    /// uniform; never more than the frame has).
     int max_bit_flips = 4;
 
     /// dot11ShortRetryLimit for unicast management frames.
@@ -80,14 +83,35 @@ class FaultModel {
     /// 802.11b long slot time.
     double slot_time_us = 20.0;
 
-    /// Root of the fault streams. run_campaign() overrides this per run
-    /// from the run's labelled RNG fork.
+    /// Root of every fault draw's key. run_campaign() overrides this per
+    /// run from the run's labelled RNG fork.
     std::uint64_t seed = 0xC17B0A7ULL;
+  };
+
+  /// One transmission's key: a hash of (config seed, tx radio id,
+  /// per-radio frame sequence). Every draw below is a pure function of a
+  /// key and its own (decision, attempt or index), so delivery order and
+  /// thread scheduling cannot perturb it.
+  struct TxKey {
+    std::uint64_t word = 0;
+    bool operator==(const TxKey&) const = default;
+  };
+
+  /// The sender's decisions about one transmission. Numbered from 1, so
+  /// every decision code (see tx_draw) is at least 2^56.
+  enum class TxDecision : std::uint64_t {
+    kCollision = 1,  // per attempt: the addressed receiver got nothing
+    kCorruption,     // per attempt: an interference burst hit it
+    kBackoff,        // per retry: contention slots before it
+    kFlipCount,      // once: bits a delivered burst flips
+    kFlipBit,        // per candidate: one flipped bit's position
   };
 
   FaultModel() = default;
   /// Validates the config; throws std::invalid_argument on nonsense
-  /// (probabilities outside [0,1], non-positive PER width, cw_max < cw_min).
+  /// (probabilities outside [0,1]; a non-finite noise floor, PER midpoint,
+  /// PER width or slot time; a non-positive PER width, a negative slot
+  /// time, max_bit_flips < 1, retry_limit < 0, cw_max < cw_min).
   explicit FaultModel(Config cfg);
 
   const Config& config() const { return cfg_; }
@@ -107,10 +131,7 @@ class FaultModel {
   /// TX retry loop instead and use bare per() at the receiver.
   double link_loss(double rx_power_dbm) const;
 
-  /// Dedicated TX-side stream for one transmission, a pure function of
-  /// (config seed, tx radio id, per-radio frame sequence). Delivery order
-  /// and thread scheduling cannot perturb it.
-  support::Rng stream(std::uint64_t tx_radio, std::uint64_t frame_seq) const;
+  TxKey tx_key(std::uint64_t tx_radio, std::uint64_t frame_seq) const;
 
   /// Uniform draw in [0, 1) for one link of one transmission, a pure
   /// function of (config seed, tx radio id, frame sequence, rx radio id).
@@ -118,12 +139,29 @@ class FaultModel {
   double link_draw(std::uint64_t tx_radio, std::uint64_t frame_seq,
                    std::uint64_t rx_radio) const;
 
-  /// Flip 1..max_bit_flips distinct bits of `wire` in place.
-  void corrupt(std::vector<std::uint8_t>& wire, support::Rng& rng) const;
+  /// Uniform 64-bit draw for one TX-side decision: the link draw's hash of
+  /// the key with, in the receiver's place, the code
+  /// decision << 56 | index. Radio ids count up from 1, so no receiver a
+  /// Medium hands out has a code's id (index < 2^56).
+  static std::uint64_t tx_draw(TxKey key, TxDecision decision,
+                               std::uint64_t index);
+
+  /// Whether attempt `attempt` (0 = first transmission) of a unicast frame
+  /// collides at its receiver, with probability ambient_loss.
+  bool collides(TxKey key, int attempt) const;
+
+  /// Whether attempt `attempt` is hit by an interference burst, with
+  /// probability corruption_rate.
+  bool corrupts(TxKey key, int attempt) const;
+
+  /// Flip 1..min(max_bit_flips, bits in `wire`) distinct bits of `wire` in
+  /// place (count uniform); returns the count. A drawn position that
+  /// repeats an earlier one is redrawn.
+  int corrupt(std::vector<std::uint8_t>& wire, TxKey key) const;
 
   /// Contention backoff before retry `attempt` (1-based): uniform slots in
   /// [0, cw(attempt)] at slot_time_us per slot.
-  SimTime backoff(int attempt, support::Rng& rng) const;
+  SimTime backoff(TxKey key, int attempt) const;
 
  private:
   Config cfg_{};

@@ -549,10 +549,10 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
                    obs::Event::kTransmit, from, bytes);
   }
 
-  // Fault injection. The TX-side stream is a pure function of (seed, radio,
-  // frame sequence), so the draws below cannot be perturbed by anything
-  // else in the simulation; deliver() keys each link's erasure draw by the
-  // same (radio, sequence) plus the receiver. A failed attempt of a
+  // Fault injection. Every TX-side draw is keyed by (seed, radio, frame
+  // sequence) and its own decision and attempt, so nothing else in the
+  // simulation can perturb it; deliver() keys each link's erasure draw by
+  // the same (radio, sequence) plus the receiver. A failed attempt of a
   // *unicast* management frame — an ambient collision at the addressed
   // receiver (no ACK comes back) or an interference burst corrupting the
   // attempt — is retransmitted up to retry_limit times, each retry paying a
@@ -563,12 +563,11 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
   if (fault_.enabled()) {
     t.lossy = true;
     t.fault_seq = st.tx_seq++;
-    support::Rng rng = fault_.stream(from, t.fault_seq);
+    const FaultModel::TxKey key = fault_.tx_key(from, t.fault_seq);
     const bool unicast = !frame.header.addr1.is_multicast();
     // Per attempt: collision at the receiver, then a corruption burst.
-    // Both are drawn every attempt so the stream layout is fixed.
-    bool collided = unicast && rng.chance(fault_.config().ambient_loss);
-    bool corrupted = rng.chance(fault_.config().corruption_rate);
+    bool collided = unicast && fault_.collides(key, 0);
+    bool corrupted = fault_.corrupts(key, 0);
     int attempt = 0;
     while ((collided || corrupted) && unicast &&
            attempt < fault_.config().retry_limit) {
@@ -576,14 +575,14 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
       ++st.tx_retries;
       ++retries_;
       occupancy +=
-          fault_.backoff(attempt, rng) * cfg_.contention_factor + air;
+          fault_.backoff(key, attempt) * cfg_.contention_factor + air;
       if (trace_ != nullptr) {
         trace_->record(events_.now(), obs::Category::kFault,
                        obs::Event::kRetry, from,
                        static_cast<std::uint64_t>(attempt));
       }
-      collided = rng.chance(fault_.config().ambient_loss);
-      corrupted = rng.chance(fault_.config().corruption_rate);
+      collided = fault_.collides(key, attempt);
+      corrupted = fault_.corrupts(key, attempt);
     }
     if (unicast && (collided || corrupted)) ++drops_.retry_exhausted;
     if (collided) {
@@ -602,7 +601,7 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
       // delivered bytes carry real bit damage and every receiver's FCS
       // check will reject them.
       ++frames_corrupted_;
-      fault_.corrupt(t.wire, rng);
+      fault_.corrupt(t.wire, key);
     }
   }
 

@@ -164,7 +164,7 @@ class Medium {
   /// channel, TX power, receive address, role and counters. The fault model's
   /// draws are keyed by the local radio id, and the importing Medium
   /// assigns a fresh one, so a lossy radio does not continue its fault
-  /// streams across Mediums (the sharded city therefore refuses the fault
+  /// draws across Mediums (the sharded city therefore refuses the fault
   /// model).
   Radio import_radio(const RadioSnapshot& snapshot,
                      FrameSink* sink = nullptr);
@@ -282,7 +282,7 @@ class Medium {
     std::uint64_t queue_epoch = 0;  // bumped by clear_tx_queue()
     std::size_t tx_backlog = 0;
     std::uint64_t frames_sent = 0;
-    std::uint64_t tx_seq = 0;       // fault-stream key, one per transmit()
+    std::uint64_t tx_seq = 0;       // keys the fault draws, one per transmit()
     std::uint64_t tx_retries = 0;   // 802.11 retransmissions by this radio
     std::uint64_t rx_lost = 0;      // frames erased on the way to this radio
     std::uint64_t cell = 0;         // current grid cell key (valid iff in_grid)

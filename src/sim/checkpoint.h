@@ -70,7 +70,10 @@ struct CampaignCheckpoint {
   /// 5: phones register as stations and no longer receive other phones'
   /// broadcast probe requests, so version-4 runs hold larger delivery and
   /// per-receiver loss counts for the same config hash.
-  static constexpr std::uint32_t kFormatVersion = 5;
+  /// 6: the sender's collision, corruption, backoff and bit-flip decisions
+  /// are keyed hash draws, no longer a seeded stream's, so a version-5
+  /// lossy run holds other outcomes for the same config hash.
+  static constexpr std::uint32_t kFormatVersion = 6;
 
   /// campaign_config_hash() of the (world, runs) the checkpoint belongs to.
   std::uint64_t config_hash = 0;

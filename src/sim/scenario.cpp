@@ -153,7 +153,7 @@ const RunConfig& validated(const RunConfig& cfg) {
   return cfg;
 }
 
-/// The run's medium config. The fault streams are re-keyed per run off the
+/// The run's medium config. The fault draws are re-keyed per run off the
 /// run's labelled RNG root, so repeated slots see different channel noise
 /// but every rerun of the same (world seed, run config) is bit-identical at
 /// any thread count.

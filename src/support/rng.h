@@ -23,8 +23,9 @@ namespace cityhunter::support {
 /// block the seeding recurrence runs only as far as the next draw reads:
 /// draw k reads seed word k + 156, so a stream that draws d < 156 values
 /// pays d + 156 seeding steps and d twists instead of a full 312-word seed
-/// and twist. Fault streams draw one to a few values each (one stream per
-/// lossy transmission), and Rng::fork reads a single word through peek().
+/// and twist. Short-lived streams are common: Rng::fork reads a single word
+/// of its parent through peek(). (The medium's fault decisions use no Rng;
+/// they are keyed hashes, see medium/fault.h.)
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;

@@ -167,13 +167,15 @@ TEST(Checkpoint, WrongVersionIsItsOwnError) {
   // frames fanned out to every bystander and rank-ordered loss draws, so
   // their delivery counts and lossy outcomes differ from a fresh run of the
   // same config; and version 3, whose observed runs carry the pathloss
-  // cache counters a fresh run no longer reports; and version 4, whose phones
+  // cache counters a fresh run no longer reports; version 4, whose phones
   // still heard each other's broadcast probe requests, so its delivery and
-  // loss counts are larger. None may resume next to fresh runs.
-  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 5u);
+  // loss counts are larger; and version 5, whose lossy runs drew their
+  // collisions, corruption, backoff and bit flips from a seeded stream.
+  // None may resume next to fresh runs.
+  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 6u);
   for (const std::uint32_t version :
        {sim::CampaignCheckpoint::kFormatVersion + 1, std::uint32_t{2},
-        std::uint32_t{3}, std::uint32_t{4}}) {
+        std::uint32_t{3}, std::uint32_t{4}, std::uint32_t{5}}) {
     SCOPED_TRACE(version);
     std::string bytes = sim::encode_checkpoint(tiny_checkpoint());
     bytes[4] = static_cast<char>(version);

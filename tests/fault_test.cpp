@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <set>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dot11/serialize.h"
@@ -62,16 +67,123 @@ TEST(FaultModel, LinkLossCombinesAmbientFloor) {
   EXPECT_LE(fault.link_loss(-100.0), 1.0);
 }
 
-TEST(FaultModel, StreamIsPureFunctionOfKey) {
-  FaultModel fault(FaultModel::Config{.enabled = true});
-  Rng a = fault.stream(3, 7);
-  Rng b = fault.stream(3, 7);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(a.engine()(), b.engine()());
+TEST(FaultModel, TxDrawsArePureFunctionsOfTheirKey) {
+  using D = FaultModel::TxDecision;
+  const D decisions[] = {D::kCollision, D::kCorruption, D::kBackoff,
+                         D::kFlipCount, D::kFlipBit};
+  const FaultModel fault(FaultModel::Config{.enabled = true});
+  const FaultModel::TxKey key = fault.tx_key(3, 7);
+  EXPECT_EQ(fault.tx_key(3, 7), key);
+  // Another tx radio, sequence or seed gives another key.
+  EXPECT_NE(fault.tx_key(4, 7), key);
+  EXPECT_NE(fault.tx_key(3, 8), key);
+  EXPECT_NE(FaultModel(FaultModel::Config{.enabled = true, .seed = 1})
+                .tx_key(3, 7),
+            key);
+  std::set<std::uint64_t> seen;
+  for (const D d : decisions) {
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      const std::uint64_t draw = FaultModel::tx_draw(key, d, i);
+      EXPECT_EQ(FaultModel::tx_draw(fault.tx_key(3, 7), d, i), draw);
+      EXPECT_NE(FaultModel::tx_draw(fault.tx_key(4, 7), d, i), draw);
+      EXPECT_NE(FaultModel::tx_draw(fault.tx_key(3, 8), d, i), draw);
+      // Every (decision, attempt or index) pair draws its own value.
+      EXPECT_TRUE(seen.insert(draw).second);
+    }
   }
-  Rng c = fault.stream(3, 8);
-  Rng d = fault.stream(4, 7);
-  EXPECT_NE(c.engine()(), d.engine()());
+}
+
+TEST(FaultModel, NoTxDrawIsALinkDraw) {
+  // A TX decision must not reuse any receiver's erasure draw: no TX draw's
+  // top 53 bits equal a link draw of the same transmission for receiver
+  // ids 0 .. 2^16 - 1 (a Medium hands out ids from 1 up).
+  using D = FaultModel::TxDecision;
+  const FaultModel fault(FaultModel::Config{.enabled = true});
+  for (const auto& [tx, seq] :
+       {std::pair<std::uint64_t, std::uint64_t>{3, 7}, {1, 0}, {2, 1}}) {
+    std::vector<double> links;
+    for (std::uint64_t rx = 0; rx < (1u << 16); ++rx) {
+      links.push_back(fault.link_draw(tx, seq, rx));
+    }
+    std::sort(links.begin(), links.end());
+    const FaultModel::TxKey key = fault.tx_key(tx, seq);
+    for (const D d : {D::kCollision, D::kCorruption, D::kBackoff,
+                      D::kFlipCount, D::kFlipBit}) {
+      for (std::uint64_t i = 0; i < 64; ++i) {
+        const double u =
+            static_cast<double>(FaultModel::tx_draw(key, d, i) >> 11) *
+            0x1.0p-53;
+        EXPECT_FALSE(std::binary_search(links.begin(), links.end(), u))
+            << tx << " " << seq << " " << i;
+      }
+    }
+  }
+}
+
+TEST(FaultModel, PinnedDraws) {
+  // The default config's first draws for tx radio 3, frame 7. The link
+  // draws were recorded before the TX draws became keyed and are unchanged.
+  const FaultModel fault{};
+  const double links[] = {0.42913803435286857, 0.086306453359641933,
+                          0.091904719062890439, 0.12610461944724471};
+  for (std::uint64_t rx = 1; rx <= 4; ++rx) {
+    EXPECT_EQ(fault.link_draw(3, 7, rx), links[rx - 1]) << rx;
+  }
+  using D = FaultModel::TxDecision;
+  const FaultModel::TxKey key = fault.tx_key(3, 7);
+  EXPECT_EQ(key.word, 0x8d1dac135af36214ULL);
+  EXPECT_EQ(FaultModel::tx_draw(key, D::kCollision, 0), 0x05fd68bd07e8fcfcULL);
+  EXPECT_EQ(FaultModel::tx_draw(key, D::kCollision, 1), 0x0f8fe966b96b0d14ULL);
+  EXPECT_EQ(FaultModel::tx_draw(key, D::kCorruption, 0),
+            0xc7cfe55eb19f979cULL);
+  EXPECT_EQ(FaultModel::tx_draw(key, D::kBackoff, 1), 0x1e49978a44ffd800ULL);
+  EXPECT_EQ(FaultModel::tx_draw(key, D::kFlipCount, 0),
+            0xd6b1fb7385fd3b9eULL);
+  EXPECT_EQ(FaultModel::tx_draw(key, D::kFlipBit, 1), 0x559a116aaac962fbULL);
+}
+
+TEST(FaultModel, TxDecisionsHitTheirConfiguredRates) {
+  // Over 10^5 keys the collision and corruption shares fall within 4 sigma
+  // of their rates, and backoff reaches both ends of [0, cw].
+  FaultModel::Config cfg;
+  cfg.enabled = true;
+  cfg.ambient_loss = 0.2;
+  cfg.corruption_rate = 0.08;
+  cfg.cw_min = 15;
+  cfg.cw_max = 1023;
+  cfg.slot_time_us = 1.0;
+  const FaultModel fault(cfg);
+  constexpr int kKeys = 100000;
+  int collided = 0;
+  int corrupted = 0;
+  std::vector<int> slots(32, 0);  // retry 1: cw = 31
+  for (int i = 0; i < kKeys; ++i) {
+    const auto key = fault.tx_key(static_cast<std::uint64_t>(i % 97 + 1),
+                                  static_cast<std::uint64_t>(i));
+    collided += fault.collides(key, 0) ? 1 : 0;
+    corrupted += fault.corrupts(key, 0) ? 1 : 0;
+    const std::int64_t s = fault.backoff(key, 1).us();
+    ASSERT_GE(s, 0);
+    ASSERT_LE(s, 31);
+    ++slots[static_cast<std::size_t>(s)];
+  }
+  const auto within_4_sigma = [](int hits, double p) {
+    const double sigma = std::sqrt(kKeys * p * (1.0 - p));
+    return std::abs(hits - kKeys * p) < 4.0 * sigma;
+  };
+  EXPECT_TRUE(within_4_sigma(collided, cfg.ambient_loss)) << collided;
+  EXPECT_TRUE(within_4_sigma(corrupted, cfg.corruption_rate)) << corrupted;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    EXPECT_GT(slots[s], 0) << "slot " << s << " never drawn";
+  }
+  // Retries 6+ are capped at cw_max: 1023 itself is reachable.
+  bool hit_max = false;
+  for (int i = 0; i < kKeys && !hit_max; ++i) {
+    hit_max = fault.backoff(fault.tx_key(1, static_cast<std::uint64_t>(i)),
+                            8)
+                  .us() == 1023;
+  }
+  EXPECT_TRUE(hit_max);
 }
 
 TEST(FaultModel, CorruptFlipsBoundedBitCount) {
@@ -79,21 +191,49 @@ TEST(FaultModel, CorruptFlipsBoundedBitCount) {
   cfg.enabled = true;
   cfg.max_bit_flips = 3;
   FaultModel fault(cfg);
-  Rng rng(1);
   const std::vector<std::uint8_t> original(64, 0x00);
-  for (int round = 0; round < 50; ++round) {
+  for (std::uint64_t round = 0; round < 50; ++round) {
     auto wire = original;
-    fault.corrupt(wire, rng);
+    fault.corrupt(wire, fault.tx_key(1, round));
     ASSERT_EQ(wire.size(), original.size());
     int flipped = 0;
     for (std::size_t i = 0; i < wire.size(); ++i) {
-      for (int b = 0; b < 8; ++b) {
-        if (((wire[i] ^ original[i]) >> b) & 1) ++flipped;
-      }
+      flipped += std::popcount(static_cast<unsigned>(wire[i] ^ original[i]));
     }
     EXPECT_GE(flipped, 1);
     EXPECT_LE(flipped, 3);
   }
+}
+
+TEST(FaultModel, CorruptFlipsDistinctBitsOnATinyWire) {
+  // On a one- and a two-byte wire a repeated position is likely: each
+  // corrupted buffer must still differ in exactly the drawn count of bits,
+  // and the count must cover 1..min(max_bit_flips, wire bits).
+  FaultModel::Config cfg;
+  cfg.enabled = true;
+  cfg.max_bit_flips = 12;
+  const FaultModel fault(cfg);
+  for (const std::size_t bytes : {std::size_t{1}, std::size_t{2}}) {
+    const int cap = std::min(cfg.max_bit_flips, static_cast<int>(bytes * 8));
+    std::vector<int> counts(static_cast<std::size_t>(cap) + 1, 0);
+    for (std::uint64_t seq = 0; seq < 2000; ++seq) {
+      std::vector<std::uint8_t> wire(bytes, 0xA5);
+      const int drawn = fault.corrupt(wire, fault.tx_key(9, seq));
+      ASSERT_GE(drawn, 1);
+      ASSERT_LE(drawn, cap);
+      int flipped = 0;
+      for (const std::uint8_t b : wire) {
+        flipped += std::popcount(static_cast<unsigned>(b ^ 0xA5));
+      }
+      ASSERT_EQ(flipped, drawn) << bytes << " bytes, seq " << seq;
+      ++counts[static_cast<std::size_t>(drawn)];
+    }
+    for (int n = 1; n <= cap; ++n) {
+      EXPECT_GT(counts[static_cast<std::size_t>(n)], 0) << n << " flips";
+    }
+  }
+  std::vector<std::uint8_t> empty;
+  EXPECT_EQ(fault.corrupt(empty, fault.tx_key(9, 0)), 0);
 }
 
 TEST(FaultModel, BackoffIsBoundedByContentionWindow) {
@@ -103,10 +243,9 @@ TEST(FaultModel, BackoffIsBoundedByContentionWindow) {
   cfg.cw_max = 63;
   cfg.slot_time_us = 20.0;
   FaultModel fault(cfg);
-  Rng rng(2);
   for (int attempt = 1; attempt <= 8; ++attempt) {
-    for (int i = 0; i < 20; ++i) {
-      const SimTime b = fault.backoff(attempt, rng);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      const SimTime b = fault.backoff(fault.tx_key(2, i), attempt);
       EXPECT_GE(b, SimTime::zero());
       EXPECT_LE(b, SimTime::microseconds(63 * 20));
     }
@@ -156,6 +295,27 @@ TEST(FaultConfig, RejectsNonsense) {
   {
     Medium::Config cfg;
     cfg.fault.retry_limit = -1;
+    EXPECT_THROW(Medium(events, cfg), std::invalid_argument);
+  }
+  // A NaN floor or midpoint would make per() NaN, and no link would ever
+  // be erased by SNR.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    Medium::Config floor;
+    floor.fault.noise_floor_dbm = bad;
+    EXPECT_THROW(Medium(events, floor), std::invalid_argument);
+    Medium::Config mid;
+    mid.fault.per_snr_mid_db = bad;
+    EXPECT_THROW(Medium(events, mid), std::invalid_argument);
+  }
+  {
+    Medium::Config cfg;
+    cfg.fault.per_width_db = HUGE_VAL;
+    EXPECT_THROW(Medium(events, cfg), std::invalid_argument);
+  }
+  {
+    Medium::Config cfg;
+    cfg.fault.slot_time_us = HUGE_VAL;
     EXPECT_THROW(Medium(events, cfg), std::invalid_argument);
   }
   EXPECT_NO_THROW(Medium(events, Medium::Config{}));

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "medium/fault.h"
 #include "support/histogram.h"
 #include "support/rng.h"
 #include "support/sim_time.h"
@@ -200,12 +199,6 @@ TEST(RngEngine, PinnedFirstOutputs) {
        {0x6bf49196e1b37a35ULL, 0x47c8339ad9dcbfbdULL, 0x0be391c6bfdaacdeULL,
         0x29e1a3be6004b05dULL}) {
     EXPECT_EQ(fork.engine()(), want);
-  }
-  Rng stream = medium::FaultModel{}.stream(3, 7);
-  for (const std::uint64_t want :
-       {0x999494739f2c9d70ULL, 0xab276d7b89eadc68ULL, 0x855e1d6cc480b9b4ULL,
-        0xa35b81dcae31acebULL}) {
-    EXPECT_EQ(stream.engine()(), want);
   }
   Rng draws = Rng(77).fork("mobility");
   EXPECT_EQ(draws.uniform(), 0.42170057233461294);
