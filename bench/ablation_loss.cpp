@@ -12,7 +12,9 @@
 // direct probes (h_b = 0 structurally); MANA spends its shrunken budget
 // re-offering the same first-40 SSIDs; City-Hunter's untried tracking makes
 // every response that does get through count toward a new SSID — it should
-// keep the most of its capture rate.
+// keep the most of its capture rate. The program exits 1 unless, at every
+// loss level, City-Hunter's h_b is above MANA's and KARMA's and MANA's is
+// at least KARMA's, so its ctest row fails on a broken ordering.
 #include "bench_common.h"
 
 using namespace cityhunter;
@@ -55,10 +57,14 @@ int main() {
 
   support::TextTable t({"ambient PER", "KARMA h_b", "MANA h_b",
                         "City-Hunter h_b", "CH loss rate", "CH retries"});
+  bool ordered = true;
   for (std::size_t p = 0; p < std::size(ambient_pers); ++p) {
     const auto& karma = outputs[p * std::size(kinds) + 0];
     const auto& mana = outputs[p * std::size(kinds) + 1];
     const auto& hunter = outputs[p * std::size(kinds) + 2];
+    ordered = ordered && hunter.result.h_b() > mana.result.h_b() &&
+              hunter.result.h_b() > karma.result.h_b() &&
+              mana.result.h_b() >= karma.result.h_b();
     t.add_row({support::TextTable::pct(ambient_pers[p]),
                support::TextTable::pct(karma.result.h_b()),
                support::TextTable::pct(mana.result.h_b()),
@@ -82,13 +88,15 @@ int main() {
                   ambient_pers[std::size(ambient_pers) - 1]).c_str(),
               stats::loss_line(worst.medium_stats).c_str());
 
-  std::printf("\nexpectation: City-Hunter > MANA > KARMA at every loss "
-              "level; all capture rates fall as PER rises because retries "
-              "repair collisions at airtime cost (transmission count drops "
-              "as retries climb, squeezing the 40-response scan budget), "
-              "but City-Hunter keeps the largest share of its lossless h_b "
-              "— every response that survives offers a new untried SSID, "
-              "while MANA re-spends the shrunken budget on the same "
-              "first 40\n");
-  return 0;
+  std::printf("\nexpectation: all capture rates fall as PER rises because "
+              "retries repair collisions at airtime cost (transmission count "
+              "drops as retries climb, squeezing the 40-response scan "
+              "budget), but City-Hunter keeps the largest share of its "
+              "lossless h_b — every response that survives offers a new "
+              "untried SSID, while MANA re-spends the shrunken budget on the "
+              "same first 40\n");
+  std::printf("check: at every loss level City-Hunter h_b > MANA h_b and > "
+              "KARMA h_b, and MANA h_b >= KARMA h_b: %s\n",
+              ordered ? "holds" : "FAILS");
+  return ordered ? 0 : 1;
 }

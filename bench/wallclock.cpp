@@ -15,10 +15,9 @@
 // PR8 finished the job: every pass that gets *compared* (serial baseline,
 // tracing, parallel sweep) is best-of-2 on both sides of the division,
 // which removes the negative overhead artifacts the one-shot comparisons
-// used to publish on a 1-CPU container. Every pass builds each run's setup
-// the same way, seeding from the World's precomputed offline lists (no
-// SetupCache on either side), so the serial and 1-thread rows' setup_s
-// should agree within noise.
+// used to publish on a 1-CPU container. Every run builds its own setup,
+// seeding from the World's precomputed offline lists, so the serial and
+// 1-thread rows' setup_s should agree within noise.
 //
 // Thread counts above the machine's actual hardware concurrency are skipped
 // (oversubscribed numbers on a smaller machine say nothing about the
@@ -58,7 +57,7 @@
 #include "sim/parallel.h"
 #include "sim/shard.h"
 #include "support/atomic_file.h"
-#include "support/thread_pool.h"
+#include "support/parallel_for.h"
 
 using namespace cityhunter;
 
@@ -182,7 +181,7 @@ int main(int argc, char** argv) {
   std::printf("mix: %zu runs × %.0f simulated minutes, hardware threads: "
               "%zu, default workers: %zu\n\n",
               runs.size(), slot_minutes, hardware_threads,
-              support::ThreadPool::default_workers());
+              support::default_workers());
 
   // Read the previous revision's serial time before we overwrite the file.
   const auto prev_serial_s =
@@ -292,8 +291,7 @@ int main(int argc, char** argv) {
               traced_same ? "results identical"
                           : "MISMATCH vs untraced serial");
 
-  std::vector<std::size_t> thread_counts = {1, 2,
-                                            support::ThreadPool::default_workers()};
+  std::vector<std::size_t> thread_counts = {1, 2, support::default_workers()};
   std::sort(thread_counts.begin(), thread_counts.end());
   thread_counts.erase(std::unique(thread_counts.begin(), thread_counts.end()),
                       thread_counts.end());

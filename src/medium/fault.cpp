@@ -4,23 +4,17 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "support/hash.h"
+
 namespace cityhunter::medium {
 
 namespace {
 
-/// SplitMix64 finalizer — the same mixer Rng uses for seeding, reproduced
-/// here to hash a (seed, radio, sequence) key and a receiver id or decision
-/// code into one draw.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using support::splitmix64;
 
 /// The key hashed with a receiver id or a TX decision code.
 std::uint64_t keyed(std::uint64_t key, std::uint64_t id) {
-  return mix(key ^ mix(id));
+  return splitmix64(key ^ splitmix64(id));
 }
 
 /// Top 53 bits as a uniform double in [0, 1).
@@ -66,9 +60,11 @@ FaultModel::FaultModel(Config cfg) : cfg_(cfg) {
   if (cfg.cw_min < 0 || cfg.cw_max < cfg.cw_min) {
     throw std::invalid_argument("FaultModel: need 0 <= cw_min <= cw_max");
   }
-  if (!(cfg.slot_time_us >= 0.0 && std::isfinite(cfg.slot_time_us))) {
+  // 1000 µs is fifty 802.11b slots: a retry then waits at most
+  // cw_max * 1000 µs, far inside SimTime's int64 microseconds.
+  if (!(cfg.slot_time_us >= 0.0 && cfg.slot_time_us <= 1000.0)) {
     throw std::invalid_argument(
-        "FaultModel: slot_time_us must be >= 0 and finite");
+        "FaultModel: slot_time_us must be in [0, 1000]");
   }
 }
 
@@ -85,7 +81,8 @@ double FaultModel::link_loss(double rx_power_dbm) const {
 
 FaultModel::TxKey FaultModel::tx_key(std::uint64_t tx_radio,
                                      std::uint64_t frame_seq) const {
-  return TxKey{mix(cfg_.seed ^ mix(tx_radio ^ mix(frame_seq)))};
+  return TxKey{splitmix64(cfg_.seed ^
+                          splitmix64(tx_radio ^ splitmix64(frame_seq)))};
 }
 
 double FaultModel::link_draw(std::uint64_t tx_radio, std::uint64_t frame_seq,

@@ -80,7 +80,7 @@ class FaultModel {
     /// waits uniform[0, min(cw_max, (cw_min + 1) << k  - 1)] slots.
     int cw_min = 15;
     int cw_max = 1023;
-    /// 802.11b long slot time.
+    /// 802.11b long slot time, in [0, 1000].
     double slot_time_us = 20.0;
 
     /// Root of every fault draw's key. run_campaign() overrides this per

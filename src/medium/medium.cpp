@@ -51,13 +51,16 @@ Medium::Medium(EventQueue& events, Config cfg)
       cfg_(cfg),
       propagation_(cfg.propagation),
       fault_(cfg.fault) {
-  // Negated comparisons so NaN is rejected too.
-  if (!(cfg_.contention_factor > 0.0)) {
+  // Negated comparisons so NaN is rejected too. The bounds keep every
+  // airtime and backoff, scaled by them, far inside SimTime's int64
+  // microseconds; 1 Mb/s is 802.11's slowest rate.
+  if (!(cfg_.contention_factor > 0.0 && cfg_.contention_factor <= 100.0)) {
     throw std::invalid_argument(
-        "Medium: contention_factor must be positive");
+        "Medium: contention_factor must be in (0, 100]");
   }
-  if (!(cfg_.mgmt_rate_mbps > 0.0)) {
-    throw std::invalid_argument("Medium: mgmt_rate_mbps must be positive");
+  if (!(cfg_.mgmt_rate_mbps >= 1.0 && cfg_.mgmt_rate_mbps <= 1000.0)) {
+    throw std::invalid_argument(
+        "Medium: mgmt_rate_mbps must be in [1, 1000]");
   }
 }
 

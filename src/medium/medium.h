@@ -94,9 +94,9 @@ class Medium {
     /// Effective airtime multiplier for channel contention: 2.0 means half
     /// the channel is consumed by other traffic, which turns the 20 ms scan
     /// listen window into the paper's 40-response budget (20 ms / (0.25 ms
-    /// * 2) = 40).
+    /// * 2) = 40). In (0, 100].
     double contention_factor = 2.0;
-    /// Management frame rate used for airtime computation.
+    /// Management frame rate used for airtime computation, in [1, 1000].
     double mgmt_rate_mbps = 11.0;
     /// Spatial-grid delivery pipeline in deliver(). Disable to force the
     /// legacy scan over every attached radio with exact math — the test
@@ -115,7 +115,8 @@ class Medium {
 
   explicit Medium(EventQueue& events);
   /// Throws std::invalid_argument when `cfg` is nonsense
-  /// (contention_factor <= 0, mgmt_rate_mbps <= 0, bad fault config).
+  /// (contention_factor outside (0, 100], mgmt_rate_mbps outside [1, 1000],
+  /// bad fault config).
   Medium(EventQueue& events, Config cfg);
   ~Medium();
 

@@ -11,18 +11,8 @@ const char* to_string(MetricKind k) {
     case MetricKind::kCounter: return "counter";
     case MetricKind::kGauge: return "gauge";
     case MetricKind::kDistribution: return "distribution";
-    case MetricKind::kTimer: return "timer";
   }
   return "?";
-}
-
-MetricsSnapshot MetricsSnapshot::deterministic() const {
-  MetricsSnapshot out;
-  out.points.reserve(points.size());
-  for (const MetricPoint& p : points) {
-    if (p.kind != MetricKind::kTimer) out.points.push_back(p);
-  }
-  return out;
 }
 
 const MetricPoint* MetricsSnapshot::find(std::string_view name) const {
@@ -78,16 +68,8 @@ MetricsRegistry::Id MetricsRegistry::distribution(std::string_view name,
   return id;
 }
 
-MetricsRegistry::Id MetricsRegistry::timer(std::string_view name) {
-  return intern(name, MetricKind::kTimer);
-}
-
 void MetricsRegistry::observe(Id id, double value) {
   points_[id].hist->add(value);
-}
-
-void MetricsRegistry::record_seconds(Id id, double seconds) {
-  points_[id].intervals.add(seconds);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -113,12 +95,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         m.value = p.hist->mean();
         m.min = p.hist->min();
         m.max = p.hist->max();
-        break;
-      case MetricKind::kTimer:
-        m.count = p.intervals.count();
-        m.value = p.intervals.mean() * static_cast<double>(m.count);
-        m.min = p.intervals.min();
-        m.max = p.intervals.max();
         break;
     }
     out.points.push_back(std::move(m));

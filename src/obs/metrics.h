@@ -1,19 +1,16 @@
-// Metrics registry: named counters, gauges, Histogram-backed distributions
-// and RAII scoped wallclock timers, snapshotted per run into RunOutput.
+// Metrics registry: named counters, gauges and Histogram-backed
+// distributions, snapshotted per run into RunOutput.
 //
 // Registration (name → Id) happens once at wiring time and may allocate;
 // the per-event operations add()/set() are noexcept array stores so they are
 // safe inside the heap-free frame path. observe() touches the histogram's
 // bucket map and is reserved for cold, per-window call sites.
 //
-// Determinism: counters, gauges and distributions are driven purely by sim
-// events, so their snapshots are bit-identical across thread counts. Timers
-// record wallclock and are inherently noisy — MetricsSnapshot::deterministic()
-// strips them, and that stripped view is what cross-thread equality tests
-// (and RunOutput comparisons) should use.
+// Determinism: every point is driven purely by sim events, so a snapshot is
+// bit-identical across thread counts. Wallclock lives in the run's
+// PhaseProfile, never here.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -28,7 +25,6 @@ enum class MetricKind : std::uint8_t {
   kCounter = 0,
   kGauge = 1,
   kDistribution = 2,
-  kTimer = 3,
 };
 
 const char* to_string(MetricKind k);
@@ -37,8 +33,6 @@ const char* to_string(MetricKind k);
 ///   kCounter       count = accumulated total, value = count as double
 ///   kGauge         count = times set, value = last set, min/max over sets
 ///   kDistribution  count = samples, value = mean, min/max over samples
-///   kTimer         count = intervals, value = total seconds, min/max per
-///                  interval (wallclock — excluded from deterministic())
 struct MetricPoint {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -52,10 +46,6 @@ struct MetricPoint {
 
 struct MetricsSnapshot {
   std::vector<MetricPoint> points;  // sorted by name
-
-  /// The snapshot minus every wallclock (kTimer) point — the view that is
-  /// bit-identical for the same seed at any thread count.
-  MetricsSnapshot deterministic() const;
 
   const MetricPoint* find(std::string_view name) const;
 
@@ -74,7 +64,6 @@ class MetricsRegistry {
   Id counter(std::string_view name);
   Id gauge(std::string_view name);
   Id distribution(std::string_view name, double bucket_width);
-  Id timer(std::string_view name);
 
   /// Counter increment. Hot-path safe: plain array store, noexcept.
   void add(Id id, std::uint64_t delta = 1) noexcept {
@@ -93,9 +82,6 @@ class MetricsRegistry {
   /// Distribution sample. May allocate a histogram bucket — cold sites only.
   void observe(Id id, double value);
 
-  /// Timer interval. Wallclock, cold.
-  void record_seconds(Id id, double seconds);
-
   std::size_t size() const { return points_.size(); }
 
   MetricsSnapshot snapshot() const;
@@ -110,51 +96,11 @@ class MetricsRegistry {
     double max = 0.0;
     std::uint64_t sets = 0;                     // kGauge
     std::optional<support::Histogram> hist;     // kDistribution
-    support::Summary intervals;                 // kTimer
   };
 
   Id intern(std::string_view name, MetricKind kind);
 
   std::vector<Point> points_;
-};
-
-/// Measures wallclock from construction to stop()/destruction and records it
-/// into a timer point. Moveable so phases can hand timers around; a
-/// default-constructed (or null-registry) timer is a no-op.
-class ScopedTimer {
- public:
-  ScopedTimer() = default;
-  ScopedTimer(MetricsRegistry* registry, MetricsRegistry::Id id)
-      : registry_(registry), id_(id),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ScopedTimer(ScopedTimer&& other) noexcept { *this = std::move(other); }
-  ScopedTimer& operator=(ScopedTimer&& other) noexcept {
-    stop();
-    registry_ = other.registry_;
-    id_ = other.id_;
-    start_ = other.start_;
-    other.registry_ = nullptr;
-    return *this;
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() { stop(); }
-
-  /// Record the elapsed interval now; further stops are no-ops.
-  void stop() {
-    if (registry_ == nullptr) return;
-    const auto end = std::chrono::steady_clock::now();
-    registry_->record_seconds(
-        id_, std::chrono::duration<double>(end - start_).count());
-    registry_ = nullptr;
-  }
-
- private:
-  MetricsRegistry* registry_ = nullptr;
-  MetricsRegistry::Id id_ = 0;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace cityhunter::obs

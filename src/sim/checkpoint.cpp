@@ -480,13 +480,11 @@ void serialize_run_output(std::string& out, const RunOutput& run) {
 }
 
 std::string run_output_bytes(const RunOutput& run) {
-  // Strip the wallclock on a copy: every other field is a pure function of
-  // (world, config), but the phase profile and kTimer metric points are
-  // steady_clock readings that legitimately differ between an original and
-  // a recomputed run.
+  // Zero the wallclock on a copy: every other field is a pure function of
+  // (world, config), but the phase profile holds steady_clock readings that
+  // legitimately differ between an original and a recomputed run.
   RunOutput canon = run;
   canon.phases = PhaseProfile{};
-  canon.metrics = run.metrics.deterministic();
   std::string out;
   serialize_run_output(out, canon);
   return out;

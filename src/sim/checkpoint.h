@@ -73,7 +73,9 @@ struct CampaignCheckpoint {
   /// 6: the sender's collision, corruption, backoff and bit-flip decisions
   /// are keyed hash draws, no longer a seeded stream's, so a version-5
   /// lossy run holds other outcomes for the same config hash.
-  static constexpr std::uint32_t kFormatVersion = 6;
+  /// 7: metrics snapshots carry no wallclock timer points, so an observed
+  /// version-6 run holds three phase.* points a fresh run does not.
+  static constexpr std::uint32_t kFormatVersion = 7;
 
   /// campaign_config_hash() of the (world, runs) the checkpoint belongs to.
   std::uint64_t config_hash = 0;
@@ -98,11 +100,11 @@ std::uint64_t campaign_config_hash(const World& world,
 void serialize_run_output(std::string& out, const RunOutput& run);
 
 /// The canonical DETERMINISTIC byte representation of one RunOutput: the
-/// full serialization with the wallclock stripped — PhaseProfile zeroed and
-/// kTimer metric points dropped (MetricsSnapshot::deterministic()). This is
-/// the unit of byte-identity for resumed == uninterrupted assertions; the
-/// wallclock fields are steady_clock measurements that legitimately differ
-/// between an original and a recomputed run, by design.
+/// full serialization with the wallclock — the PhaseProfile, the only
+/// wallclock a RunOutput carries — zeroed. This is the unit of
+/// byte-identity for resumed == uninterrupted assertions; the phase times
+/// are steady_clock measurements that legitimately differ between an
+/// original and a recomputed run, by design.
 std::string run_output_bytes(const RunOutput& run);
 
 /// Encode to the on-disk byte format (header + entries + CRC trailer).

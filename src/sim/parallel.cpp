@@ -4,8 +4,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <future>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -14,7 +12,8 @@
 
 #include "medium/event_queue.h"
 #include "support/atomic_file.h"
-#include "support/thread_pool.h"
+#include "support/hash.h"
+#include "support/parallel_for.h"
 
 namespace cityhunter::sim {
 
@@ -25,30 +24,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
                                        start)
       .count();
 }
-
-/// Accumulates per-OS-thread busy time. Locked once per run (runs last
-/// milliseconds to seconds), so contention is irrelevant.
-class LoadTracker {
- public:
-  void add(double busy_s) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto id = std::this_thread::get_id();
-    auto it = index_.find(id);
-    if (it == index_.end()) {
-      it = index_.emplace(id, loads_.size()).first;
-      loads_.emplace_back();
-    }
-    ++loads_[it->second].runs;
-    loads_[it->second].busy_s += busy_s;
-  }
-
-  std::vector<ParallelStats::WorkerLoad> take() { return std::move(loads_); }
-
- private:
-  std::mutex mu_;
-  std::map<std::thread::id, std::size_t> index_;
-  std::vector<ParallelStats::WorkerLoad> loads_;
-};
 
 std::string describe_failure(const RunConfig& run, const char* what) {
   return "run_seed=" + std::to_string(run.run_seed) +
@@ -71,9 +46,9 @@ RunErrorKind classify_abort(medium::RunAbortError::Kind k) {
 /// One attempt of one run behind the exception firewall: whatever goes
 /// wrong is classified into RunOutput::error instead of propagating and
 /// discarding every other run's result. `inject_throw` is the chaos layer's
-/// synthetic exception.
+/// synthetic exception. The attempt's wall time goes to `load`, its lane's.
 RunOutput attempt_run(const World& world, const RunConfig& run,
-                      bool inject_throw, LoadTracker* tracker) {
+                      bool inject_throw, ParallelStats::WorkerLoad& load) {
   const auto start = std::chrono::steady_clock::now();
   RunOutput out;
   try {
@@ -97,7 +72,8 @@ RunOutput attempt_run(const World& world, const RunConfig& run,
     out.error.kind = RunErrorKind::kException;
     out.error.message = describe_failure(run, "unknown exception");
   }
-  if (tracker != nullptr) tracker->add(seconds_since(start));
+  ++load.runs;
+  load.busy_s += seconds_since(start);
   return out;
 }
 
@@ -108,12 +84,11 @@ RunOutput attempt_run(const World& world, const RunConfig& run,
 class Supervisor {
  public:
   Supervisor(const World& world, std::span<const RunConfig> runs,
-             const ParallelConfig& cfg, LoadTracker* tracker)
+             const ParallelConfig& cfg)
       : world_(world),
         runs_(runs),
         cfg_(cfg),
         chaos_(cfg.chaos.any() ? cfg.chaos : ChaosConfig::from_env()),
-        tracker_(tracker),
         outputs_(runs.size()),
         entries_(cfg.checkpoint_path.empty() ? 0 : runs.size()),
         done_(runs.size(), false) {
@@ -143,8 +118,9 @@ class Supervisor {
 
   /// The full retry loop for one run: attempt, classify, back off, retry
   /// while retryable, then record the completion (which may checkpoint and
-  /// may pull the chaos kill switch). Never throws.
-  void supervise(std::size_t index) {
+  /// may pull the chaos kill switch). Every attempt is profiled into
+  /// `load`. Never throws.
+  void supervise(std::size_t index, ParallelStats::WorkerLoad& load) {
     const RunConfig& base = runs_[index];
     // Defensive clamp: an out-of-range max_retries makes run_campaign
     // throw kException on every attempt; the loop bound must still be sane.
@@ -166,7 +142,7 @@ class Supervisor {
           run.chaos_poison_schedule = true;
         }
       }
-      RunOutput out = attempt_run(world_, run, inject_throw, tracker_);
+      RunOutput out = attempt_run(world_, run, inject_throw, load);
       if (!out.error.failed()) {
         // error.attempts stays 0 on success — a retried-then-successful
         // run is bit-identical to an undisturbed one. The retry count
@@ -274,7 +250,6 @@ class Supervisor {
   std::span<const RunConfig> runs_;
   ParallelConfig cfg_;
   ChaosConfig chaos_;
-  LoadTracker* tracker_;
 
   std::mutex mu_;
   std::vector<RunOutput> outputs_;
@@ -294,11 +269,11 @@ class Supervisor {
 };
 
 /// The shared engine behind run_campaigns() and resume_campaigns(): fan the
-/// not-yet-done runs over the pool (or run serially), profile, collect.
-/// `tracker` is the same object the supervisor profiles into.
+/// not-yet-done runs over the lanes (one lane runs them serially), profile,
+/// collect.
 std::vector<RunOutput> drive(std::span<const RunConfig> runs,
                              const ParallelConfig& cfg, ParallelStats* stats,
-                             Supervisor& supervisor, LoadTracker& tracker) {
+                             Supervisor& supervisor) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   std::vector<std::size_t> pending;
@@ -307,31 +282,24 @@ std::vector<RunOutput> drive(std::span<const RunConfig> runs,
     if (!supervisor.is_done(i)) pending.push_back(i);
   }
 
-  std::size_t workers = cfg.threads;
-  if (workers == 0) workers = support::ThreadPool::default_workers();
-  if (workers <= 1 || pending.size() <= 1) {
-    workers = 1;
-    for (const std::size_t i : pending) supervisor.supervise(i);
-  } else {
-    support::ThreadPool pool(workers);
-    std::vector<std::future<void>> futures;
-    futures.reserve(pending.size());
-    for (const std::size_t i : pending) {
-      futures.push_back(pool.submit([&supervisor, i] {
-        // supervise() never throws, so every future resolves and every
-        // healthy run's output is collected regardless of failures
-        // elsewhere.
-        supervisor.supervise(i);
-      }));
-    }
-    for (auto& f : futures) f.get();
-  }
+  const std::size_t lanes = std::clamp<std::size_t>(
+      cfg.threads != 0 ? cfg.threads : support::default_workers(), 1,
+      std::max<std::size_t>(pending.size(), 1));
+  std::vector<ParallelStats::WorkerLoad> loads(lanes);
+  // supervise() never throws, so every healthy run's output is collected
+  // regardless of failures elsewhere.
+  support::parallel_for(lanes, pending.size(),
+                        [&](std::size_t lane, std::size_t item) {
+                          supervisor.supervise(pending[item], loads[lane]);
+                        });
 
   if (stats != nullptr) {
     *stats = ParallelStats{};
-    stats->workers = workers;
+    stats->workers = lanes;
     stats->wall_s = seconds_since(wall_start);
-    stats->loads = tracker.take();
+    for (const auto& load : loads) {
+      if (load.runs > 0) stats->loads.push_back(load);
+    }
     supervisor.fill_stats(*stats);
   }
   return supervisor.take_outputs();
@@ -367,16 +335,11 @@ ChaosConfig ChaosConfig::from_env() {
 }
 
 double retry_backoff_s(std::uint64_t run_seed, std::uint32_t attempt) {
-  // splitmix64-style finalizer over (seed, attempt): the schedule is a pure
-  // function of the run identity, so a re-executed campaign backs off
-  // identically — no wallclock, no global RNG.
-  std::uint64_t x =
-      run_seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(attempt) + 1);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
+  // Jitter hashed from (seed, attempt): the schedule is a pure function of
+  // the run identity, so a re-executed campaign backs off identically — no
+  // wallclock, no global RNG.
+  const std::uint64_t x = support::splitmix64(
+      run_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt));
   const double base = 0.001 * static_cast<double>(1ULL << std::min(attempt, 7u));
   const double jitter =
       base * (static_cast<double>(x >> 11) * 0x1.0p-53);
@@ -387,10 +350,8 @@ std::vector<RunOutput> run_campaigns(const World& world,
                                      std::span<const RunConfig> runs,
                                      ParallelConfig cfg,
                                      ParallelStats* stats) {
-  LoadTracker tracker;
-  Supervisor supervisor(world, runs, cfg,
-                        stats != nullptr ? &tracker : nullptr);
-  return drive(runs, cfg, stats, supervisor, tracker);
+  Supervisor supervisor(world, runs, cfg);
+  return drive(runs, cfg, stats, supervisor);
 }
 
 std::vector<RunOutput> resume_campaigns(const World& world,
@@ -415,11 +376,9 @@ std::vector<RunOutput> resume_campaigns(const World& world,
     throw CheckpointResumeError(std::move(err));
   }
 
-  LoadTracker tracker;
-  Supervisor supervisor(world, runs, cfg,
-                        stats != nullptr ? &tracker : nullptr);
+  Supervisor supervisor(world, runs, cfg);
   supervisor.restore(std::move(cp.completed));
-  return drive(runs, cfg, stats, supervisor, tracker);
+  return drive(runs, cfg, stats, supervisor);
 }
 
 std::size_t failed_runs(const std::vector<RunOutput>& outputs) {

@@ -1,8 +1,8 @@
 // Parallel campaign execution under a run supervisor.
 //
 // Every bench in bench/ regenerates a paper figure from dozens of mutually
-// independent discrete-event runs; run_campaigns() fans those runs across a
-// worker pool. Because run_campaign() is pure in the World (const accessors
+// independent discrete-event runs; run_campaigns() fans those runs across
+// worker threads (support::parallel_for). Because run_campaign() is pure in the World (const accessors
 // only, per-run RNG seeded world.seed ^ run_seed*φ, per-run PnlModel copy),
 // the parallel output is bit-identical to running the same configs serially
 // in order — scheduling cannot leak into results.
@@ -69,11 +69,11 @@ struct ChaosConfig {
 /// lists, as run_campaign(world, cfg) does, so no worker waits on another.
 struct ParallelConfig {
   ParallelConfig() = default;
-  /// Pool-size-only config — the shape every pre-supervisor call site used
-  /// (ParallelConfig{4}); checkpointing and chaos stay off.
+  /// Thread-count-only config — the shape every pre-supervisor call site
+  /// used (ParallelConfig{4}); checkpointing and chaos stay off.
   ParallelConfig(std::size_t threads_) : threads(threads_) {}
 
-  /// Worker threads. 0 = ThreadPool::default_workers(), i.e. the
+  /// Worker threads. 0 = support::default_workers(), i.e. the
   /// CITYHUNTER_THREADS env var if set, else the hardware thread count.
   std::size_t threads = 0;
 
@@ -98,10 +98,12 @@ struct ParallelStats {
     double busy_s = 0.0;
   };
 
-  std::size_t workers = 0;  // pool size (1 for the serial path)
+  /// Lanes the runs were fanned over: the configured thread count, capped
+  /// at the runs left to do (1 for the serial path).
+  std::size_t workers = 0;
   double wall_s = 0.0;      // whole call, fan-out to last retry joined
-  /// One entry per OS thread that executed at least one run, in first-use
-  /// order (retry threads append).
+  /// One entry per lane that made at least one attempt, in lane order.
+  /// WorkerLoad::runs counts attempts: a run's retries stay on its lane.
   std::vector<WorkerLoad> loads;
 
   /// --- Supervisor counters (bench/wallclock exports these). ---
@@ -122,8 +124,8 @@ struct ParallelStats {
     for (const auto& l : loads) total += l.busy_s;
     return total;
   }
-  /// Mean fraction of the pool's wallclock spent inside runs. >1 is
-  /// impossible; ~1 means the pool never idled.
+  /// Mean fraction of the lanes' wallclock spent inside runs. >1 is
+  /// impossible; ~1 means no lane idled.
   double utilization() const {
     return workers > 0 && wall_s > 0.0
                ? busy_s() / (wall_s * static_cast<double>(workers))

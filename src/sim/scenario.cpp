@@ -43,38 +43,6 @@ std::size_t site_index(const std::string& venue_name) {
 constexpr double kLocaleRadiusM = 500.0;
 constexpr double kLocaleBias = 0.45;
 
-/// §V-B operator hotspots at the top popular rank's weight, seeded at sim
-/// time 0 like every other setup seed.
-void seed_carriers(core::SsidDatabase& db, const RunConfig& cfg) {
-  static const std::vector<std::string> kCarriers = {"PCCW1x", "Y5ZONE",
-                                                     "CMCC-AUTO"};
-  core::seed_carrier_ssids(db, kCarriers,
-                           static_cast<double>(cfg.wigle_seed.popular_count),
-                           support::SimTime());
-}
-
-/// FNV-1a over exactly the RunConfig fields the setup snapshot depends on
-/// (same construction as the checkpoint config hash in sim/checkpoint.cpp).
-/// Everything else — run seed, duration, medium overrides, deauth, chaos —
-/// affects the simulation, not the seeded database or the venue locale.
-std::uint64_t setup_hash(const RunConfig& cfg) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 1099511628211ULL;  // FNV prime
-    }
-  };
-  mix(static_cast<std::uint64_t>(cfg.kind));
-  mix(cfg.venue.name.size());
-  for (const char c : cfg.venue.name) mix(static_cast<std::uint8_t>(c));
-  mix(static_cast<std::uint64_t>(cfg.wigle_seed.nearby_count));
-  mix(static_cast<std::uint64_t>(cfg.wigle_seed.popular_count));
-  mix(static_cast<std::uint64_t>(cfg.wigle_seed.ranking));
-  mix(cfg.seed_carrier_ssids ? 1 : 0);
-  return h;
-}
-
 /// Chaos hang: a self-rescheduling event that burns ~50 µs of wallclock per
 /// firing while advancing sim time 1 µs per event — the run makes no real
 /// progress, exactly like a wedged client loop, and only the cooperative
@@ -90,42 +58,42 @@ void schedule_chaos_hang(medium::EventQueue& events) {
   });
 }
 
-/// The one builder of a setup snapshot: SetupCache memoizes it and an
-/// uncached VenueRun calls it fresh. It seeds from prefixes of the World's
-/// offline lists, at sim time 0, exactly when every run's own setup happens
-/// (setup precedes the event loop).
-SetupCache::Snapshot build_setup(const World& world, const RunConfig& cfg) {
-  SetupCache::Snapshot setup{core::SsidDatabase{},
-                             venue_pnl_model(world, cfg.venue.name)};
-  const auto& nearby = world.site_lists(cfg.venue.name).nearest_free;
-  switch (cfg.kind) {
-    case AttackerKind::kKarma:
-    case AttackerKind::kMana:
-      break;  // no WiGLE seed; the database starts empty
-    case AttackerKind::kPrelim: {
-      auto seed_cfg = cfg.wigle_seed;
-      seed_cfg.ranking = core::PopularRanking::kApCount;  // §III design
-      core::seed_ranked(setup.seeded_db,
-                        world.ranked_free_ssids(seed_cfg.ranking), nearby,
-                        seed_cfg, support::SimTime());
-      break;
+/// The attacker's database at sim time 0, when every run's setup happens
+/// (setup precedes the event loop): a warm start's carried-over database,
+/// else the WiGLE seed from prefixes of the World's offline lists, then
+/// the §V-B operator hotspots on top, at the top popular rank's weight.
+core::SsidDatabase starting_database(const World& world,
+                                     const RunConfig& cfg) {
+  core::SsidDatabase db;
+  if (cfg.initial_database) {
+    db = *cfg.initial_database;
+  } else {
+    const auto& nearby = world.site_lists(cfg.venue.name).nearest_free;
+    switch (cfg.kind) {
+      case AttackerKind::kKarma:
+      case AttackerKind::kMana:
+        break;  // no WiGLE seed; the database starts empty
+      case AttackerKind::kPrelim: {
+        auto seed_cfg = cfg.wigle_seed;
+        seed_cfg.ranking = core::PopularRanking::kApCount;  // §III design
+        core::seed_ranked(db, world.ranked_free_ssids(seed_cfg.ranking),
+                          nearby, seed_cfg, support::SimTime());
+        break;
+      }
+      case AttackerKind::kCityHunter:
+        core::seed_ranked(db, world.ranked_free_ssids(cfg.wigle_seed.ranking),
+                          nearby, cfg.wigle_seed, support::SimTime());
+        break;
     }
-    case AttackerKind::kCityHunter:
-      core::seed_ranked(setup.seeded_db,
-                        world.ranked_free_ssids(cfg.wigle_seed.ranking),
-                        nearby, cfg.wigle_seed, support::SimTime());
-      break;
   }
-  if (cfg.seed_carrier_ssids) seed_carriers(setup.seeded_db, cfg);
-  return setup;
-}
-
-/// This run's own setup: one copy of the cache's shared snapshot, or a
-/// fresh build moved in.
-SetupCache::Snapshot run_setup(const World& world, const RunConfig& cfg,
-                               SetupCache* setup_cache) {
-  if (setup_cache == nullptr) return build_setup(world, cfg);
-  return *setup_cache->lookup_or_build(world, cfg);
+  if (cfg.seed_carrier_ssids) {
+    static const std::vector<std::string> kCarriers = {"PCCW1x", "Y5ZONE",
+                                                       "CMCC-AUTO"};
+    core::seed_carrier_ssids(db, kCarriers,
+                             static_cast<double>(cfg.wigle_seed.popular_count),
+                             support::SimTime());
+  }
+  return db;
 }
 
 /// Supervisor-field and duration validation, same style as Medium::Config
@@ -284,37 +252,14 @@ world::PnlModel venue_pnl_model(const World& world,
   return pnl;
 }
 
-std::shared_ptr<const SetupCache::Snapshot> SetupCache::lookup_or_build(
-    const World& world, const RunConfig& cfg) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (world_ == nullptr) {
-    world_ = &world;
-  } else if (world_ != &world) {
-    throw std::logic_error(
-        "SetupCache: shared across different Worlds (setup state is "
-        "world-derived; use one cache per World)");
-  }
-  const std::uint64_t h = setup_hash(cfg);
-  const auto it = map_.find(h);
-  if (it != map_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  auto snap = std::make_shared<const Snapshot>(build_setup(world, cfg));
-  map_.emplace(h, snap);
-  return snap;
-}
-
-VenueRun::VenueRun(const World& world, const RunConfig& cfg,
-                   SetupCache* setup_cache)
+VenueRun::VenueRun(const World& world, const RunConfig& cfg)
     : cfg_(validated(cfg)),
       t_setup_(Clock::now()),
       rng_(world.config().seed ^ (cfg.run_seed * 0x9e3779b97f4a7c15ULL)),
       probe_(cfg.obs),
       medium_(events_, run_medium_config(world, cfg, rng_)),
-      setup_(run_setup(world, cfg, setup_cache)),
-      population_(medium_, setup_.pnl, cfg.venue,
+      pnl_(venue_pnl_model(world, cfg.venue.name)),
+      population_(medium_, pnl_, cfg.venue,
                   venue_phone_config(world, cfg), rng_.fork("population")) {
   medium_.set_trace(probe_.trace());
 
@@ -350,13 +295,7 @@ VenueRun::VenueRun(const World& world, const RunConfig& cfg,
       break;
     }
   }
-  // Database layering: WiGLE seed and carriers (the setup) → an
-  // initial_database overwrite → carrier SSIDs again on top.
-  if (cfg.initial_database) {
-    setup_.seeded_db = *cfg.initial_database;
-    if (cfg.seed_carrier_ssids) seed_carriers(setup_.seeded_db, cfg);
-  }
-  attacker_->database() = std::move(setup_.seeded_db);
+  attacker_->database() = starting_database(world, cfg);
   attacker_->set_trace(probe_.trace());
   attacker_->set_metrics(probe_.metrics());
   attacker_->start();
@@ -504,11 +443,6 @@ RunOutput VenueRun::run() {
             static_cast<double>(hunter_->selector().fb_size()));
     }
     m.add(m.counter("trace.dropped"), probe_.trace()->dropped());
-    // Wallclock phases — kTimer points, stripped by deterministic().
-    m.record_seconds(m.timer("phase.setup"), phase_seconds(t_setup_, t_sim));
-    m.record_seconds(m.timer("phase.sim"), phase_seconds(t_sim, t_analysis));
-    m.record_seconds(m.timer("phase.analysis"),
-                     phase_seconds(t_analysis, Clock::now()));
     out.metrics = m.snapshot();
     out.trace = probe_.trace()->chronological();
     out.trace_dropped = probe_.trace()->dropped();
@@ -525,8 +459,8 @@ RunOutput run_campaign(const World& world, const RunConfig& cfg) {
 }
 
 RunOutput run_campaign(const World& world, const RunConfig& cfg,
-                       SetupCache* setup_cache) {
-  return VenueRun(world, cfg, setup_cache).run();
+                       SetupCache*) {
+  return run_campaign(world, cfg);
 }
 
 }  // namespace cityhunter::sim

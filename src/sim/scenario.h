@@ -8,10 +8,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "client/legit_ap.h"
@@ -218,8 +216,9 @@ struct SeriesPoint {
   bool operator==(const SeriesPoint&) const = default;
 };
 
-/// Wallclock split of one run. Always measured (three steady_clock reads);
-/// never part of any result comparison — wallclock is not deterministic.
+/// Wallclock split of one run, and the only wallclock a RunOutput carries.
+/// Always measured (three steady_clock reads); never part of any result
+/// comparison — wallclock is not deterministic.
 struct PhaseProfile {
   double setup_s = 0.0;     // world wiring: attacker, venue, population
   double sim_s = 0.0;       // the event-queue loop
@@ -252,8 +251,8 @@ struct RunOutput {
   /// Wallclock phase split — always filled, never compared.
   PhaseProfile phases;
   /// Observability harvest, empty unless cfg.obs.enabled: the metrics
-  /// snapshot (compare .deterministic() across thread counts) and the trace
-  /// ring's retained records, oldest first.
+  /// snapshot (a pure function of the simulation, equal at any thread
+  /// count) and the trace ring's retained records, oldest first.
   obs::MetricsSnapshot metrics;
   std::vector<obs::TraceRecord> trace;
   /// Records the ring had to overwrite (0 when the capacity sufficed).
@@ -266,59 +265,11 @@ struct RunOutput {
   RunError error;
 };
 
-/// Memoized run setup: one immutable snapshot per distinct setup, shared
-/// by the runs that hand the cache in.
-///
-/// The setup is cheap: the World computes the WiGLE rankings, the
-/// nearest-SSID orders and the venue locales once, at construction, and
-/// build_setup only seeds a database from prefixes of them and copies the
-/// PNL model, so an uncached VenueRun's setup costs about what a cache hit
-/// does. run_campaigns shares no cache; perfbench's venue passes still
-/// pass one, and the cache goes once they stop (ROADMAP item 1).
-///
-/// The key is an FNV-1a hash over exactly the RunConfig fields the
-/// snapshot depends on, the same construction the checkpoint config hash
-/// uses. Runs copy the snapshot: the attacker's database and the PNL crowd
-/// counters mutate per run, so each run copies the shared state into its
-/// own instances and never writes through the snapshot.
-///
-/// Byte-identity: one function builds every snapshot, and an uncached
-/// VenueRun calls it fresh, so a cached run differs from an uncached one
-/// only if the key misses a field the snapshot depends on. Seeding happens
-/// at sim time 0 on both paths. WarmStartSetupIsBitIdenticalToColdSetup
-/// and SetupCacheKeySeparatesEverySetup in tests/parallel_test.cpp pin the
-/// equality.
-///
-/// Thread safety: lookup_or_build is mutex-serialised (misses build inside
-/// the lock); the returned snapshot is immutable and safe to read
-/// concurrently. A cache binds to the first World it sees and throws on a
-/// different one — setup state is world-derived, so sharing across worlds
-/// would serve wrong data.
-class SetupCache {
- public:
-  struct Snapshot {
-    /// Database state after WiGLE (and carrier) seeding at sim time 0.
-    core::SsidDatabase seeded_db;
-    /// venue_pnl_model(world, cfg.venue.name).
-    world::PnlModel pnl;
-  };
-
-  /// The snapshot for `cfg`'s setup-relevant fields, building it on first
-  /// use. Throws std::logic_error when called with a different World than
-  /// the cache was first used with.
-  std::shared_ptr<const Snapshot> lookup_or_build(const World& world,
-                                                  const RunConfig& cfg);
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  mutable std::mutex mu_;
-  const World* world_ = nullptr;  // bound on first lookup
-  std::unordered_map<std::uint64_t, std::shared_ptr<const Snapshot>> map_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
+/// Empty, and inert wherever it is passed: every run builds its own setup
+/// from the World's offline lists. It stays only while perfbench names it;
+/// ROADMAP item 9 removes those uses, and a later change deletes it and the
+/// run_campaign overload that takes it.
+struct SetupCache {};
 
 /// One deployment: `cfg.kind` in `cfg.venue` for `cfg.duration`. The
 /// constructor validates `cfg` and wires the run without advancing time:
@@ -336,16 +287,13 @@ class SetupCache {
 /// caller attaches to medium() must stay alive until run() returns.
 ///
 /// Pure in the world: the output depends only on (world seed, cfg), never
-/// on other runs or on the setup cache, so repeated or concurrent runs are
-/// bit-identical.
+/// on other runs, so repeated or concurrent runs are bit-identical.
 class VenueRun {
  public:
-  /// `cfg` must outlive the VenueRun. `setup_cache` (nullable) shares the
-  /// seeded database and venue PNL model across runs — see SetupCache.
-  /// Throws std::invalid_argument on an invalid supervisor field, a
-  /// negative duration or a negative WiGLE seed count.
-  VenueRun(const World& world, const RunConfig& cfg,
-           SetupCache* setup_cache = nullptr);
+  /// `cfg` must outlive the VenueRun. Throws std::invalid_argument on an
+  /// invalid supervisor field, a negative duration or a negative WiGLE seed
+  /// count.
+  VenueRun(const World& world, const RunConfig& cfg);
 
   VenueRun(const VenueRun&) = delete;
   VenueRun& operator=(const VenueRun&) = delete;
@@ -368,9 +316,8 @@ class VenueRun {
   obs::Probe probe_;
   medium::EventQueue events_;  // before every owner that posts into it
   medium::Medium medium_;
-  /// This run's copy of the setup snapshot: the seeded database moves into
-  /// the attacker, the PNL model stays here for the crowd to draw from.
-  SetupCache::Snapshot setup_;
+  /// venue_pnl_model(world, cfg.venue.name), for the crowd to draw from.
+  world::PnlModel pnl_;
   std::unique_ptr<core::Attacker> attacker_;
   core::CityHunter* hunter_ = nullptr;  // attacker_ when it is City-Hunter
   std::unique_ptr<client::LegitimateAp> legit_ap_;
@@ -383,10 +330,7 @@ class VenueRun {
 /// `cfg.duration` and analyse, with nothing attached.
 RunOutput run_campaign(const World& world, const RunConfig& cfg);
 
-/// As above, sharing memoized setup state across runs via `setup_cache`
-/// (nullptr = build the setup for this run alone). Output is byte-identical
-/// with or without the cache — see SetupCache.
-RunOutput run_campaign(const World& world, const RunConfig& cfg,
-                       SetupCache* setup_cache);
+/// run_campaign(world, cfg); the SetupCache is ignored (see SetupCache).
+RunOutput run_campaign(const World& world, const RunConfig& cfg, SetupCache*);
 
 }  // namespace cityhunter::sim

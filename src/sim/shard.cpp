@@ -17,7 +17,7 @@
 #include "mobility/district_walk.h"
 #include "sim/shard_barrier.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
+#include "support/parallel_for.h"
 
 namespace cityhunter::sim {
 namespace {
@@ -142,8 +142,6 @@ class ShardedCity {
   ShardedCityResult run();
 
  private:
-  friend struct EpochCtx;
-
   void validate();
   void build();
   Entity& make_entity(Shard& shard);
@@ -160,7 +158,6 @@ class ShardedCity {
   SimTime epoch_{};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t workers_ = 1;
-  std::unique_ptr<support::TaskTeam> team_;
   std::uint64_t handoffs_ = 0;
 };
 
@@ -236,9 +233,6 @@ void ShardedCity::build() {
       guard.max_events = cfg_.max_sim_events_per_shard;
       shards_.back()->events.arm_guard(guard);
     }
-  }
-  if (workers_ > 1) {
-    team_ = std::make_unique<support::TaskTeam>(workers_ - 1);
   }
 
   // Entity builder. Every draw below comes from a stream forked from
@@ -349,34 +343,15 @@ void ShardedCity::advance_shard(Shard& shard, SimTime until) {
   shard.epoch_busy = Clock::now() - t0;
 }
 
-struct EpochCtx {
-  ShardedCity* city;
-  SimTime until;
-
-  /// Worker w advances the shards with index ≡ w (mod workers): a fixed
-  /// partition, but any partition would do — shards share nothing inside
-  /// an epoch, so assignment can never leak into results.
-  static void entry(void* ctx, std::size_t helper_index) {
-    static_cast<EpochCtx*>(ctx)->run_lane(helper_index + 1);
-  }
-  void run_lane(std::size_t lane) const {
-    for (std::size_t s = lane; s < city->shards_.size();
-         s += city->workers_) {
-      city->advance_shard(*city->shards_[s], until);
-    }
-  }
-};
-
 void ShardedCity::advance_epoch(SimTime until) {
   const auto t0 = Clock::now();
-  if (workers_ <= 1 || shards_.size() <= 1) {
-    for (auto& shard : shards_) advance_shard(*shard, until);
-  } else {
-    EpochCtx ctx{this, until};
-    team_->dispatch(&EpochCtx::entry, &ctx);
-    ctx.run_lane(0);  // the calling thread is worker 0
-    team_->wait();
-  }
+  // Shards share nothing inside an epoch, so which worker advances which
+  // shard can never leak into results. advance_shard keeps a shard's error
+  // for the barrier below instead of throwing.
+  support::parallel_for(workers_, shards_.size(),
+                        [this, until](std::size_t, std::size_t s) {
+                          advance_shard(*shards_[s], until);
+                        });
   // Every shard ran inside [t0, now], so its wait — the epoch's wall less
   // its own run — is never negative: a shard waits on the slowest one, or,
   // on fewer workers than shards, on the shards run before it.

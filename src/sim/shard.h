@@ -51,8 +51,9 @@ struct ShardedCityConfig {
   /// Spatial shards: contiguous district-column groups. Must divide
   /// grid.cols so 1/2/4/8 shards partition the same geometry evenly.
   int shards = 1;
-  /// Worker threads advancing shards within an epoch (TaskTeam fork-join).
-  /// 0 = min(shards, hardware threads). Results are identical at any value.
+  /// Worker threads advancing shards within an epoch, forked and joined
+  /// once per epoch. 0 = min(shards, hardware threads). Results are
+  /// identical at any value.
   std::size_t workers = 0;
   support::SimTime duration = support::SimTime::seconds(5.0);
   /// Conservative-barrier epoch. 0 = the largest RF-safe lookahead for this

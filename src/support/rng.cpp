@@ -33,13 +33,6 @@ Mt19937_64::result_type Mt19937_64::peek() const {
   return temper(twist(x_[p], next, w));
 }
 
-std::uint64_t Rng::splitmix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 Rng Rng::fork(std::string_view label) const {
   // FNV-1a over the label mixed with a snapshot of the engine state hash.
   std::uint64_t h = 14695981039346656037ULL;
@@ -49,7 +42,7 @@ Rng Rng::fork(std::string_view label) const {
   }
   // Combine with the parent's *seed-derived* identity: the engine's next
   // output, peeked without disturbing the parent.
-  return Rng(splitmix(h ^ engine_.peek()));
+  return Rng(splitmix64(h ^ engine_.peek()));
 }
 
 double Rng::uniform(double lo, double hi) {

@@ -13,6 +13,8 @@
 #include <string_view>
 #include <vector>
 
+#include "support/hash.h"
+
 namespace cityhunter::support {
 
 /// The 64-bit Mersenne Twister of [rand.predef] (mt19937_64), output for
@@ -94,7 +96,7 @@ class Mt19937_64 {
 /// distributions used throughout the simulator.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(splitmix(seed)) {}
+  explicit Rng(std::uint64_t seed) : engine_(splitmix64(seed)) {}
 
   /// Fork an independent child stream. The label keeps streams stable across
   /// code changes: rng.fork("mobility") always yields the same stream for a
@@ -144,7 +146,6 @@ class Rng {
   Mt19937_64& engine() { return engine_; }
 
  private:
-  static std::uint64_t splitmix(std::uint64_t x);
   Mt19937_64 engine_;
 };
 

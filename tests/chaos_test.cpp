@@ -31,6 +31,7 @@
 #include "medium/event_queue.h"
 #include "sim/checkpoint.h"
 #include "sim/parallel.h"
+#include "small_world.h"
 #include "support/atomic_file.h"
 
 namespace cityhunter {
@@ -46,16 +47,6 @@ class TempFile {
  private:
   std::string path_;
 };
-
-sim::ScenarioConfig chaos_scenario() {
-  sim::ScenarioConfig cfg;
-  cfg.seed = 13;
-  cfg.aps.residential_ap_count = 800;
-  cfg.aps.small_venue_count = 400;
-  cfg.aps.enterprise_ap_count = 150;
-  cfg.photos.photo_count = 8000;
-  return cfg;
-}
 
 std::vector<sim::RunConfig> chaos_runs(std::size_t count = 6) {
   std::vector<sim::RunConfig> runs(count);
@@ -197,6 +188,10 @@ TEST(RetryBackoff, ScheduleIsPureAndExponential) {
   // Different seeds jitter differently (with overwhelming likelihood for
   // these fixed inputs — asserted as a regression pin, not a probability).
   EXPECT_NE(sim::retry_backoff_s(1, 0), sim::retry_backoff_s(2, 0));
+  // The exact schedule, pinned: a retried campaign's timing must not move
+  // when the hash behind the jitter is refactored.
+  EXPECT_EQ(sim::retry_backoff_s(1, 0), 0x1.9aaa2aee1db4ap-10);
+  EXPECT_EQ(sim::retry_backoff_s(42, 3), 0x1.605f1cab10afp-7);
 }
 
 // --- ChaosConfig env parsing ---
@@ -220,7 +215,7 @@ TEST(ChaosConfig, ParsesEnvKnobs) {
 
 class ChaosCampaignTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() { world_ = new sim::World(chaos_scenario()); }
+  static void SetUpTestSuite() { world_ = new sim::World(small_scenario(13)); }
   static void TearDownTestSuite() {
     delete world_;
     world_ = nullptr;
@@ -367,7 +362,7 @@ constexpr int kResumeFailedExit = 7;
 /// final outputs blob for the parent to compare.
 int chaos_child_main(std::string_view mode, const char* ckpt_path,
                      const char* blob_path, std::size_t workers) {
-  sim::World world(chaos_scenario());
+  sim::World world(small_scenario(13));
   const auto runs = chaos_runs();
   sim::ParallelConfig cfg{workers};
   cfg.checkpoint_path = ckpt_path;
@@ -418,7 +413,7 @@ TEST_P(ChaosKillResumeTest, KilledCampaignResumesByteIdentical) {
   TempFile blob(workers == 1 ? "kill1.blob" : "kill4.blob");
 
   // The oracle: the same campaign, uninterrupted, in this process.
-  sim::World world(chaos_scenario());
+  sim::World world(small_scenario(13));
   const auto runs = chaos_runs();
   const auto expected = sim::run_campaigns(world, runs, {workers});
   ASSERT_EQ(sim::failed_runs(expected), 0u);

@@ -18,6 +18,7 @@
 
 #include "sim/checkpoint.h"
 #include "sim/parallel.h"
+#include "small_world.h"
 #include "support/atomic_file.h"
 
 namespace cityhunter {
@@ -33,16 +34,6 @@ class TempFile {
  private:
   std::string path_;
 };
-
-sim::ScenarioConfig small_scenario() {
-  sim::ScenarioConfig cfg;
-  cfg.seed = 11;
-  cfg.aps.residential_ap_count = 800;
-  cfg.aps.small_venue_count = 400;
-  cfg.aps.enterprise_ap_count = 150;
-  cfg.photos.photo_count = 8000;
-  return cfg;
-}
 
 /// Six short runs over two venues; one samples a series and one carries obs
 /// so the checkpoint exercises the metrics/trace fields too.
@@ -169,13 +160,15 @@ TEST(Checkpoint, WrongVersionIsItsOwnError) {
   // same config; and version 3, whose observed runs carry the pathloss
   // cache counters a fresh run no longer reports; version 4, whose phones
   // still heard each other's broadcast probe requests, so its delivery and
-  // loss counts are larger; and version 5, whose lossy runs drew their
-  // collisions, corruption, backoff and bit flips from a seeded stream.
+  // loss counts are larger; version 5, whose lossy runs drew their
+  // collisions, corruption, backoff and bit flips from a seeded stream; and
+  // version 6, whose observed runs carry wallclock timer metric points.
   // None may resume next to fresh runs.
-  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 6u);
+  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 7u);
   for (const std::uint32_t version :
        {sim::CampaignCheckpoint::kFormatVersion + 1, std::uint32_t{2},
-        std::uint32_t{3}, std::uint32_t{4}, std::uint32_t{5}}) {
+        std::uint32_t{3}, std::uint32_t{4}, std::uint32_t{5},
+        std::uint32_t{6}}) {
     SCOPED_TRACE(version);
     std::string bytes = sim::encode_checkpoint(tiny_checkpoint());
     bytes[4] = static_cast<char>(version);
@@ -220,7 +213,7 @@ TEST(Checkpoint, LoadRejectsForeignCampaignHash) {
 
 class CheckpointCampaignTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() { world_ = new sim::World(small_scenario()); }
+  static void SetUpTestSuite() { world_ = new sim::World(small_scenario(11)); }
   static void TearDownTestSuite() {
     delete world_;
     world_ = nullptr;

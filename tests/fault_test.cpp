@@ -15,6 +15,7 @@
 #include "medium/fault.h"
 #include "medium/medium.h"
 #include "sim/parallel.h"
+#include "small_world.h"
 #include "support/rng.h"
 
 namespace cityhunter {
@@ -318,6 +319,25 @@ TEST(FaultConfig, RejectsNonsense) {
     cfg.fault.slot_time_us = HUGE_VAL;
     EXPECT_THROW(Medium(events, cfg), std::invalid_argument);
   }
+  // Infinite or huge scale factors, or a vanishing rate: one airtime or
+  // backoff would overflow SimTime's int64 microseconds.
+  for (const double bad : {HUGE_VAL, 1e300}) {
+    SCOPED_TRACE(bad);
+    Medium::Config cfg;
+    cfg.contention_factor = bad;
+    EXPECT_THROW(Medium(events, cfg), std::invalid_argument);
+  }
+  for (const double bad : {1e-300, HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    Medium::Config cfg;
+    cfg.mgmt_rate_mbps = bad;
+    EXPECT_THROW(Medium(events, cfg), std::invalid_argument);
+  }
+  {
+    Medium::Config cfg;
+    cfg.fault.slot_time_us = 1e300;
+    EXPECT_THROW(Medium(events, cfg), std::invalid_argument);
+  }
   EXPECT_NO_THROW(Medium(events, Medium::Config{}));
 }
 
@@ -553,16 +573,6 @@ TEST(LossyMedium, LinkDrawsDoNotDependOnBystanders) {
 
 // --- Lossy campaigns across thread counts ---
 
-sim::ScenarioConfig small_scenario() {
-  sim::ScenarioConfig cfg;
-  cfg.seed = 11;
-  cfg.aps.residential_ap_count = 800;
-  cfg.aps.small_venue_count = 400;
-  cfg.aps.enterprise_ap_count = 150;
-  cfg.photos.photo_count = 8000;
-  return cfg;
-}
-
 std::vector<sim::RunConfig> lossy_runs(const sim::World& world) {
   const sim::AttackerKind kinds[] = {sim::AttackerKind::kMana,
                                      sim::AttackerKind::kCityHunter};
@@ -596,7 +606,7 @@ void expect_identical(const sim::RunOutput& a, const sim::RunOutput& b) {
 }
 
 TEST(LossyCampaigns, BitIdenticalAtAnyThreadCount) {
-  sim::World world(small_scenario());
+  sim::World world(small_scenario(11));
   const auto runs = lossy_runs(world);
 
   std::vector<sim::RunOutput> serial;
@@ -623,7 +633,7 @@ TEST(LossyCampaigns, BitIdenticalAtAnyThreadCount) {
 }
 
 TEST(LossyCampaigns, LossReducesDeliveriesVersusPerfectChannel) {
-  sim::World world(small_scenario());
+  sim::World world(small_scenario(11));
   sim::RunConfig perfect;
   perfect.kind = sim::AttackerKind::kCityHunter;
   perfect.slot.expected_clients = 120;

@@ -14,6 +14,7 @@
 #include "obs/probe.h"
 #include "obs/trace.h"
 #include "sim/parallel.h"
+#include "small_world.h"
 
 namespace cityhunter {
 namespace {
@@ -243,18 +244,6 @@ TEST(MetricsRegistry, ReRegistrationDedupsAndKindMismatchThrows) {
   EXPECT_THROW(m.gauge("x"), std::invalid_argument);
 }
 
-TEST(MetricsRegistry, DeterministicViewStripsTimers) {
-  obs::MetricsRegistry m;
-  m.add(m.counter("events"), 3);
-  m.record_seconds(m.timer("phase.sim"), 0.5);
-  const auto snap = m.snapshot();
-  EXPECT_NE(snap.find("phase.sim"), nullptr);
-  const auto det = snap.deterministic();
-  EXPECT_EQ(det.find("phase.sim"), nullptr);
-  ASSERT_NE(det.find("events"), nullptr);
-  EXPECT_EQ(det.find("events")->count, 3u);
-}
-
 // --- Probe ---
 
 TEST(Probe, DisabledProbeHasNullSinks) {
@@ -274,16 +263,6 @@ TEST(Probe, DisabledProbeHasNullSinks) {
 }
 
 // --- Campaign-level determinism across thread counts ---
-
-sim::ScenarioConfig small_scenario() {
-  sim::ScenarioConfig cfg;
-  cfg.seed = 7;
-  cfg.aps.residential_ap_count = 800;
-  cfg.aps.small_venue_count = 400;
-  cfg.aps.enterprise_ap_count = 150;
-  cfg.photos.photo_count = 8000;
-  return cfg;
-}
 
 std::vector<sim::RunConfig> traced_runs() {
   const sim::AttackerKind kinds[] = {sim::AttackerKind::kMana,
@@ -305,7 +284,7 @@ std::vector<sim::RunConfig> traced_runs() {
 }
 
 TEST(ObsCampaign, HarvestIsIdenticalAtAnyThreadCount) {
-  const sim::World world(small_scenario());
+  const sim::World world(small_scenario(7));
   const auto runs = traced_runs();
 
   std::vector<std::vector<sim::RunOutput>> by_threads;
@@ -324,7 +303,7 @@ TEST(ObsCampaign, HarvestIsIdenticalAtAnyThreadCount) {
          {"queue.scheduled", "queue.processed", "queue.peak_pending",
           "medium.transmissions", "medium.deliveries", "fault.drop_erasure",
           "fault.drop_collision", "attacker.scan_windows",
-          "attacker.responses_sent", "trace.dropped", "phase.sim"}) {
+          "attacker.responses_sent", "trace.dropped"}) {
       EXPECT_NE(snap.find(name), nullptr) << name;
     }
     EXPECT_EQ(snap.find("queue.processed")->count, out.queue_stats.processed);
@@ -336,8 +315,7 @@ TEST(ObsCampaign, HarvestIsIdenticalAtAnyThreadCount) {
       SCOPED_TRACE(testing::Message() << "threads-case " << t << " run " << i);
       const auto& a = base[i];
       const auto& b = by_threads[t][i];
-      // Wallclock timers differ run to run; everything else must not.
-      EXPECT_EQ(a.metrics.deterministic(), b.metrics.deterministic());
+      EXPECT_EQ(a.metrics, b.metrics);
       EXPECT_EQ(a.trace, b.trace);
       EXPECT_EQ(a.trace_dropped, b.trace_dropped);
       EXPECT_EQ(a.queue_stats, b.queue_stats);
@@ -347,7 +325,7 @@ TEST(ObsCampaign, HarvestIsIdenticalAtAnyThreadCount) {
 }
 
 TEST(ObsCampaign, TracingDoesNotChangeTheSimulation) {
-  const sim::World world(small_scenario());
+  const sim::World world(small_scenario(7));
   auto run = traced_runs().front();
   const auto traced = sim::run_campaign(world, run);
   run.obs.enabled = false;

@@ -1,90 +1,95 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/parallel.h"
-#include "support/thread_pool.h"
+#include "small_world.h"
+#include "support/parallel_for.h"
 
 namespace cityhunter {
 namespace {
 
-using support::ThreadPool;
+// --- parallel_for ---
 
-// --- ThreadPool ---
-
-TEST(ThreadPool, ReturnsFutureValues) {
-  ThreadPool pool(2);
-  auto a = pool.submit([] { return 21 * 2; });
-  auto b = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(a.get(), 42);
-  EXPECT_EQ(b.get(), "ok");
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ManyTasksAllRun) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 1000; ++i) {
-    futures.push_back(pool.submit([&count] { ++count; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, TasksMaySubmitFollowUps) {
-  // A task enqueuing more work must not deadlock (workers never hold the
-  // queue lock while running a task).
-  ThreadPool pool(1);
-  std::atomic<int> count{0};
-  auto outer = pool.submit([&] {
-    ++count;
-    return pool.submit([&count] { ++count; });
-  });
-  outer.get().get();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, QueuedTasksFinishBeforeDestruction) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&count] { ++count; });
+TEST(ParallelFor, EveryItemRunsExactlyOnce) {
+  for (const std::size_t lanes : {0u, 1u, 3u, 8u}) {
+    for (const std::size_t n : {0u, 1u, 2u, 7u, 1000u}) {
+      SCOPED_TRACE(testing::Message() << lanes << " lanes, " << n << " items");
+      std::vector<std::atomic<int>> calls(n);
+      std::atomic<bool> lane_in_range{true};
+      support::parallel_for(lanes, n, [&](std::size_t lane, std::size_t item) {
+        calls[item].fetch_add(1);
+        if (lane >= std::max<std::size_t>(lanes, 1)) lane_in_range = false;
+      });
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(calls[i].load(), 1) << i;
+      EXPECT_TRUE(lane_in_range.load());
     }
-  }  // destructor drains the queue
-  EXPECT_EQ(count.load(), 50);
+  }
 }
 
-TEST(ThreadPool, DefaultWorkersHonoursEnvOverride) {
+TEST(ParallelFor, PlainWritesAreVisibleAfterReturn) {
+  // Items write plain, non-atomic slots: the join alone must publish them.
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::uint64_t> out(64, 0);
+    support::parallel_for(4, out.size(), [&out](std::size_t, std::size_t i) {
+      out[i] = i * 1000 + 7;
+    });
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], i * 1000 + 7) << "round " << round;
+    }
+  }
+}
+
+TEST(ParallelFor, ThrowStopsFurtherItemsAndIsRethrownAfterTheJoin) {
+  constexpr std::size_t kItems = 1000;
+  for (const std::size_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    std::atomic<std::size_t> started{0};
+    std::atomic<int> in_flight{0};
+    bool rethrown = false;
+    try {
+      support::parallel_for(lanes, kItems, [&](std::size_t, std::size_t item) {
+        ++started;
+        if (item == 3) throw std::runtime_error("item 3");
+        ++in_flight;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        --in_flight;
+      });
+    } catch (const std::runtime_error& e) {
+      rethrown = true;
+      EXPECT_STREQ(e.what(), "item 3");
+      // Every lane had finished its item before the rethrow.
+      EXPECT_EQ(in_flight.load(), 0);
+    }
+    EXPECT_TRUE(rethrown);
+    // One lane takes items in order and stops at the throw; more lanes
+    // finish the items they hold and start no others.
+    if (lanes == 1) {
+      EXPECT_EQ(started.load(), 4u);
+    } else {
+      EXPECT_LT(started.load(), kItems / 2);
+    }
+  }
+}
+
+TEST(ParallelFor, DefaultWorkersHonoursEnvOverride) {
   ::setenv("CITYHUNTER_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::default_workers(), 3u);
+  EXPECT_EQ(support::default_workers(), 3u);
   ::setenv("CITYHUNTER_THREADS", "not-a-number", 1);
-  EXPECT_GE(ThreadPool::default_workers(), 1u);
+  EXPECT_GE(support::default_workers(), 1u);
   ::unsetenv("CITYHUNTER_THREADS");
-  EXPECT_GE(ThreadPool::default_workers(), 1u);
+  EXPECT_GE(support::default_workers(), 1u);
 }
 
 // --- run_campaigns ---
-
-sim::ScenarioConfig small_scenario() {
-  sim::ScenarioConfig cfg;
-  cfg.seed = 7;
-  cfg.aps.residential_ap_count = 800;
-  cfg.aps.small_venue_count = 400;
-  cfg.aps.enterprise_ap_count = 150;
-  cfg.photos.photo_count = 8000;
-  return cfg;
-}
 
 /// Eight runs cycling through every attacker kind with varied seeds and
 /// venues; two of them also sample a series.
@@ -136,7 +141,7 @@ void expect_identical(const sim::RunOutput& a, const sim::RunOutput& b) {
 }
 
 TEST(RunCampaigns, ParallelIsBitIdenticalToSerial) {
-  sim::World world(small_scenario());
+  sim::World world(small_scenario(7));
   const auto runs = mixed_runs();
 
   std::vector<sim::RunOutput> serial;
@@ -154,108 +159,8 @@ TEST(RunCampaigns, ParallelIsBitIdenticalToSerial) {
   }
 }
 
-// --- Warm-start setup cache ---
-
-TEST(RunCampaigns, WarmStartSetupIsBitIdenticalToColdSetup) {
-  // The doc contract on sim::SetupCache: sharing the memoized WiGLE seed
-  // and venue locale across runs must be observably invisible. Run every
-  // mixed config cold (no cache), then twice against one cache — the
-  // second sweep hits the snapshot for every run — and demand identical
-  // outputs throughout.
-  sim::World world(small_scenario());
-  const auto runs = mixed_runs();
-
-  sim::SetupCache cache;
-  for (const auto& run : runs) {
-    const auto cold = sim::run_campaign(world, run);
-    const auto warm_miss = sim::run_campaign(world, run, &cache);
-    expect_identical(cold, warm_miss);
-  }
-  const auto misses_after_first_sweep = cache.misses();
-  EXPECT_GT(misses_after_first_sweep, 0u);
-  for (const auto& run : runs) {
-    const auto cold = sim::run_campaign(world, run);
-    const auto warm_hit = sim::run_campaign(world, run, &cache);
-    expect_identical(cold, warm_hit);
-  }
-  // The second sweep built nothing new: every lookup was a hit.
-  EXPECT_EQ(cache.misses(), misses_after_first_sweep);
-  EXPECT_GE(cache.hits(), runs.size());
-}
-
-TEST(RunCampaigns, SetupCacheKeySeparatesEverySetup) {
-  // Cached and uncached runs build their setup with the same function, so
-  // only the cache key can make them differ. Each variant below changes one
-  // field the key covers; sharing one cache, every run must still equal its
-  // uncached run, and each distinct setup must be built exactly once.
-  sim::World world(small_scenario());
-  sim::RunConfig base;
-  base.kind = sim::AttackerKind::kCityHunter;
-  base.venue = mobility::shopping_center_venue();
-  base.slot.expected_clients = 60;
-  base.duration = support::SimTime::minutes(2);
-  std::vector<sim::RunConfig> runs;
-  const auto vary = [&](auto edit) {
-    sim::RunConfig run = base;
-    edit(run);
-    runs.push_back(std::move(run));
-  };
-  // A warm start with carriers first: the carrier setup's miss, so the
-  // carrier run below is a hit that must not inherit its database.
-  vary([](sim::RunConfig& r) {
-    r.seed_carrier_ssids = true;
-    r.initial_database.emplace();
-    r.initial_database->add("Carried-Over", 7.0,
-                            core::SsidSource::kDirectProbe,
-                            support::SimTime::zero());
-  });
-  vary([](sim::RunConfig&) {});
-  vary([](sim::RunConfig& r) { r.wigle_seed.nearby_count = 50; });
-  vary([](sim::RunConfig& r) { r.wigle_seed.popular_count = 120; });
-  vary([](sim::RunConfig& r) {
-    r.wigle_seed.ranking = core::PopularRanking::kApCount;
-  });
-  vary([](sim::RunConfig& r) { r.seed_carrier_ssids = true; });
-  vary([](sim::RunConfig& r) { r.kind = sim::AttackerKind::kPrelim; });
-  // A venue name as long as the base's: the key must read its characters.
-  vary([](sim::RunConfig& r) { r.venue = mobility::railway_station_venue(); });
-  constexpr std::uint64_t kDistinctSetups = 7;
-
-  std::vector<sim::RunOutput> uncached;
-  for (const auto& run : runs) {
-    uncached.push_back(sim::run_campaign(world, run));
-  }
-  sim::SetupCache cache;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      SCOPED_TRACE(testing::Message() << "pass " << pass << " run " << i);
-      expect_identical(uncached[i], sim::run_campaign(world, runs[i], &cache));
-    }
-    EXPECT_EQ(cache.misses(), kDistinctSetups);
-  }
-  EXPECT_EQ(cache.hits(), 2 * runs.size() - kDistinctSetups);
-}
-
-TEST(RunCampaigns, SetupCacheIsBoundToOneWorld) {
-  // A snapshot seeded from one world must never leak into another: the
-  // cache binds to the first world it sees and rejects the rest loudly.
-  sim::World world_a(small_scenario());
-  sim::ScenarioConfig other = small_scenario();
-  other.seed = 8;
-  sim::World world_b(other);
-
-  sim::SetupCache cache;
-  sim::RunConfig run;
-  run.kind = sim::AttackerKind::kCityHunter;
-  run.duration = support::SimTime::minutes(1);
-  run.run_seed = 1;
-  (void)sim::run_campaign(world_a, run, &cache);
-  EXPECT_THROW((void)sim::run_campaign(world_b, run, &cache),
-               std::logic_error);
-}
-
 TEST(RunCampaigns, OutputsPreserveInputOrder) {
-  sim::World world(small_scenario());
+  sim::World world(small_scenario(7));
   // Same run at different seeds: outputs must line up with their configs,
   // not with completion order.
   std::vector<sim::RunConfig> runs(3);
@@ -319,7 +224,7 @@ void expect_failure_isolated(const sim::World& world,
 }
 
 TEST(RunCampaigns, ThrowingRunIsIsolatedInThePool) {
-  sim::World world(small_scenario());
+  sim::World world(small_scenario(7));
   const auto runs = runs_with_poison(world);
   const auto outputs =
       sim::run_campaigns(world, runs, sim::ParallelConfig{4});
@@ -327,11 +232,32 @@ TEST(RunCampaigns, ThrowingRunIsIsolatedInThePool) {
 }
 
 TEST(RunCampaigns, ThrowingRunIsIsolatedOnTheSerialPath) {
-  sim::World world(small_scenario());
+  sim::World world(small_scenario(7));
   const auto runs = runs_with_poison(world);
   const auto outputs =
       sim::run_campaigns(world, runs, sim::ParallelConfig{1});
   expect_failure_isolated(world, runs, outputs);
+}
+
+TEST(RunCampaigns, StatsKeepOneLoadPerLaneThatAttempted) {
+  sim::World world(small_scenario(7));
+  const auto runs = runs_with_poison(world);
+  for (const std::size_t threads : {1u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    sim::ParallelStats stats;
+    (void)sim::run_campaigns(world, runs, sim::ParallelConfig{threads},
+                             &stats);
+    EXPECT_EQ(stats.workers, std::min<std::size_t>(threads, runs.size()));
+    ASSERT_FALSE(stats.loads.empty());
+    EXPECT_LE(stats.loads.size(), stats.workers);
+    std::size_t attempts = 0;
+    for (const auto& load : stats.loads) {
+      EXPECT_GT(load.runs, 0u);
+      attempts += load.runs;
+    }
+    // Three runs, and the poisoned one's retry.
+    EXPECT_EQ(attempts, runs.size() + 1);
+  }
 }
 
 TEST(RunCampaigns, FailedRunsCountsEveryError) {
@@ -345,7 +271,7 @@ TEST(RunCampaigns, FailedRunsCountsEveryError) {
 }
 
 TEST(RunCampaigns, SingleThreadAndEmptyInputWork) {
-  sim::World world(small_scenario());
+  sim::World world(small_scenario(7));
   EXPECT_TRUE(sim::run_campaigns(world, {}).empty());
 
   std::vector<sim::RunConfig> one(1);

@@ -6,25 +6,17 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/scenario.h"
+#include "small_world.h"
 
 namespace cityhunter::sim {
 namespace {
 
 using support::SimTime;
-
-ScenarioConfig small_scenario(std::uint64_t seed = 7) {
-  ScenarioConfig cfg;
-  cfg.seed = seed;
-  // Shrink the world so these tests stay fast.
-  cfg.aps.residential_ap_count = 800;
-  cfg.aps.small_venue_count = 400;
-  cfg.aps.enterprise_ap_count = 150;
-  cfg.photos.photo_count = 8000;
-  return cfg;
-}
 
 RunConfig small_run(AttackerKind kind) {
   RunConfig run;
@@ -36,7 +28,7 @@ RunConfig small_run(AttackerKind kind) {
 }
 
 TEST(World, BuildsAllPieces) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   EXPECT_GT(world.aps().size(), 1000u);
   EXPECT_GT(world.wigle().size(), 500u);
   EXPECT_LT(world.wigle().size(), world.aps().size());
@@ -45,7 +37,7 @@ TEST(World, BuildsAllPieces) {
 }
 
 TEST(World, VenueApsExistForEveryVenue) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   std::set<std::string> ssids;
   for (const auto& ap : world.aps()) ssids.insert(ap.ssid);
   EXPECT_TRUE(ssids.count("MTR Free Wi-Fi"));
@@ -67,7 +59,7 @@ TEST(World, VenuePositionsAreDistinct) {
 }
 
 TEST(World, LocalPublicSsidsAreNearby) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   const auto pos = venue_city_position("canteen");
   const auto local = world.local_public_ssids(pos, 500.0);
   EXPECT_FALSE(local.empty());
@@ -86,7 +78,7 @@ TEST(World, LocalPublicSsidsAreNearby) {
 }
 
 TEST(RunCampaign, DeterministicForSameSeeds) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   auto run = small_run(AttackerKind::kCityHunter);
   const auto a = run_campaign(world, run);
   // run_campaign is pure in the world (the PNL model is copied per run), so
@@ -99,7 +91,7 @@ TEST(RunCampaign, DeterministicForSameSeeds) {
 }
 
 TEST(RunCampaign, DifferentRunSeedsDiffer) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   auto run = small_run(AttackerKind::kCityHunter);
   run.run_seed = 1;
   const auto a = run_campaign(world, run);
@@ -109,21 +101,21 @@ TEST(RunCampaign, DifferentRunSeedsDiffer) {
 }
 
 TEST(RunCampaign, KarmaGetsZeroBroadcastHits) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   const auto out = run_campaign(world, small_run(AttackerKind::kKarma));
   EXPECT_EQ(out.result.broadcast_connected, 0u);
   EXPECT_EQ(out.db_final_size, 0u);  // KARMA keeps no database
 }
 
 TEST(RunCampaign, ManaDatabaseComesOnlyFromDirectProbes) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   const auto out = run_campaign(world, small_run(AttackerKind::kMana));
   EXPECT_GT(out.db_final_size, 0u);
   EXPECT_EQ(out.db_from_direct, out.db_final_size);
 }
 
 TEST(RunCampaign, CityHunterDatabaseIsSeededPlusLearned) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   const auto out = run_campaign(world, small_run(AttackerKind::kCityHunter));
   EXPECT_GT(out.db_final_size, 150u);  // WiGLE seed present
   EXPECT_GT(out.db_from_direct, 0u);   // plus on-site learning
@@ -133,7 +125,7 @@ TEST(RunCampaign, CityHunterDatabaseIsSeededPlusLearned) {
 }
 
 TEST(RunCampaign, SamplingProducesMonotonicSeries) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   auto run = small_run(AttackerKind::kMana);
   run.sample_every = SimTime::minutes(1);
   const auto out = run_campaign(world, run);
@@ -147,7 +139,7 @@ TEST(RunCampaign, SamplingProducesMonotonicSeries) {
 }
 
 TEST(RunCampaign, WindowRatesCoverTheDuration) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   auto run = small_run(AttackerKind::kCityHunter);
   const auto out = run_campaign(world, run);
   EXPECT_EQ(out.window_rates.size(), 5u);  // 10 min / 2 min
@@ -157,7 +149,7 @@ TEST(RunCampaign, WindowRatesCoverTheDuration) {
 }
 
 TEST(RunCampaign, CarrierSeedProducesCarrierHits) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   auto run = small_run(AttackerKind::kCityHunter);
   run.slot.expected_clients = 400;
   run.duration = SimTime::minutes(20);
@@ -167,7 +159,7 @@ TEST(RunCampaign, CarrierSeedProducesCarrierHits) {
 }
 
 TEST(RunCampaign, DeauthScenarioReachesParkedClients) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   auto run = small_run(AttackerKind::kCityHunter);
   run.slot.expected_clients = 250;
   run.duration = SimTime::minutes(20);
@@ -189,7 +181,7 @@ TEST(RunCampaign, NegativeDurationIsRejected) {
   // An empty crowd, as a slot's client count scaled by a negative duration
   // draws no arrivals: without the check the run simulated nothing and the
   // window-rate analysis threw std::length_error on a negative window count.
-  World world(small_scenario());
+  World world(small_scenario(7));
   auto run = small_run(AttackerKind::kCityHunter);
   run.slot.expected_clients = 0;
   run.duration = SimTime::minutes(-5);
@@ -199,7 +191,7 @@ TEST(RunCampaign, NegativeDurationIsRejected) {
 TEST(RunCampaign, NonPositiveSampleIntervalIsRejected) {
   // A zero interval never advanced the series loop, which posted events
   // until memory ran out; a negative one scheduled into the past.
-  World world(small_scenario());
+  World world(small_scenario(7));
   auto run = small_run(AttackerKind::kMana);
   for (const SimTime every : {SimTime::zero(), SimTime::seconds(-30)}) {
     run.sample_every = every;
@@ -211,7 +203,7 @@ TEST(RunCampaign, NonPositiveSampleIntervalIsRejected) {
 TEST(RunCampaign, NegativeSeedCountsAreRejected) {
   // Both counts were cast to size_t unchecked: -1 seeded every free WiGLE
   // SSID, and the carrier SSIDs at weight -1.
-  World world(small_scenario());
+  World world(small_scenario(7));
   auto run = small_run(AttackerKind::kCityHunter);
   run.seed_carrier_ssids = true;
   for (const auto& [nearby, popular] :
@@ -224,7 +216,7 @@ TEST(RunCampaign, NegativeSeedCountsAreRejected) {
 }
 
 TEST(RunCampaign, WarmStartCarriesLearnedSsids) {
-  World world(small_scenario());
+  World world(small_scenario(7));
   auto run = small_run(AttackerKind::kCityHunter);
   const auto first = run_campaign(world, run);
   ASSERT_GT(first.db_from_direct, 0u);
@@ -237,6 +229,22 @@ TEST(RunCampaign, WarmStartCarriesLearnedSsids) {
   // seeding (idempotent) plus the second slot's own learning.
   EXPECT_GE(second.db_final_size, first.db_final_size);
   EXPECT_GE(second.db_from_direct, first.db_from_direct);
+}
+
+TEST(RunCampaign, WarmStartReplacesTheWigleSeedAndKeepsCarriersOnTop) {
+  World world(small_scenario(7));
+  auto run = small_run(AttackerKind::kCityHunter);
+  run.seed_carrier_ssids = true;
+  run.initial_database.emplace();
+  run.initial_database->add("Carried-Over", 7.0,
+                            core::SsidSource::kDirectProbe, SimTime::zero());
+  VenueRun venue(world, run);
+  std::vector<std::string> ssids;
+  for (const auto& record : venue.attacker().database().records()) {
+    ssids.push_back(record.ssid);
+  }
+  EXPECT_EQ(ssids, (std::vector<std::string>{"Carried-Over", "PCCW1x",
+                                             "Y5ZONE", "CMCC-AUTO"}));
 }
 
 // --- The offline phase: WiGLE rankings and venue seed lists ---

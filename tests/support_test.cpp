@@ -15,80 +15,9 @@
 #include "support/rng.h"
 #include "support/sim_time.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
 
 namespace cityhunter::support {
 namespace {
-
-// --- TaskTeam ---
-
-TEST(TaskTeam, EveryHelperRunsExactlyOncePerDispatch) {
-  TaskTeam team(3);
-  ASSERT_EQ(team.helpers(), 3u);
-  struct Ctx {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> index_sum{0};
-  } ctx;
-  const auto fn = +[](void* c, std::size_t i) {
-    auto* x = static_cast<Ctx*>(c);
-    x->hits.fetch_add(1);
-    x->index_sum.fetch_add(i);
-  };
-  for (int round = 1; round <= 50; ++round) {
-    team.dispatch(fn, &ctx);
-    team.wait();
-    EXPECT_EQ(ctx.hits.load(), static_cast<std::uint64_t>(3 * round));
-  }
-  // Helper indices 0+1+2 per round: every helper ran, none twice.
-  EXPECT_EQ(ctx.index_sum.load(), 50u * 3u);
-}
-
-TEST(TaskTeam, WaitPublishesHelperWrites) {
-  // Data written by helpers before finishing must be visible to the caller
-  // after wait() without any extra synchronization (release/acquire on the
-  // done counter).
-  TaskTeam team(4);
-  struct Ctx {
-    std::uint64_t lane[4] = {};  // plain, non-atomic: ordering must carry it
-  } ctx;
-  const auto fn = +[](void* c, std::size_t i) {
-    static_cast<Ctx*>(c)->lane[i] = i * 1000 + 7;
-  };
-  for (int round = 0; round < 20; ++round) {
-    for (auto& v : ctx.lane) v = 0;
-    team.dispatch(fn, &ctx);
-    team.wait();
-    for (std::size_t i = 0; i < 4; ++i) {
-      ASSERT_EQ(ctx.lane[i], i * 1000 + 7) << "round " << round;
-    }
-  }
-}
-
-TEST(TaskTeam, ZeroHelpersIsAValidDegenerateTeam) {
-  // A 1-worker fork-join has no helpers: dispatch/wait must be no-ops.
-  TaskTeam team(0);
-  EXPECT_EQ(team.helpers(), 0u);
-  int touched = 0;
-  team.dispatch(+[](void*, std::size_t) {}, &touched);
-  team.wait();
-  EXPECT_EQ(touched, 0);
-}
-
-TEST(TaskTeam, DestructionWhileParkedJoinsCleanly) {
-  // Helpers park on the epoch futex between dispatches; the destructor must
-  // wake and join them without a dispatch in flight.
-  for (int i = 0; i < 8; ++i) {
-    TaskTeam team(2);
-    if (i % 2 == 0) {
-      std::atomic<int> n{0};
-      team.dispatch(+[](void* c, std::size_t) {
-        static_cast<std::atomic<int>*>(c)->fetch_add(1);
-      }, &n);
-      team.wait();
-      EXPECT_EQ(n.load(), 2);
-    }
-  }
-}
 
 // --- SimTime ---
 
