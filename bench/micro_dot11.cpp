@@ -2,7 +2,8 @@
 //
 // Every frame in the simulator crosses serialize() + parse(), so codec cost
 // bounds simulation throughput. The legacy allocating API is benchmarked
-// next to the buffer-reusing serialize_into/parse_into hot-path variants;
+// next to the buffer-reusing serialize_into/parse_into hot-path variants
+// and decode_into, the FCS-less decode the medium runs on undamaged bytes;
 // each benchmark also reports heap allocations per operation
 // (bench/alloc_counter.h) — the _into variants must sit at 0 once warm.
 #include "alloc_counter.h"
@@ -84,6 +85,24 @@ void BM_ParseIntoProbeResponse(benchmark::State& state) {
   report_allocs_per_op(state, a0);
 }
 BENCHMARK(BM_ParseIntoProbeResponse);
+
+// What Medium::transmit runs on bytes the fault model left alone: the
+// decode of BM_ParseIntoProbeResponse without its FCS check.
+void BM_DecodeIntoProbeResponse(benchmark::State& state) {
+  const auto bytes = dot11::serialize(sample_probe_response());
+  dot11::Frame slot;
+  dot11::decode_into(bytes, slot);  // warm the slot's IE storage
+  const auto a0 = bench::alloc_count();
+  for (auto _ : state) {
+    auto ok = dot11::decode_into(bytes, slot);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(&slot);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  report_allocs_per_op(state, a0);
+}
+BENCHMARK(BM_DecodeIntoProbeResponse);
 
 void BM_RoundTripBeacon(benchmark::State& state) {
   support::Rng rng(9);

@@ -43,6 +43,9 @@ void CityHunter::on_hit(const ClientRecord& client, const std::string& ssid,
 
 void CityHunter::refresh_views() {
   if (views_version_ == db_.version()) return;
+  // Updated in place from the previous order. The database is replaced
+  // only before start(), so the first view, a full sort, is the only one
+  // built after a replacement.
   db_.by_weight(by_weight_);
   db_.by_freshness(by_freshness_);
   views_version_ = db_.version();

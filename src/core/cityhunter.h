@@ -54,7 +54,7 @@ class CityHunter : public Attacker {
                     std::vector<SsidChoice>& out) override;
 
  private:
-  /// Re-sort the id views in place when the database changed.
+  /// Bring the id views up to date when the database changed.
   void refresh_views();
 
   Config cfg_;

@@ -71,14 +71,32 @@ std::optional<SsidId> SsidDatabase::find_id(const std::string& ssid) const {
 }
 
 void SsidDatabase::by_weight(std::vector<SsidId>& out) const {
-  out.resize(records_.size());
-  std::iota(out.begin(), out.end(), SsidId{0});
-  std::sort(out.begin(), out.end(), [this](SsidId a, SsidId b) {
+  // (weight descending, insertion order ascending) is a total order, so
+  // the full sort and the insertion pass produce the same ids.
+  const auto before = [this](SsidId a, SsidId b) {
     const SsidRecord& ra = records_[a];
     const SsidRecord& rb = records_[b];
     if (ra.weight != rb.weight) return ra.weight > rb.weight;
     return ra.insertion_order < rb.insertion_order;
-  });
+  };
+  const std::size_t kept = out.size();
+  out.resize(records_.size());
+  if (kept == 0 || kept > records_.size()) {
+    std::iota(out.begin(), out.end(), SsidId{0});
+    std::sort(out.begin(), out.end(), before);
+    return;
+  }
+  // An earlier order of this database: records only grow and a mutation
+  // moves or appends one record, so append the new ids and let one
+  // insertion pass restore the order.
+  std::iota(out.begin() + static_cast<std::ptrdiff_t>(kept), out.end(),
+            static_cast<SsidId>(kept));
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    const SsidId id = out[i];
+    std::size_t j = i;
+    for (; j > 0 && before(id, out[j - 1]); --j) out[j] = out[j - 1];
+    out[j] = id;
+  }
 }
 
 void SsidDatabase::by_freshness(std::vector<SsidId>& out) const {

@@ -62,6 +62,13 @@ class SsidDatabase {
   /// and freshness updated. Unknown SSIDs are ignored.
   void record_hit(const std::string& ssid, double hit_bonus, SimTime now);
 
+  /// Make room for `n` records in all, so that adding up to that many
+  /// regrows neither the records nor the SSID index.
+  void reserve(std::size_t n) {
+    records_.reserve(n);
+    index_.reserve(n);
+  }
+
   bool contains(const std::string& ssid) const {
     return index_.count(ssid) != 0;
   }
@@ -71,8 +78,12 @@ class SsidDatabase {
   std::size_t size() const { return records_.size(); }
 
   /// Ids of all records by descending weight (stable: insertion order
-  /// breaks ties), written over `out`. O(n log n); attacker code caches
-  /// the order between mutations.
+  /// breaks ties), brought up to date in `out`. An empty `out` is built
+  /// with a full sort, O(n log n). Otherwise `out` must hold this
+  /// database's order from an earlier version: the ids added since are
+  /// appended and one insertion pass restores the order, linear when one
+  /// record moved. Attacker code keeps the order between mutations; after
+  /// replacing the database (assignment, restore) pass an empty `out`.
   void by_weight(std::vector<SsidId>& out) const;
 
   /// Ids of the records with at least one hit, most recent hit first,

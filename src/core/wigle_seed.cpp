@@ -46,6 +46,7 @@ void seed_ranked(SsidDatabase& db,
       std::min(popular.size(), static_cast<std::size_t>(cfg.popular_count)));
   nearby = nearby.first(
       std::min(nearby.size(), static_cast<std::size_t>(cfg.nearby_count)));
+  db.reserve(db.size() + popular.size() + nearby.size());
   // City-wide popular set first: its weights span [1, popular_count] and
   // should dominate ties with the nearby set.
   const auto pop_weights = heatmap::rank_weights(popular.size());

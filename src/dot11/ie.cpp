@@ -1,6 +1,6 @@
 #include "dot11/ie.h"
 
-#include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 namespace cityhunter::dot11 {
@@ -29,16 +29,14 @@ void IeList::add_ssid(std::string_view ssid) {
   buf_.insert(buf_.end(), ssid.begin(), ssid.end());
 }
 
-void IeList::add_supported_rates(std::span<const double> rates_mbps) {
-  static constexpr double kDefault[] = {1, 2, 5.5, 11, 6, 9, 12, 18};
-  std::span<const double> rates =
-      rates_mbps.empty() ? std::span<const double>(kDefault) : rates_mbps;
-  append_header(ElementId::kSupportedRates, rates.size());
-  for (const double r : rates) {
-    // Units of 500 kb/s, basic-rate flag (MSB) set.
-    const auto units = static_cast<std::uint8_t>(std::lround(r * 2.0));
-    buf_.push_back(static_cast<std::uint8_t>(units | 0x80));
-  }
+void IeList::add_supported_rates() {
+  // The whole element, one constant block: id 1, length 8, then the rates
+  // in units of 500 kb/s with the basic-rate flag (MSB) set.
+  static constexpr std::uint8_t kElement[] = {
+      0x01, 0x08, 0x82, 0x84, 0x8b, 0x96, 0x8c, 0x92, 0x98, 0xa4};
+  entries_.push_back({ElementId::kSupportedRates,
+                      static_cast<std::uint32_t>(buf_.size() + 2), 8});
+  buf_.insert(buf_.end(), std::begin(kElement), std::end(kElement));
 }
 
 void IeList::add_ds_param(std::uint8_t channel) {

@@ -6,8 +6,8 @@
 // Storage is a single contiguous backing buffer holding the exact wire TLV
 // bytes (id, length, body per element) plus a flat (id, offset, len) entry
 // table — one allocation per list instead of one per element body, and the
-// buffer doubles as the serialized form: serialize_to() is a single append,
-// wire_size() is the buffer length, and assign_wire() re-parses into the
+// buffer doubles as the serialized form: wire() is the bytes a frame
+// copies, wire_size() is their length, and assign_wire() re-parses into the
 // same storage without reallocating. This is what keeps the medium's
 // transmit→parse hot path allocation-free at steady state.
 #pragma once
@@ -68,9 +68,9 @@ class IeList {
   /// SSID element. Empty string = wildcard SSID (broadcast probe request).
   void add_ssid(std::string_view ssid);
 
-  /// Supported rates in units of 500 kb/s, basic-rate bit set on each.
-  /// Default set is 802.11b/g: 1, 2, 5.5, 11, 6, 9, 12, 18 Mb/s.
-  void add_supported_rates(std::span<const double> rates_mbps = {});
+  /// The 802.11b/g supported rates element: 1, 2, 5.5, 11, 6, 9, 12 and
+  /// 18 Mb/s in units of 500 kb/s, basic-rate bit set on each.
+  void add_supported_rates();
 
   /// DS parameter set (current channel).
   void add_ds_param(std::uint8_t channel);
@@ -110,10 +110,6 @@ class IeList {
 
   /// The serialized TLV bytes (this IS the storage — no copy).
   std::span<const std::uint8_t> wire() const { return buf_; }
-
-  void serialize_to(std::vector<std::uint8_t>& out) const {
-    out.insert(out.end(), buf_.begin(), buf_.end());
-  }
 
   /// Parse elements until the span is exhausted. Returns nullopt on a
   /// truncated element.

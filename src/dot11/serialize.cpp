@@ -1,5 +1,7 @@
 #include "dot11/serialize.h"
 
+#include <cstring>
+
 #include "dot11/crc32.h"
 
 namespace cityhunter::dot11 {
@@ -9,25 +11,38 @@ namespace {
 constexpr std::size_t kMacHeaderSize = 2 + 2 + 6 + 6 + 6 + 2;
 constexpr std::size_t kFcsSize = 4;
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+// Little-endian writers over a buffer sized once from wire_size(). Each
+// returns the position just past what it wrote.
+std::uint8_t* put_u16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v & 0xff);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  return p + 2;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
   }
+  return p + 4;
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+std::uint8_t* put_u64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
   }
+  return p + 8;
 }
 
-void put_mac(std::vector<std::uint8_t>& out, const MacAddress& m) {
-  out.insert(out.end(), m.octets().begin(), m.octets().end());
+std::uint8_t* put_mac(std::uint8_t* p, const MacAddress& m) {
+  std::memcpy(p, m.octets().data(), m.octets().size());
+  return p + m.octets().size();
+}
+
+// The IE list's storage is its wire form: one copy.
+std::uint8_t* put_ies(std::uint8_t* p, const IeList& ies) {
+  const auto wire = ies.wire();
+  if (!wire.empty()) std::memcpy(p, wire.data(), wire.size());
+  return p + wire.size();
 }
 
 class Reader {
@@ -106,46 +121,48 @@ std::size_t body_wire_size(const FrameBody& body) {
   return std::visit(Visitor{}, body);
 }
 
-void serialize_body(std::vector<std::uint8_t>& out, const FrameBody& body) {
+std::uint8_t* serialize_body(std::uint8_t* p, const FrameBody& body) {
   struct Visitor {
-    std::vector<std::uint8_t>& out;
-    void operator()(const Beacon& b) const {
-      put_u64(out, b.timestamp_us);
-      put_u16(out, b.beacon_interval_tu);
-      put_u16(out, b.capability.bits);
-      b.ies.serialize_to(out);
+    std::uint8_t* p;
+    std::uint8_t* operator()(const Beacon& b) const {
+      std::uint8_t* q = put_u64(p, b.timestamp_us);
+      q = put_u16(q, b.beacon_interval_tu);
+      q = put_u16(q, b.capability.bits);
+      return put_ies(q, b.ies);
     }
-    void operator()(const ProbeRequest& b) const { b.ies.serialize_to(out); }
-    void operator()(const ProbeResponse& b) const {
-      put_u64(out, b.timestamp_us);
-      put_u16(out, b.beacon_interval_tu);
-      put_u16(out, b.capability.bits);
-      b.ies.serialize_to(out);
+    std::uint8_t* operator()(const ProbeRequest& b) const {
+      return put_ies(p, b.ies);
     }
-    void operator()(const Authentication& b) const {
-      put_u16(out, static_cast<std::uint16_t>(b.algorithm));
-      put_u16(out, b.sequence);
-      put_u16(out, static_cast<std::uint16_t>(b.status));
+    std::uint8_t* operator()(const ProbeResponse& b) const {
+      std::uint8_t* q = put_u64(p, b.timestamp_us);
+      q = put_u16(q, b.beacon_interval_tu);
+      q = put_u16(q, b.capability.bits);
+      return put_ies(q, b.ies);
     }
-    void operator()(const AssociationRequest& b) const {
-      put_u16(out, b.capability.bits);
-      put_u16(out, b.listen_interval);
-      b.ies.serialize_to(out);
+    std::uint8_t* operator()(const Authentication& b) const {
+      std::uint8_t* q = put_u16(p, static_cast<std::uint16_t>(b.algorithm));
+      q = put_u16(q, b.sequence);
+      return put_u16(q, static_cast<std::uint16_t>(b.status));
     }
-    void operator()(const AssociationResponse& b) const {
-      put_u16(out, b.capability.bits);
-      put_u16(out, static_cast<std::uint16_t>(b.status));
-      put_u16(out, b.association_id);
-      b.ies.serialize_to(out);
+    std::uint8_t* operator()(const AssociationRequest& b) const {
+      std::uint8_t* q = put_u16(p, b.capability.bits);
+      q = put_u16(q, b.listen_interval);
+      return put_ies(q, b.ies);
     }
-    void operator()(const Deauthentication& b) const {
-      put_u16(out, static_cast<std::uint16_t>(b.reason));
+    std::uint8_t* operator()(const AssociationResponse& b) const {
+      std::uint8_t* q = put_u16(p, b.capability.bits);
+      q = put_u16(q, static_cast<std::uint16_t>(b.status));
+      q = put_u16(q, b.association_id);
+      return put_ies(q, b.ies);
     }
-    void operator()(const Disassociation& b) const {
-      put_u16(out, static_cast<std::uint16_t>(b.reason));
+    std::uint8_t* operator()(const Deauthentication& b) const {
+      return put_u16(p, static_cast<std::uint16_t>(b.reason));
+    }
+    std::uint8_t* operator()(const Disassociation& b) const {
+      return put_u16(p, static_cast<std::uint16_t>(b.reason));
     }
   };
-  std::visit(Visitor{out}, body);
+  return std::visit(Visitor{p}, body);
 }
 
 bool parse_body_into(MgmtSubtype subtype, Reader& r, FrameBody& body) {
@@ -209,26 +226,27 @@ bool parse_body_into(MgmtSubtype subtype, Reader& r, FrameBody& body) {
 }  // namespace
 
 std::size_t serialize_into(const Frame& frame, std::vector<std::uint8_t>& out) {
-  out.clear();
+  const std::size_t size = wire_size(frame);
+  out.resize(size);
+  std::uint8_t* p = out.data();
   // Frame control: version 0 (bits 0-1), type 0 = mgmt (bits 2-3),
   // subtype (bits 4-7). Flags octet zero.
   const std::uint16_t fc = static_cast<std::uint16_t>(
       static_cast<std::uint16_t>(frame.subtype()) << 4);
-  put_u16(out, fc);
-  put_u16(out, frame.header.duration);
-  put_mac(out, frame.header.addr1);
-  put_mac(out, frame.header.addr2);
-  put_mac(out, frame.header.addr3);
+  p = put_u16(p, fc);
+  p = put_u16(p, frame.header.duration);
+  p = put_mac(p, frame.header.addr1);
+  p = put_mac(p, frame.header.addr2);
+  p = put_mac(p, frame.header.addr3);
   // Sequence control: fragment number 0 in low nibble.
-  put_u16(out, static_cast<std::uint16_t>(frame.header.sequence << 4));
-  serialize_body(out, frame.body);
-  put_u32(out, crc32(out));
-  return out.size();
+  p = put_u16(p, static_cast<std::uint16_t>(frame.header.sequence << 4));
+  p = serialize_body(p, frame.body);
+  put_u32(p, crc32(std::span<const std::uint8_t>(out).first(size - kFcsSize)));
+  return size;
 }
 
 std::vector<std::uint8_t> serialize(const Frame& frame) {
   std::vector<std::uint8_t> out;
-  out.reserve(wire_size(frame));
   serialize_into(frame, out);
   return out;
 }
@@ -237,18 +255,19 @@ std::size_t wire_size(const Frame& frame) {
   return kMacHeaderSize + body_wire_size(frame.body) + kFcsSize;
 }
 
-bool parse_into(std::span<const std::uint8_t> data, Frame& slot) {
+bool fcs_ok(std::span<const std::uint8_t> data) {
   if (data.size() < kMacHeaderSize + kFcsSize) return false;
-  // Verify FCS first, as hardware does.
   const std::size_t payload_len = data.size() - kFcsSize;
-  const std::uint32_t want = crc32(data.first(payload_len));
   std::uint32_t got = 0;
   for (int i = 3; i >= 0; --i) {
     got = (got << 8) | data[payload_len + static_cast<std::size_t>(i)];
   }
-  if (want != got) return false;
+  return crc32(data.first(payload_len)) == got;
+}
 
-  Reader r(data.first(payload_len));
+bool decode_into(std::span<const std::uint8_t> data, Frame& slot) {
+  if (data.size() < kMacHeaderSize + kFcsSize) return false;
+  Reader r(data.first(data.size() - kFcsSize));
   const std::uint16_t fc = r.u16();
   const auto version = fc & 0x3;
   const auto type = (fc >> 2) & 0x3;
@@ -263,6 +282,11 @@ bool parse_into(std::span<const std::uint8_t> data, Frame& slot) {
   if (!r.ok()) return false;
 
   return parse_body_into(subtype, r, slot.body);
+}
+
+bool parse_into(std::span<const std::uint8_t> data, Frame& slot) {
+  // Verify the FCS first, as hardware does.
+  return fcs_ok(data) && decode_into(data, slot);
 }
 
 std::optional<Frame> parse(std::span<const std::uint8_t> data) {

@@ -563,6 +563,7 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
   // the frame's airtime again: the link layer repairs loss by spending the
   // 40-response scan budget. Broadcasts are unacknowledged and get exactly
   // one attempt, eating the full per-receiver loss in deliver().
+  bool damaged = false;  // the fault model flipped bits in t.wire
   if (fault_.enabled()) {
     t.lossy = true;
     t.fault_seq = st.tx_seq++;
@@ -605,13 +606,20 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
       // check will reject them.
       ++frames_corrupted_;
       fault_.corrupt(t.wire, key);
+      damaged = true;
     }
   }
 
   // Decode into the transmission's own frame slot (reusing IE storage from
   // the slot's previous use). Skipped when the frame was erased — it will
-  // never be delivered.
-  if (!t.erased) t.frame_ok = dot11::parse_into(t.wire, t.frame);
+  // never be delivered. This is every receiver's FCS check, and it runs
+  // only on damaged bytes: the FCS serialize_into() just wrote is the CRC-32
+  // of the bytes before it, so undamaged bytes cannot fail it. Damaged ones
+  // are accepted or rejected by the real CRC-32 over what the burst left.
+  if (!t.erased) {
+    t.frame_ok = (!damaged || dot11::fcs_ok(t.wire)) &&
+                 dot11::decode_into(t.wire, t.frame);
+  }
 
   const SimTime start = std::max(events_.now(), st.tx_busy_until);
   const SimTime done = start + occupancy;

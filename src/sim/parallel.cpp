@@ -188,6 +188,7 @@ class Supervisor {
     stats.cancelled = cancelled_;
     stats.checkpoint_writes = checkpoint_writes_;
     stats.checkpoint_bytes = checkpoint_bytes_;
+    stats.checkpoint_entries_encoded = checkpoint_entries_encoded_;
     stats.checkpoint_write_failures = checkpoint_write_failures_;
     stats.resumed_runs = resumed_runs_;
     stats.checkpoint_s = checkpoint_s_;
@@ -222,6 +223,7 @@ class Supervisor {
     const auto start = std::chrono::steady_clock::now();
     entries_[index] = encode_checkpoint_entry(
         static_cast<std::uint32_t>(index), outputs_[index]);
+    ++checkpoint_entries_encoded_;
     checkpoint_s_ += seconds_since(start);
   }
 
@@ -263,6 +265,7 @@ class Supervisor {
   std::uint64_t cancelled_ = 0;
   std::uint64_t checkpoint_writes_ = 0;
   std::uint64_t checkpoint_bytes_ = 0;
+  std::uint64_t checkpoint_entries_encoded_ = 0;
   std::uint64_t checkpoint_write_failures_ = 0;
   std::uint64_t resumed_runs_ = 0;
   double checkpoint_s_ = 0.0;

@@ -113,6 +113,9 @@ struct ParallelStats {
   std::uint64_t cancelled = 0;         // attempts ended by the cancel flag
   std::uint64_t checkpoint_writes = 0;
   std::uint64_t checkpoint_bytes = 0;  // total encoded bytes written
+  /// Run entries the checkpoint writer encoded: one per completed or
+  /// restored run when checkpointing, however many checkpoints it wrote.
+  std::uint64_t checkpoint_entries_encoded = 0;
   std::uint64_t checkpoint_write_failures = 0;
   std::uint64_t resumed_runs = 0;      // outputs restored from a checkpoint
   /// Wall time of the checkpoint work itself: hashing the campaign config

@@ -261,8 +261,10 @@ TEST_F(CheckpointCampaignTest, WritesEveryKCompletionsAndAtTheEnd) {
   sim::ParallelStats stats;
   const auto outputs = sim::run_campaigns(*world_, runs, cfg, &stats);
   EXPECT_EQ(sim::failed_runs(outputs), 0u);
-  // 6 runs, every 2 -> writes at 2, 4 and 6 completions.
+  // 6 runs, every 2 -> writes at 2, 4 and 6 completions, each run's entry
+  // encoded once.
   EXPECT_EQ(stats.checkpoint_writes, 3u);
+  EXPECT_EQ(stats.checkpoint_entries_encoded, runs.size());
   EXPECT_GT(stats.checkpoint_bytes, 0u);
   EXPECT_EQ(stats.checkpoint_write_failures, 0u);
 
@@ -307,6 +309,8 @@ TEST_F(CheckpointCampaignTest, ResumeIsByteIdenticalToUninterrupted) {
     sim::ParallelStats stats;
     const auto resumed = sim::resume_campaigns(*world_, runs, cfg, &stats);
     EXPECT_EQ(stats.resumed_runs, 3u);
+    // 3 restored and 3 completed entries, each encoded once.
+    EXPECT_EQ(stats.checkpoint_entries_encoded, runs.size());
     expect_same_bytes(uninterrupted, resumed);
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -102,6 +103,45 @@ TEST(SsidDatabase, ByWeightTieBreaksByInsertion) {
   const auto v = weight_view(db);
   EXPECT_EQ(ssid_of(db, v[0]), "first");
   EXPECT_EQ(ssid_of(db, v[1]), "second");
+}
+
+// A view kept between mutations and brought up to date in place equals a
+// fresh full build, whatever moved: new ids, weights bumped up or down the
+// table, re-adds, several mutations between refreshes, and ties, which
+// insertion order breaks.
+TEST(SsidDatabase, ByWeightRefreshMatchesFullBuild) {
+  Rng rng(25);
+  SsidDatabase db;
+  std::vector<SsidId> kept;
+  for (int step = 0; step < 2000; ++step) {
+    const std::string ssid = "s" + std::to_string(rng.index(150));
+    const double weight = 5.0 * static_cast<double>(rng.index(8));
+    const SimTime now = SimTime::seconds(step);
+    switch (rng.index(4)) {
+      case 0: db.add(ssid, weight, SsidSource::kWiglePopular, now); break;
+      case 1: db.observe_direct(ssid, weight, 15.0, now); break;
+      case 2: db.record_hit(ssid, 8.0, now); break;
+      default: db.observe_direct(ssid, weight, -20.0, now); break;
+    }
+    if (rng.index(3) != 0) continue;
+    db.by_weight(kept);
+    ASSERT_EQ(kept, weight_view(db)) << "step " << step;
+  }
+  std::vector<SsidId> want(db.size());
+  std::iota(want.begin(), want.end(), SsidId{0});
+  std::stable_sort(want.begin(), want.end(), [&](SsidId a, SsidId b) {
+    return db.records()[a].weight > db.records()[b].weight;
+  });
+  db.by_weight(kept);
+  EXPECT_EQ(kept, want);
+
+  // A view longer than the database can only come from a replaced one:
+  // it is rebuilt, not patched.
+  SsidDatabase small;
+  small.add("only", 1, SsidSource::kDirectProbe, SimTime::zero());
+  db = small;
+  db.by_weight(kept);
+  EXPECT_EQ(kept, std::vector<SsidId>{0});
 }
 
 TEST(SsidDatabase, ByFreshnessOnlyHitRecordsMostRecentFirst) {

@@ -152,8 +152,7 @@ TEST(IeList, SerializeParseRoundTrip) {
   ies.add_supported_rates();
   ies.add_ds_param(6);
   ies.add_rsn_wpa2_psk();
-  std::vector<std::uint8_t> wire;
-  ies.serialize_to(wire);
+  const std::vector<std::uint8_t> wire(ies.wire().begin(), ies.wire().end());
   EXPECT_EQ(wire.size(), ies.wire_size());
   const auto parsed = IeList::parse(wire);
   ASSERT_TRUE(parsed.has_value());
@@ -163,8 +162,7 @@ TEST(IeList, SerializeParseRoundTrip) {
 TEST(IeList, ParseRejectsTruncation) {
   IeList ies;
   ies.add_ssid("Hello");
-  std::vector<std::uint8_t> wire;
-  ies.serialize_to(wire);
+  const std::vector<std::uint8_t> wire(ies.wire().begin(), ies.wire().end());
   for (std::size_t cut = 1; cut < wire.size(); ++cut) {
     const auto parsed =
         IeList::parse(std::span(wire.data(), wire.size() - cut));
@@ -174,14 +172,20 @@ TEST(IeList, ParseRejectsTruncation) {
 
 TEST(IeList, SupportedRatesEncoding) {
   IeList ies;
-  const double rates[] = {1.0, 5.5, 11.0};
-  ies.add_supported_rates(rates);
+  ies.add_ssid("x");
+  ies.add_supported_rates();
+  // 1, 2, 5.5, 11, 6, 9, 12, 18 Mb/s in 500 kb/s units, basic-rate bit set.
+  const std::vector<std::uint8_t> element = {0x01, 0x08, 0x82, 0x84, 0x8b,
+                                             0x96, 0x8c, 0x92, 0x98, 0xa4};
+  const auto wire = ies.wire();
+  ASSERT_EQ(wire.size(), 3u + element.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(wire.begin() + 3, wire.end()), element);
+  // The entry table indexes the constant block like any other element.
   const auto e = ies.find(ElementId::kSupportedRates);
   ASSERT_TRUE(e.has_value());
-  ASSERT_EQ(e->body.size(), 3u);
-  EXPECT_EQ(e->body[0], 0x80 | 2);   // 1 Mb/s
-  EXPECT_EQ(e->body[1], 0x80 | 11);  // 5.5 Mb/s
-  EXPECT_EQ(e->body[2], 0x80 | 22);  // 11 Mb/s
+  EXPECT_EQ(std::vector<std::uint8_t>(e->body.begin(), e->body.end()),
+            std::vector<std::uint8_t>(element.begin() + 2, element.end()));
+  EXPECT_EQ(ies.view(1).id, ElementId::kSupportedRates);
 }
 
 // --- Frame builders ---
@@ -260,6 +264,73 @@ Frame sample_frame(int kind) {
       return f;
     }
   }
+}
+
+// The wire bytes of every sample frame. serialize() wraps serialize_into(),
+// so comparing the two cannot catch a byte that moved in both; these pins
+// can. The whole frame is pinned, not a CRC-32 of it: over bytes that end
+// in their own correct FCS, CRC-32 reads the same residue for every frame.
+constexpr const char* kWireHex[] = {
+    "40000000ffffffffffff9e150459a8e2ffffffffffff10000000010882848b968c9298a4"
+    "46a58bee",
+    "40000000ffffffffffffeaa5762915beffffffffffff2000000b4d7920486f6d65204e65"
+    "74010882848b968c9298a4dc3e26e9",
+    "500000002ec22bb3eff216e8c531c67116e8c531c671300000000000000000006400010000"
+    "12372d456c6576656e20467265652057696669010882848b968c9298a4030106a0aea0a9",
+    "50000000fabf1a07f20b16d7cd1d641c16d7cd1d641c400000000000000000006400110000"
+    "0a5365637572652d4e6574010882848b968c9298a403010b30140100000fac040100000fac"
+    "040100000fac020000497a8ab4",
+    "80000000ffffffffffff8ac5b8a277d38ac5b8a277d350009f860100000000006400010000"
+    "1423484b416972706f727420467265652057694669010882848b968c9298a4030101fa3235"
+    "72",
+    "b0000000f6468bdc5be2aa813e33c98ef6468bdc5be2600000000100000012293ea0",
+    "b0000000e2099941be52e6c4323993b2e6c4323993b27000000002000000b6c33086",
+    "000000002a01a56d31690219dad6415f2a01a56d3169800001000a00000343534c010882"
+    "848b968c9298a48a15ba37",
+    "100000003ea98a077c227ab3acc99b987ab3acc99b989000010000002a00010882848b968c"
+    "9298a43b1cffa5",
+    "c0000000fa227ca51d83d29e3893e2bbd29e3893e2bba0000400743d4b0a",
+    "a00000003668ce07a539aa8abf8741793668ce07a539b000030076e2f8c5",
+};
+
+std::string to_hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const std::uint8_t b : bytes) {
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xf];
+  }
+  return hex;
+}
+
+TEST_P(FrameRoundTrip, WireBytesArePinned) {
+  const auto frame = sample_frame(GetParam());
+  std::vector<std::uint8_t> scratch(7, 0xEE);  // a stale, shorter tail
+  serialize_into(frame, scratch);
+  EXPECT_EQ(to_hex(scratch), kWireHex[GetParam()]);
+  EXPECT_EQ(to_hex(serialize(frame)), kWireHex[GetParam()]);
+}
+
+// What Medium::transmit runs on bytes the fault model left alone: the
+// decode without the FCS check gives the frame parse_into() gives, and it
+// never reads the FCS octets.
+TEST_P(FrameRoundTrip, DecodeIntoMatchesParseInto) {
+  const auto frame = sample_frame(GetParam());
+  const auto bytes = serialize(frame);
+  Frame checked;
+  Frame unchecked = make_beacon(MacAddress::broadcast(), "stale", 1, false,
+                                7, 1);  // a different, IE-laden slot
+  ASSERT_TRUE(parse_into(bytes, checked));
+  ASSERT_TRUE(fcs_ok(bytes));
+  ASSERT_TRUE(decode_into(bytes, unchecked));
+  EXPECT_EQ(unchecked, checked);
+
+  auto bad_fcs = bytes;
+  bad_fcs.back() ^= 0x01;
+  EXPECT_FALSE(fcs_ok(bad_fcs));
+  EXPECT_FALSE(parse_into(bad_fcs, checked));
+  ASSERT_TRUE(decode_into(bad_fcs, unchecked));
+  EXPECT_EQ(unchecked, frame);
 }
 
 TEST_P(FrameRoundTrip, SerializeParseIdentity) {
