@@ -17,7 +17,11 @@
 // which removes the negative overhead artifacts the one-shot comparisons
 // used to publish on a 1-CPU container. Every run builds its own setup,
 // seeding from the World's precomputed offline lists, so the serial and
-// 1-thread rows' setup_s should agree within noise.
+// 1-thread rows' setup_s should agree within noise. The serial and traced
+// passes run on one thread, which runs an equal block of each pass on every
+// allowed CPU, shifted by one CPU per pass (bench/cpu_rotation.h): on a VM
+// whose vCPUs differ in speed, an unpinned serial pass times whichever vCPU
+// it landed on. The parallel passes run unpinned.
 //
 // Thread counts above the machine's actual hardware concurrency are skipped
 // (oversubscribed numbers on a smaller machine say nothing about the
@@ -54,6 +58,7 @@
 #include <thread>
 
 #include "bench_common.h"
+#include "cpu_rotation.h"
 #include "sim/parallel.h"
 #include "sim/shard.h"
 #include "support/atomic_file.h"
@@ -213,6 +218,14 @@ int main(int argc, char** argv) {
   // that no code change explained.
   std::vector<sim::RunConfig> traced_runs = runs;
   for (auto& run : traced_runs) run.obs.enabled = true;
+  bench::CpuRotation rotation;
+  if (rotation.cpus() > 0) {
+    std::printf("serial and traced passes: a block of runs per CPU, "
+                "rotating over %zu CPUs\n", rotation.cpus());
+  } else {
+    std::printf("serial and traced passes: unpinned (fewer than 2 CPUs "
+                "allowed)\n");
+  }
   std::vector<sim::RunOutput> serial;
   double serial_walls[2] = {0.0, 0.0};
   double traced_walls[2] = {0.0, 0.0};
@@ -224,10 +237,12 @@ int main(int argc, char** argv) {
     const auto t_serial = std::chrono::steady_clock::now();
     std::vector<sim::RunOutput> outputs;
     outputs.reserve(runs.size());
-    for (const auto& run : runs) {
-      outputs.push_back(sim::run_campaign(world, run));
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      rotation.place(i, runs.size());
+      outputs.push_back(sim::run_campaign(world, runs[i]));
     }
     serial_walls[pass] = seconds_since(t_serial);
+    rotation.next_pass();
     if (pass == 0 || serial_walls[pass] < serial_s) {
       serial_s = serial_walls[pass];
       serial_allocs = bench::alloc_count() - a0;
@@ -239,11 +254,15 @@ int main(int argc, char** argv) {
     // every pass, not just the fast one.
     const auto t_traced = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < traced_runs.size(); ++i) {
+      rotation.place(i, traced_runs.size());
       const auto out = sim::run_campaign(world, traced_runs[i]);
       traced_same = traced_same && identical(serial[i], out);
     }
     traced_walls[pass] = seconds_since(t_traced);
+    rotation.next_pass();
   }
+  // Worker threads inherit the caller's mask: unpin before the sweep.
+  rotation.restore();
   const double traced_s = std::min(traced_walls[0], traced_walls[1]);
   const Overhead trace_overhead = measure_overhead(serial_walls, traced_walls);
   const sim::PhaseProfile serial_phases = sum_phases(serial);
@@ -318,6 +337,7 @@ int main(int argc, char** argv) {
        << "  \"frames_transmitted\": " << transmissions << ",\n"
        << "  \"frames_delivered\": " << frames << ",\n"
        << "  \"hardware_threads\": " << hardware_threads << ",\n"
+       << "  \"rotated_cpus\": " << rotation.cpus() << ",\n"
        << "  \"serial_s\": " << serial_s << ",\n"
        << "  \"serial_phases\": {\"setup_s\": " << serial_phases.setup_s
        << ", \"sim_s\": " << serial_phases.sim_s

@@ -8,31 +8,10 @@
 
 namespace cityhunter::medium {
 
-namespace {
-
+using support::below;
+using support::keyed;
 using support::splitmix64;
-
-/// The key hashed with a receiver id or a TX decision code.
-std::uint64_t keyed(std::uint64_t key, std::uint64_t id) {
-  return splitmix64(key ^ splitmix64(id));
-}
-
-/// Top 53 bits as a uniform double in [0, 1).
-double unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-/// Multiply-shift: floor(h * n / 2^64), uniform in [0, n) for n >= 1.
-/// 2^64 is not a multiple of n in general, so each outcome takes
-/// floor(2^64 / n) or ceil(2^64 / n) of the 2^64 hashes: its probability
-/// is within 2^-64 of 1/n, a relative bias below n * 2^-64 (< 2^-33 for
-/// any int-sized n drawn here).
-std::uint64_t below(std::uint64_t h, std::uint64_t n) {
-  return static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(h) * n) >> 64);
-}
-
-}  // namespace
+using support::unit;
 
 FaultModel::FaultModel(Config cfg) : cfg_(cfg) {
   if (!std::isfinite(cfg.noise_floor_dbm)) {

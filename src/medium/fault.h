@@ -21,13 +21,14 @@
 //     get exactly one attempt with the full per-receiver loss, as per the
 //     standard.
 //
-// Every fault decision is a keyed hash draw, not a draw from a seeded random
-// stream. A transmission's key hashes (seed, tx radio, frame sequence); a
-// per-link erasure draw hashes that key with the receiver's radio id, and a
-// TX-side draw (collision, corruption, backoff, flip count, flip position)
-// hashes it with a (decision, attempt or index) code from a range of ids no
-// Medium hands out. So a receiver's loss pattern does not depend on which
-// other radios were in range, no TX decision reuses a receiver's draw, and a
+// Every fault decision is a keyed hash draw (support/hash.h, shared with the
+// sharded city), not a draw from a seeded random stream. A transmission's
+// key hashes (seed, tx radio, frame sequence); a per-link erasure draw
+// hashes that key with the receiver's radio id, and a TX-side draw
+// (collision, corruption, backoff, flip count, flip position) hashes it
+// with a (decision, attempt or index) code from a range of ids no Medium
+// hands out. So a receiver's loss pattern does not depend on which other
+// radios were in range, no TX decision reuses a receiver's draw, and a
 // lossy run is bit-identical no matter how campaigns are interleaved across
 // threads.
 //

@@ -5,18 +5,18 @@
 namespace cityhunter::mobility {
 
 DistrictWalker::DistrictWalker(const world::DistrictGrid* grid,
-                               support::Rng rng, double speed_mps)
-    : grid_(grid), rng_(std::move(rng)), speed_mps_(speed_mps) {
-  const auto start = grid_->cell(static_cast<int>(
-      rng_.index(static_cast<std::size_t>(grid_->districts()))));
-  pos_ = grid_->sample_in(start, rng_);
-  pick_waypoint();
+                               std::uint64_t key, double speed_mps)
+    : grid_(grid), key_(key), speed_mps_(speed_mps) {
+  pos_ = draw_point();
+  wp_ = draw_point();
 }
 
-void DistrictWalker::pick_waypoint() {
-  const auto dest = grid_->cell(static_cast<int>(
-      rng_.index(static_cast<std::size_t>(grid_->districts()))));
-  wp_ = grid_->sample_in(dest, rng_);
+medium::Position DistrictWalker::draw_point() {
+  const auto cell = grid_->cell(static_cast<int>(support::below(
+      draw(), static_cast<std::uint64_t>(grid_->districts()))));
+  const double u = support::unit(draw());
+  const double v = support::unit(draw());
+  return grid_->sample_in(cell, u, v);
 }
 
 medium::Position DistrictWalker::step(double dt_s) {
@@ -26,7 +26,7 @@ medium::Position DistrictWalker::step(double dt_s) {
   const double step_m = speed_mps_ * dt_s;
   if (d <= step_m) {
     pos_ = wp_;
-    pick_waypoint();
+    wp_ = draw_point();
   } else {
     pos_.x += dx / d * step_m;
     pos_.y += dy / d * step_m;

@@ -1,21 +1,23 @@
 // Waypoint mobility over a DistrictGrid, built for the sharded city.
 //
-// Each walker owns a private forked RNG, so the number and order of its
-// draws depend only on its own trajectory (placement, then one waypoint
-// draw per arrival) — never on how many other walkers exist, which shard
-// simulates it, or how many worker threads advance the shards. That
-// self-determined draw schedule is one leg of the sharded city's
-// byte-identity guarantee (DESIGN.md §5h). Mobility that draws from one
-// shared stream in global event order lacks this property and cannot be
-// sharded.
+// Each walker's draws are keyed: draw i is support::keyed(key, i), a pure
+// function of the walker's 64-bit key and its own draw count, so the draws
+// depend only on its own trajectory (placement, then one waypoint per
+// arrival) — never on how many other walkers exist, which shard simulates
+// it, or how many worker threads advance the shards. That self-determined
+// draw schedule is one leg of the sharded city's byte-identity guarantee
+// (DESIGN.md §5h). Mobility that draws from one shared stream in global
+// event order lacks this property and cannot be sharded.
 //
 // Waypoints are sampled inside district squares only, so a walker dwells in
 // districts and transits gaps on straight segments; the sharded city keeps
 // it radio-silent while in_gap().
 #pragma once
 
+#include <cstdint>
+
 #include "medium/geometry.h"
-#include "support/rng.h"
+#include "support/hash.h"
 #include "world/district_grid.h"
 
 namespace cityhunter::mobility {
@@ -27,8 +29,8 @@ class DistrictWalker {
   DistrictWalker() = default;
 
   /// Places the walker uniformly inside a uniformly chosen district and
-  /// draws its first waypoint, both from `rng` (which the walker keeps).
-  DistrictWalker(const world::DistrictGrid* grid, support::Rng rng,
+  /// draws its first waypoint, both from the draws keyed by `key`.
+  DistrictWalker(const world::DistrictGrid* grid, std::uint64_t key,
                  double speed_mps);
 
   medium::Position pos() const { return pos_; }
@@ -39,10 +41,13 @@ class DistrictWalker {
   medium::Position step(double dt_s);
 
  private:
-  void pick_waypoint();
+  /// A uniform point in a uniformly chosen district: three draws.
+  medium::Position draw_point();
+  std::uint64_t draw() { return support::keyed(key_, draws_++); }
 
   const world::DistrictGrid* grid_ = nullptr;
-  support::Rng rng_{0};
+  std::uint64_t key_ = 0;
+  std::uint64_t draws_ = 0;
   double speed_mps_ = 1.4;
   medium::Position pos_{};
   medium::Position wp_{};

@@ -403,8 +403,14 @@ std::uint64_t campaign_config_hash(const World& world,
     put_i32(canon, run.wigle_seed.nearby_count);
     put_i32(canon, run.wigle_seed.popular_count);
     put_u8(canon, static_cast<std::uint8_t>(run.wigle_seed.ranking));
+    // The warm-start database by its records: campaigns that start from
+    // different databases attack differently.
     put_u8(canon, run.initial_database ? 1 : 0);
+    if (run.initial_database) put_database(canon, *run.initial_database);
     put_u8(canon, run.obs.enabled ? 1 : 0);
+    // An observed run's ring keeps its last trace_capacity records, so the
+    // harvested trace depends on it.
+    if (run.obs.enabled) put_u64(canon, run.obs.trace_capacity);
     put_f64(canon, run.deadline_s);
     put_u64(canon, run.max_sim_events);
     put_i32(canon, run.max_retries);

@@ -75,7 +75,10 @@ struct CampaignCheckpoint {
   /// lossy run holds other outcomes for the same config hash.
   /// 7: metrics snapshots carry no wallclock timer points, so an observed
   /// version-6 run holds three phase.* points a fresh run does not.
-  static constexpr std::uint32_t kFormatVersion = 7;
+  /// 8: the config hash covers the warm-start database's records and the
+  /// trace capacity; a version-7 file may hold runs of a campaign that
+  /// differs in either, and fails as kBadVersion.
+  static constexpr std::uint32_t kFormatVersion = 8;
 
   /// campaign_config_hash() of the (world, runs) the checkpoint belongs to.
   std::uint64_t config_hash = 0;

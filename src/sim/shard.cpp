@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -16,14 +17,13 @@
 #include "medium/propagation.h"
 #include "mobility/district_walk.h"
 #include "sim/shard_barrier.h"
-#include "support/rng.h"
+#include "support/hash.h"
 #include "support/parallel_for.h"
 
 namespace cityhunter::sim {
 namespace {
 
 using medium::Position;
-using support::Rng;
 using support::SimTime;
 using Clock = std::chrono::steady_clock;
 
@@ -33,6 +33,38 @@ constexpr std::int64_t kScanBaseUs = 1'500'000;     // probe every 1.5–2.5 s
 constexpr std::int64_t kScanJitterUs = 1'000'000;
 /// Safety margin past the walker-penetration bound when sizing epochs.
 constexpr double kContainmentMarginM = 2.0;
+
+/// What an entity's keyed draws decide. Entity `gid`'s draws for one
+/// purpose are support::keyed(purpose_key(seed, gid, purpose), i) for
+/// i = 0, 1, …: pure functions of (seed, gid, purpose, i), with no
+/// generator state to build, hold or hand off.
+enum class Purpose : std::uint64_t {
+  kChannel = 1,
+  kPlacement,    // an AP's position: u, then v
+  kBeaconPhase,  // an AP's first beacon in [0, TBTT)
+  kScanPhase,    // a phone's first probe
+  kWalkPhase,    // a phone's first walk tick
+  kWalk,         // the walker's start and waypoints (DistrictWalker)
+  kScanJitter,   // draw i: the jitter after a phone's i-th probe
+};
+
+std::uint64_t purpose_key(std::uint64_t seed, std::uint64_t gid,
+                          Purpose purpose) {
+  return support::keyed(support::keyed(seed, gid),
+                        static_cast<std::uint64_t>(purpose));
+}
+
+/// Draw `i` for one purpose of entity `gid`.
+std::uint64_t entity_draw(std::uint64_t seed, std::uint64_t gid,
+                          Purpose purpose, std::uint64_t i = 0) {
+  return support::keyed(purpose_key(seed, gid, purpose), i);
+}
+
+/// Uniform whole microseconds in [0, span_us).
+std::int64_t uniform_us(std::uint64_t draw, std::int64_t span_us) {
+  return static_cast<std::int64_t>(
+      support::below(draw, static_cast<std::uint64_t>(span_us)));
+}
 
 /// Global (world-level) ids ride in the frames themselves: every entity
 /// transmits from a locally administered MAC that encodes its id, so a
@@ -55,7 +87,7 @@ std::uint64_t gid_from_mac(const dot11::MacAddress& m) {
 struct Shard;
 
 /// Logs every delivered frame with global ids. One sink per radio, kept in
-/// its shard's dense `sinks` deque rather than inside the ~5.4 KB Entity:
+/// its shard's dense `sinks` deque rather than inside the ~0.4 KB Entity:
 /// the Medium calls a sink on every delivery, and 24-byte sinks packed in
 /// attach order keep those calls on cache-resident lines. A handoff gives
 /// the entity a fresh sink in the destination shard; the old one stays
@@ -72,13 +104,15 @@ struct RecordingSink final : medium::FrameSink {
   }
 };
 
-/// Everything that crosses a shard boundary with a mobile client. Each
-/// stream (walker waypoints, probe jitter) is a private fork keyed by the
-/// global id, so the agent behaves identically wherever it is simulated.
+/// Everything that crosses a shard boundary with a mobile client. Its
+/// draws (walker waypoints, probe jitter) are keyed by the global id and a
+/// count of draws made, so the agent behaves identically wherever it is
+/// simulated, and a handoff moves no generator state.
 struct PhoneAgent {
   std::uint64_t gid = 0;
   mobility::DistrictWalker walker;
-  Rng scan_rng{0};
+  std::uint64_t scan_key = 0;  // purpose_key(seed, gid, kScanJitter)
+  std::uint64_t scans = 0;     // scan ticks so far: the next jitter draw
   dot11::Frame probe;
   std::int64_t next_scan_us = 0;
   std::int64_t next_walk_us = 0;
@@ -102,6 +136,11 @@ struct Entity {
   // Phone-only:
   PhoneAgent agent;
 };
+
+// A shard's deque holds one entity per radio it has hosted and a handoff
+// copies the agent, so the city's memory and handoff cost scale with this.
+static_assert(sizeof(Entity) <= 512,
+              "a city entity must stay small: no generator state");
 
 struct Shard {
   Shard(ShardedCity* city_, int index_, const medium::Medium::Config& mcfg,
@@ -155,6 +194,7 @@ class ShardedCity {
 
   ShardedCityConfig cfg_;
   world::DistrictGrid grid_;
+  std::int64_t walk_tick_us_ = 0;
   SimTime epoch_{};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t workers_ = 1;
@@ -217,6 +257,7 @@ RecordingSink* ShardedCity::make_sink(Shard& shard, std::uint64_t gid) {
 }
 
 void ShardedCity::build() {
+  walk_tick_us_ = static_cast<std::int64_t>(cfg_.walk_tick_s * 1e6);
   workers_ = cfg_.workers != 0
                  ? std::min<std::size_t>(cfg_.workers,
                                          static_cast<std::size_t>(cfg_.shards))
@@ -235,22 +276,22 @@ void ShardedCity::build() {
     }
   }
 
-  // Entity builder. Every draw below comes from a stream forked from
-  // (seed, gid): the build order is irrelevant, and so is which shard the
-  // entity lands in — the bedrock of shard-count invariance. The root is
-  // never drawn from, only forked (Rng::fork is const and state-snapshot
-  // based, so fork order cannot perturb it either).
-  const Rng root(cfg_.seed);
+  // Entity builder. Every draw below is keyed by (seed, gid, purpose): the
+  // build order is irrelevant, and so is which shard the entity lands in —
+  // the bedrock of shard-count invariance.
+  const std::uint64_t seed = cfg_.seed;
   const int n_aps = static_cast<int>(
       std::lround(static_cast<double>(cfg_.radios) * cfg_.ap_fraction));
   for (int gid = 0; gid < cfg_.radios; ++gid) {
-    Rng er = root.fork("entity-" + std::to_string(gid));
     const std::uint64_t ugid = static_cast<std::uint64_t>(gid);
-    const std::uint8_t channel = kChannels[er.index(3)];
+    const std::uint8_t channel = kChannels[support::below(
+        entity_draw(seed, ugid, Purpose::kChannel), std::size(kChannels))];
     if (gid < n_aps) {
       // APs are pinned: round-robin over districts, uniform inside.
       const auto cell = grid_.cell(gid % grid_.districts());
-      const Position pos = grid_.sample_in(cell, er);
+      const Position pos = grid_.sample_in(
+          cell, support::unit(entity_draw(seed, ugid, Purpose::kPlacement, 0)),
+          support::unit(entity_draw(seed, ugid, Purpose::kPlacement, 1)));
       Shard& shard = *shards_[static_cast<std::size_t>(
           grid_.owner_shard(pos, cfg_.shards))];
       Entity& e = make_entity(shard);
@@ -258,22 +299,25 @@ void ShardedCity::build() {
       e.beacon = dot11::make_beacon(mac_from_gid(ugid), "city-hunter-ap",
                                     channel, /*open=*/true,
                                     /*timestamp_us=*/0);
-      e.next_beacon_us = static_cast<std::int64_t>(
-          er.uniform(0.0, static_cast<double>(kBeaconIntervalUs)));
+      e.next_beacon_us =
+          uniform_us(entity_draw(seed, ugid, Purpose::kBeaconPhase),
+                   kBeaconIntervalUs);
       e.radio = shard.medium.attach(pos, channel, cfg_.ap_tx_dbm,
                                     make_sink(shard, ugid));
       schedule_beacon(&e);
     } else {
       PhoneAgent agent;
       agent.gid = ugid;
-      agent.walker = mobility::DistrictWalker(&grid_, er.fork("walk"),
-                                              cfg_.phone_speed_mps);
-      agent.scan_rng = er.fork("scan");
+      agent.walker = mobility::DistrictWalker(
+          &grid_, purpose_key(seed, ugid, Purpose::kWalk),
+          cfg_.phone_speed_mps);
+      agent.scan_key = purpose_key(seed, ugid, Purpose::kScanJitter);
       agent.probe = dot11::make_broadcast_probe_request(mac_from_gid(ugid));
-      agent.next_scan_us = static_cast<std::int64_t>(
-          er.uniform(0.0, static_cast<double>(kScanBaseUs + kScanJitterUs)));
-      agent.next_walk_us = static_cast<std::int64_t>(
-          er.uniform(0.0, cfg_.walk_tick_s * 1e6));
+      agent.next_scan_us =
+          uniform_us(entity_draw(seed, ugid, Purpose::kScanPhase),
+                   kScanBaseUs + kScanJitterUs);
+      agent.next_walk_us = uniform_us(
+          entity_draw(seed, ugid, Purpose::kWalkPhase), walk_tick_us_);
       const Position pos = agent.walker.pos();
       Shard& shard = *shards_[static_cast<std::size_t>(
           grid_.owner_shard(pos, cfg_.shards))];
@@ -310,8 +354,9 @@ void ShardedCity::schedule_scan(Entity* e) {
           e->radio.transmit(e->agent.probe);
         }
         e->agent.next_scan_us +=
-            kScanBaseUs + static_cast<std::int64_t>(e->agent.scan_rng.uniform(
-                              0.0, static_cast<double>(kScanJitterUs)));
+            kScanBaseUs +
+            uniform_us(support::keyed(e->agent.scan_key, e->agent.scans++),
+                     kScanJitterUs);
         schedule_scan(e);
       });
 }
@@ -327,8 +372,7 @@ void ShardedCity::schedule_walk(Entity* e) {
           e->marked = true;
           e->home->emigrants.push_back(e);
         }
-        e->agent.next_walk_us +=
-            static_cast<std::int64_t>(cfg_.walk_tick_s * 1e6);
+        e->agent.next_walk_us += walk_tick_us_;
         schedule_walk(e);
       });
 }

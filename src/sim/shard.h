@@ -20,10 +20,12 @@
 //     handoffs of a barrier are applied in ascending global-id order, so
 //     the destination Medium's monotone local-id assignment is a pure
 //     function of (seed, global id, crossing epoch).
-//   * Self-determined randomness — every entity draws placement, channel,
-//     stagger, waypoints and probe jitter from RNG streams forked from
-//     (seed, global id) alone; no draw order is shared between entities,
-//     so partitioning them differently cannot perturb any stream.
+//   * Self-determined randomness — every entity's placement, channel,
+//     staggers, waypoints and probe jitter are keyed draws
+//     (support/hash.h), pure functions of (seed, global id, purpose, draw
+//     index); no draw order is shared between entities and no generator
+//     state exists, so partitioning them differently cannot perturb any
+//     draw, and a handoff moves two keys and two draw counts.
 //   * Canonical observations — per-shard obs::DeliveryLog buffers merge by
 //     shard input order (the PR 4 trace-exporter rule) and compare as a
 //     sorted multiset / order-independent digest, because the same

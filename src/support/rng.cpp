@@ -71,12 +71,6 @@ double Rng::lognormal(double mu, double sigma) {
   return d(engine_);
 }
 
-double Rng::exponential_mean(double mean) {
-  if (mean <= 0.0) return 0.0;
-  std::exponential_distribution<double> d(1.0 / mean);
-  return d(engine_);
-}
-
 int Rng::poisson(double mean) {
   if (mean <= 0.0) return 0;
   // glibc's lgamma() — called by poisson_distribution's setup and by its

@@ -1,10 +1,11 @@
 // Deterministic random-number generation.
 //
-// All stochastic behaviour in the simulator is driven by an Rng seeded from a
-// scenario seed, so every experiment in bench/ is exactly reproducible. Child
-// generators can be forked with independent streams (SplitMix64 over the seed
-// and a stream label) so adding randomness to one module does not perturb
-// another.
+// The venue simulation's stochastic behaviour is driven by an Rng seeded
+// from a scenario seed, so every experiment in bench/ is exactly
+// reproducible. Child generators can be forked with independent streams
+// (SplitMix64 over the seed and a stream label) so adding randomness to one
+// module does not perturb another. The fault model and the sharded city hold
+// no generator: their draws are keyed hashes (support/hash.h).
 #pragma once
 
 #include <array>
@@ -26,8 +27,9 @@ namespace cityhunter::support {
 /// draw k reads seed word k + 156, so a stream that draws d < 156 values
 /// pays d + 156 seeding steps and d twists instead of a full 312-word seed
 /// and twist. Short-lived streams are common: Rng::fork reads a single word
-/// of its parent through peek(). (The medium's fault decisions use no Rng;
-/// they are keyed hashes, see medium/fault.h.)
+/// of its parent through peek(). (The medium's fault decisions and the
+/// sharded city's entities use no Rng; they draw keyed hashes, see
+/// support/hash.h.)
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -118,9 +120,6 @@ class Rng {
   /// Lognormal by underlying normal parameters.
   double lognormal(double mu, double sigma);
 
-  /// Exponential with the given mean (NOT rate).
-  double exponential_mean(double mean);
-
   /// Poisson-distributed count.
   int poisson(double mean);
 
@@ -129,14 +128,6 @@ class Rng {
 
   /// Weighted index selection: weights need not be normalised.
   std::size_t weighted_index(const std::vector<double>& weights);
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::swap(v[i - 1], v[index(i)]);
-    }
-  }
 
   /// Sample min(k, n) distinct indices out of [0, n) into `out`, replacing
   /// its contents and reusing its capacity. Order unspecified.

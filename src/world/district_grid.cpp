@@ -42,11 +42,11 @@ int DistrictGrid::owner_column(medium::Position p) const {
   return std::clamp(col, 0, cfg_.cols - 1);
 }
 
-medium::Position DistrictGrid::sample_in(Cell c, support::Rng& rng) const {
+medium::Position DistrictGrid::sample_in(Cell c, double u, double v) const {
   constexpr double kInsetM = 0.5;
+  const double span = cfg_.district_m - 2.0 * kInsetM;
   const medium::Position o = district_origin(c);
-  return {o.x + rng.uniform(kInsetM, cfg_.district_m - kInsetM),
-          o.y + rng.uniform(kInsetM, cfg_.district_m - kInsetM)};
+  return {o.x + kInsetM + u * span, o.y + kInsetM + v * span};
 }
 
 }  // namespace cityhunter::world

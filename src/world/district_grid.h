@@ -19,7 +19,6 @@
 #include <cstddef>
 
 #include "medium/geometry.h"
-#include "support/rng.h"
 
 namespace cityhunter::world {
 
@@ -29,9 +28,11 @@ class DistrictGrid {
     int cols = 8;           // 8 columns divide evenly into 1/2/4/8 shards
     int rows = 2;
     double district_m = 500.0;  // side of each square district
-    /// Guard gap between adjacent districts. Must be at least
-    /// min_gap_m(max range, max penetration) for the sharded city's
-    /// isolation argument to hold; run_sharded_city validates this.
+    /// Guard gap between adjacent districts. It must be at least twice
+    /// (max radio range + the worst-case walker penetration past the gap
+    /// midline) for the sharded city's isolation argument to hold;
+    /// run_sharded_city validates this through
+    /// sim::ConservativeBarrier::max_safe_lookahead.
     double gap_m = 136.0;
   };
 
@@ -80,17 +81,11 @@ class DistrictGrid {
     return owner_column(p) / (cfg_.cols / shards);
   }
 
-  /// Uniform point inside district `c`, inset 0.5 m from the edges so a
-  /// freshly placed radio is strictly inside the square.
-  medium::Position sample_in(Cell c, support::Rng& rng) const;
-
-  /// Smallest RF-safe gap: twice (max radio range + the worst-case distance
-  /// a walker can penetrate past the gap midline before its handoff barrier
-  /// fires). With gap_m >= this, a radio owned by shard S is always out of
-  /// range of every radio owned by any other shard.
-  static double min_gap_m(double range_m, double max_penetration_m) {
-    return 2.0 * (range_m + max_penetration_m);
-  }
+  /// The point of district `c` at unit coordinates (u, v), each in
+  /// [0, 1), mapped onto the square inset 0.5 m from its edges so a freshly
+  /// placed radio is strictly inside it. Uniform draws give a uniform
+  /// point.
+  medium::Position sample_in(Cell c, double u, double v) const;
 
  private:
   Config cfg_;

@@ -162,13 +162,14 @@ TEST(Checkpoint, WrongVersionIsItsOwnError) {
   // still heard each other's broadcast probe requests, so its delivery and
   // loss counts are larger; version 5, whose lossy runs drew their
   // collisions, corruption, backoff and bit flips from a seeded stream; and
-  // version 6, whose observed runs carry wallclock timer metric points.
-  // None may resume next to fresh runs.
-  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 7u);
+  // version 6, whose observed runs carry wallclock timer metric points;
+  // and version 7, whose config hash ignored the warm-start database's
+  // records and the trace capacity. None may resume next to fresh runs.
+  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 8u);
   for (const std::uint32_t version :
        {sim::CampaignCheckpoint::kFormatVersion + 1, std::uint32_t{2},
         std::uint32_t{3}, std::uint32_t{4}, std::uint32_t{5},
-        std::uint32_t{6}}) {
+        std::uint32_t{6}, std::uint32_t{7}}) {
     SCOPED_TRACE(version);
     std::string bytes = sim::encode_checkpoint(tiny_checkpoint());
     bytes[4] = static_cast<char>(version);
@@ -250,6 +251,27 @@ TEST_F(CheckpointCampaignTest, ConfigHashSeparatesCampaigns) {
   lossier[4].medium->fault.ambient_loss = 0.3;
   EXPECT_NE(sim::campaign_config_hash(*world_, lossier),
             sim::campaign_config_hash(*world_, same_medium));
+
+  // A warm start counts by its records, not only by its presence: two
+  // databases that differ in one SSID attack differently.
+  const auto one_ssid = [](const char* ssid) {
+    core::SsidDatabase db;
+    db.add(ssid, 5.0, core::SsidSource::kWiglePopular,
+           support::SimTime::zero());
+    return db;
+  };
+  auto warm = runs;
+  warm[1].initial_database = one_ssid("warm-a");
+  auto other_warm = runs;
+  other_warm[1].initial_database = one_ssid("warm-b");
+  EXPECT_NE(sim::campaign_config_hash(*world_, warm), base);
+  EXPECT_NE(sim::campaign_config_hash(*world_, other_warm),
+            sim::campaign_config_hash(*world_, warm));
+
+  // An observed run's trace ring keeps its last trace_capacity records.
+  auto short_trace = runs;
+  short_trace[3].obs.trace_capacity = 16;  // runs[3] is observed
+  EXPECT_NE(sim::campaign_config_hash(*world_, short_trace), base);
 }
 
 TEST_F(CheckpointCampaignTest, WritesEveryKCompletionsAndAtTheEnd) {

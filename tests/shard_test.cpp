@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -21,14 +22,13 @@
 #include "obs/delivery_log.h"
 #include "sim/shard.h"
 #include "sim/shard_barrier.h"
-#include "support/rng.h"
+#include "support/hash.h"
 #include "support/sim_time.h"
 #include "world/district_grid.h"
 
 namespace cityhunter {
 namespace {
 
-using support::Rng;
 using support::SimTime;
 using world::DistrictGrid;
 
@@ -72,20 +72,33 @@ TEST(DistrictGridTest, PartitionsThePlaneAtGapMidlines) {
 }
 
 TEST(DistrictGridTest, SamplesStrictlyInsideTheDistrict) {
+  // The unit draws' extremes, 0 and the largest double below 1, plus keyed
+  // draws in between, all land strictly inside every district.
   const DistrictGrid grid({});
-  Rng rng(7);
+  std::vector<double> units = {0.0, 1.0 - 0x1.0p-53};
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    units.push_back(support::unit(support::keyed(7, i)));
+  }
   for (int d = 0; d < grid.districts(); ++d) {
     const auto cell = grid.cell(d);
     const auto origin = grid.district_origin(cell);
-    for (int i = 0; i < 32; ++i) {
-      const auto p = grid.sample_in(cell, rng);
-      EXPECT_TRUE(grid.in_district(p));
-      EXPECT_GT(p.x, origin.x);
-      EXPECT_LT(p.x, origin.x + grid.config().district_m);
-      EXPECT_GT(p.y, origin.y);
-      EXPECT_LT(p.y, origin.y + grid.config().district_m);
+    for (const double u : units) {
+      for (const double v : units) {
+        const auto p = grid.sample_in(cell, u, v);
+        EXPECT_TRUE(grid.in_district(p));
+        EXPECT_GT(p.x, origin.x);
+        EXPECT_LT(p.x, origin.x + grid.config().district_m);
+        EXPECT_GT(p.y, origin.y);
+        EXPECT_LT(p.y, origin.y + grid.config().district_m);
+        EXPECT_EQ(grid.owner_column(p), cell.col);
+      }
     }
   }
+  // The extremes map onto the inset square's corners.
+  const auto corner = grid.sample_in(grid.cell(0), 1.0 - 0x1.0p-53, 0.0);
+  EXPECT_NEAR(corner.x, grid.config().district_m - 0.5, 1e-9);
+  EXPECT_LE(corner.x, grid.config().district_m - 0.5);
+  EXPECT_EQ(corner.y, 0.5);
 }
 
 TEST(DistrictGridTest, RejectsDegenerateConfigs) {
@@ -141,27 +154,32 @@ TEST(ConservativeBarrierTest, LookaheadBoundsWalkerPenetration) {
 // ---------------------------------------------------------------------------
 // DistrictWalker
 
-TEST(DistrictWalkerTest, ForkedStreamReplaysTheExactTrajectory) {
+TEST(DistrictWalkerTest, SameKeyReplaysTheExactTrajectory) {
   const DistrictGrid grid({});
-  const Rng root(99);
-  mobility::DistrictWalker a(&grid, root.fork("walker-3"), 1.4);
-  mobility::DistrictWalker b(&grid, root.fork("walker-3"), 1.4);
+  const std::uint64_t key = support::keyed(99, 3);
+  mobility::DistrictWalker a(&grid, key, 1.4);
+  mobility::DistrictWalker b(&grid, key, 1.4);
   ASSERT_EQ(a.pos().x, b.pos().x);
   ASSERT_EQ(a.pos().y, b.pos().y);
+  // A copy taken mid-walk (what a handoff moves) carries on identically.
+  std::optional<mobility::DistrictWalker> copy;
   for (int i = 0; i < 2000; ++i) {
+    if (i == 1000) copy = b;
     const auto pa = a.step(1.0);
-    const auto pb = b.step(1.0);
+    const auto pb = copy ? copy->step(1.0) : b.step(1.0);
     ASSERT_EQ(pa.x, pb.x);
     ASSERT_EQ(pa.y, pb.y);
   }
-  // And a different fork diverges immediately.
-  mobility::DistrictWalker c(&grid, root.fork("walker-4"), 1.4);
+  // And another key diverges immediately.
+  mobility::DistrictWalker c(&grid, support::keyed(99, 4), 1.4);
   EXPECT_TRUE(c.pos().x != a.pos().x || c.pos().y != a.pos().y);
+  EXPECT_TRUE(c.waypoint().x != a.waypoint().x ||
+              c.waypoint().y != a.waypoint().y);
 }
 
 TEST(DistrictWalkerTest, WaypointsAlwaysLandInsideDistricts) {
   const DistrictGrid grid({});
-  mobility::DistrictWalker w(&grid, Rng(5), 1.4);
+  mobility::DistrictWalker w(&grid, 5, 1.4);
   EXPECT_TRUE(grid.in_district(w.pos()));
   for (int i = 0; i < 5000; ++i) {
     w.step(1.0);
@@ -417,9 +435,9 @@ TEST(ShardedCityTest, GridPipelineMatchesTheScanOracle) {
     exact_cfg.medium.pathloss_lut = false;
 
     const auto scan = sim::run_sharded_city(scan_cfg);
-    EXPECT_EQ(scan.transmissions, 50607u);
-    EXPECT_EQ(scan.deliveries, 93364u);
-    EXPECT_EQ(scan.gap_silences, 3459u);
+    EXPECT_EQ(scan.transmissions, 50703u);
+    EXPECT_EQ(scan.deliveries, 75670u);
+    EXPECT_EQ(scan.gap_silences, 3372u);
     const auto oracle = sorted_records(scan);
     ASSERT_EQ(oracle.size(), scan.deliveries);
 

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/hash.h"
 #include "support/histogram.h"
 #include "support/rng.h"
 #include "support/sim_time.h"
@@ -133,6 +134,32 @@ TEST(RngEngine, PinnedFirstOutputs) {
   EXPECT_EQ(draws.uniform(), 0.42170057233461294);
   EXPECT_EQ(draws.normal(0.0, 1.0), -0.36165283160644529);
   EXPECT_EQ(draws.uniform_int(0, 1000000), 521815);
+}
+
+// --- Keyed draws ---
+
+TEST(KeyedDraw, PinnedValues) {
+  // Recorded from the fault model's own helpers before they moved here, so
+  // no fault draw and no city draw can move unnoticed.
+  EXPECT_EQ(keyed(0, 0), 0xa706dd2f4d197e6fULL);
+  EXPECT_EQ(keyed(1, 2), 0xe06dd043328bd285ULL);
+  EXPECT_EQ(keyed(0x0123456789abcdefULL, 42), 0xfd42d2b00c1b17e4ULL);
+  EXPECT_EQ(keyed(2026, 7), 0x1d90cb5e7ff50f21ULL);
+
+  EXPECT_EQ(unit(0), 0.0);
+  EXPECT_EQ(unit(~std::uint64_t{0}), 1.0 - 0x1.0p-53);
+  EXPECT_EQ(unit(0x8000000000000000ULL), 0.5);
+  EXPECT_EQ(unit(0xe06dd043328bd285ULL), 0.87667562141955035);
+
+  EXPECT_EQ(below(0, 3), 0u);
+  EXPECT_EQ(below(~std::uint64_t{0}, 1), 0u);
+  EXPECT_EQ(below(~std::uint64_t{0}, 3), 2u);
+  EXPECT_EQ(below(~std::uint64_t{0}, 102400), 102399u);
+  EXPECT_EQ(below(0x8000000000000000ULL, 3), 1u);
+  EXPECT_EQ(below(0x8000000000000000ULL, 1000000), 500000u);
+  EXPECT_EQ(below(0xe06dd043328bd285ULL, 3), 2u);
+  EXPECT_EQ(below(0xe06dd043328bd285ULL, 102400), 89771u);
+  EXPECT_EQ(below(0xe06dd043328bd285ULL, 1000000), 876675u);
 }
 
 TEST(Rng, ConstForkIsRaceFree) {
