@@ -415,12 +415,12 @@ int main(int argc, char** argv) {
 
   // Supervisor pass: the same mix at the widest sweep width, but with
   // crash-safe checkpointing every 8 completions — the configuration a
-  // long unattended campaign would actually run. Reports the supervisor
-  // counters and the checkpoint work timed directly (config hash, then
-  // copy + encode + atomic write of every checkpoint) as a share of the
-  // pass's wall: a wall difference against a plain pass measures vCPU
-  // speed drift more than checkpointing. The <2% ceiling is enforced by
-  // tests/perf_smoke_test.
+  // long unattended campaign would actually run. Reports the failed runs,
+  // the checkpoint counters and the checkpoint work timed directly (config
+  // hash, then copy + encode + atomic write of every checkpoint) as a
+  // share of the pass's wall: a wall difference against a plain pass
+  // measures vCPU speed drift more than checkpointing. The <2% ceiling is
+  // enforced by tests/perf_smoke_test.
   {
     const std::size_t threads = thread_counts.back();
     sim::ParallelConfig ckpt_cfg;
@@ -440,25 +440,23 @@ int main(int argc, char** argv) {
     const double ckpt_share_pct =
         sstats.wall_s > 0.0 ? 100.0 * sstats.checkpoint_s / sstats.wall_s
                             : 0.0;
+    const std::size_t failed = sim::failed_runs(supervised);
     std::printf("supervised: %6.2f s at %zu threads with checkpoint every 8 "
                 "(checkpoint work %.1f ms, %.2f%% of the wall) "
                 "— %llu checkpoint writes, %llu bytes, "
-                "%llu retries, %llu timeouts   %s\n",
+                "%zu failed runs   %s\n",
                 sstats.wall_s, threads, 1e3 * sstats.checkpoint_s,
                 ckpt_share_pct,
                 static_cast<unsigned long long>(sstats.checkpoint_writes),
                 static_cast<unsigned long long>(sstats.checkpoint_bytes),
-                static_cast<unsigned long long>(sstats.retries),
-                static_cast<unsigned long long>(sstats.timeouts),
+                failed,
                 same ? "bit-identical to serial" : "MISMATCH vs serial");
     json << "  \"supervisor\": {\"threads\": " << threads
          << ", \"checkpoint_every\": 8"
          << ", \"wall_s\": " << sstats.wall_s
          << ", \"checkpoint_s\": " << sstats.checkpoint_s
          << ", \"checkpoint_share_pct\": " << ckpt_share_pct
-         << ", \"retries\": " << sstats.retries
-         << ", \"timeouts\": " << sstats.timeouts
-         << ", \"event_budget_trips\": " << sstats.event_budget_trips
+         << ", \"failed_runs\": " << failed
          << ", \"checkpoint_writes\": " << sstats.checkpoint_writes
          << ", \"checkpoint_bytes\": " << sstats.checkpoint_bytes
          << ", \"checkpoint_write_failures\": "

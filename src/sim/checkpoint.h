@@ -1,12 +1,12 @@
 // Crash-safe campaign checkpoints.
 //
 // A multi-hour campaign must survive the process dying under it. Because
-// run_campaign() is pure in (world seed, RunConfig), the minimal sufficient
-// snapshot of campaign progress is tiny: WHICH runs have completed and WHAT
-// they produced. No simulator state is saved — a resumed campaign simply
-// re-derives every missing run from its seed, so the final output vector is
-// bit-identical to an uninterrupted campaign (tests/checkpoint_test golden-
-// asserts this, byte for byte).
+// run_campaign() is pure in (world config, RunConfig), the minimal
+// sufficient snapshot of campaign progress is tiny: WHICH runs have
+// completed and WHAT they produced. No simulator state is saved — a resumed
+// campaign simply re-derives every missing run from its seed, so the final
+// output vector is bit-identical to an uninterrupted campaign
+// (tests/checkpoint_test asserts this, byte for byte).
 //
 // On-disk format (little-endian throughout):
 //
@@ -15,11 +15,15 @@
 //
 // where each entry is `u32 run_index | serialized RunOutput` and the CRC-32
 // (the same dot11/crc32 the 802.11 FCS path uses) covers every byte before
-// it. Files are written via support::write_file_atomic (tmp + fsync +
-// rename), so a reader sees either the previous complete checkpoint or the
-// new complete checkpoint — never a torn hybrid. Decoding rejects damage
-// with a distinct, actionable error per failure mode (truncation, bit flip,
-// version skew, wrong campaign); a checkpoint is never partially applied.
+// it. A RunOutput is serialized by walking its field list (sim/fields.h):
+// one list, walked by the encoder and the decoder, and the config hash
+// walks the lists of the world config and every run. Files are written via
+// support::write_file_atomic (tmp + fsync + rename), so a reader sees
+// either the previous complete checkpoint or the new complete checkpoint —
+// never a torn hybrid. Decoding rejects damage with a distinct, actionable
+// error per failure mode (truncation, bit flip, version skew, wrong
+// campaign, counts the payload cannot hold); a checkpoint is never
+// partially applied.
 #pragma once
 
 #include <cstdint>
@@ -78,9 +82,13 @@ struct CampaignCheckpoint {
   /// 8: the config hash covers the warm-start database's records and the
   /// trace capacity; a version-7 file may hold runs of a campaign that
   /// differs in either, and fails as kBadVersion.
-  static constexpr std::uint32_t kFormatVersion = 8;
+  /// 9: the config hash covers the whole world config, not only its seed,
+  /// and a run's error no longer carries an attempt count; a version-8 file
+  /// may hold runs of another world, and fails as kBadVersion.
+  static constexpr std::uint32_t kFormatVersion = 9;
 
-  /// campaign_config_hash() of the (world, runs) the checkpoint belongs to.
+  /// campaign_config_hash() of the (world config, runs) the checkpoint
+  /// belongs to.
   std::uint64_t config_hash = 0;
   /// Size of the campaign's RunConfig span — a resume against a different
   /// run count is rejected even if the hash were to collide.
@@ -89,32 +97,30 @@ struct CampaignCheckpoint {
   std::vector<CompletedRun> completed;
 };
 
-/// Digest of everything that identifies a campaign: the world seed plus
-/// each run's behavioural knobs (kind, seed, venue, duration, slot, limits).
-/// FNV-1a over a canonical byte string — a resume guard against feeding a
-/// checkpoint to the wrong campaign, not a cryptographic commitment.
-std::uint64_t campaign_config_hash(const World& world,
+/// Digest of everything that identifies a campaign: the world config and
+/// every run config, walked through their field lists (sim/fields.h), each
+/// run with the medium it resolves to. Only members marked ignored(...)
+/// are left out. FNV-1a over the encoded bytes — a resume guard against
+/// feeding a checkpoint to the wrong campaign, not a cryptographic
+/// commitment.
+std::uint64_t campaign_config_hash(const ScenarioConfig& world_config,
                                    std::span<const RunConfig> runs);
 
-/// Serialize one RunOutput, appending to `out`. Covers every field,
-/// including the attacker database, metrics/trace harvest and the
-/// structured error — the byte string is a total representation, which is
-/// what lets tests assert resumed == uninterrupted byte-for-byte.
-void serialize_run_output(std::string& out, const RunOutput& run);
-
-/// The canonical DETERMINISTIC byte representation of one RunOutput: the
-/// full serialization with the wallclock — the PhaseProfile, the only
-/// wallclock a RunOutput carries — zeroed. This is the unit of
-/// byte-identity for resumed == uninterrupted assertions; the phase times
-/// are steady_clock measurements that legitimately differ between an
-/// original and a recomputed run, by design.
+/// The canonical DETERMINISTIC byte representation of one RunOutput: its
+/// checkpoint serialization, which walks every field of the RunOutput list
+/// (attacker database, metrics/trace harvest and structured error
+/// included), with the wallclock — the PhaseProfile, the only wallclock a
+/// RunOutput carries — zeroed. This is the unit of byte-identity for
+/// resumed == uninterrupted assertions; the phase times are steady_clock
+/// measurements that legitimately differ between an original and a
+/// recomputed run, by design.
 std::string run_output_bytes(const RunOutput& run);
 
 /// Encode to the on-disk byte format (header + entries + CRC trailer).
 std::string encode_checkpoint(const CampaignCheckpoint& cp);
 
 /// One completed run's entry in that format: its index, then its
-/// serialize_run_output bytes. A campaign encodes each run once, when it
+/// serialized RunOutput. A campaign encodes each run once, when it
 /// completes, and every later checkpoint reuses the entry.
 std::string encode_checkpoint_entry(std::uint32_t index, const RunOutput& run);
 
@@ -125,7 +131,9 @@ std::string encode_checkpoint(std::uint64_t config_hash,
                               std::span<const std::string_view> entries);
 
 /// Decode and fully validate bytes. Returns the checkpoint or the first
-/// distinct failure (truncation / magic / version / CRC / structure).
+/// distinct failure (truncation / magic / version / CRC / structure). A
+/// count that the remaining bytes cannot hold is kMalformed, caught before
+/// anything is sized by it.
 std::variant<CampaignCheckpoint, CheckpointError> decode_checkpoint(
     std::string_view bytes);
 

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "medium/event_queue.h"
 #include "support/atomic_file.h"
-#include "support/hash.h"
 #include "support/parallel_for.h"
 
 namespace cityhunter::sim {
@@ -43,27 +40,24 @@ RunErrorKind classify_abort(medium::RunAbortError::Kind k) {
   return RunErrorKind::kException;
 }
 
-/// One attempt of one run behind the exception firewall: whatever goes
-/// wrong is classified into RunOutput::error instead of propagating and
-/// discarding every other run's result. `inject_throw` is the chaos layer's
-/// synthetic exception. The attempt's wall time goes to `load`, its lane's.
-RunOutput attempt_run(const World& world, const RunConfig& run,
-                      bool inject_throw, ParallelStats::WorkerLoad& load) {
+/// One run behind the exception firewall: whatever goes wrong is
+/// classified into RunOutput::error instead of propagating and discarding
+/// every other run's result. The run's wall time goes to `load`, its
+/// lane's.
+RunOutput firewalled_run(const World& world, const RunConfig& run,
+                         ParallelStats::WorkerLoad& load) {
   const auto start = std::chrono::steady_clock::now();
   RunOutput out;
   try {
-    if (inject_throw) {
-      throw std::runtime_error("chaos: injected failure before the run");
-    }
     out = run_campaign(world, run);
   } catch (const medium::RunAbortError& e) {
     out = RunOutput{};
     out.error.kind = classify_abort(e.kind());
     out.error.message = describe_failure(run, e.what());
   } catch (const std::exception& e) {
-    // Includes medium::PastScheduleError — a poisoned schedule surfaces as
-    // a classified kException with the queue's now/requested message, not
-    // an anonymous crash.
+    // Includes medium::PastScheduleError: scheduling into the past surfaces
+    // as a classified kException with the queue's now/requested message,
+    // not an anonymous crash.
     out = RunOutput{};
     out.error.kind = RunErrorKind::kException;
     out.error.message = describe_failure(run, e.what());
@@ -78,8 +72,8 @@ RunOutput attempt_run(const World& world, const RunConfig& run,
 }
 
 /// Shared supervision state for one run_campaigns()/resume_campaigns()
-/// call: result slots, completion count, checkpoint writer and the chaos
-/// kill switch. All completion-side mutation happens under one mutex —
+/// call: result slots, completion count, checkpoint writer and the kill
+/// switch. All completion-side mutation happens under one mutex —
 /// completions are seconds apart, contention is irrelevant.
 class Supervisor {
  public:
@@ -88,7 +82,6 @@ class Supervisor {
       : world_(world),
         runs_(runs),
         cfg_(cfg),
-        chaos_(cfg.chaos.any() ? cfg.chaos : ChaosConfig::from_env()),
         outputs_(runs.size()),
         entries_(cfg.checkpoint_path.empty() ? 0 : runs.size()),
         done_(runs.size(), false) {
@@ -98,7 +91,7 @@ class Supervisor {
     }
     if (!cfg_.checkpoint_path.empty()) {
       const auto start = std::chrono::steady_clock::now();
-      config_hash_ = campaign_config_hash(world_, runs_);
+      config_hash_ = campaign_config_hash(world_.config(), runs_);
       checkpoint_s_ += seconds_since(start);
     }
   }
@@ -116,76 +109,16 @@ class Supervisor {
 
   bool is_done(std::size_t index) const { return done_[index]; }
 
-  /// The full retry loop for one run: attempt, classify, back off, retry
-  /// while retryable, then record the completion (which may checkpoint and
-  /// may pull the chaos kill switch). Every attempt is profiled into
-  /// `load`. Never throws.
+  /// Run one run behind the firewall, profiled into `load`, and record its
+  /// completion (which may checkpoint and may pull the kill switch). Never
+  /// throws.
   void supervise(std::size_t index, ParallelStats::WorkerLoad& load) {
-    const RunConfig& base = runs_[index];
-    // Defensive clamp: an out-of-range max_retries makes run_campaign
-    // throw kException on every attempt; the loop bound must still be sane.
-    const int retries_allowed = std::min(std::max(base.max_retries, 0), 8);
-    for (int attempt = 0;; ++attempt) {
-      RunConfig run = base;
-      bool inject_throw = false;
-      if (attempt == 0) {
-        // Chaos sabotages the first attempt only; retries run clean, so
-        // the supervised campaign converges to the unchaosed output.
-        if (chaos_.throw_run == static_cast<int>(index)) inject_throw = true;
-        if (chaos_.hang_run == static_cast<int>(index)) {
-          run.chaos_hang = true;
-          if (run.deadline_s <= 0.0) {
-            run.deadline_s = ChaosConfig::kHangRescueDeadlineS;
-          }
-        }
-        if (chaos_.poison_run == static_cast<int>(index)) {
-          run.chaos_poison_schedule = true;
-        }
-      }
-      RunOutput out = attempt_run(world_, run, inject_throw, load);
-      if (!out.error.failed()) {
-        // error.attempts stays 0 on success — a retried-then-successful
-        // run is bit-identical to an undisturbed one. The retry count
-        // lives in the supervisor counters instead.
-        complete(index, std::move(out));
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        switch (out.error.kind) {
-          case RunErrorKind::kDeadlineExceeded: ++timeouts_; break;
-          case RunErrorKind::kEventBudgetExceeded: ++event_budget_trips_; break;
-          case RunErrorKind::kCancelled: ++cancelled_; break;
-          default: break;
-        }
-      }
-      if (out.error.retryable() && attempt < retries_allowed) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++retries_;
-        }
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            retry_backoff_s(base.run_seed, static_cast<std::uint32_t>(attempt))));
-        continue;
-      }
-      if (out.error.retryable() && retries_allowed > 0) {
-        // Every allowed attempt failed; the kind says so, the message
-        // keeps the last underlying failure verbatim.
-        out.error.kind = RunErrorKind::kRetryExhausted;
-      }
-      out.error.attempts = static_cast<std::uint32_t>(attempt + 1);
-      complete(index, std::move(out));
-      return;
-    }
+    complete(index, firewalled_run(world_, runs_[index], load));
   }
 
   std::vector<RunOutput> take_outputs() { return std::move(outputs_); }
 
   void fill_stats(ParallelStats& stats) const {
-    stats.retries = retries_;
-    stats.timeouts = timeouts_;
-    stats.event_budget_trips = event_budget_trips_;
-    stats.cancelled = cancelled_;
     stats.checkpoint_writes = checkpoint_writes_;
     stats.checkpoint_bytes = checkpoint_bytes_;
     stats.checkpoint_entries_encoded = checkpoint_entries_encoded_;
@@ -207,8 +140,8 @@ class Supervisor {
          completed_count_ == runs_.size())) {
       write_checkpoint_locked();
     }
-    if (chaos_.kill_after >= 0 &&
-        completed_count_ >= static_cast<std::size_t>(chaos_.kill_after)) {
+    if (cfg_.kill_after >= 0 &&
+        completed_count_ >= static_cast<std::size_t>(cfg_.kill_after)) {
       // The crash half of the kill-and-resume drill: die exactly like a
       // machine losing power — no flushing, no unwinding. Resume must
       // reconstruct everything past the last checkpoint from seeds alone.
@@ -251,7 +184,6 @@ class Supervisor {
   const World& world_;
   std::span<const RunConfig> runs_;
   ParallelConfig cfg_;
-  ChaosConfig chaos_;
 
   std::mutex mu_;
   std::vector<RunOutput> outputs_;
@@ -259,10 +191,6 @@ class Supervisor {
   std::vector<bool> done_;
   std::size_t completed_count_ = 0;
   std::uint64_t config_hash_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t event_budget_trips_ = 0;
-  std::uint64_t cancelled_ = 0;
   std::uint64_t checkpoint_writes_ = 0;
   std::uint64_t checkpoint_bytes_ = 0;
   std::uint64_t checkpoint_entries_encoded_ = 0;
@@ -310,45 +238,6 @@ std::vector<RunOutput> drive(std::span<const RunConfig> runs,
 
 }  // namespace
 
-ChaosConfig ChaosConfig::from_env() {
-  ChaosConfig c;
-  const char* env = std::getenv("CITYHUNTER_CHAOS");
-  if (env == nullptr || *env == '\0') return c;
-  std::string_view rest(env);
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    std::string_view token = rest.substr(0, comma);
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-    const std::size_t eq = token.find('=');
-    if (eq == std::string_view::npos) continue;
-    const std::string_view key = token.substr(0, eq);
-    int value = -1;
-    try {
-      value = std::stoi(std::string(token.substr(eq + 1)));
-    } catch (const std::exception&) {
-      continue;  // malformed value: leave the knob off
-    }
-    if (key == "throw") c.throw_run = value;
-    else if (key == "hang") c.hang_run = value;
-    else if (key == "poison") c.poison_run = value;
-    else if (key == "kill_after") c.kill_after = value;
-  }
-  return c;
-}
-
-double retry_backoff_s(std::uint64_t run_seed, std::uint32_t attempt) {
-  // Jitter hashed from (seed, attempt): the schedule is a pure function of
-  // the run identity, so a re-executed campaign backs off identically — no
-  // wallclock, no global RNG.
-  const std::uint64_t x = support::splitmix64(
-      run_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt));
-  const double base = 0.001 * static_cast<double>(1ULL << std::min(attempt, 7u));
-  const double jitter =
-      base * (static_cast<double>(x >> 11) * 0x1.0p-53);
-  return base + jitter;
-}
-
 std::vector<RunOutput> run_campaigns(const World& world,
                                      std::span<const RunConfig> runs,
                                      ParallelConfig cfg,
@@ -365,7 +254,7 @@ std::vector<RunOutput> resume_campaigns(const World& world,
     throw std::invalid_argument(
         "resume_campaigns: checkpoint_path must be set");
   }
-  const std::uint64_t expected = campaign_config_hash(world, runs);
+  const std::uint64_t expected = campaign_config_hash(world.config(), runs);
   auto loaded = load_checkpoint(cfg.checkpoint_path, expected);
   if (auto* err = std::get_if<CheckpointError>(&loaded)) {
     throw CheckpointResumeError(std::move(*err));

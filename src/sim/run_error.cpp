@@ -8,7 +8,6 @@ const char* to_string(RunErrorKind k) {
     case RunErrorKind::kException: return "exception";
     case RunErrorKind::kDeadlineExceeded: return "deadline-exceeded";
     case RunErrorKind::kEventBudgetExceeded: return "event-budget-exceeded";
-    case RunErrorKind::kRetryExhausted: return "retry-exhausted";
     case RunErrorKind::kCancelled: return "cancelled";
   }
   return "?";

@@ -1,11 +1,12 @@
 // Structured run-failure taxonomy.
 //
-// A campaign run that does not complete is tagged with WHY, as data: the
-// supervisor in sim/parallel retries some kinds and not others, benches
-// print machine-stable failure banners, and the campaign checkpoint carries
-// the classification across a crash. The old free-text RunOutput::error
-// string survives as RunError::message — the kind is what code branches on,
-// the message is what humans read.
+// A campaign run that does not complete is tagged with WHY, as data:
+// benches print machine-stable failure banners, callers count failures by
+// kind, and the campaign checkpoint carries the classification across a
+// crash. A run is a pure function of (world config, run config), so the
+// runner does not retry a failed run: an exception or an exhausted event
+// budget would only repeat. The kind is what code branches on, the message
+// is what humans read.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +19,7 @@ enum class RunErrorKind : std::uint8_t {
   kException = 1,            // run_campaign threw (bad config, internal bug)
   kDeadlineExceeded = 2,     // per-run wallclock watchdog tripped
   kEventBudgetExceeded = 3,  // sim-event budget exhausted
-  kRetryExhausted = 4,       // every allowed attempt failed; message keeps
-                             // the last underlying failure
-  kCancelled = 5,            // external cancellation flag was raised
+  kCancelled = 4,            // external cancellation flag was raised
 };
 
 const char* to_string(RunErrorKind k);
@@ -30,19 +29,8 @@ struct RunError {
   /// Human-readable context: "run_seed=<seed> venue=<name>
   /// attacker=<kind>: <what>". Empty iff kind == kNone.
   std::string message;
-  /// Attempts consumed by a failed run (>= 1). Stays 0 on success so a
-  /// retried-then-successful run remains bit-identical to an undisturbed
-  /// one — attempt bookkeeping for successes lives in ParallelStats.
-  std::uint32_t attempts = 0;
 
   bool failed() const { return kind != RunErrorKind::kNone; }
-  /// Retry candidates: everything except success and explicit cancellation
-  /// (cancelling and then retrying would defy the cancel).
-  bool retryable() const {
-    return kind == RunErrorKind::kException ||
-           kind == RunErrorKind::kDeadlineExceeded ||
-           kind == RunErrorKind::kEventBudgetExceeded;
-  }
   /// "kind: message" for banners; empty string on success.
   std::string str() const;
 

@@ -43,21 +43,6 @@ std::size_t site_index(const std::string& venue_name) {
 constexpr double kLocaleRadiusM = 500.0;
 constexpr double kLocaleBias = 0.45;
 
-/// Chaos hang: a self-rescheduling event that burns ~50 µs of wallclock per
-/// firing while advancing sim time 1 µs per event — the run makes no real
-/// progress, exactly like a wedged client loop, and only the cooperative
-/// watchdog (deadline or event budget) can end it.
-void schedule_chaos_hang(medium::EventQueue& events) {
-  events.post_in(support::SimTime::microseconds(1), [&events] {
-    const auto t0 = std::chrono::steady_clock::now();
-    while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-               .count() < 50e-6) {
-    }
-    schedule_chaos_hang(events);
-  });
-}
-
 /// The attacker's database at sim time 0, when every run's setup happens
 /// (setup precedes the event loop): a warm start's carried-over database,
 /// else the WiGLE seed from prefixes of the World's offline lists, then
@@ -96,16 +81,13 @@ core::SsidDatabase starting_database(const World& world,
   return db;
 }
 
-/// Supervisor-field and duration validation, same style as Medium::Config
-/// (negated comparison so NaN is rejected too). Inside the run, so a
-/// poisoned config fails this one run — isolated and classified by
-/// run_campaigns — instead of taking the campaign down.
+/// Guard and duration validation, same style as Medium::Config (negated
+/// comparison so NaN is rejected too). Inside the run, so a bad config
+/// fails this one run — isolated and classified by run_campaigns — instead
+/// of taking the campaign down.
 const RunConfig& validated(const RunConfig& cfg) {
   if (!(cfg.deadline_s >= 0.0)) {
     throw std::invalid_argument("RunConfig: deadline_s must be non-negative");
-  }
-  if (cfg.max_retries < 0 || cfg.max_retries > 8) {
-    throw std::invalid_argument("RunConfig: max_retries must be in [0, 8]");
   }
   if (cfg.duration < support::SimTime::zero()) {
     throw std::invalid_argument("RunConfig: duration must be non-negative");
@@ -339,16 +321,6 @@ VenueRun::VenueRun(const World& world, const RunConfig& cfg)
             events_.now(), attacker_->database().size(), connected_broadcast});
       });
     }
-  }
-
-  if (cfg.chaos_hang) schedule_chaos_hang(events_);
-  if (cfg.chaos_poison_schedule) {
-    // The poison fires from inside an event so the failure surfaces out of
-    // the run loop, exactly where a real backoff-arithmetic bug would.
-    events_.post_in(support::SimTime::milliseconds(1), [this] {
-      events_.post_at(events_.now() - support::SimTime::microseconds(1),
-                      [] {});
-    });
   }
 }
 

@@ -137,6 +137,10 @@ struct DeauthScenario {
   bool enable_deauth = true;  // false: victims stay associated (baseline)
 };
 
+/// One slot run. Its output is a pure function of (world config, run
+/// config). sim/fields.h lists every member; the campaign key covers all
+/// but those marked ignored there (the cancel flag, the attackers' base,
+/// the medium's spatial_grid and fault seed).
 struct RunConfig {
   AttackerKind kind = AttackerKind::kCityHunter;
   mobility::VenueConfig venue = mobility::canteen_venue();
@@ -173,11 +177,11 @@ struct RunConfig {
   /// per hook and the run's outputs stay byte-identical.
   obs::Config obs{};
 
-  /// --- Supervisor limits (enforced cooperatively at event-queue
-  /// granularity; see sim/parallel and DESIGN.md §5f). VenueRun validates
-  /// these, and duration >= 0, in the same style as Medium::Config:
-  /// deadline_s >= 0 (NaN rejected), max_sim_events any, max_retries in
-  /// [0, 8]. ---
+  /// --- Guards, enforced cooperatively at event-queue granularity (see
+  /// sim/parallel and DESIGN.md §5f). VenueRun validates deadline_s >= 0
+  /// (NaN rejected), and duration >= 0, in the same style as
+  /// Medium::Config. A tripped guard fails the run with its own
+  /// RunErrorKind, and the campaign runner does not retry it. ---
 
   /// Per-run wallclock deadline in seconds covering the event loop; 0 = no
   /// deadline. A tripped deadline aborts the run with
@@ -186,26 +190,10 @@ struct RunConfig {
   /// Sim-event budget for the run; 0 = unlimited. Exceeding it aborts with
   /// RunErrorKind::kEventBudgetExceeded.
   std::uint64_t max_sim_events = 0;
-  /// Additional attempts the campaign supervisor may spend when this run
-  /// fails with a retryable error, in [0, 8]. Retry schedules are
-  /// deterministic — see sim::retry_backoff().
-  int max_retries = 1;
   /// External cancellation flag polled by the event loop (relaxed loads);
   /// nullptr = not cancellable. A cancelled run is classified
-  /// RunErrorKind::kCancelled and never retried.
+  /// RunErrorKind::kCancelled.
   const std::atomic<bool>* cancel = nullptr;
-
-  /// --- Chaos injection (set by the supervisor's ChaosConfig on the first
-  /// attempt only; both default false and change nothing when unset). ---
-
-  /// Schedule a self-rescheduling busy-wait event so the run burns wallclock
-  /// without advancing sim time — a reproducible "hang" for the watchdog to
-  /// catch. Requires deadline_s or max_sim_events to terminate.
-  bool chaos_hang = false;
-  /// Post an event that then schedules into the past, poisoning the queue:
-  /// the run dies with medium::PastScheduleError, which the supervisor must
-  /// classify (regression net for the structured error taxonomy).
-  bool chaos_poison_schedule = false;
 };
 
 struct SeriesPoint {
@@ -258,10 +246,10 @@ struct RunOutput {
   /// Records the ring had to overwrite (0 when the capacity sufficed).
   std::uint64_t trace_dropped = 0;
   /// Set by run_campaigns() when this run failed instead of completing:
-  /// structured kind (exception / deadline / event budget / retry-exhausted
-  /// / cancelled) plus the tagged "run_seed=<seed> venue=<name>
-  /// attacker=<kind>: <what>" message and the attempts consumed. kNone on
-  /// success; a failed run's other fields are default-initialised.
+  /// structured kind (exception / deadline / event budget / cancelled) plus
+  /// the tagged "run_seed=<seed> venue=<name> attacker=<kind>: <what>"
+  /// message. kNone on success; a failed run's other fields are
+  /// default-initialised.
   RunError error;
 };
 
@@ -276,7 +264,7 @@ struct SetupCache {};
 /// the per-run RNG (seeded world.seed ^ run_seed*φ, with "fault",
 /// "selector" and "population" forks), the medium, the attacker and its
 /// seeded database, the §V-B legitimate AP and deauth, the venue crowd, and
-/// the series and chaos events. events(), medium(), attacker() and
+/// the series events. events(), medium(), attacker() and
 /// population() let a caller attach an observer (a detector, a pcap
 /// monitor) before run() and read ground truth after it.
 ///
@@ -286,13 +274,13 @@ struct SetupCache {};
 /// destroyed last and nothing runs it after they are gone. An observer the
 /// caller attaches to medium() must stay alive until run() returns.
 ///
-/// Pure in the world: the output depends only on (world seed, cfg), never
+/// Pure in the world: the output depends only on (world config, cfg), never
 /// on other runs, so repeated or concurrent runs are bit-identical.
 class VenueRun {
  public:
-  /// `cfg` must outlive the VenueRun. Throws std::invalid_argument on an
-  /// invalid supervisor field, a negative duration or a negative WiGLE seed
-  /// count.
+  /// `cfg` must outlive the VenueRun. Throws std::invalid_argument on a
+  /// negative or NaN deadline, a negative duration, a non-positive
+  /// sample_every or a negative WiGLE seed count.
   VenueRun(const World& world, const RunConfig& cfg);
 
   VenueRun(const VenueRun&) = delete;

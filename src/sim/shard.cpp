@@ -215,9 +215,11 @@ void ShardedCity::validate() {
         std::to_string(grid_.cols()) + "), got " +
         std::to_string(cfg_.shards));
   }
-  if (!(cfg_.phone_speed_mps > 0.0) || !(cfg_.walk_tick_s > 0.0)) {
+  // The walk timer advances in whole microseconds: a shorter tick rounds
+  // to 0 µs, and every walk event would repost itself at the same instant.
+  if (!(cfg_.phone_speed_mps > 0.0) || !(cfg_.walk_tick_s >= 1e-6)) {
     throw std::invalid_argument(
-        "ShardedCity: phone speed and walk tick must be positive");
+        "ShardedCity: phone speed must be positive and walk tick >= 1 us");
   }
   if (cfg_.medium.fault.enabled) {
     // Fault draws are keyed by the Medium-local radio id, which each shard

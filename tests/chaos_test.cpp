@@ -1,17 +1,16 @@
-// Chaos harness drills (ctest label: chaos, tsan-clean).
+// Supervisor drills (ctest label: chaos, tsan-clean).
 //
-// Proves the run supervisor survives everything the chaos layer can throw
-// at it:
-//   * injected throw    -> retried clean, final output byte-identical;
-//   * injected hang     -> watchdog classifies kDeadlineExceeded, retry
-//                          recovers, backoff schedule is deterministic;
-//   * poisoned schedule -> PastScheduleError surfaces as a classified
-//                          kException, not an anonymous crash;
+// Proves the run supervisor classifies every way a run can end early and
+// survives the process dying under it:
+//   * tripped deadline  -> kDeadlineExceeded;
 //   * event budget      -> kEventBudgetExceeded;
-//   * cancellation      -> kCancelled and never retried;
+//   * cancellation      -> kCancelled;
+//   * a bad config      -> a classified kException, not a campaign abort;
 //   * SIGKILL mid-campaign (subprocess, fork+exec of this binary with
 //     --chaos-child) -> resume from the checkpoint converges to the
 //     byte-identical uninterrupted output, at 1 and 4 workers.
+// No failure is retried: a run is a pure function of its config, so each
+// test reads the failure kind from the run's own output.
 //
 // The RunGuard primitives in medium/event_queue get their unit coverage
 // here too, next to the supervisor behaviour they exist for.
@@ -169,49 +168,7 @@ TEST(EventQueue, PastSchedulingIsAStructuredError) {
   }
 }
 
-// --- deterministic backoff ---
-
-TEST(RetryBackoff, ScheduleIsPureAndExponential) {
-  for (const std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
-    for (std::uint32_t attempt = 0; attempt < 6; ++attempt) {
-      SCOPED_TRACE(attempt);
-      const double d = sim::retry_backoff_s(seed, attempt);
-      // Re-evaluation gives the exact same delay: no wallclock, no global
-      // RNG.
-      EXPECT_EQ(d, sim::retry_backoff_s(seed, attempt));
-      // Exponential envelope: base 1ms * 2^attempt plus jitter < base.
-      const double base = 0.001 * static_cast<double>(1u << attempt);
-      EXPECT_GE(d, base);
-      EXPECT_LT(d, 2.0 * base);
-    }
-  }
-  // Different seeds jitter differently (with overwhelming likelihood for
-  // these fixed inputs — asserted as a regression pin, not a probability).
-  EXPECT_NE(sim::retry_backoff_s(1, 0), sim::retry_backoff_s(2, 0));
-  // The exact schedule, pinned: a retried campaign's timing must not move
-  // when the hash behind the jitter is refactored.
-  EXPECT_EQ(sim::retry_backoff_s(1, 0), 0x1.9aaa2aee1db4ap-10);
-  EXPECT_EQ(sim::retry_backoff_s(42, 3), 0x1.605f1cab10afp-7);
-}
-
-// --- ChaosConfig env parsing ---
-
-TEST(ChaosConfig, ParsesEnvKnobs) {
-  ::setenv("CITYHUNTER_CHAOS", "throw=1,hang=2,poison=0,kill_after=7", 1);
-  const auto c = sim::ChaosConfig::from_env();
-  EXPECT_EQ(c.throw_run, 1);
-  EXPECT_EQ(c.hang_run, 2);
-  EXPECT_EQ(c.poison_run, 0);
-  EXPECT_EQ(c.kill_after, 7);
-  ::setenv("CITYHUNTER_CHAOS", "hang=3,garbage,alpha=beta", 1);
-  const auto partial = sim::ChaosConfig::from_env();
-  EXPECT_EQ(partial.hang_run, 3);
-  EXPECT_EQ(partial.throw_run, -1);
-  ::unsetenv("CITYHUNTER_CHAOS");
-  EXPECT_FALSE(sim::ChaosConfig::from_env().any());
-}
-
-// --- supervisor recovery (shared World, built once per process) ---
+// --- supervisor classification (shared World, built once per process) ---
 
 class ChaosCampaignTest : public ::testing::Test {
  protected:
@@ -225,95 +182,24 @@ class ChaosCampaignTest : public ::testing::Test {
 
 sim::World* ChaosCampaignTest::world_ = nullptr;
 
-TEST_F(ChaosCampaignTest, InjectedThrowIsRetriedToIdenticalOutput) {
-  const auto runs = chaos_runs(3);
-  const auto clean = sim::run_campaigns(*world_, runs, {1});
-  ASSERT_EQ(sim::failed_runs(clean), 0u);
-
-  sim::ParallelConfig cfg{1};
-  cfg.chaos.throw_run = 1;
-  sim::ParallelStats stats;
-  const auto chaosed = sim::run_campaigns(*world_, runs, cfg, &stats);
-  EXPECT_EQ(sim::failed_runs(chaosed), 0u);
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(outputs_blob(clean), outputs_blob(chaosed));
-}
-
-TEST_F(ChaosCampaignTest, InjectedHangIsClassifiedDeadlineAndRecovered) {
-  const auto runs = chaos_runs(2);
-  const auto clean = sim::run_campaigns(*world_, runs, {1});
-  ASSERT_EQ(sim::failed_runs(clean), 0u);
-
-  sim::ParallelConfig cfg{1};
-  cfg.chaos.hang_run = 0;
-  sim::ParallelStats stats;
-  const auto chaosed = sim::run_campaigns(*world_, runs, cfg, &stats);
-  // The watchdog caught the hang (classified kDeadlineExceeded -> timeouts
-  // counter), the retry ran clean, and the final output is unscathed.
-  EXPECT_EQ(stats.timeouts, 1u);
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(sim::failed_runs(chaosed), 0u);
-  EXPECT_EQ(outputs_blob(clean), outputs_blob(chaosed));
-}
-
-TEST_F(ChaosCampaignTest, HangWithoutRetriesSurfacesDeadlineExceeded) {
+TEST_F(ChaosCampaignTest, DeadlineTripSurfacesItsOwnKind) {
   auto runs = chaos_runs(1);
-  runs[0].max_retries = 0;
-  sim::ParallelConfig cfg{1};
-  cfg.chaos.hang_run = 0;
-  sim::ParallelStats stats;
-  const auto outputs = sim::run_campaigns(*world_, runs, cfg, &stats);
+  runs[0].deadline_s = 1e-9;  // already elapsed at the first stride check
+  const auto outputs = sim::run_campaigns(*world_, runs, {1});
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_EQ(outputs[0].error.kind, sim::RunErrorKind::kDeadlineExceeded)
       << outputs[0].error.str();
-  EXPECT_EQ(outputs[0].error.attempts, 1u);
-  EXPECT_EQ(stats.timeouts, 1u);
-  EXPECT_EQ(stats.retries, 0u);
   EXPECT_NE(outputs[0].error.message.find("run_seed=1"), std::string::npos)
-      << outputs[0].error.message;
-}
-
-TEST_F(ChaosCampaignTest, PoisonedScheduleIsAClassifiedException) {
-  auto runs = chaos_runs(1);
-  runs[0].max_retries = 0;
-  sim::ParallelConfig cfg{1};
-  cfg.chaos.poison_run = 0;
-  const auto outputs = sim::run_campaigns(*world_, runs, cfg);
-  ASSERT_EQ(outputs.size(), 1u);
-  // Regression net for the taxonomy satellite: the queue's past-scheduling
-  // guard must arrive as a classified failure with its structured message,
-  // not as an unhandled std::runtime_error killing the campaign.
-  EXPECT_EQ(outputs[0].error.kind, sim::RunErrorKind::kException)
-      << outputs[0].error.str();
-  EXPECT_NE(outputs[0].error.message.find("scheduling in the past"),
-            std::string::npos)
       << outputs[0].error.message;
 }
 
 TEST_F(ChaosCampaignTest, EventBudgetTripSurfacesItsOwnKind) {
   auto runs = chaos_runs(1);
   runs[0].max_sim_events = 500;  // a 2-minute venue run needs far more
-  runs[0].max_retries = 0;
-  sim::ParallelStats stats;
-  const auto outputs = sim::run_campaigns(*world_, runs, {1}, &stats);
+  const auto outputs = sim::run_campaigns(*world_, runs, {1});
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_EQ(outputs[0].error.kind, sim::RunErrorKind::kEventBudgetExceeded)
       << outputs[0].error.str();
-  EXPECT_EQ(stats.event_budget_trips, 1u);
-}
-
-TEST_F(ChaosCampaignTest, ExhaustedRetriesKeepTheLastFailure) {
-  auto runs = chaos_runs(1);
-  runs[0].max_sim_events = 500;  // trips on every attempt
-  runs[0].max_retries = 2;
-  sim::ParallelStats stats;
-  const auto outputs = sim::run_campaigns(*world_, runs, {1}, &stats);
-  ASSERT_EQ(outputs.size(), 1u);
-  EXPECT_EQ(outputs[0].error.kind, sim::RunErrorKind::kRetryExhausted)
-      << outputs[0].error.str();
-  EXPECT_EQ(outputs[0].error.attempts, 3u);
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.event_budget_trips, 3u);
 }
 
 TEST_F(ChaosCampaignTest, CancelledRunIsNeverRetried) {
@@ -325,9 +211,9 @@ TEST_F(ChaosCampaignTest, CancelledRunIsNeverRetried) {
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_EQ(outputs[0].error.kind, sim::RunErrorKind::kCancelled)
       << outputs[0].error.str();
-  EXPECT_EQ(outputs[0].error.attempts, 1u);
-  EXPECT_EQ(stats.retries, 0u);
-  EXPECT_EQ(stats.cancelled, 1u);
+  // One run, started once.
+  ASSERT_EQ(stats.loads.size(), 1u);
+  EXPECT_EQ(stats.loads[0].runs, 1u);
 }
 
 TEST_F(ChaosCampaignTest, SupervisorLimitsAreValidated) {
@@ -336,18 +222,12 @@ TEST_F(ChaosCampaignTest, SupervisorLimitsAreValidated) {
   EXPECT_THROW(
       { (void)sim::run_campaign(*world_, runs[0]); }, std::invalid_argument);
 
-  runs[0].deadline_s = 0.0;
-  runs[0].max_retries = 9;
-  EXPECT_THROW(
-      { (void)sim::run_campaign(*world_, runs[0]); }, std::invalid_argument);
-
   // Through the supervisor the same bad config is classified, not thrown.
-  sim::ParallelStats stats;
-  const auto outputs = sim::run_campaigns(*world_, runs, {1}, &stats);
+  const auto outputs = sim::run_campaigns(*world_, runs, {1});
   ASSERT_EQ(outputs.size(), 1u);
-  EXPECT_EQ(outputs[0].error.kind, sim::RunErrorKind::kRetryExhausted)
+  EXPECT_EQ(outputs[0].error.kind, sim::RunErrorKind::kException)
       << outputs[0].error.str();
-  EXPECT_NE(outputs[0].error.message.find("max_retries"), std::string::npos)
+  EXPECT_NE(outputs[0].error.message.find("deadline_s"), std::string::npos)
       << outputs[0].error.message;
 }
 
@@ -357,9 +237,9 @@ constexpr int kKillAfter = 3;
 constexpr int kResumeFailedExit = 7;
 
 /// Child entry (invoked via --chaos-child). mode "crash": run the campaign
-/// with the chaos kill switch armed — the process dies by SIGKILL mid-
-/// campaign. mode "resume": resume from the checkpoint and publish the
-/// final outputs blob for the parent to compare.
+/// with the kill switch armed — the process dies by SIGKILL mid-campaign.
+/// mode "resume": resume from the checkpoint and publish the final outputs
+/// blob for the parent to compare.
 int chaos_child_main(std::string_view mode, const char* ckpt_path,
                      const char* blob_path, std::size_t workers) {
   sim::World world(small_scenario(13));
@@ -368,7 +248,7 @@ int chaos_child_main(std::string_view mode, const char* ckpt_path,
   cfg.checkpoint_path = ckpt_path;
   cfg.checkpoint_every = 2;
   if (mode == "crash") {
-    cfg.chaos.kill_after = kKillAfter;
+    cfg.kill_after = kKillAfter;
     (void)sim::run_campaigns(world, runs, cfg);
     return 1;  // unreachable when the kill switch works
   }

@@ -4,19 +4,30 @@
 //   * a resumed campaign's final output vector is byte-identical to an
 //     uninterrupted one, at 1 and 4 workers (DESIGN.md §5f);
 //   * every flavour of checkpoint damage — truncation, bit flip, version
-//     skew, wrong campaign, structural lies — yields its own distinct,
-//     actionable error and NEVER a partial resume;
+//     skew, wrong campaign or world, structural lies — yields its own
+//     distinct, actionable error and NEVER a partial resume;
+//   * the campaign key moves with every leaf of the field lists it walks
+//     (sim/fields.h) except the ones marked ignored;
 //   * the checkpoint cadence is exactly every K completions plus the final
 //     one, through the crash-safe atomic writer.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <typeinfo>
+#include <utility>
 #include <variant>
 #include <vector>
 
+#include "dot11/crc32.h"
 #include "sim/checkpoint.h"
+#include "sim/fields.h"
 #include "sim/parallel.h"
 #include "small_world.h"
 #include "support/atomic_file.h"
@@ -91,7 +102,6 @@ sim::CampaignCheckpoint tiny_checkpoint() {
                                      : sim::RunErrorKind::kNone;
     if (idx == 2) {
       run.output.error.message = "run_seed=3 venue=v attacker=a: slow";
-      run.output.error.attempts = 2;
     }
     cp.completed.push_back(std::move(run));
   }
@@ -126,7 +136,6 @@ TEST(Checkpoint, EncodeDecodeRoundTrip) {
   // A structured error survives the trip.
   EXPECT_EQ(back.completed[1].output.error.kind,
             sim::RunErrorKind::kDeadlineExceeded);
-  EXPECT_EQ(back.completed[1].output.error.attempts, 2u);
 }
 
 TEST(Checkpoint, TruncationIsItsOwnError) {
@@ -164,12 +173,14 @@ TEST(Checkpoint, WrongVersionIsItsOwnError) {
   // collisions, corruption, backoff and bit flips from a seeded stream; and
   // version 6, whose observed runs carry wallclock timer metric points;
   // and version 7, whose config hash ignored the warm-start database's
-  // records and the trace capacity. None may resume next to fresh runs.
-  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 8u);
+  // records and the trace capacity; and version 8, whose config hash
+  // ignored the world config beyond its seed and whose errors carry an
+  // attempt count. None may resume next to fresh runs.
+  ASSERT_EQ(sim::CampaignCheckpoint::kFormatVersion, 9u);
   for (const std::uint32_t version :
        {sim::CampaignCheckpoint::kFormatVersion + 1, std::uint32_t{2},
         std::uint32_t{3}, std::uint32_t{4}, std::uint32_t{5},
-        std::uint32_t{6}, std::uint32_t{7}}) {
+        std::uint32_t{6}, std::uint32_t{7}, std::uint32_t{8}}) {
     SCOPED_TRACE(version);
     std::string bytes = sim::encode_checkpoint(tiny_checkpoint());
     bytes[4] = static_cast<char>(version);
@@ -189,6 +200,50 @@ TEST(Checkpoint, StructuralLiesAreMalformed) {
   cp.completed[1].index = cp.total_runs;
   EXPECT_EQ(decode_kind(sim::encode_checkpoint(cp)),
             sim::CheckpointErrorKind::kMalformed);
+}
+
+/// Recompute the CRC trailer after editing the bytes before it.
+void reseal(std::string& bytes) {
+  const std::size_t body = bytes.size() - 4;
+  const std::uint32_t crc = dot11::crc32(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), body));
+  for (int i = 0; i < 4; ++i) {
+    bytes[body + i] = static_cast<char>(crc >> (8 * i));
+  }
+}
+
+TEST(Checkpoint, LyingCountIsMalformed) {
+  // One run with a three-point series and a two-record database. Patch one
+  // count to 0xFFFFFFFF and reseal the CRC: the container is intact, the
+  // count lies, and decoding must refuse it before sizing anything by it:
+  // 2^32 series points would take ~103 GB.
+  sim::CampaignCheckpoint cp;
+  cp.total_runs = 1;
+  sim::CompletedRun run;
+  run.output.series.resize(3);
+  run.output.database.add("a", 1.0, core::SsidSource::kWigleNearby,
+                          support::SimTime::zero());
+  run.output.database.add("b", 1.0, core::SsidSource::kWigleNearby,
+                          support::SimTime::zero());
+  cp.completed.push_back(std::move(run));
+  const std::string bytes = sim::encode_checkpoint(cp);
+
+  // Header (32) | run index (4) | empty CampaignResult: label (4), twelve
+  // counters (96), two empty vectors (8) | series count | three points
+  // (72) | empty window rates (4) | PB/FB sizes (8) | five counters (40) |
+  // MediumStats (40) | database count.
+  constexpr std::size_t kSeriesCount = 32 + 4 + 4 + 96 + 8;
+  constexpr std::size_t kDatabaseCount =
+      kSeriesCount + 4 + 72 + 4 + 8 + 40 + 40;
+  for (const auto& [at, count] :
+       {std::pair{kSeriesCount, 3}, std::pair{kDatabaseCount, 2}}) {
+    SCOPED_TRACE(at);
+    ASSERT_EQ(bytes[at], count) << "the format moved; fix the offsets";
+    std::string lying = bytes;
+    for (std::size_t i = 0; i < 4; ++i) lying[at + i] = '\xff';
+    reseal(lying);
+    EXPECT_EQ(decode_kind(lying), sim::CheckpointErrorKind::kMalformed);
+  }
 }
 
 TEST(Checkpoint, MissingFileIsIoError) {
@@ -212,6 +267,91 @@ TEST(Checkpoint, LoadRejectsForeignCampaignHash) {
 
 // --- end-to-end against real campaigns (shared World, built once) ---
 
+/// Walks the field lists (sim/fields.h) and changes the `target`-th leaf,
+/// counting leaves in list order; a target past the last leaf changes
+/// nothing. A member marked ignored(...) counts as one leaf and is never
+/// changed. Optionals must be engaged.
+class LeafPerturber {
+ public:
+  explicit LeafPerturber(std::size_t target) : target_(target) {}
+
+  template <class... Ts>
+  void operator()(Ts&&... members) {
+    (visit(members), ...);
+  }
+
+  std::size_t leaves() const { return leaves_; }
+  bool hit_ignored() const { return hit_ignored_; }
+  const char* hit_type() const { return hit_type_; }
+
+ private:
+  template <class T>
+  bool hit() {
+    if (leaves_++ != target_) return false;
+    hit_type_ = typeid(T).name();
+    return true;
+  }
+  template <std::integral T>
+  void visit(T& v) {
+    if (hit<T>()) v = static_cast<T>(v ^ 1);
+  }
+  template <class E>
+    requires std::is_enum_v<E>
+  void visit(E& v) {
+    if (hit<E>()) {
+      v = static_cast<E>(static_cast<std::underlying_type_t<E>>(v) ^ 1);
+    }
+  }
+  void visit(double& v) {
+    if (hit<double>()) v = std::nextafter(v, HUGE_VAL);
+  }
+  void visit(std::string& s) {
+    if (hit<std::string>()) s += '~';
+  }
+  void visit(support::SimTime& t) {
+    if (hit<support::SimTime>()) {
+      t = support::SimTime::microseconds(t.us() ^ 1);
+    }
+  }
+  void visit(dot11::MacAddress& mac) {
+    if (!hit<dot11::MacAddress>()) return;
+    auto octets = mac.octets();
+    octets[5] ^= 1;
+    mac = dot11::MacAddress(octets);
+  }
+  void visit(core::SsidDatabase& db) {
+    auto records = db.records();
+    visit(records);
+    db.restore(std::move(records));
+  }
+  template <class T>
+  void visit(std::optional<T>& v) {
+    visit(v.value());
+  }
+  template <class T>
+  void visit(std::vector<T>& v) {
+    for (T& e : v) visit(e);
+  }
+  template <class T, std::size_t N>
+  void visit(std::array<T, N>& v) {
+    for (T& e : v) visit(e);
+  }
+  template <class T>
+  void visit(sim::Ignored<T>&) {
+    if (hit<sim::Ignored<T>>()) hit_ignored_ = true;
+  }
+  template <class T>
+    requires std::is_class_v<T>
+  void visit(T& s) {
+    sim::fields(s, *this);
+  }
+
+  std::size_t target_;
+  std::size_t leaves_ = 0;
+  bool hit_ignored_ = false;
+  const char* hit_type_ = "";
+};
+
 class CheckpointCampaignTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() { world_ = new sim::World(small_scenario(11)); }
@@ -226,31 +366,31 @@ sim::World* CheckpointCampaignTest::world_ = nullptr;
 
 TEST_F(CheckpointCampaignTest, ConfigHashSeparatesCampaigns) {
   const auto runs = small_runs();
-  const std::uint64_t base = sim::campaign_config_hash(*world_, runs);
-  EXPECT_EQ(sim::campaign_config_hash(*world_, runs), base)
+  const std::uint64_t base = sim::campaign_config_hash(world_->config(), runs);
+  EXPECT_EQ(sim::campaign_config_hash(world_->config(), runs), base)
       << "hash must be a pure function of the configs";
   auto reseeded = runs;
   reseeded[3].run_seed = 99;
-  EXPECT_NE(sim::campaign_config_hash(*world_, reseeded), base);
+  EXPECT_NE(sim::campaign_config_hash(world_->config(), reseeded), base);
   auto longer = runs;
   longer[1].duration = support::SimTime::minutes(3);
-  EXPECT_NE(sim::campaign_config_hash(*world_, longer), base);
+  EXPECT_NE(sim::campaign_config_hash(world_->config(), longer), base);
 
   // Attacker knobs change what the run computes, so they are part of the
   // campaign's identity.
   auto untracked = runs;
   untracked[1].cityhunter.untried_tracking = false;  // a City-Hunter run
-  EXPECT_NE(sim::campaign_config_hash(*world_, untracked), base);
+  EXPECT_NE(sim::campaign_config_hash(world_->config(), untracked), base);
 
   // The hash covers the medium config a run resolves to: an override equal
   // to the world's medium is the same campaign, a lossier one is not.
   auto same_medium = runs;
   same_medium[4].medium = world_->config().medium;
-  EXPECT_EQ(sim::campaign_config_hash(*world_, same_medium), base);
+  EXPECT_EQ(sim::campaign_config_hash(world_->config(), same_medium), base);
   auto lossier = same_medium;
   lossier[4].medium->fault.ambient_loss = 0.3;
-  EXPECT_NE(sim::campaign_config_hash(*world_, lossier),
-            sim::campaign_config_hash(*world_, same_medium));
+  EXPECT_NE(sim::campaign_config_hash(world_->config(), lossier),
+            sim::campaign_config_hash(world_->config(), same_medium));
 
   // A warm start counts by its records, not only by its presence: two
   // databases that differ in one SSID attack differently.
@@ -264,14 +404,86 @@ TEST_F(CheckpointCampaignTest, ConfigHashSeparatesCampaigns) {
   warm[1].initial_database = one_ssid("warm-a");
   auto other_warm = runs;
   other_warm[1].initial_database = one_ssid("warm-b");
-  EXPECT_NE(sim::campaign_config_hash(*world_, warm), base);
-  EXPECT_NE(sim::campaign_config_hash(*world_, other_warm),
-            sim::campaign_config_hash(*world_, warm));
+  EXPECT_NE(sim::campaign_config_hash(world_->config(), warm), base);
+  EXPECT_NE(sim::campaign_config_hash(world_->config(), other_warm),
+            sim::campaign_config_hash(world_->config(), warm));
 
   // An observed run's trace ring keeps its last trace_capacity records.
   auto short_trace = runs;
   short_trace[3].obs.trace_capacity = 16;  // runs[3] is observed
-  EXPECT_NE(sim::campaign_config_hash(*world_, short_trace), base);
+  EXPECT_NE(sim::campaign_config_hash(world_->config(), short_trace), base);
+}
+
+TEST_F(CheckpointCampaignTest, KeyMovesWithEveryListedField) {
+  // Every optional engaged and every vector non-empty, so no leaf hides
+  // behind a presence byte or an empty container.
+  sim::ScenarioConfig world_config = small_scenario(11);
+  world_config.city.districts = world::CityModel::default_districts();
+  std::vector<sim::RunConfig> runs(1);
+  sim::RunConfig& run = runs[0];
+  run.slot.legit_ap = dot11::MacAddress({0x02, 0x13, 0x37, 0, 0, 1});
+  run.deauth = sim::DeauthScenario{};
+  run.sample_every = support::SimTime::seconds(30);
+  run.medium = world_config.medium;
+  core::SsidDatabase warm;
+  warm.add("warm", 5.0, core::SsidSource::kWiglePopular,
+           support::SimTime::zero());
+  warm.record_hit("warm", 1.0, support::SimTime::seconds(1));  // last_hit
+  run.initial_database = warm;
+
+  const std::uint64_t base = sim::campaign_config_hash(world_config, runs);
+  std::size_t leaves = 0;
+  std::size_t ignored = 0;
+  for (std::size_t k = 0;; ++k) {
+    auto perturbed_world = world_config;
+    auto perturbed_runs = runs;
+    LeafPerturber perturb(k);
+    perturb(perturbed_world, perturbed_runs);
+    leaves = perturb.leaves();
+    if (k >= leaves) break;
+    if (perturb.hit_ignored()) {
+      ++ignored;
+      continue;
+    }
+    EXPECT_NE(sim::campaign_config_hash(perturbed_world, perturbed_runs),
+              base)
+        << "leaf " << k << " of " << leaves << " (" << perturb.hit_type()
+        << ") does not move the key";
+  }
+  // spatial_grid and the fault seed, in the world's medium and in the
+  // run's; the City-Hunter and MANA bases; the cancel flag.
+  EXPECT_EQ(ignored, 7u);
+  EXPECT_GT(leaves, 150u);
+}
+
+TEST_F(CheckpointCampaignTest, ResumeRefusesAnotherWorld) {
+  // Same seed, another city: a world with more APs, or with phones that
+  // take fewer probe responses, runs the same configs to other outputs, so
+  // a checkpoint of this world's campaign must not resume there.
+  const auto all = small_runs();
+  const std::vector<sim::RunConfig> runs(all.begin(), all.begin() + 2);
+  TempFile file("other-world.ckpt");
+  sim::CampaignCheckpoint cp;
+  cp.config_hash = sim::campaign_config_hash(world_->config(), runs);
+  cp.total_runs = static_cast<std::uint32_t>(runs.size());
+  std::string error;
+  ASSERT_TRUE(sim::write_checkpoint(file.path(), cp, &error)) << error;
+
+  auto more_aps = small_scenario(11);
+  more_aps.aps.residential_ap_count = 900;
+  auto fewer_responses = small_scenario(11);
+  fewer_responses.phone.probe_response_budget = 20;
+  for (const sim::ScenarioConfig& other_config : {more_aps, fewer_responses}) {
+    const sim::World other(other_config);
+    sim::ParallelConfig cfg{1};
+    cfg.checkpoint_path = file.path();
+    try {
+      sim::resume_campaigns(other, runs, cfg);
+      ADD_FAILURE() << "resume accepted another world's checkpoint";
+    } catch (const sim::CheckpointResumeError& e) {
+      EXPECT_EQ(e.error().kind, sim::CheckpointErrorKind::kConfigMismatch);
+    }
+  }
 }
 
 TEST_F(CheckpointCampaignTest, WritesEveryKCompletionsAndAtTheEnd) {
@@ -292,7 +504,7 @@ TEST_F(CheckpointCampaignTest, WritesEveryKCompletionsAndAtTheEnd) {
 
   // The final file on disk holds every run, verbatim.
   auto loaded = sim::load_checkpoint(
-      file.path(), sim::campaign_config_hash(*world_, runs));
+      file.path(), sim::campaign_config_hash(world_->config(), runs));
   ASSERT_TRUE(std::holds_alternative<sim::CampaignCheckpoint>(loaded))
       << std::get<sim::CheckpointError>(loaded).str();
   const auto& cp = std::get<sim::CampaignCheckpoint>(loaded);
@@ -313,7 +525,7 @@ TEST_F(CheckpointCampaignTest, ResumeIsByteIdenticalToUninterrupted) {
   // Simulate a crash after 3 completions: a checkpoint holding only runs
   // 0-2, exactly as the cadence writer would have left it.
   sim::CampaignCheckpoint partial;
-  partial.config_hash = sim::campaign_config_hash(*world_, runs);
+  partial.config_hash = sim::campaign_config_hash(world_->config(), runs);
   partial.total_runs = static_cast<std::uint32_t>(runs.size());
   for (std::uint32_t i = 0; i < 3; ++i) {
     partial.completed.push_back({i, uninterrupted[i]});
@@ -341,7 +553,7 @@ TEST_F(CheckpointCampaignTest, ResumeRefusesWrongCampaign) {
   TempFile file("wrong.ckpt");
   const auto runs = small_runs();
   sim::CampaignCheckpoint cp;
-  cp.config_hash = sim::campaign_config_hash(*world_, runs) ^ 0xdead;
+  cp.config_hash = sim::campaign_config_hash(world_->config(), runs) ^ 0xdead;
   cp.total_runs = static_cast<std::uint32_t>(runs.size());
   std::string error;
   ASSERT_TRUE(sim::write_checkpoint(file.path(), cp, &error)) << error;
@@ -360,7 +572,7 @@ TEST_F(CheckpointCampaignTest, ResumeRefusesCorruptCheckpoint) {
   TempFile file("corrupt.ckpt");
   const auto runs = small_runs();
   sim::CampaignCheckpoint cp;
-  cp.config_hash = sim::campaign_config_hash(*world_, runs);
+  cp.config_hash = sim::campaign_config_hash(world_->config(), runs);
   cp.total_runs = static_cast<std::uint32_t>(runs.size());
   std::string bytes = sim::encode_checkpoint(cp);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 1);

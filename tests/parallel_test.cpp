@@ -203,12 +203,10 @@ void expect_failure_isolated(const sim::World& world,
                              const std::vector<sim::RunOutput>& outputs) {
   ASSERT_EQ(outputs.size(), runs.size());
   // The poisoned run reports its identity and the exception text instead of
-  // taking the campaign down. Both attempts throw (the bad config is part
-  // of the run), so the default one-retry budget is exhausted.
+  // taking the campaign down, after its one and only attempt.
   EXPECT_EQ(sim::failed_runs(outputs), 1u);
-  EXPECT_EQ(outputs[1].error.kind, sim::RunErrorKind::kRetryExhausted)
+  EXPECT_EQ(outputs[1].error.kind, sim::RunErrorKind::kException)
       << outputs[1].error.str();
-  EXPECT_EQ(outputs[1].error.attempts, 2u);
   EXPECT_NE(outputs[1].error.message.find("run_seed=2"), std::string::npos)
       << outputs[1].error.message;
   EXPECT_NE(outputs[1].error.message.find("contention_factor"),
@@ -255,8 +253,8 @@ TEST(RunCampaigns, StatsKeepOneLoadPerLaneThatAttempted) {
       EXPECT_GT(load.runs, 0u);
       attempts += load.runs;
     }
-    // Three runs, and the poisoned one's retry.
-    EXPECT_EQ(attempts, runs.size() + 1);
+    // Three runs, each started once: the poisoned one is not retried.
+    EXPECT_EQ(attempts, runs.size());
   }
 }
 

@@ -520,6 +520,14 @@ TEST(ShardedCityTest, RejectsConfigsThatBreakTheDeterminismContract) {
   cfg.medium.fault.seed = 9;
   cfg.medium.fault.ambient_loss = 0.1;
   EXPECT_THROW(sim::run_sharded_city(cfg), std::invalid_argument);
+
+  // A walk tick below 1 us rounds to a 0 us timer, and the walk would
+  // repost itself at t = 0 forever. The event budget turns an accepted
+  // config into a RunAbortError instead of a hang.
+  cfg = test_city();
+  cfg.walk_tick_s = 1e-7;
+  cfg.max_sim_events_per_shard = 100000;
+  EXPECT_THROW(sim::run_sharded_city(cfg), std::invalid_argument);
 }
 
 TEST(ShardedCityTest, ReportsBarrierWaitPerShard) {
