@@ -443,7 +443,7 @@ int main(int argc, char** argv) {
     const std::size_t failed = sim::failed_runs(supervised);
     std::printf("supervised: %6.2f s at %zu threads with checkpoint every 8 "
                 "(checkpoint work %.1f ms, %.2f%% of the wall) "
-                "— %llu checkpoint writes, %llu bytes, "
+                "— %llu checkpoint writes, final checkpoint %llu bytes, "
                 "%zu failed runs   %s\n",
                 sstats.wall_s, threads, 1e3 * sstats.checkpoint_s,
                 ckpt_share_pct,

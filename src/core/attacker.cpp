@@ -1,6 +1,5 @@
 #include "core/attacker.h"
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace cityhunter::core {
@@ -48,13 +47,6 @@ ClientRecord& Attacker::client(const dot11::MacAddress& mac) {
   return it->second;
 }
 
-void Attacker::set_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics_ != nullptr) {
-    scan_fill_id_ = metrics_->distribution("attacker.scan_window_fill", 1.0);
-  }
-}
-
 void Attacker::handle_direct_probe_ssid(const std::string&, SimTime) {}
 
 void Attacker::on_hit(const ClientRecord&, const std::string&, SimTime) {}
@@ -82,15 +74,15 @@ void Attacker::respond_to_direct_probe(ClientRecord& c,
 void Attacker::respond_to_broadcast_probe(ClientRecord& c) {
   choices_.clear();
   select_ssids(c, cfg_.response_budget, choices_);
+  const std::uint64_t fill = choices_.size();
+  if (scan_windows_ == 0 || fill < min_window_fill_) min_window_fill_ = fill;
+  if (fill > max_window_fill_) max_window_fill_ = fill;
   ++scan_windows_;
-  responses_sent_ += choices_.size();
+  responses_sent_ += fill;
   if (trace_ != nullptr) {
     trace_->record(now(), obs::Category::kAttacker,
-                   obs::Event::kScanWindowFill, choices_.size(),
+                   obs::Event::kScanWindowFill, fill,
                    static_cast<std::uint64_t>(cfg_.response_budget));
-  }
-  if (metrics_ != nullptr) {
-    metrics_->observe(scan_fill_id_, static_cast<double>(choices_.size()));
   }
   const auto& records = db_.records();
   for (const SsidChoice& choice : choices_) {

@@ -21,10 +21,6 @@
 #include "dot11/frame.h"
 #include "medium/medium.h"
 
-namespace cityhunter::obs {
-class MetricsRegistry;
-}
-
 namespace cityhunter::core {
 
 using support::SimTime;
@@ -123,16 +119,16 @@ class Attacker : public medium::FrameSink {
   std::size_t clients_seen() const { return clients_.size(); }
   std::size_t clients_connected() const { return connected_count_; }
 
-  /// Broadcast probes answered (one scan-window fill each) and probe
-  /// responses transmitted into those windows. Maintained unconditionally.
+  /// Broadcast probes answered (one scan-window fill each), probe
+  /// responses transmitted into those windows, and the smallest and largest
+  /// fill of one window (0 before the first). Maintained unconditionally.
   std::uint64_t scan_windows() const { return scan_windows_; }
   std::uint64_t responses_sent() const { return responses_sent_; }
+  std::uint64_t min_window_fill() const { return min_window_fill_; }
+  std::uint64_t max_window_fill() const { return max_window_fill_; }
 
   /// Attach (or detach with nullptr) a structured trace sink.
   void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
-  /// Attach a metrics registry; registers the attacker's distribution
-  /// points (scan-window fill). Observed per broadcast window — cold.
-  void set_metrics(obs::MetricsRegistry* metrics);
 
   // medium::FrameSink
   void on_frame(const dot11::Frame& frame, const medium::RxInfo& info) override;
@@ -152,9 +148,7 @@ class Attacker : public medium::FrameSink {
 
   medium::Medium& medium_;
   SsidDatabase db_;
-  obs::TraceBuffer* trace_ = nullptr;        // null = tracing off
-  obs::MetricsRegistry* metrics_ = nullptr;  // null = metrics off
-  std::size_t scan_fill_id_ = 0;             // valid iff metrics_ != null
+  obs::TraceBuffer* trace_ = nullptr;  // null = tracing off
 
   SimTime now() const { return medium_.events().now(); }
   std::uint16_t next_seq() { return seq_ = (seq_ + 1) & 0x0fff; }
@@ -179,6 +173,8 @@ class Attacker : public medium::FrameSink {
   std::size_t connected_count_ = 0;
   std::uint64_t scan_windows_ = 0;
   std::uint64_t responses_sent_ = 0;
+  std::uint64_t min_window_fill_ = 0;
+  std::uint64_t max_window_fill_ = 0;
   std::uint16_t seq_ = 0;
   std::uint16_t next_aid_ = 1;
 };

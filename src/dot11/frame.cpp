@@ -46,45 +46,32 @@ std::string subtype_name(MgmtSubtype s) {
 
 Frame make_broadcast_probe_request(const MacAddress& client,
                                    std::uint16_t seq) {
-  ProbeRequest body;
-  body.ies.add_ssid("");  // wildcard SSID
-  body.ies.add_supported_rates();
-  return Frame{{MacAddress::broadcast(), client, MacAddress::broadcast(), seq},
-               std::move(body)};
+  Frame f;
+  make_broadcast_probe_request_into(f, client, seq);
+  return f;
 }
 
 Frame make_direct_probe_request(const MacAddress& client,
                                 std::string_view ssid, std::uint16_t seq) {
-  ProbeRequest body;
-  body.ies.add_ssid(ssid);
-  body.ies.add_supported_rates();
-  return Frame{{MacAddress::broadcast(), client, MacAddress::broadcast(), seq},
-               std::move(body)};
+  Frame f;
+  make_direct_probe_request_into(f, client, ssid, seq);
+  return f;
 }
 
 Frame make_probe_response(const MacAddress& bssid, const MacAddress& client,
                           std::string_view ssid, std::uint8_t channel,
                           bool open, std::uint16_t seq) {
-  ProbeResponse body;
-  body.capability.set_privacy(!open);
-  body.ies.add_ssid(ssid);
-  body.ies.add_supported_rates();
-  body.ies.add_ds_param(channel);
-  if (!open) body.ies.add_rsn_wpa2_psk();
-  return Frame{{client, bssid, bssid, seq}, std::move(body)};
+  Frame f;
+  make_probe_response_into(f, bssid, client, ssid, channel, open, seq);
+  return f;
 }
 
 Frame make_beacon(const MacAddress& bssid, std::string_view ssid,
                   std::uint8_t channel, bool open, std::uint64_t timestamp_us,
                   std::uint16_t seq) {
-  Beacon body;
-  body.timestamp_us = timestamp_us;
-  body.capability.set_privacy(!open);
-  body.ies.add_ssid(ssid);
-  body.ies.add_supported_rates();
-  body.ies.add_ds_param(channel);
-  if (!open) body.ies.add_rsn_wpa2_psk();
-  return Frame{{MacAddress::broadcast(), bssid, bssid, seq}, std::move(body)};
+  Frame f;
+  make_beacon_into(f, bssid, ssid, channel, open, timestamp_us, seq);
+  return f;
 }
 
 Frame make_auth_request(const MacAddress& client, const MacAddress& bssid,

@@ -238,10 +238,10 @@ Frame make_deauth(const MacAddress& src, const MacAddress& dst,
 /// --- Hot-path builder variants ---
 ///
 /// These rebuild the frame in `out`, reusing its IE backing storage when the
-/// body subtype matches the previous use of the slot. The result is equal to
-/// the corresponding make_*() return value; the caller keeps ownership of
-/// `out` across transmits so per-frame heap traffic drops to zero at steady
-/// state (e.g. the attacker's burst of probe responses).
+/// body subtype matches the previous use of the slot. The corresponding
+/// make_*() builds a fresh Frame through its twin here; the caller keeps
+/// ownership of `out` across transmits so per-frame heap traffic drops to
+/// zero at steady state (e.g. the attacker's burst of probe responses).
 
 void make_broadcast_probe_request_into(Frame& out, const MacAddress& client,
                                        std::uint16_t seq = 0);

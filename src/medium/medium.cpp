@@ -387,10 +387,12 @@ void Medium::refile(std::uint32_t slot) {
 
 Medium::BucketOccupancy Medium::bucket_occupancy() const {
   BucketOccupancy occ;
-  for_each_bucket([&occ](std::uint16_t, std::uint32_t size) {
-    ++occ.buckets;
-    occ.radios += size;
+  cells_.for_each([&occ](const CellBucket& e) {
+    const std::uint32_t size = e.bucket.size;
+    if (occ.buckets == 0 || size < occ.min_occupancy) occ.min_occupancy = size;
     occ.max_occupancy = std::max(occ.max_occupancy, size);
+    occ.radios += size;
+    ++occ.buckets;
   });
   return occ;
 }
@@ -593,7 +595,6 @@ void Medium::transmit(RadioId from, const dot11::Frame& frame) {
       // Retry budget exhausted on a collision: the frame never reached its
       // receiver at all.
       t.erased = true;
-      ++frames_lost_;
       ++drops_.collision;
       if (trace_ != nullptr) {
         trace_->record(events_.now(), obs::Category::kFault,
@@ -824,7 +825,6 @@ void Medium::deliver_batched(const Transmission& t) {
           group ? fault_.link_loss(rx_dbm) : fault_.per(rx_dbm);
       if (fault_.link_draw(from, t.fault_seq, rx_id) < loss) {
         ++slots_[c.slot].rx_lost;
-        ++frames_lost_;
         ++drops_.erasure;
         if (trace_ != nullptr) {
           trace_->record(events_.now(), obs::Category::kFault,
@@ -918,7 +918,6 @@ void Medium::deliver(const Transmission& t) {
       // here. The draw is keyed by (transmission, receiver), so it is the
       // same whichever other radios are in range.
       ++slots_[slot].rx_lost;
-      ++frames_lost_;
       ++drops_.erasure;
       if (trace_ != nullptr) {
         trace_->record(events_.now(), obs::Category::kFault,

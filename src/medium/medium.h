@@ -184,10 +184,13 @@ class Medium {
   /// unicast frame never reached are not enumerated, so not counted.
   std::uint64_t deliveries() const { return deliveries_; }
   std::uint64_t transmissions() const { return transmissions_; }
-  /// Fault-injection totals: per-receiver erasures, transmissions whose
+  /// Fault-injection totals: frames lost (per-receiver erasures plus
+  /// transmissions killed by a collision, see drops()), transmissions whose
   /// final attempt was bit-corrupted, and 802.11 retransmissions. All zero
   /// while the fault model is disabled.
-  std::uint64_t frames_lost() const { return frames_lost_; }
+  std::uint64_t frames_lost() const {
+    return drops_.erasure + drops_.collision;
+  }
   std::uint64_t frames_corrupted() const { return frames_corrupted_; }
   std::uint64_t retries() const { return retries_; }
 
@@ -206,16 +209,12 @@ class Medium {
   const FanoutStats& fanout_stats() const { return fanout_stats_; }
 
   /// Occupancy snapshot of the live spatial index (metrics/bench surface).
+  /// The extrema read 0 when no bucket is live.
   struct BucketOccupancy {
     std::uint64_t buckets = 0;       // live (non-empty) buckets
     std::uint64_t radios = 0;        // sum of bucket occupancies
+    std::uint32_t min_occupancy = 0;
     std::uint32_t max_occupancy = 0;
-
-    double mean() const {
-      return buckets > 0
-                 ? static_cast<double>(radios) / static_cast<double>(buckets)
-                 : 0.0;
-    }
   };
   BucketOccupancy bucket_occupancy() const;
 
@@ -233,18 +232,9 @@ class Medium {
     return {arena_live_, arena_garbage_, arena_compactions_};
   }
 
-  /// Visit every live bucket as (partition key, occupancy). Traversal order
-  /// follows the cell table — callers must be order-insensitive (histogram
-  /// and min/max/sum aggregation are).
-  template <typename Fn>
-  void for_each_bucket(Fn&& fn) const {
-    cells_.for_each(
-        [&fn](const CellBucket& e) { fn(e.part, e.bucket.size); });
-  }
-
-  /// Why frames died, split by cause. Additive to the aggregate counters
-  /// above (frames_lost == erasure + collision; a crc_reject is one
-  /// frames_corrupted transmission whose bytes every receiver then refused).
+  /// Why frames died, split by cause (frames_lost() == erasure + collision;
+  /// a crc_reject is one frames_corrupted transmission whose bytes every
+  /// receiver then refused).
   struct DropCounters {
     std::uint64_t erasure = 0;      // per-receiver SNR/collision draw in
                                     // deliver() erased the frame on one link
@@ -589,7 +579,6 @@ class Medium {
   std::vector<TailEntry> tail_scratch_;
   std::uint64_t deliveries_ = 0;
   std::uint64_t transmissions_ = 0;
-  std::uint64_t frames_lost_ = 0;
   std::uint64_t frames_corrupted_ = 0;
   std::uint64_t retries_ = 0;
   DropCounters drops_;

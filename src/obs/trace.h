@@ -13,6 +13,7 @@
 // the disabled cost is one pointer test.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
@@ -25,6 +26,17 @@
 namespace cityhunter::obs {
 
 using support::SimTime;
+
+/// A run's observability switch. When enabled, the run keeps a trace ring
+/// of `trace_capacity` records and publishes a metrics snapshot.
+struct Config {
+  bool enabled = false;
+  /// Ring capacity per run. When the trace outgrows it, the oldest records
+  /// are overwritten (TraceBuffer::dropped() counts them).
+  std::size_t trace_capacity = 1 << 14;
+
+  bool operator==(const Config&) const = default;
+};
 
 /// Subsystem that emitted a record. Doubles as the Chrome `tid`, so each
 /// layer gets its own track in the Perfetto timeline.

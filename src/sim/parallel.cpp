@@ -172,7 +172,7 @@ class Supervisor {
     std::string error;
     if (support::write_file_atomic(cfg_.checkpoint_path, bytes, &error)) {
       ++checkpoint_writes_;
-      checkpoint_bytes_ += bytes.size();
+      checkpoint_bytes_ = bytes.size();
     } else {
       // A checkpoint that cannot be written must not kill the campaign it
       // exists to protect; the failure is surfaced as a counter.

@@ -78,7 +78,10 @@ struct ParallelStats {
   /// --- Checkpoint counters (bench/wallclock exports these). Failures are
   /// counted from the outputs' error kinds (failed_runs). ---
   std::uint64_t checkpoint_writes = 0;
-  std::uint64_t checkpoint_bytes = 0;  // total encoded bytes written
+  /// Size of the last checkpoint written. It holds every run completed so
+  /// far, so at the end of a campaign it depends only on the campaign, not
+  /// on the order in which runs completed.
+  std::uint64_t checkpoint_bytes = 0;
   /// Run entries the checkpoint writer encoded: one per completed or
   /// restored run when checkpointing, however many checkpoints it wrote.
   std::uint64_t checkpoint_entries_encoded = 0;

@@ -29,6 +29,29 @@ const std::vector<VenueSite>& venue_sites() {
 
 constexpr medium::Position kCityCentre{5000, 5000};
 
+// Metric points of an observed run, each read once at the end of the run
+// from a counter a layer keeps.
+
+obs::MetricPoint counter(std::string name, std::uint64_t total) {
+  return {std::move(name), obs::MetricKind::kCounter, total,
+          static_cast<double>(total), 0.0, 0.0};
+}
+
+obs::MetricPoint gauge(std::string name, double value) {
+  return {std::move(name), obs::MetricKind::kGauge, 1, value, value, value};
+}
+
+/// `samples` values adding up to `sum`, the smallest `min` and the largest
+/// `max`. With no samples every field reads 0.
+obs::MetricPoint distribution(std::string name, std::uint64_t samples,
+                              std::uint64_t sum, std::uint64_t min,
+                              std::uint64_t max) {
+  if (samples == 0) return {std::move(name), obs::MetricKind::kDistribution};
+  return {std::move(name), obs::MetricKind::kDistribution, samples,
+          static_cast<double>(sum) / static_cast<double>(samples),
+          static_cast<double>(min), static_cast<double>(max)};
+}
+
 /// Index of `venue_name` in venue_sites(); venue_sites().size() for the
 /// city-centre fallback.
 std::size_t site_index(const std::string& venue_name) {
@@ -238,12 +261,13 @@ VenueRun::VenueRun(const World& world, const RunConfig& cfg)
     : cfg_(validated(cfg)),
       t_setup_(Clock::now()),
       rng_(world.config().seed ^ (cfg.run_seed * 0x9e3779b97f4a7c15ULL)),
-      probe_(cfg.obs),
       medium_(events_, run_medium_config(world, cfg, rng_)),
       pnl_(venue_pnl_model(world, cfg.venue.name)),
       population_(medium_, pnl_, cfg.venue,
                   venue_phone_config(world, cfg), rng_.fork("population")) {
-  medium_.set_trace(probe_.trace());
+  if (cfg.obs.enabled) trace_.emplace(cfg.obs.trace_capacity);
+  obs::TraceBuffer* const trace = trace_ ? &*trace_ : nullptr;
+  medium_.set_trace(trace);
 
   // Attacker at the local origin of the venue frame.
   core::Attacker::BaseConfig base;
@@ -278,8 +302,7 @@ VenueRun::VenueRun(const World& world, const RunConfig& cfg)
     }
   }
   attacker_->database() = starting_database(world, cfg);
-  attacker_->set_trace(probe_.trace());
-  attacker_->set_metrics(probe_.metrics());
+  attacker_->set_trace(trace);
   attacker_->start();
 
   // Optional §V-B deauth setup: a legitimate venue AP holding pre-associated
@@ -361,69 +384,73 @@ RunOutput VenueRun::run() {
   out.database = attacker_->database();
   out.queue_stats = events_.stats();
 
-  if (probe_.enabled()) {
-    // Compose the deterministic metric series from the counters each layer
-    // kept during the run. The attacker's scan-window distribution was
-    // observed live; everything else is a single store here, so the
-    // snapshot is a pure function of the simulation.
-    obs::MetricsRegistry& m = *probe_.metrics();
-    const auto& qs = events_.stats();
-    m.add(m.counter("queue.scheduled"), qs.scheduled);
-    m.add(m.counter("queue.processed"), qs.processed);
-    m.add(m.counter("queue.slab_slots"), qs.slab_slots);
-    m.add(m.counter("queue.slab_reuses"), qs.slab_reuses);
-    m.set(m.gauge("queue.peak_pending"),
-          static_cast<double>(qs.peak_pending));
-    m.add(m.counter("medium.transmissions"), medium_.transmissions());
-    m.add(m.counter("medium.deliveries"), medium_.deliveries());
-    m.add(m.counter("medium.retries"), medium_.retries());
-    const auto& fanout = medium_.fanout_stats();
-    m.add(m.counter("medium.fanout_batched"), fanout.fanouts);
-    // Loaded-candidate count under its established name: perfbench's
-    // candidates_per_delivery sums this counter.
-    m.add(m.counter("medium.fanout_scalar_candidates"),
-          fanout.candidates_loaded);
-    m.add(m.counter("medium.unicast_fanouts"), fanout.unicast);
-    m.add(m.counter("medium.unicast_unheard"), fanout.unicast_unheard);
-    // End-of-run occupancy histogram of the live spatial index (the
-    // histogram is order-insensitive, so the cell-map traversal order
-    // doesn't matter).
-    const auto occ_id = m.distribution("medium.bucket_occupancy", 4.0);
-    medium_.for_each_bucket([&m, occ_id](std::uint16_t, std::uint32_t size) {
-      m.observe(occ_id, static_cast<double>(size));
-    });
-    const auto occ = medium_.bucket_occupancy();
-    m.set(m.gauge("medium.bucket_max_occupancy"),
-          static_cast<double>(occ.max_occupancy));
-    const auto& drops = medium_.drops();
-    m.add(m.counter("fault.drop_erasure"), drops.erasure);
-    m.add(m.counter("fault.drop_collision"), drops.collision);
-    m.add(m.counter("fault.drop_crc_reject"), drops.crc_reject);
-    m.add(m.counter("fault.retry_exhausted"), drops.retry_exhausted);
-    m.add(m.counter("attacker.scan_windows"), attacker_->scan_windows());
-    m.add(m.counter("attacker.responses_sent"), attacker_->responses_sent());
-    m.add(m.counter("attacker.clients_seen"), attacker_->clients_seen());
-    m.add(m.counter("attacker.clients_connected"),
-          attacker_->clients_connected());
-    if (hunter_ != nullptr) {
-      m.add(m.counter("attacker.pb_grows"), hunter_->selector().pb_grows());
-      m.add(m.counter("attacker.pb_shrinks"),
-            hunter_->selector().pb_shrinks());
-      m.set(m.gauge("attacker.pb_size"),
-            static_cast<double>(hunter_->selector().pb_size()));
-      m.set(m.gauge("attacker.fb_size"),
-            static_cast<double>(hunter_->selector().fb_size()));
-    }
-    m.add(m.counter("trace.dropped"), probe_.trace()->dropped());
-    out.metrics = m.snapshot();
-    out.trace = probe_.trace()->chronological();
-    out.trace_dropped = probe_.trace()->dropped();
+  if (trace_) {
+    out.metrics = metrics_snapshot();
+    out.trace = trace_->chronological();
+    out.trace_dropped = trace_->dropped();
   }
 
   out.phases.setup_s = phase_seconds(t_setup_, t_sim);
   out.phases.sim_s = phase_seconds(t_sim, t_analysis);
   out.phases.analysis_s = phase_seconds(t_analysis, Clock::now());
   return out;
+}
+
+obs::MetricsSnapshot VenueRun::metrics_snapshot() const {
+  const auto& queue = events_.stats();
+  const auto& fanout = medium_.fanout_stats();
+  const auto occupancy = medium_.bucket_occupancy();
+  const auto& drops = medium_.drops();
+  obs::MetricsSnapshot snap;
+  snap.points = {
+      counter("queue.scheduled", queue.scheduled),
+      counter("queue.processed", queue.processed),
+      counter("queue.slab_slots", queue.slab_slots),
+      counter("queue.slab_reuses", queue.slab_reuses),
+      gauge("queue.peak_pending", static_cast<double>(queue.peak_pending)),
+      counter("medium.transmissions", medium_.transmissions()),
+      counter("medium.deliveries", medium_.deliveries()),
+      counter("medium.retries", medium_.retries()),
+      counter("medium.fanout_batched", fanout.fanouts),
+      // Loaded-candidate count under its established name: perfbench's
+      // candidates_per_delivery sums this counter.
+      counter("medium.fanout_scalar_candidates", fanout.candidates_loaded),
+      counter("medium.unicast_fanouts", fanout.unicast),
+      counter("medium.unicast_unheard", fanout.unicast_unheard),
+      // The live spatial index at the end of the run, one sample per bucket.
+      distribution("medium.bucket_occupancy", occupancy.buckets,
+                   occupancy.radios, occupancy.min_occupancy,
+                   occupancy.max_occupancy),
+      gauge("medium.bucket_max_occupancy",
+            static_cast<double>(occupancy.max_occupancy)),
+      counter("fault.drop_erasure", drops.erasure),
+      counter("fault.drop_collision", drops.collision),
+      counter("fault.drop_crc_reject", drops.crc_reject),
+      counter("fault.retry_exhausted", drops.retry_exhausted),
+      counter("attacker.scan_windows", attacker_->scan_windows()),
+      counter("attacker.responses_sent", attacker_->responses_sent()),
+      // One sample per scan window: the responses the attacker sent into it.
+      distribution("attacker.scan_window_fill", attacker_->scan_windows(),
+                   attacker_->responses_sent(), attacker_->min_window_fill(),
+                   attacker_->max_window_fill()),
+      counter("attacker.clients_seen", attacker_->clients_seen()),
+      counter("attacker.clients_connected", attacker_->clients_connected()),
+      counter("trace.dropped", trace_->dropped()),
+  };
+  if (hunter_ != nullptr) {
+    const core::BufferSelector& selector = hunter_->selector();
+    snap.points.insert(
+        snap.points.end(),
+        {counter("attacker.pb_grows", selector.pb_grows()),
+         counter("attacker.pb_shrinks", selector.pb_shrinks()),
+         gauge("attacker.pb_size", static_cast<double>(selector.pb_size())),
+         gauge("attacker.fb_size", static_cast<double>(selector.fb_size()))});
+  }
+  std::sort(snap.points.begin(), snap.points.end(),
+            [](const obs::MetricPoint& a, const obs::MetricPoint& b) {
+              return a.name < b.name;
+            });
+  return snap;
 }
 
 RunOutput run_campaign(const World& world, const RunConfig& cfg) {

@@ -23,8 +23,9 @@
 #include "heatmap/heatmap.h"
 #include "medium/medium.h"
 #include "mobility/population.h"
-#include "obs/probe.h"
 #include "mobility/venue.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/run_error.h"
 #include "stats/campaign.h"
 #include "world/ap_generator.h"
@@ -173,8 +174,8 @@ struct RunConfig {
   /// learned SSIDs and hit records survive.
   std::optional<core::SsidDatabase> initial_database;
 
-  /// Observability. Off by default — a disabled probe costs one null test
-  /// per hook and the run's outputs stay byte-identical.
+  /// Observability. Off by default — tracing off costs one null test per
+  /// hook and the run's outputs stay byte-identical.
   obs::Config obs{};
 
   /// --- Guards, enforced cooperatively at event-queue granularity (see
@@ -239,8 +240,9 @@ struct RunOutput {
   /// Wallclock phase split — always filled, never compared.
   PhaseProfile phases;
   /// Observability harvest, empty unless cfg.obs.enabled: the metrics
-  /// snapshot (a pure function of the simulation, equal at any thread
-  /// count) and the trace ring's retained records, oldest first.
+  /// snapshot, composed from the counters each layer kept (a pure function
+  /// of the simulation, equal at any thread count), and the trace ring's
+  /// retained records, oldest first.
   obs::MetricsSnapshot metrics;
   std::vector<obs::TraceRecord> trace;
   /// Records the ring had to overwrite (0 when the capacity sufficed).
@@ -298,10 +300,14 @@ class VenueRun {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// The counters each layer kept, as the named, sorted points of
+  /// RunOutput::metrics.
+  obs::MetricsSnapshot metrics_snapshot() const;
+
   const RunConfig& cfg_;
   Clock::time_point t_setup_;
   Rng rng_;
-  obs::Probe probe_;
+  std::optional<obs::TraceBuffer> trace_;  // engaged iff cfg.obs.enabled
   medium::EventQueue events_;  // before every owner that posts into it
   medium::Medium medium_;
   /// venue_pnl_model(world, cfg.venue.name), for the crowd to draw from.

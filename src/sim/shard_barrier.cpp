@@ -49,6 +49,15 @@ support::SimTime ConservativeBarrier::max_safe_lookahead(double gap_m,
         std::to_string(2.0 * (range_m + margin_m + speed_mps * tick_s)) +
         " m plus room for a positive epoch)");
   }
+  // SimTime::seconds casts epoch_s * 1e6 to int64 microseconds; 2^63 is the
+  // first value that cast cannot hold.
+  if (!(epoch_s * 1e6 < 0x1p63)) {
+    throw std::invalid_argument(
+        "max_safe_lookahead: gap " + std::to_string(gap_m) + " m, range " +
+        std::to_string(range_m) + " m and " + std::to_string(speed_mps) +
+        " m/s give a lookahead of " + std::to_string(epoch_s) +
+        " s, beyond what SimTime holds");
+  }
   return support::SimTime::seconds(epoch_s);
 }
 

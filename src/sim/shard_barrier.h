@@ -39,7 +39,8 @@ class ConservativeBarrier {
   /// late), so by then it has penetrated at most speed × (tick + epoch)
   /// past the midline. Containment needs that penetration plus `margin_m`
   /// to stay short of gap/2 − range. Throws std::invalid_argument when the
-  /// gap is too narrow for even a zero-length epoch.
+  /// gap is too narrow for even a zero-length epoch, or when the lookahead
+  /// does not fit SimTime (an enormous or infinite gap, a vanishing speed).
   static support::SimTime max_safe_lookahead(double gap_m, double range_m,
                                              double speed_mps, double tick_s,
                                              double margin_m);

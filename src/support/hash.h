@@ -9,8 +9,8 @@ namespace cityhunter::support {
 /// SplitMix64 (Steele, Lea & Flood): add the golden-ratio increment, then
 /// the Stafford variant 13 finalizer. A bijection on 64-bit words whose
 /// outputs for consecutive inputs look independent. Rng seeds its engine
-/// through it, the fault model and the sharded city hash their keys with
-/// it, and the campaign supervisor jitters retry backoff with it.
+/// through it, and the fault model and the sharded city hash their keys
+/// with it.
 constexpr std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

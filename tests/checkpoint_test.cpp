@@ -16,6 +16,7 @@
 #include <cmath>
 #include <concepts>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -501,6 +502,9 @@ TEST_F(CheckpointCampaignTest, WritesEveryKCompletionsAndAtTheEnd) {
   EXPECT_EQ(stats.checkpoint_entries_encoded, runs.size());
   EXPECT_GT(stats.checkpoint_bytes, 0u);
   EXPECT_EQ(stats.checkpoint_write_failures, 0u);
+  // The bytes are the last checkpoint's, the file on disk, not a sum over
+  // writes whose contents depend on completion order.
+  EXPECT_EQ(stats.checkpoint_bytes, std::filesystem::file_size(file.path()));
 
   // The final file on disk holds every run, verbatim.
   auto loaded = sim::load_checkpoint(

@@ -1608,7 +1608,10 @@ TEST(MediumEquivalence, IndexEmptiesAfterDetachingEveryRadio) {
   const auto script = make_compaction_storm_script(555u, 7000);
   FuzzRig rig(fuzz_config(false, true, false));
   replay(rig, script);
-  ASSERT_GT(rig.medium.bucket_occupancy().buckets, 0u);
+  const auto live = rig.medium.bucket_occupancy();
+  ASSERT_GT(live.buckets, 0u);
+  EXPECT_GE(live.min_occupancy, 1u);  // a live bucket holds a radio
+  EXPECT_LE(live.min_occupancy, live.max_occupancy);
   ASSERT_GT(rig.medium.arena_stats().compactions, 0u);
   for (Radio& r : rig.radios) {
     if (r.valid()) rig.medium.detach(r);
@@ -1616,6 +1619,8 @@ TEST(MediumEquivalence, IndexEmptiesAfterDetachingEveryRadio) {
   const auto occ = rig.medium.bucket_occupancy();
   EXPECT_EQ(occ.buckets, 0u);
   EXPECT_EQ(occ.radios, 0u);
+  EXPECT_EQ(occ.min_occupancy, 0u);
+  EXPECT_EQ(occ.max_occupancy, 0u);
   EXPECT_EQ(rig.medium.arena_stats().live, 0u);
 }
 

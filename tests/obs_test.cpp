@@ -6,12 +6,12 @@
 // metrics/trace harvest of a campaign is identical at any worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/probe.h"
 #include "obs/trace.h"
 #include "sim/parallel.h"
 #include "small_world.h"
@@ -201,67 +201,6 @@ TEST(TraceSinks, ChromeTraceGolden) {
   EXPECT_EQ(os.str(), expected);
 }
 
-// --- MetricsRegistry ---
-
-TEST(MetricsRegistry, CountersGaugesAndDistributions) {
-  obs::MetricsRegistry m;
-  const auto c = m.counter("frames");
-  const auto g = m.gauge("pb_size");
-  const auto d = m.distribution("fill", 1.0);
-  m.add(c);
-  m.add(c, 9);
-  m.set(g, 12.0);
-  m.set(g, 8.0);
-  m.observe(d, 2.0);
-  m.observe(d, 4.0);
-
-  const auto snap = m.snapshot();
-  const auto* frames = snap.find("frames");
-  ASSERT_NE(frames, nullptr);
-  EXPECT_EQ(frames->kind, obs::MetricKind::kCounter);
-  EXPECT_EQ(frames->count, 10u);
-
-  const auto* pb = snap.find("pb_size");
-  ASSERT_NE(pb, nullptr);
-  EXPECT_EQ(pb->kind, obs::MetricKind::kGauge);
-  EXPECT_EQ(pb->count, 2u);
-  EXPECT_EQ(pb->value, 8.0);
-  EXPECT_EQ(pb->min, 8.0);
-  EXPECT_EQ(pb->max, 12.0);
-
-  const auto* fill = snap.find("fill");
-  ASSERT_NE(fill, nullptr);
-  EXPECT_EQ(fill->count, 2u);
-  EXPECT_EQ(fill->value, 3.0);  // mean
-  EXPECT_EQ(snap.find("missing"), nullptr);
-}
-
-TEST(MetricsRegistry, ReRegistrationDedupsAndKindMismatchThrows) {
-  obs::MetricsRegistry m;
-  const auto a = m.counter("x");
-  EXPECT_EQ(m.counter("x"), a);
-  EXPECT_EQ(m.size(), 1u);
-  EXPECT_THROW(m.gauge("x"), std::invalid_argument);
-}
-
-// --- Probe ---
-
-TEST(Probe, DisabledProbeHasNullSinks) {
-  obs::Probe off{obs::Config{}};
-  EXPECT_FALSE(off.enabled());
-  EXPECT_EQ(off.trace(), nullptr);
-  EXPECT_EQ(off.metrics(), nullptr);
-
-  obs::Config cfg;
-  cfg.enabled = true;
-  cfg.trace_capacity = 64;
-  obs::Probe on{cfg};
-  EXPECT_TRUE(on.enabled());
-  ASSERT_NE(on.trace(), nullptr);
-  EXPECT_EQ(on.trace()->capacity(), 64u);
-  EXPECT_NE(on.metrics(), nullptr);
-}
-
 // --- Campaign-level determinism across thread counts ---
 
 std::vector<sim::RunConfig> traced_runs() {
@@ -295,19 +234,58 @@ TEST(ObsCampaign, HarvestIsIdenticalAtAnyThreadCount) {
   }
 
   const auto& base = by_threads.front();
-  for (const auto& out : base) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "run " << i);
+    const auto& out = base[i];
     ASSERT_FALSE(out.error.failed()) << out.error.str();
-    // The snapshot actually covers the promised series.
-    const auto& snap = out.metrics;
-    for (const char* name :
-         {"queue.scheduled", "queue.processed", "queue.peak_pending",
-          "medium.transmissions", "medium.deliveries", "fault.drop_erasure",
-          "fault.drop_collision", "attacker.scan_windows",
-          "attacker.responses_sent", "trace.dropped"}) {
-      EXPECT_NE(snap.find(name), nullptr) << name;
-    }
-    EXPECT_EQ(snap.find("queue.processed")->count, out.queue_stats.processed);
     EXPECT_FALSE(out.trace.empty());
+
+    // Every point is a layer's own counter, read once at the end of the run.
+    const auto& snap = out.metrics;
+    const auto count = [&snap](const char* name) {
+      const obs::MetricPoint* p = snap.find(name);
+      EXPECT_NE(p, nullptr) << name;
+      return p != nullptr ? p->count : 0;
+    };
+    const auto& q = out.queue_stats;
+    EXPECT_EQ(count("queue.scheduled"), q.scheduled);
+    EXPECT_EQ(count("queue.processed"), q.processed);
+    EXPECT_EQ(count("queue.slab_slots"), q.slab_slots);
+    EXPECT_EQ(count("queue.slab_reuses"), q.slab_reuses);
+    ASSERT_NE(snap.find("queue.peak_pending"), nullptr);
+    EXPECT_EQ(snap.find("queue.peak_pending")->value,
+              static_cast<double>(q.peak_pending));
+    EXPECT_EQ(count("medium.transmissions"), out.frames_transmitted);
+    EXPECT_EQ(count("medium.deliveries"), out.frames_delivered);
+    EXPECT_EQ(count("fault.drop_erasure") + count("fault.drop_collision"),
+              out.medium_stats.frames_lost);
+    EXPECT_EQ(count("trace.dropped"), out.trace_dropped);
+
+    // The fill distribution: one sample per scan window, adding up to the
+    // responses sent, never more than the paper's 40 on City-Hunter runs.
+    const obs::MetricPoint* fill = snap.find("attacker.scan_window_fill");
+    ASSERT_NE(fill, nullptr);
+    EXPECT_EQ(fill->kind, obs::MetricKind::kDistribution);
+    const std::uint64_t windows = count("attacker.scan_windows");
+    EXPECT_GT(windows, 0u);
+    EXPECT_EQ(fill->count, windows);
+    EXPECT_DOUBLE_EQ(fill->value * static_cast<double>(fill->count),
+                     static_cast<double>(count("attacker.responses_sent")));
+    EXPECT_LE(fill->min, fill->value);
+    EXPECT_LE(fill->value, fill->max);
+
+    const bool hunter = runs[i].kind == sim::AttackerKind::kCityHunter;
+    EXPECT_EQ(snap.points.size(), hunter ? 28u : 24u);
+    if (hunter) {
+      EXPECT_LE(fill->max, 40.0);
+      ASSERT_NE(snap.find("attacker.pb_size"), nullptr);
+      ASSERT_NE(snap.find("attacker.fb_size"), nullptr);
+      EXPECT_EQ(snap.find("attacker.pb_size")->value, out.final_pb_size);
+      EXPECT_EQ(snap.find("attacker.fb_size")->value, out.final_fb_size);
+    }
+    EXPECT_TRUE(std::is_sorted(
+        snap.points.begin(), snap.points.end(),
+        [](const auto& a, const auto& b) { return a.name < b.name; }));
   }
 
   for (std::size_t t = 1; t < by_threads.size(); ++t) {

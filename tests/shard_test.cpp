@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -148,6 +149,20 @@ TEST(ConservativeBarrierTest, LookaheadBoundsWalkerPenetration) {
   // A gap that cannot host any positive epoch throws.
   EXPECT_THROW(
       sim::ConservativeBarrier::max_safe_lookahead(120.0, 60.0, 1.4, 1.0, 2.0),
+      std::invalid_argument);
+
+  // So does a lookahead too long for SimTime's int64 microseconds: an
+  // enormous or infinite gap, or a walker that barely moves.
+  EXPECT_THROW(
+      sim::ConservativeBarrier::max_safe_lookahead(1e300, 60.0, 1.4, 1.0, 2.0),
+      std::invalid_argument);
+  EXPECT_THROW(sim::ConservativeBarrier::max_safe_lookahead(
+                   std::numeric_limits<double>::infinity(), 60.0, 1.4, 1.0,
+                   2.0),
+               std::invalid_argument);
+  EXPECT_THROW(
+      sim::ConservativeBarrier::max_safe_lookahead(136.0, 60.0, 1e-300, 1.0,
+                                                   2.0),
       std::invalid_argument);
 }
 
