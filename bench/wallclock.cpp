@@ -524,6 +524,8 @@ int main(int argc, char** argv) {
     };
     for (const int shards : {1, 2, 4, 8}) sc_row(shards, 0);
     sc_row(4, 2);  // worker-count invariance at a fixed partition
+    sc_row(8, 1);  // one worker, like the 1-shard row: what the 8-shard
+                   // split buys without threads (ROADMAP item 7)
     json << "\n    ],\n";
 
     // Handoff-heavy identity row: compact districts over a long horizon so

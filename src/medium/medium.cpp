@@ -703,11 +703,10 @@ void Medium::deliver_batched(const Transmission& t) {
 
   // Probe those partitions in every cell the range box overlaps. Each bucket
   // is normalized to ascending slot order (merging any churn tail) and
-  // filtered right away in the squared-distance domain — no sqrt/log10 for
-  // radios that turn out to be out of range — so its survivors form one
-  // sorted run. The range box spans at most 3x3 cells, three partitions
-  // each; a unicast frame probes one partition and adds the addressee run.
-  // At most 27 runs.
+  // filtered in the squared-distance domain — no sqrt/log10 for radios that
+  // turn out to be out of range — so its survivors form one sorted run. The
+  // range box spans at most 3x3 cells, three partitions each; a unicast
+  // frame probes one partition and adds the addressee run. At most 27 runs.
   struct Run {
     std::uint32_t begin;
     std::uint32_t end;
@@ -715,13 +714,9 @@ void Medium::deliver_batched(const Transmission& t) {
   constexpr int kMaxRuns = 27;
   Run runs[kMaxRuns];
   int nruns = 0;
+  const BucketRef* probed[kMaxRuns];
+  int nprobed = 0;
   std::size_t loaded = 0;
-  const auto close_run = [&](std::size_t begin) {
-    if (cand.size() > begin) {
-      runs[nruns++] = {static_cast<std::uint32_t>(begin),
-                       static_cast<std::uint32_t>(cand.size())};
-    }
-  };
   const std::int64_t cx0 = cell_coord(tx_pos.x - re.box_r);
   const std::int64_t cx1 = cell_coord(tx_pos.x + re.box_r);
   const std::int64_t cy0 = cell_coord(tx_pos.y - re.box_r);
@@ -732,25 +727,44 @@ void Medium::deliver_batched(const Transmission& t) {
       for (int p = 0; p < nparts; ++p) {
         CellBucket* entry = find_bucket(cell, parts[p]);
         if (entry == nullptr) continue;
-        BucketRef& b = entry->bucket;
-        bucket_normalize(b);
-        loaded += b.size;
-        const std::uint32_t* slots = arena_slots_.data() + b.offset;
-        const double* xs = arena_xs_.data() + b.offset;
-        const double* ys = arena_ys_.data() + b.offset;
-        const std::size_t begin = cand.size();
-        for (std::uint32_t k = 0; k < b.size; ++k) {
-          if (slots[k] == self) continue;
-          const double dx = xs[k] - tx_pos.x;
-          const double dy = ys[k] - tx_pos.y;
-          const double dist_sq = dx * dx + dy * dy;
-          if (!(dist_sq <= re.range_sq)) continue;  // NaN-rejecting
-          cand.push_back({slots[k], dist_sq, xs[k], ys[k]});
-        }
-        close_run(begin);
+        bucket_normalize(entry->bucket);
+        loaded += entry->bucket.size;
+        probed[nprobed++] = &entry->bucket;
       }
     }
   }
+
+  // Branch-free filter: every candidate is written at the cursor, which
+  // then advances only past a survivor; `<=` is false for a NaN distance,
+  // so NaN still rejects. The scratch grows once per fanout by every
+  // candidate the probes found, without initialising them (see Survivor),
+  // and shrinks back to the survivors.
+  cand.resize(loaded);
+  Survivor* const out = cand.data();
+  std::size_t n = 0;
+  for (int i = 0; i < nprobed; ++i) {
+    const BucketRef& b = *probed[i];
+    const std::uint32_t* slots = arena_slots_.data() + b.offset;
+    const double* xs = arena_xs_.data() + b.offset;
+    const double* ys = arena_ys_.data() + b.offset;
+    const std::uint32_t size = b.size;
+    const std::size_t begin = n;
+    for (std::uint32_t k = 0; k < size; ++k) {
+      const std::uint32_t slot = slots[k];
+      const double x = xs[k];
+      const double y = ys[k];
+      const double dx = x - tx_pos.x;
+      const double dy = y - tx_pos.y;
+      const double dist_sq = dx * dx + dy * dy;
+      out[n] = {slot, dist_sq, x, y};
+      n += static_cast<std::size_t>((dist_sq <= re.range_sq) & (slot != self));
+    }
+    if (n > begin) {
+      runs[nruns++] = {static_cast<std::uint32_t>(begin),
+                       static_cast<std::uint32_t>(n)};
+    }
+  }
+  cand.resize(n);
 
   // Unicast: the radios registered under addr1, through the same self,
   // channel, sink and d² checks their bucket would have applied.
@@ -778,8 +792,12 @@ void Medium::deliver_batched(const Transmission& t) {
               [](const Survivor& a, const Survivor& b) {
                 return a.slot < b.slot;
               });
-    if (cand.size() == begin) ++fanout_stats_.unicast_unheard;
-    close_run(begin);
+    if (cand.size() == begin) {
+      ++fanout_stats_.unicast_unheard;
+    } else {
+      runs[nruns++] = {static_cast<std::uint32_t>(begin),
+                       static_cast<std::uint32_t>(cand.size())};
+    }
   }
   ++fanout_stats_.fanouts;
   fanout_stats_.candidates_loaded += loaded;

@@ -323,6 +323,11 @@ class Medium {
   /// power comes from this snapshot even if a sink callback moves the radio
   /// mid-fanout.
   struct Survivor {
+    /// Leaves the fields uninitialised, so growing the scratch costs no
+    /// stores: the filter writes every candidate before anything reads it.
+    Survivor() {}
+    Survivor(std::uint32_t slot_, double dist_sq_, double x_, double y_)
+        : slot(slot_), dist_sq(dist_sq_), x(x_), y(y_) {}
     std::uint32_t slot;
     double dist_sq;
     double x;

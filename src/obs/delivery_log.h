@@ -60,6 +60,14 @@ class DeliveryLog {
   std::uint64_t count_ = 0;
   std::uint64_t digest_ = 0;
   bool keep_ = false;
+  /// The last record's (time, tx, channel) and the xor of their three
+  /// record_hash rounds, reused while the next records share all three.
+  /// Validity is a flag: any time, sender and channel can be recorded.
+  bool shared_valid_ = false;
+  std::uint8_t shared_channel_ = 0;
+  std::int64_t shared_time_us_ = 0;
+  std::uint64_t shared_tx_id_ = 0;
+  std::uint64_t shared_ = 0;
 };
 
 /// Concatenate retained records by shard input order (log index), the same

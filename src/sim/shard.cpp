@@ -205,7 +205,7 @@ void ShardedCity::validate() {
   if (cfg_.radios < 1) {
     throw std::invalid_argument("ShardedCity: radios must be >= 1");
   }
-  if (cfg_.ap_fraction < 0.0 || cfg_.ap_fraction > 1.0) {
+  if (!(cfg_.ap_fraction >= 0.0 && cfg_.ap_fraction <= 1.0)) {  // NaN too
     throw std::invalid_argument("ShardedCity: ap_fraction outside [0, 1]");
   }
   if (cfg_.shards < 1 || cfg_.shards > grid_.cols() ||
@@ -282,51 +282,80 @@ void ShardedCity::build() {
   // build order is irrelevant, and so is which shard the entity lands in —
   // the bedrock of shard-count invariance.
   const std::uint64_t seed = cfg_.seed;
-  const int n_aps = static_cast<int>(
+  const std::uint64_t n_aps = static_cast<std::uint64_t>(
       std::lround(static_cast<double>(cfg_.radios) * cfg_.ap_fraction));
-  for (int gid = 0; gid < cfg_.radios; ++gid) {
-    const std::uint64_t ugid = static_cast<std::uint64_t>(gid);
+  // APs are pinned: round-robin over districts, uniform inside. A phone
+  // starts where its walker does.
+  const auto ap_position = [&](std::uint64_t gid) {
+    return grid_.sample_in(
+        grid_.cell(static_cast<int>(gid % grid_.districts())),
+        support::unit(entity_draw(seed, gid, Purpose::kPlacement, 0)),
+        support::unit(entity_draw(seed, gid, Purpose::kPlacement, 1)));
+  };
+  const auto walker = [&](std::uint64_t gid) {
+    return mobility::DistrictWalker(
+        &grid_, purpose_key(seed, gid, Purpose::kWalk), cfg_.phone_speed_mps);
+  };
+
+  // Radios attach in space order: by the Medium's grid cell (the strongest
+  // radio's range on a side) in row-major order, then by gid. Each shard
+  // attaches its own radios in that order, so the receivers of one
+  // transmission sit in nearby Medium slots, receive columns, sinks and
+  // entities. No delivery depends on the order (DESIGN.md §5h).
+  const double side = std::max(1.0, sharded_city_max_range_m(cfg_));
+  const auto cell_rank = [side](Position pos) {
+    const auto coord = [side](double v) -> std::uint64_t {
+      const double c = std::floor(v / side);
+      return c > 0.0 ? static_cast<std::uint64_t>(std::min(c, 65535.0)) : 0;
+    };
+    return coord(pos.y) << 16 | coord(pos.x);
+  };
+  std::vector<std::uint64_t> order;  // cell rank << 32 | gid
+  order.reserve(static_cast<std::size_t>(cfg_.radios));
+  for (std::uint64_t gid = 0; gid < static_cast<std::uint64_t>(cfg_.radios);
+       ++gid) {
+    const Position pos = gid < n_aps ? ap_position(gid) : walker(gid).pos();
+    order.push_back(cell_rank(pos) << 32 | gid);
+  }
+  std::sort(order.begin(), order.end());
+
+  for (const std::uint64_t key : order) {
+    const std::uint64_t gid = key & 0xffffffffu;
     const std::uint8_t channel = kChannels[support::below(
-        entity_draw(seed, ugid, Purpose::kChannel), std::size(kChannels))];
+        entity_draw(seed, gid, Purpose::kChannel), std::size(kChannels))];
     if (gid < n_aps) {
-      // APs are pinned: round-robin over districts, uniform inside.
-      const auto cell = grid_.cell(gid % grid_.districts());
-      const Position pos = grid_.sample_in(
-          cell, support::unit(entity_draw(seed, ugid, Purpose::kPlacement, 0)),
-          support::unit(entity_draw(seed, ugid, Purpose::kPlacement, 1)));
+      const Position pos = ap_position(gid);
       Shard& shard = *shards_[static_cast<std::size_t>(
           grid_.owner_shard(pos, cfg_.shards))];
       Entity& e = make_entity(shard);
       e.is_ap = true;
-      e.beacon = dot11::make_beacon(mac_from_gid(ugid), "city-hunter-ap",
+      e.beacon = dot11::make_beacon(mac_from_gid(gid), "city-hunter-ap",
                                     channel, /*open=*/true,
                                     /*timestamp_us=*/0);
       e.next_beacon_us =
-          uniform_us(entity_draw(seed, ugid, Purpose::kBeaconPhase),
-                   kBeaconIntervalUs);
+          uniform_us(entity_draw(seed, gid, Purpose::kBeaconPhase),
+                     kBeaconIntervalUs);
       e.radio = shard.medium.attach(pos, channel, cfg_.ap_tx_dbm,
-                                    make_sink(shard, ugid));
+                                    make_sink(shard, gid));
       schedule_beacon(&e);
     } else {
       PhoneAgent agent;
-      agent.gid = ugid;
-      agent.walker = mobility::DistrictWalker(
-          &grid_, purpose_key(seed, ugid, Purpose::kWalk),
-          cfg_.phone_speed_mps);
-      agent.scan_key = purpose_key(seed, ugid, Purpose::kScanJitter);
-      agent.probe = dot11::make_broadcast_probe_request(mac_from_gid(ugid));
+      agent.gid = gid;
+      agent.walker = walker(gid);
+      agent.scan_key = purpose_key(seed, gid, Purpose::kScanJitter);
+      agent.probe = dot11::make_broadcast_probe_request(mac_from_gid(gid));
       agent.next_scan_us =
-          uniform_us(entity_draw(seed, ugid, Purpose::kScanPhase),
-                   kScanBaseUs + kScanJitterUs);
+          uniform_us(entity_draw(seed, gid, Purpose::kScanPhase),
+                     kScanBaseUs + kScanJitterUs);
       agent.next_walk_us = uniform_us(
-          entity_draw(seed, ugid, Purpose::kWalkPhase), walk_tick_us_);
+          entity_draw(seed, gid, Purpose::kWalkPhase), walk_tick_us_);
       const Position pos = agent.walker.pos();
       Shard& shard = *shards_[static_cast<std::size_t>(
           grid_.owner_shard(pos, cfg_.shards))];
       Entity& e = make_entity(shard);
       e.agent = std::move(agent);
       e.radio = shard.medium.attach(pos, channel, cfg_.phone_tx_dbm,
-                                    make_sink(shard, ugid));
+                                    make_sink(shard, gid));
       schedule_scan(&e);
       schedule_walk(&e);
     }
@@ -482,12 +511,16 @@ ShardedCityResult ShardedCity::run() {
     ss.handoffs_out = shard->handoffs_out;
     ss.gap_silences = shard->gap_silences;
     ss.events_processed = shard->events.stats().processed;
+    ss.fanouts = shard->medium.fanout_stats().fanouts;
+    ss.candidates_loaded = shard->medium.fanout_stats().candidates_loaded;
     ss.busy_s = std::chrono::duration<double>(shard->busy).count();
     ss.wait_s = std::chrono::duration<double>(shard->wait).count();
     r.transmissions += ss.transmissions;
     r.deliveries += ss.deliveries;
     r.gap_silences += ss.gap_silences;
     r.events_processed += ss.events_processed;
+    r.fanouts += ss.fanouts;
+    r.candidates_loaded += ss.candidates_loaded;
     r.per_shard.push_back(ss);
     logs.push_back(&shard->log);
   }

@@ -91,6 +91,13 @@ struct ShardStats {
   std::uint64_t handoffs_out = 0;
   std::uint64_t gap_silences = 0;
   std::uint64_t events_processed = 0;
+  /// The shard Medium's grid fanouts and the bucket entries they streamed
+  /// through the range filter (medium::Medium::FanoutStats; both 0 under
+  /// the legacy scan). The city is lossless, so every transmission that
+  /// finishes inside the horizon fans out once; the candidates depend on
+  /// how the shards split the gap walkers.
+  std::uint64_t fanouts = 0;
+  std::uint64_t candidates_loaded = 0;
   double busy_s = 0.0;  // wall time this shard's event loop ran
   /// Wall time this shard spent at the barrier: the sum over epochs of the
   /// epoch's wall (first shard started → last shard done) less this shard's
@@ -116,6 +123,8 @@ struct ShardedCityResult {
   int shards = 0;
   std::size_t workers = 0;
   std::uint64_t events_processed = 0;
+  std::uint64_t fanouts = 0;            // summed ShardStats::fanouts
+  std::uint64_t candidates_loaded = 0;  // summed ShardStats::candidates_loaded
   std::vector<ShardStats> per_shard;
 
   double wall_s = 0.0;  // event loop + barriers only (setup excluded)

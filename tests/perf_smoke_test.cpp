@@ -167,6 +167,7 @@ TEST(PerfSmokeTest, BatchedDeliverThroughputStaysAboveFloor) {
 
   constexpr std::uint64_t kTransmits = 2000;
   const std::uint64_t frames_before = rx.frames;
+  const std::uint64_t loaded_before = med.fanout_stats().candidates_loaded;
   const std::uint64_t allocs_before = bench::alloc_count();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < kTransmits; ++i) send_one();
@@ -175,9 +176,15 @@ TEST(PerfSmokeTest, BatchedDeliverThroughputStaysAboveFloor) {
           .count();
   const std::uint64_t allocs = bench::alloc_count() - allocs_before;
   const std::uint64_t delivered = rx.frames - frames_before;
+  const std::uint64_t loaded =
+      med.fanout_stats().candidates_loaded - loaded_before;
 
   ASSERT_GT(delivered, kTransmits * 10)
       << "crowd geometry must actually fan out";
+  // The crowd is fixed, so the timed window's work repeats exactly: the
+  // bucket entries the range filter streams and the frames it lets through.
+  EXPECT_EQ(loaded, 166168u);
+  EXPECT_EQ(delivered, 65542u);
   constexpr double kFloorDeliveriesPerSec = 50'000.0;
   EXPECT_GE(static_cast<double>(delivered) / wall_s, kFloorDeliveriesPerSec)
       << delivered << " deliveries in " << wall_s << " s";

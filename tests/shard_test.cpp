@@ -279,6 +279,53 @@ TEST(DeliveryLogTest, RecordHashSeesEveryBit) {
   EXPECT_EQ(obs::record_hash(records[1]), 0xa210d91f357a57beULL);
 }
 
+TEST(DeliveryLogTest, DigestIsTheSumOfRecordHashes) {
+  // A log hashes a transmission's time, sender and channel once for all of
+  // its receivers. Each sequence below changes exactly one of the three
+  // between neighbouring records, or starts a fresh log with a record
+  // whose shared fields are all zero or -1, so kept state that starts out
+  // valid or skips a field leaves the digest off the plain sum.
+  using Records = std::vector<obs::DeliveryRecord>;
+  const auto rssi = [](double dbm) {
+    return std::bit_cast<std::uint64_t>(dbm);
+  };
+  const Records cases[] = {
+      // Fresh logs whose first record is time 0 or -1, sender 0, channel 0.
+      {{0, 0, 3, rssi(-70.0), 0}},
+      {{-1, 0, 3, rssi(-70.0), 0}, {-1, 0, 4, rssi(-71.0), 0}},
+      // Two senders at one microsecond, fed A, B, A.
+      {{10, 5, 6, rssi(-60.0), 6},
+       {10, 7, 6, rssi(-60.0), 6},
+       {10, 5, 8, rssi(-62.5), 6}},
+      // One sender at one microsecond on two channels.
+      {{20, 5, 6, rssi(-60.0), 1}, {20, 5, 6, rssi(-60.0), 11}},
+      // A (time, sender) pair that returns after a different one.
+      {{30, 5, 6, rssi(-60.0), 6},
+       {31, 5, 6, rssi(-60.0), 6},
+       {30, 5, 9, rssi(-64.0), 6}},
+  };
+  obs::DeliveryLog all;
+  std::uint64_t all_sum = 0;
+  std::uint64_t all_count = 0;
+  for (const Records& records : cases) {
+    SCOPED_TRACE(testing::Message() << "case at " << records[0].time_us);
+    obs::DeliveryLog log;
+    std::uint64_t sum = 0;
+    for (const obs::DeliveryRecord& r : records) {
+      const double dbm = std::bit_cast<double>(r.rssi_bits);
+      log.record(r.time_us, r.tx_id, r.rx_id, dbm, r.channel);
+      all.record(r.time_us, r.tx_id, r.rx_id, dbm, r.channel);
+      sum += obs::record_hash(r);
+    }
+    EXPECT_EQ(log.digest(), sum);
+    EXPECT_EQ(log.count(), records.size());
+    all_sum += sum;
+    all_count += records.size();
+  }
+  EXPECT_EQ(all.digest(), all_sum);
+  EXPECT_EQ(all.count(), all_count);
+}
+
 TEST(DeliveryLogTest, MergeFollowsInputOrder) {
   obs::DeliveryLog a(true);
   obs::DeliveryLog b(true);
@@ -543,6 +590,53 @@ TEST(ShardedCityTest, RejectsConfigsThatBreakTheDeterminismContract) {
   cfg.walk_tick_s = 1e-7;
   cfg.max_sim_events_per_shard = 100000;
   EXPECT_THROW(sim::run_sharded_city(cfg), std::invalid_argument);
+
+  // A NaN AP share fails both range comparisons, and std::lround(NaN) is
+  // unspecified: the AP count would be anything.
+  cfg = test_city();
+  cfg.ap_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sim::run_sharded_city(cfg), std::invalid_argument);
+}
+
+TEST(ShardedCityTest, CountsFanoutWorkPerShard) {
+  // The city is lossless, so every transmission that finishes inside the
+  // horizon fans out exactly once, wherever it was computed; none of this
+  // city's is still in the air at its horizon. How many bucket entries
+  // those fanouts stream depends on the partition (one Medium files the
+  // gap walkers of both sides of a midline), but not on how many workers
+  // advance it.
+  auto cfg = test_city();
+  cfg.keep_deliveries = false;
+  for (const int shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    cfg.shards = shards;
+    cfg.workers = 1;
+    const auto serial = sim::run_sharded_city(cfg);
+    EXPECT_EQ(serial.fanouts, serial.transmissions);
+    EXPECT_GT(serial.candidates_loaded, serial.deliveries);
+    std::uint64_t fanouts = 0;
+    std::uint64_t loaded = 0;
+    for (const auto& s : serial.per_shard) {
+      EXPECT_EQ(s.fanouts, s.transmissions);
+      fanouts += s.fanouts;
+      loaded += s.candidates_loaded;
+    }
+    EXPECT_EQ(fanouts, serial.fanouts);
+    EXPECT_EQ(loaded, serial.candidates_loaded);
+    for (const std::size_t workers : {2u, 4u}) {
+      SCOPED_TRACE(testing::Message() << workers << " workers");
+      cfg.workers = workers;
+      const auto r = sim::run_sharded_city(cfg);
+      EXPECT_EQ(r.fanouts, serial.fanouts);
+      EXPECT_EQ(r.candidates_loaded, serial.candidates_loaded);
+      ASSERT_EQ(r.per_shard.size(), serial.per_shard.size());
+      for (std::size_t s = 0; s < r.per_shard.size(); ++s) {
+        EXPECT_EQ(r.per_shard[s].fanouts, serial.per_shard[s].fanouts);
+        EXPECT_EQ(r.per_shard[s].candidates_loaded,
+                  serial.per_shard[s].candidates_loaded);
+      }
+    }
+  }
 }
 
 TEST(ShardedCityTest, ReportsBarrierWaitPerShard) {
